@@ -18,9 +18,10 @@ parts, so the sum of scalar * e_d(forms) extracts to the same principal.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .field import FieldDescriptor, FieldElement, FieldError
+from .field import FieldDescriptor, FieldElement, FieldError, esp_sweep
 from .poly import LinearForm, Polynomial
 from .symfunc import esp_table_of_forms
 
@@ -232,12 +233,8 @@ def approx_extract(s: EpsSeries) -> BorderWitness:
 def esp_of_series(forms, d: int, field: FieldDescriptor,
                   truncation: int) -> EpsSeries:
     """e_d of eps-series arguments, by the generating-function sweep."""
-    table = [EpsSeries.constant(field, 1, truncation)]
-    table += [EpsSeries.zero(field, truncation) for _ in range(d)]
-    for L in forms:
-        for j in range(min(d, len(table) - 1), 0, -1):
-            table[j] = table[j] + table[j - 1] * L
-    return table[d]
+    return esp_sweep(forms, d, EpsSeries.zero(field, truncation),
+                     EpsSeries.constant(field, 1, truncation), operator.add, operator.mul)[d]
 
 
 # ---------------------------------------------------------------------------

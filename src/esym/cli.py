@@ -175,6 +175,8 @@ def _cmd_certify(args):
         field = make_field(p)
         poly = parse_polynomial(_read_arg(args.poly), field)
     else:
+        if args.ell is None:
+            raise cert_mod.CertificateError("--ell or --poly is required")
         spec = cert_mod.BlockPolynomialSpec(args.p, args.ell)
         poly = cert_mod.hard_poly(spec)
         p = args.p

@@ -1,13 +1,14 @@
 """Exact coefficient arithmetic: rationals, prime fields, small extensions.
 
 A field is described by a FieldDescriptor and values travel as FieldElement
-wrappers around a cheap raw representation:
+wrappers around a cheap raw representation.  Each kind of field is its own
+FieldDescriptor subclass with its own raw operations:
 
-  * rationals      raw = fractions.Fraction
-  * GF(p)          raw = int residue in [0, p)
-  * GF(p^k)        raw = int index in [0, p^k), the base-p encoding of the
-                   coefficient vector (constant digit first), so raw order
-                   doubles as the canonical element order
+  * RationalField   raw = fractions.Fraction
+  * PrimeField      raw = int residue in [0, p)
+  * ExtensionField  raw = int index in [0, p^k), the base-p encoding of the
+                    coefficient vector (constant digit first), so raw order
+                    doubles as the canonical element order
 
 Extensions are F_p[t] modulo a fixed irreducible polynomial.  Six moduli are
 pinned so that serialized data is reproducible across runs:
@@ -25,6 +26,9 @@ Field spec grammar accepted by make_field:
     q | gf(P) | gf(P^K) | gf(P^K;c0,c1,...,cK)
 
 Extension elements print as polynomials in t, e.g. "t+1".
+
+esp_sweep gives e_0..e_d of a list of values in any commutative ring whose
+operations are passed in: raw field values, polynomials and eps-series.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import count
 
 MAX_EXTENSION_SIZE = 1 << 20
 
@@ -44,24 +49,51 @@ _MODULUS_TABLE = {
     (5, 2): (1, 1, 1),
 }
 
+# Miller-Rabin with the first 13 prime bases is exact below _MR_LIMIT
+# (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 class FieldError(ValueError):
     """Raised for malformed field specs, mismatched fields, or bad arguments."""
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises FieldError when n has no small
+    factor and is too large for the fixed bases to decide exactly."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise FieldError(f"{n} is too large to certify as prime")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _prime_power(n: int):
+    """(p, k) with p prime and p^k = n, or None."""
+    for k in range(1, n.bit_length()):
+        # integer Newton steps from above settle on floor(n^(1/k))
+        p = 1 << -(-n.bit_length() // k)
+        while (r := ((k - 1) * p + n // p ** (k - 1)) // k) < p:
+            p = r
+        if p**k == n and _is_prime(p):
+            return p, k
+    return None
 
 
 def _factor(n: int) -> list[int]:
@@ -87,17 +119,6 @@ def _utrim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def _umul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _utrim(out)
 
 
 def _umod(a: list[int], m: list[int], p: int) -> list[int]:
@@ -138,30 +159,27 @@ _DESCRIPTORS: dict[tuple, "FieldDescriptor"] = {}
 
 
 class FieldDescriptor:
-    """Arithmetic kernel for one field.  Use make_field() to obtain one."""
+    """Arithmetic kernel for one field.  Use make_field() to obtain one.
 
-    __slots__ = (
-        "kind", "p", "k", "modulus",
-        "_exp", "_log", "_red_rows",
-    )
+    Subclasses supply spec_string and the raw operations add_raw, neg_raw,
+    mul_raw, inv_raw and pow_raw; p is the characteristic (0 for Q).
+    """
 
-    def __init__(self, kind: str, p: int = 0, k: int = 1,
-                 modulus: tuple[int, ...] | None = None):
-        self.kind = kind
+    __slots__ = ("p", "k", "modulus")
+    zero_raw = 0
+    one_raw = 1
+    # operand types that arithmetic with elements and polynomials accepts
+    _scalar_types: tuple = (int,)
+
+    def __init__(self, p: int = 0, k: int = 1, modulus: tuple[int, ...] | None = None):
         self.p = p
         self.k = k
         self.modulus = modulus
-        self._exp = None
-        self._log = None
-        self._red_rows = None
-        if kind == "ext":
-            self._build_reduction_rows()
-            self._build_log_tables()
 
     # -- identity ----------------------------------------------------------
 
     def _key(self):
-        return (self.kind, self.p, self.k, self.modulus)
+        return (type(self), self.p, self.k, self.modulus)
 
     def __eq__(self, other):
         return isinstance(other, FieldDescriptor) and self._key() == other._key()
@@ -175,37 +193,170 @@ class FieldDescriptor:
     def __str__(self):
         return self.spec_string()
 
-    def spec_string(self) -> str:
-        if self.kind == "rational":
-            return "q"
-        if self.kind == "prime":
-            return f"gf({self.p})"
-        if _MODULUS_TABLE.get((self.p, self.k)) == self.modulus:
-            return f"gf({self.p}^{self.k})"
-        return f"gf({self.p}^{self.k};{','.join(str(c) for c in self.modulus)})"
-
     # -- structure ---------------------------------------------------------
 
     @property
     def characteristic(self) -> int:
-        return 0 if self.kind == "rational" else self.p
+        return self.p
 
     @property
     def order(self) -> int | None:
         """Number of elements, or None for the rationals."""
-        if self.kind == "rational":
-            return None
         return self.p**self.k
 
-    @property
-    def zero_raw(self):
-        return Fraction(0) if self.kind == "rational" else 0
+    def sub_raw(self, a, b):
+        return self.add_raw(a, self.neg_raw(b))
+
+    # -- element construction and canonical order ----------------------------
+
+    def coerce_raw(self, value):
+        """Raw value from an element of this field, an int, or a literal
+        string; subclasses accept Fractions (Q) and digit tuples (GF(p^k))."""
+        if isinstance(value, FieldElement):
+            if value.field != self:
+                raise FieldError(f"element of {value.field} used in {self}")
+            return value.raw
+        if isinstance(value, int):
+            return value % self.p  # prime-subfield constant
+        if isinstance(value, str):
+            return self._raw_from_str(value.strip())
+        raise FieldError(f"cannot interpret {value!r} as an element of {self}")
+
+    def scalar_raw(self, other):
+        """Raw value of a scalar operand of element or polynomial arithmetic,
+        or None (the operator then returns NotImplemented)."""
+        if isinstance(other, FieldElement):
+            if other.field != self:
+                raise FieldError(f"mixed fields: {self} and {other.field}")
+            return other.raw
+        if isinstance(other, self._scalar_types):
+            return self.coerce_raw(other)
+        return None
+
+    def element(self, value) -> "FieldElement":
+        return FieldElement(self, self.coerce_raw(value))
 
     @property
-    def one_raw(self):
-        return Fraction(1) if self.kind == "rational" else 1
+    def zero(self) -> "FieldElement":
+        return FieldElement(self, self.zero_raw)
 
-    # -- extension bootstrap -------------------------------------------------
+    @property
+    def one(self) -> "FieldElement":
+        return FieldElement(self, self.one_raw)
+
+    def element_at(self, index: int) -> "FieldElement":
+        """index-th element in canonical order: 0, 1, ... (raw index order)."""
+        if not 0 <= index < self.order:
+            raise FieldError(f"element index {index} out of range for {self}")
+        return FieldElement(self, index)
+
+    def elements(self):
+        """All elements in canonical order."""
+        return (FieldElement(self, i) for i in range(self.order))
+
+    def raw_to_str(self, raw) -> str:
+        return str(raw)
+
+
+class RationalField(FieldDescriptor):
+    """Q: raw values are Fractions."""
+
+    __slots__ = ()
+    zero_raw = Fraction(0)
+    one_raw = Fraction(1)
+    _scalar_types = (int, Fraction)
+
+    def spec_string(self) -> str:
+        return "q"
+
+    @property
+    def order(self) -> None:
+        return None
+
+    def add_raw(self, a, b):
+        return a + b
+
+    def neg_raw(self, a):
+        return -a
+
+    def mul_raw(self, a, b):
+        return a * b
+
+    def inv_raw(self, a):
+        return 1 / a  # raises ZeroDivisionError at zero
+
+    def pow_raw(self, a, n: int):
+        return a**n
+
+    def coerce_raw(self, value):
+        if isinstance(value, (int, Fraction)):
+            return Fraction(value)
+        return super().coerce_raw(value)
+
+    def _raw_from_str(self, s: str) -> Fraction:
+        try:
+            return Fraction(s.strip("()"))
+        except ZeroDivisionError:
+            raise FieldError(f"zero denominator in the literal {s!r}") from None
+
+    def element_at(self, index: int) -> "FieldElement":
+        """The integer index, the rationals' canonical order."""
+        if index < 0:
+            raise FieldError("element index must be nonnegative")
+        return FieldElement(self, Fraction(index))
+
+    def elements(self):
+        """The unbounded stream 0, 1, 2, ..."""
+        return (FieldElement(self, Fraction(i)) for i in count())
+
+
+class PrimeField(FieldDescriptor):
+    """GF(p): raw values are residues in [0, p)."""
+
+    __slots__ = ()
+
+    def spec_string(self) -> str:
+        return f"gf({self.p})"
+
+    def add_raw(self, a, b):
+        return (a + b) % self.p
+
+    def neg_raw(self, a):
+        return (-a) % self.p
+
+    def mul_raw(self, a, b):
+        return (a * b) % self.p
+
+    def inv_raw(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, self.p - 2, self.p)
+
+    def pow_raw(self, a, n: int):
+        if n < 0:
+            a, n = self.inv_raw(a), -n
+        return pow(a, n, self.p)
+
+    def _raw_from_str(self, s: str) -> int:
+        return int(s.strip("()")) % self.p
+
+
+class ExtensionField(FieldDescriptor):
+    """GF(p^k) = F_p[t]/(modulus): raw values are base-p digit indices."""
+
+    __slots__ = ("_exp", "_log", "_group", "_red_rows")
+
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        super().__init__(p, k, modulus)
+        self._build_reduction_rows()
+        self._build_log_tables()
+
+    def spec_string(self) -> str:
+        if _MODULUS_TABLE.get((self.p, self.k)) == self.modulus:
+            return f"gf({self.p}^{self.k})"
+        return f"gf({self.p}^{self.k};{','.join(str(c) for c in self.modulus)})"
+
+    # -- bootstrap -----------------------------------------------------------
 
     def _build_reduction_rows(self):
         p, k, m = self.p, self.k, self.modulus
@@ -280,18 +431,14 @@ class FieldDescriptor:
             log[v] = i
         self._exp = exp
         self._log = log
+        self._group = group
 
     # -- raw arithmetic ------------------------------------------------------
 
     def add_raw(self, a, b):
-        kind = self.kind
-        if kind == "rational":
-            return a + b
-        if kind == "prime":
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
         p = self.p
+        if p == 2:
+            return a ^ b
         out = 0
         mult = 1
         for _ in range(self.k):
@@ -302,14 +449,9 @@ class FieldDescriptor:
         return out
 
     def neg_raw(self, a):
-        kind = self.kind
-        if kind == "rational":
-            return -a
-        if kind == "prime":
-            return (-a) % self.p
-        if self.p == 2:
-            return a
         p = self.p
+        if p == 2:
+            return a
         out = 0
         mult = 1
         for _ in range(self.k):
@@ -318,111 +460,34 @@ class FieldDescriptor:
             mult *= p
         return out
 
-    def sub_raw(self, a, b):
-        return self.add_raw(a, self.neg_raw(b))
-
     def mul_raw(self, a, b):
-        kind = self.kind
-        if kind == "rational":
-            return a * b
-        if kind == "prime":
-            return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        group = self.order - 1
-        return self._exp[(self._log[a] + self._log[b]) % group]
+        return self._exp[(self._log[a] + self._log[b]) % self._group]
 
     def inv_raw(self, a):
-        if self.kind == "rational":
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 1 / a
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.kind == "prime":
-            return pow(a, self.p - 2, self.p)
-        group = self.order - 1
-        return self._exp[(-self._log[a]) % group]
+        return self._exp[(-self._log[a]) % self._group]
 
     def pow_raw(self, a, n: int):
-        if n < 0:
-            return self.pow_raw(self.inv_raw(a), -n)
-        if self.kind == "rational":
-            return a**n
-        if self.kind == "prime":
-            return pow(a, n, self.p)
         if a == 0:
-            return self.one_raw if n == 0 else 0
-        group = self.order - 1
-        return self._exp[(self._log[a] * n) % group]
+            if n < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return 1 if n == 0 else 0
+        return self._exp[(self._log[a] * n) % self._group]
 
-    # -- element construction and canonical order ----------------------------
+    # -- elements, printing and parsing ----------------------------------------
 
     def coerce_raw(self, value):
-        """Raw value from an int, Fraction, digit tuple, or literal string."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldError(f"element of {value.field} used in {self}")
-            return value.raw
-        if self.kind == "rational":
-            if isinstance(value, (int, Fraction)):
-                return Fraction(value)
-            if isinstance(value, str):
-                return Fraction(value.strip().strip("()"))
-        elif self.kind == "prime":
-            if isinstance(value, int):
-                return value % self.p
-            if isinstance(value, str):
-                return int(value.strip().strip("()")) % self.p
-        else:
-            if isinstance(value, int):
-                return value % self.p  # prime-subfield constant
-            if isinstance(value, (tuple, list)):
-                if len(value) > self.k:
-                    raise FieldError("coefficient tuple longer than extension degree")
-                cs = list(value) + [0] * (self.k - len(value))
-                return self._undigits([c % self.p for c in cs])
-            if isinstance(value, str):
-                return self._raw_from_str(value)
-        raise FieldError(f"cannot interpret {value!r} as an element of {self}")
-
-    def element(self, value) -> "FieldElement":
-        return FieldElement(self, self.coerce_raw(value))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, self.zero_raw)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, self.one_raw)
-
-    def element_at(self, index: int) -> "FieldElement":
-        """index-th element in canonical order: 0, 1, ... (raw index order)."""
-        if index < 0:
-            raise FieldError("element index must be nonnegative")
-        if self.kind == "rational":
-            return FieldElement(self, Fraction(index))
-        if index >= self.order:
-            raise FieldError(f"element index {index} out of range for {self}")
-        return FieldElement(self, index)
-
-    def elements(self):
-        """All elements in canonical order (unbounded stream for rationals)."""
-        if self.kind == "rational":
-            i = 0
-            while True:
-                yield FieldElement(self, Fraction(i))
-                i += 1
-        else:
-            for i in range(self.order):
-                yield FieldElement(self, i)
-
-    # -- printing and parsing -------------------------------------------------
+        if isinstance(value, (tuple, list)):
+            if len(value) > self.k or not all(isinstance(c, int) for c in value):
+                raise FieldError(f"{value!r} is not a list of at most {self.k} "
+                                 f"integer coefficients for {self}")
+            return self._undigits([c % self.p for c in value] + [0] * (self.k - len(value)))
+        return super().coerce_raw(value)
 
     def raw_to_str(self, raw) -> str:
-        if self.kind in ("rational", "prime"):
-            return str(raw)
         cs = self._digits(raw)
         parts = []
         for e in range(self.k - 1, -1, -1):
@@ -437,7 +502,6 @@ class FieldDescriptor:
         return "+".join(parts) if parts else "0"
 
     def _raw_from_str(self, s: str) -> int:
-        s = s.strip()
         if s.startswith("(") and s.endswith(")"):
             s = s[1:-1].strip()
         s = s.replace(" ", "").replace("-", "+-")
@@ -468,18 +532,8 @@ class FieldElement:
         self.field = field
         self.raw = raw
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError(f"mixed fields: {self.field} and {other.field}")
-            return other.raw
-        if isinstance(other, int) or (self.field.kind == "rational"
-                                      and isinstance(other, Fraction)):
-            return self.field.coerce_raw(other)
-        return None
-
     def __add__(self, other):
-        raw = self._coerce(other)
+        raw = self.field.scalar_raw(other)
         if raw is None:
             return NotImplemented
         return FieldElement(self.field, self.field.add_raw(self.raw, raw))
@@ -487,19 +541,19 @@ class FieldElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        raw = self._coerce(other)
+        raw = self.field.scalar_raw(other)
         if raw is None:
             return NotImplemented
         return FieldElement(self.field, self.field.sub_raw(self.raw, raw))
 
     def __rsub__(self, other):
-        raw = self._coerce(other)
+        raw = self.field.scalar_raw(other)
         if raw is None:
             return NotImplemented
         return FieldElement(self.field, self.field.sub_raw(raw, self.raw))
 
     def __mul__(self, other):
-        raw = self._coerce(other)
+        raw = self.field.scalar_raw(other)
         if raw is None:
             return NotImplemented
         return FieldElement(self.field, self.field.mul_raw(self.raw, raw))
@@ -507,13 +561,13 @@ class FieldElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        raw = self._coerce(other)
+        raw = self.field.scalar_raw(other)
         if raw is None:
             return NotImplemented
         return FieldElement(self.field, self.field.mul_raw(self.raw, self.field.inv_raw(raw)))
 
     def __rtruediv__(self, other):
-        raw = self._coerce(other)
+        raw = self.field.scalar_raw(other)
         if raw is None:
             return NotImplemented
         return FieldElement(self.field, self.field.mul_raw(raw, self.field.inv_raw(self.raw)))
@@ -530,7 +584,7 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return self.field == other.field and self.raw == other.raw
-        coerced = self._coerce(other)
+        coerced = self.field.scalar_raw(other)
         if coerced is None:
             return NotImplemented
         return self.raw == coerced
@@ -554,14 +608,14 @@ class FieldElement:
 
 # ---------------------------------------------------------------------------
 
-def _get_descriptor(kind, p=0, k=1, modulus=None) -> FieldDescriptor:
-    key = (kind, p, k, modulus)
+def _get_descriptor(cls, p=0, k=1, modulus=None) -> FieldDescriptor:
+    key = (cls, p, k, modulus)
     if key not in _DESCRIPTORS:
-        _DESCRIPTORS[key] = FieldDescriptor(kind, p, k, modulus)
+        _DESCRIPTORS[key] = cls(p, k, modulus)
     return _DESCRIPTORS[key]
 
 
-QQ = _get_descriptor("rational")
+QQ = _get_descriptor(RationalField)
 
 _SPEC_RE = re.compile(r"gf\(\s*(\d+)\s*(?:\^\s*(\d+)\s*)?(?:;\s*([0-9,\s]+))?\)", re.IGNORECASE)
 
@@ -580,28 +634,23 @@ def make_field(spec) -> FieldDescriptor:
     if not m:
         raise FieldError(f"bad field spec {spec!r}")
     base = int(m.group(1))
-    k = int(m.group(2)) if m.group(2) else None
     modulus_text = m.group(3)
-    if k is None:
+    if m.group(2) is None:
         # gf(N): N prime, or a prime power resolved to its (p, k)
-        if _is_prime(base):
-            p, k = base, 1
-        else:
-            p = next((f for f in _factor(base) if base == f ** round(math.log(base, f))), None)
-            if p is None:
-                raise FieldError(f"{base} is not a prime power")
-            k = round(math.log(base, p))
-            if p**k != base:
-                raise FieldError(f"{base} is not a prime power")
+        pk = _prime_power(base)
+        if pk is None:
+            raise FieldError(f"{base} is not a prime power")
+        p, k = pk
     else:
-        p = base
+        p, k = base, int(m.group(2))
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
     if k == 1:
         if modulus_text:
             raise FieldError("modulus not allowed for a prime field")
-        return _get_descriptor("prime", p)
-    if p**k > MAX_EXTENSION_SIZE:
+        return _get_descriptor(PrimeField, p)
+    # p >= 2, so k > 20 already exceeds the cap; test it before forming p^k
+    if k > 20 or p**k > MAX_EXTENSION_SIZE:
         raise FieldError(f"extension field of size {p}^{k} exceeds cap {MAX_EXTENSION_SIZE}")
     if modulus_text:
         coeffs = tuple(int(c) % p for c in modulus_text.replace(" ", "").split(","))
@@ -611,11 +660,31 @@ def make_field(spec) -> FieldDescriptor:
             raise FieldError("modulus must be monic")
         if not _uirreducible(coeffs, p):
             raise FieldError(f"modulus {','.join(map(str, coeffs))} is reducible over gf({p})")
-        return _get_descriptor("ext", p, k, coeffs)
+        return _get_descriptor(ExtensionField, p, k, coeffs)
     if (p, k) in _MODULUS_TABLE:
-        return _get_descriptor("ext", p, k, _MODULUS_TABLE[(p, k)])
+        return _get_descriptor(ExtensionField, p, k, _MODULUS_TABLE[(p, k)])
     raise FieldError(
         f"no built-in modulus for gf({p}^{k}); supply one as gf({p}^{k};c0,c1,...)")
+
+
+def host_fields(field: FieldDescriptor):
+    """The field, then each tabled extension containing it, smallest first:
+    the candidates for the smallest extension that hosts some element."""
+    yield field
+    for (p, k), mod in sorted(_MODULUS_TABLE.items(), key=lambda kv: kv[0][0] ** kv[0][1]):
+        if p == field.p and k % field.k == 0 and p**k > field.order:
+            yield _get_descriptor(ExtensionField, p, k, mod)
+
+
+def esp_sweep(values, dmax: int, zero, one, add, mul) -> list:
+    """[e_0, e_1, ..., e_dmax] of the values, by one pass of the truncated
+    generating function prod_i (1 + z*v_i) in the ring given by zero, one,
+    add and mul (raw field values, polynomials or eps-series)."""
+    table = [one] + [zero] * dmax
+    for i, v in enumerate(values, 1):
+        for j in range(min(i, dmax), 0, -1):
+            table[j] = add(table[j], mul(v, table[j - 1]))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -642,23 +711,24 @@ def lucas_binomial(a: int, b: int, p: int) -> int:
 _EMBED_ROOTS: dict[tuple, int] = {}
 
 
-def _embedding_root(src: FieldDescriptor, host: FieldDescriptor) -> int:
+def _embedding_root(src: ExtensionField, host: ExtensionField) -> int:
     """Raw image in host of src's generator t: the first root of src.modulus."""
-    key = (src._key(), host._key())
+    key = (src, host)
     if key not in _EMBED_ROOTS:
-        coeffs = src.modulus
-        root = None
-        for cand in range(host.order):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = host.add_raw(host.mul_raw(acc, cand), c % host.p)
-            if acc == 0:
-                root = cand
-                break
+        root = next((x for x in range(host.order) if _horner(host, src.modulus, x) == 0), None)
         if root is None:
             raise FieldError(f"{src} does not embed in {host}")
         _EMBED_ROOTS[key] = root
     return _EMBED_ROOTS[key]
+
+
+def _horner(host: FieldDescriptor, coeffs, x):
+    """sum_i coeffs[i] * x^i in host, for prime-subfield coefficients listed
+    constant first and a raw host value x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = host.add_raw(host.mul_raw(acc, x), c % host.p)
+    return acc
 
 
 def embed(element: FieldElement, host: FieldDescriptor) -> FieldElement:
@@ -666,19 +736,13 @@ def embed(element: FieldElement, host: FieldDescriptor) -> FieldElement:
     src = element.field
     if src == host:
         return element
-    if src.kind == "rational" or host.kind == "rational":
-        raise FieldError(f"no embedding of {src} into {host}")
     if src.p != host.p:
-        raise FieldError(f"characteristic mismatch: {src} into {host}")
-    if src.kind == "prime":
-        return FieldElement(host, element.raw % host.p)  # prime subfield is raws 0..p-1
-    if host.kind == "prime" or host.k % src.k != 0:
+        raise FieldError(f"no embedding of {src} into {host}: characteristics differ")
+    if src.k == 1:
+        return FieldElement(host, element.raw)  # prime subfield is raws 0..p-1
+    if host.k % src.k != 0:
         raise FieldError(f"{src} is not a subfield of {host}")
-    r = _embedding_root(src, host)
-    acc = 0
-    for c in reversed(src._digits(element.raw)):
-        acc = host.add_raw(host.mul_raw(acc, r), c)
-    return FieldElement(host, acc)
+    return FieldElement(host, _horner(host, src._digits(element.raw), _embedding_root(src, host)))
 
 
 # ---------------------------------------------------------------------------
@@ -702,26 +766,16 @@ def roots_of_z_pow_d_plus_one(field: FieldDescriptor, d: int):
         d0 //= p
         a += 1
 
-    hosts = [field]
-    for (tp, tk), mod in sorted(_MODULUS_TABLE.items(), key=lambda kv: kv[0][0] ** kv[0][1]):
-        if tp == p and tk % field.k == 0 and tp**tk > field.order:
-            hosts.append(_get_descriptor("ext", tp, tk, mod))
-
-    for host in hosts:
+    for host in host_fields(field):
         minus_one = host.neg_raw(host.one_raw)
         found = [x for x in range(host.order) if host.pow_raw(x, d0) == minus_one]
         if len(found) == d0:
             roots = [FieldElement(host, r) for r in found for _ in range(p**a)]
-            # ensure prod (z - w_i) == z^d + 1: coefficients built by Horner
-            coeffs = [host.one_raw]
-            for w in roots:
-                nxt = [host.zero_raw] * (len(coeffs) + 1)
-                for i, c in enumerate(coeffs):
-                    nxt[i + 1] = host.add_raw(nxt[i + 1], c)
-                    nxt[i] = host.sub_raw(nxt[i], host.mul_raw(c, w.raw))
-                coeffs = nxt
-            expect = [host.one_raw] + [host.zero_raw] * (d - 1) + [host.one_raw]
-            if coeffs[::-1] != expect:
+            # prod (z - w_i) = sum_j e_j(-w) z^(d-j): it is z^d + 1 exactly
+            # when e_0..e_d of the negated roots read 1, 0, ..., 0, 1
+            neg = [host.neg_raw(w.raw) for w in roots]
+            esp = esp_sweep(neg, d, host.zero_raw, host.one_raw, host.add_raw, host.mul_raw)
+            if esp != [host.one_raw] + [host.zero_raw] * (d - 1) + [host.one_raw]:
                 raise FieldError("internal: root product check failed")
             return roots, host
 

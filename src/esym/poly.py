@@ -20,7 +20,6 @@ term is folded into its coefficient.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .field import FieldDescriptor, FieldElement, FieldError, embed
 
@@ -161,19 +160,9 @@ class Polynomial:
         if self.field != other.field:
             raise FieldError(f"mixed fields: {self.field} and {other.field}")
 
-    def _coerce_scalar(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError(f"mixed fields: {self.field} and {other.field}")
-            return other.raw
-        if isinstance(other, int) or (self.field.kind == "rational"
-                                      and isinstance(other, Fraction)):
-            return self.field.coerce_raw(other)
-        return None
-
     def __add__(self, other):
         if not isinstance(other, Polynomial):
-            raw = self._coerce_scalar(other)
+            raw = self.field.scalar_raw(other)
             if raw is None:
                 return NotImplemented
             other = Polynomial(self.field, {(): raw})
@@ -202,7 +191,7 @@ class Polynomial:
     def __sub__(self, other):
         if isinstance(other, Polynomial):
             return self + (-other)
-        raw = self._coerce_scalar(other)
+        raw = self.field.scalar_raw(other)
         if raw is None:
             return NotImplemented
         return self + Polynomial(self.field, {(): self.field.neg_raw(raw)})
@@ -212,7 +201,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            raw = self._coerce_scalar(other)
+            raw = self.field.scalar_raw(other)
             if raw is None:
                 return NotImplemented
             return self.scale_raw(raw)
@@ -244,7 +233,7 @@ class Polynomial:
         return out
 
     def scale(self, scalar) -> "Polynomial":
-        raw = self._coerce_scalar(scalar)
+        raw = self.field.scalar_raw(scalar)
         if raw is None:
             raise FieldError(f"cannot scale by {scalar!r}")
         return self.scale_raw(raw)
@@ -264,7 +253,7 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.field == other.field and self._terms == other._terms
-        raw = self._coerce_scalar(other)
+        raw = self.field.scalar_raw(other)
         if raw is None:
             return NotImplemented
         if raw == self.field.zero_raw:

@@ -42,8 +42,3 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
-
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("choice() on empty sequence")
-        return seq[self.below(len(seq))]

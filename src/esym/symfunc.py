@@ -17,10 +17,11 @@ difference so callers can inspect where an identity fails.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .field import FieldDescriptor
+from .field import FieldDescriptor, esp_sweep
 from .poly import Polynomial
 
 IDENTITY_KINDS = ("generating_function", "split", "partial_derivative", "euler", "newton")
@@ -85,13 +86,9 @@ def esp_table_of_forms(forms, dmax: int, field: FieldDescriptor | None = None) -
         raise ValueError("esp_table_of_forms needs forms or an explicit field")
     else:
         nvars = 0
-    table = [Polynomial.zero(field, nvars) for _ in range(dmax + 1)]
-    table[0] = Polynomial.constant(field, 1, nvars)
-    for form in forms:
-        fp = form.to_polynomial() if hasattr(form, "to_polynomial") else form
-        for k in range(dmax, 0, -1):
-            table[k] = table[k] + fp * table[k - 1]
-    return table
+    polys = [f.to_polynomial() if hasattr(f, "to_polynomial") else f for f in forms]
+    return esp_sweep(polys, dmax, Polynomial.zero(field, nvars),
+                     Polynomial.constant(field, 1, nvars), operator.add, operator.mul)
 
 
 def power_sum_of_forms(forms, d: int) -> Polynomial:

@@ -25,9 +25,10 @@ All construction is pure; every function returns fresh objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .field import FieldDescriptor, FieldElement, FieldError, _MODULUS_TABLE, _get_descriptor, embed, roots_of_z_pow_d_plus_one
+from .field import (FieldDescriptor, FieldElement, FieldError, esp_sweep, host_fields,
+                    make_field, roots_of_z_pow_d_plus_one)
 from .poly import LinearForm, Polynomial
 from .symfunc import esp_of_forms, esp_table_of_forms, gen_esp, power_sum_of_forms
 
@@ -67,7 +68,7 @@ class SymRepresentation:
             field = forms[0].field
         elif field is None:
             raise SymModelError("an empty representation needs an explicit field")
-        target = _esp_or_trivial(forms, degree, field)
+        target = esp_of_forms(forms, degree, field)
         return cls(field, degree, forms, target)
 
     @property
@@ -76,7 +77,7 @@ class SymRepresentation:
 
     def realized(self) -> Polynomial:
         """e_degree of the forms, expanded exactly."""
-        return _esp_or_trivial(self.forms, self.degree, self.field)
+        return esp_of_forms(self.forms, self.degree, self.field)
 
     def to_json(self) -> dict:
         return {
@@ -86,22 +87,21 @@ class SymRepresentation:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SymRepresentation":
-        from .field import make_field
+    def from_json(cls, data) -> "SymRepresentation":
+        """Inverse of to_json; data of any other shape raises SymModelError."""
+        if not (isinstance(data, dict) and isinstance(data.get("field"), str)
+                and isinstance(data.get("degree"), int)
+                and isinstance(data.get("forms"), list)
+                and all(isinstance(row, list) for row in data["forms"])):
+            raise SymModelError('a representation is a JSON object {"field": spec, '
+                                '"degree": integer, "forms": [[coefficient, ...], ...]}')
         fld = make_field(data["field"])
         forms = [LinearForm(fld, row) for row in data["forms"]]
-        return cls.from_forms(forms, int(data["degree"]), fld)
+        return cls.from_forms(forms, data["degree"], fld)
 
     def __repr__(self):
         return (f"<SymRepresentation degree={self.degree} forms={len(self.forms)} "
                 f"over {self.field}>")
-
-
-def _esp_or_trivial(forms, degree: int, field: FieldDescriptor) -> Polynomial:
-    if not forms:
-        return (Polynomial.constant(field, 1) if degree == 0
-                else Polynomial.zero(field))
-    return esp_of_forms(forms, degree)
 
 
 def verify_representation(rep: SymRepresentation, target: Polynomial) -> bool:
@@ -111,12 +111,10 @@ def verify_representation(rep: SymRepresentation, target: Polynomial) -> bool:
     exceed the term guard; both routes expand the same polynomial.
     """
     m = len(rep.forms)
-    if m == 0:
-        realized = _esp_or_trivial((), rep.degree, rep.field)
-    elif rep.degree <= m and math.comb(m, rep.degree) <= _LITERAL_VERIFY_GUARD:
+    if 0 < m and rep.degree <= m and math.comb(m, rep.degree) <= _LITERAL_VERIFY_GUARD:
         realized = gen_esp(m, rep.degree, rep.field).substitute_linear(rep.forms)
     else:
-        realized = _esp_or_trivial(rep.forms, rep.degree, rep.field)
+        realized = esp_of_forms(rep.forms, rep.degree, rep.field)
     target = target.map_field(rep.field) if target.field != rep.field else target
     return realized == target
 
@@ -137,10 +135,7 @@ def append_linear_power(rep: SymRepresentation, q: LinearForm) -> SymRepresentat
     roots, host = roots_of_z_pow_d_plus_one(rep.field, d)
 
     neg = [host.neg_raw(w.raw) for w in roots]
-    evals = [host.one_raw] + [host.zero_raw] * d
-    for x in neg:
-        for j in range(d, 0, -1):
-            evals[j] = host.add_raw(evals[j], host.mul_raw(x, evals[j - 1]))
+    evals = esp_sweep(neg, d, host.zero_raw, host.one_raw, host.add_raw, host.mul_raw)
     expect = [host.one_raw] + [host.zero_raw] * (d - 1) + [host.one_raw]
     if evals != expect:
         raise SymModelError("internal: root block symmetric functions are off")
@@ -158,11 +153,7 @@ def _host_with_omega(field: FieldDescriptor):
     """(host, omega) with omega a primitive cube root of unity, char 2 only."""
     if field.characteristic != 2:
         raise SymModelError("a cube root of unity needs characteristic 2 here")
-    candidates = [field]
-    for (tp, tk), mod in sorted(_MODULUS_TABLE.items(), key=lambda kv: kv[0][0] ** kv[0][1]):
-        if tp == 2 and tk % field.k == 0 and 2**tk > field.order:
-            candidates.append(_get_descriptor("ext", tp, tk, mod))
-    for host in candidates:
+    for host in host_fields(field):
         for raw in range(2, host.order):
             sq = host.mul_raw(raw, raw)
             if host.add_raw(host.add_raw(sq, raw), host.one_raw) == host.zero_raw:

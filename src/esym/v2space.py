@@ -1,11 +1,15 @@
 """Order-2 zero spaces: points where a polynomial vanishes together with
 all of its first partial derivatives.
 
-For e_d in n variables the partials are themselves elementary symmetric
-polynomials on the complementary variables, so the exhaustive scan in
-enumerate_v2 evaluates e_(d-1) of each leave-one-out set with a
-prefix/suffix table in O(n*d) per point instead of differentiating
-formally.  is_order2_zero keeps the formal-derivative route for arbitrary
+enumerate_v2 scans every point of F^n for e_d without differentiating
+formally.  One generating-function sweep (esp_sweep) gives e_0..e_d of the
+point's coordinates.  When e_d vanishes, each partial is checked through
+
+    d e_d / d x_i = e_(d-1)(x without x_i) = sum_j (-x_i)^j e_(d-1-j)(x),
+
+an identity exact over any commutative ring, evaluated by one Horner pass in
+-x_i per distinct coordinate value.  A point thus costs O(n*d) ring
+operations.  is_order2_zero keeps the formal-derivative route for arbitrary
 polynomials; the two agree and tests cross-check them.
 
 Every point of the order-2 zero space of e_d has at most d-1 distinct
@@ -19,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import log
 
-from .field import FieldDescriptor, FieldElement, lucas_binomial, _is_prime
+from .field import FieldDescriptor, FieldElement, _is_prime, esp_sweep, lucas_binomial
 from .poly import Polynomial
 from .rng import SplitMix64
 
@@ -85,55 +90,22 @@ def enumerate_v2(n: int, d: int, F: FieldDescriptor, cap: int = POINT_CAP) -> V2
     if F.order**n > cap:
         raise V2Error(f"{F.order}^{n} points exceed the cap of {cap}")
 
-    q = F.order
-    add, mul, zero, one = F.add_raw, F.mul_raw, F.zero_raw, F.one_raw
-    elems = [F.element_at(i).raw for i in range(q)]
+    add, mul, neg, zero, one = F.add_raw, F.mul_raw, F.neg_raw, F.zero_raw, F.one_raw
+    elems = list(F.elements())
     points = []
-    coords = [0] * n
-
-    # prefix[i][j] = e_j(first i coords); suffix[i][j] = e_j(coords[i:])
-    prefix = [[zero] * (d + 1) for _ in range(n + 1)]
-    suffix = [[zero] * d for _ in range(n + 1)]
-    for row in prefix:
-        row[0] = one
-    for row in suffix:
-        row[0] = one
-
-    def v2_member() -> bool:
-        vals = [elems[c] for c in coords]
-        for i in range(1, n + 1):
-            x, prev, cur = vals[i - 1], prefix[i - 1], prefix[i]
-            for j in range(1, min(i, d) + 1):
-                cur[j] = add(prev[j], mul(x, prev[j - 1]))
-            for j in range(min(i, d) + 1, d + 1):
-                cur[j] = zero
-        if prefix[n][d] != zero:
-            return False
-        for i in range(n - 1, -1, -1):
-            x, nxt, cur = vals[i], suffix[i + 1], suffix[i]
-            m = n - i
-            for j in range(1, min(m, d - 1) + 1):
-                cur[j] = add(nxt[j], mul(x, nxt[j - 1]))
-            for j in range(min(m, d - 1) + 1, d):
-                cur[j] = zero
-        for i in range(1, n + 1):
-            acc = zero
-            for j in range(d):
-                acc = add(acc, mul(prefix[i - 1][j], suffix[i][d - 1 - j]))
+    # the raw values of a finite field are its element indices 0..q-1
+    for coords in product(range(F.order), repeat=n):
+        e = esp_sweep(coords, d, zero, one, add, mul)
+        if e[d] != zero:
+            continue
+        for x in set(coords):
+            m, acc = neg(x), one  # Horner for sum_j (-x)^j e_(d-1-j)
+            for j in range(1, d):
+                acc = add(mul(acc, m), e[j])
             if acc != zero:
-                return False
-        return True
-
-    while True:
-        if v2_member():
-            points.append(tuple(F.element_at(c) for c in coords))
-        pos = n - 1
-        while pos >= 0 and coords[pos] == q - 1:
-            coords[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-        coords[pos] += 1
+                break
+        else:
+            points.append(tuple(elems[c] for c in coords))
     return V2PointSet(field=F, n=n, d=d, points=points)
 
 
@@ -272,7 +244,7 @@ def product_zero_containment(factors, trials: int, seed: int,
                    for f, g in pairs)
 
     if q**n <= cap:
-        candidates = _all_points(F, n)
+        candidates = product(list(F.elements()), repeat=n)
     else:
         rng = SplitMix64(seed)
         candidates = (tuple(F.element_at(rng.below(q)) for _ in range(n))
@@ -282,16 +254,3 @@ def product_zero_containment(factors, trials: int, seed: int,
             return False
     return True
 
-
-def _all_points(F: FieldDescriptor, n: int):
-    q = F.order
-    coords = [0] * n
-    while True:
-        yield tuple(F.element_at(c) for c in coords)
-        pos = n - 1
-        while pos >= 0 and coords[pos] == q - 1:
-            coords[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        coords[pos] += 1

@@ -103,6 +103,20 @@ def test_errors_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--p", "2"],
+    ["sym", "build", "--field", "q", "--quadratic", "1/0*x1^2"],
+    ["sym", "verify", "--rep", '{"degree": 2}'],
+    ["sym", "verify", "--rep", "[1]"],
+    ["sym", "verify", "--rep", '{"field": "gf(2)", "degree": 2, "forms": 5}'],
+], ids=["certify-no-ell", "zero-denominator", "rep-no-field", "rep-list", "rep-forms-int"])
+def test_bad_input_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 # -- argument conventions --------------------------------------------------------
 
 def test_global_flags_work_on_either_side(capsys):

@@ -1,6 +1,7 @@
 """Field arithmetic: descriptors, raw operations, extensions, embeddings."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,7 @@ from esym.field import (
     FieldElement,
     FieldError,
     QQ,
+    _is_prime,
     embed,
     lucas_binomial,
     make_field,
@@ -50,6 +52,34 @@ def test_nonprime_base_rejected():
         make_field("gf(6^2)")
     with pytest.raises(FieldError):
         make_field(12)
+
+
+def test_primality_matches_trial_division():
+    for n in range(2000):
+        assert _is_prime(n) == (n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))), n
+    for n in (1000003, 2**31 - 1, 2**61 - 1):
+        assert _is_prime(n)
+    # strong pseudoprimes to every base up to 7, 23 and 37 respectively
+    for n in (3215031751, 149491 * 747451 * 34233211, 399165290221 * 798330580441):
+        assert not _is_prime(n)
+
+
+def test_large_prime_field_builds_promptly():
+    start = time.perf_counter()
+    assert make_field("gf(2305843009213693951)").order == 2**61 - 1
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("n", [
+    1000003 * (2**61 - 1),           # a semiprime below the exact Miller-Rabin bound
+    (2**31 - 1) * (2**61 - 1),       # a semiprime above it
+    3**60,                           # a prime power far past the extension cap
+], ids=["semiprime-2e24", "semiprime-5e27", "3^60"])
+def test_large_non_fields_are_refused_promptly(n):
+    start = time.perf_counter()
+    with pytest.raises(FieldError):
+        make_field(f"gf({n})")
+    assert time.perf_counter() - start < 5.0
 
 
 def test_untabled_extension_needs_explicit_modulus():

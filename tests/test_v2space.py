@@ -52,17 +52,24 @@ def test_in_s_k():
 
 # -- enumeration: sweep route against the formal-partials route -------------------
 
-@pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (4, 3), (5, 2)])
-def test_enumerate_matches_pointwise_definition(n, d):
-    points = enumerate_v2(n, d, GF4)
-    members = set(points.points)
-    e = gen_esp(n, d, GF4)
-    count = 0
-    for pt in product(list(GF4.elements()), repeat=n):
-        if is_order2_zero(e, pt):
-            count += 1
-            assert pt in members
-    assert count == points.count
+# odd characteristic and extensions exercise the sign of the Horner
+# identity d e_d / d x_i = sum_j (-x_i)^j e_(d-1-j); GF(4) cases are named
+# by n-d alone
+ENUMERATION_CASES = [("gf(4)", 3, 2), ("gf(4)", 4, 2), ("gf(4)", 4, 3), ("gf(4)", 5, 2),
+                     ("gf(3)", 3, 1), ("gf(3)", 4, 2), ("gf(3)", 4, 4), ("gf(3)", 5, 3),
+                     ("gf(3)", 5, 4), ("gf(5)", 3, 2), ("gf(5)", 4, 3), ("gf(5)", 4, 4),
+                     ("gf(5)", 5, 3), ("gf(9)", 3, 1), ("gf(9)", 3, 3), ("gf(9)", 4, 2),
+                     ("gf(9)", 4, 4)]
+
+
+@pytest.mark.parametrize("spec,n,d", [
+    pytest.param(spec, n, d, id=f"{n}-{d}" if spec == "gf(4)" else f"{spec}-{n}-{d}")
+    for spec, n, d in ENUMERATION_CASES])
+def test_enumerate_matches_pointwise_definition(spec, n, d):
+    field = make_field(spec)
+    e = gen_esp(n, d, field)
+    expect = [pt for pt in product(list(field.elements()), repeat=n) if is_order2_zero(e, pt)]
+    assert enumerate_v2(n, d, field).points == expect
 
 
 def test_enumeration_point_cap():
