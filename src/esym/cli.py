@@ -262,7 +262,7 @@ def _cmd_formula_peel(args):
 def _cmd_formula_ben_or(args):
     field = make_field(args.field)
     phi = formula_mod.ben_or(args.n, args.d, field)
-    exact = phi.poly() == symfunc.gen_esp(args.n, args.d, field)
+    exact = formula_mod.computes_esp(phi, args.n, args.d)
     return {
         "command": "formula ben-or",
         "field": field.spec_string(),

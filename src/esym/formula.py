@@ -9,12 +9,23 @@ a product gate the sum; it upper-bounds the degree of the computed
 polynomial.  Nodes are addressed by paths: tuples of 0 (left) and 1
 (right) from the root.
 
+Every node caches its formal degree, size, nvars and field when it is
+built, in O(1) from its children, so formal_degree() and size read one
+attribute and Formula(...) accepts a well-formed tree without walking it.
+No function here recurses: walks use explicit stacks, so tree depth is
+bounded by memory, not by the interpreter's recursion limit.
+
 peel_decompose repeatedly splits off a product pair around a vertex whose
 formal degree lies in a window [t, 2t-1], t = ceil(d'/3), rewriting
 Phi = h*Phi_v + f and emitting the constant-free parts of (h, poly(Phi_v));
 each round deletes the vertex's subtree, so the number of rounds k obeys
 k*d'/3 <= size.  The residual keeps formal degree < d' and the identity
-Phi = residual + sum f_i*g_i is exact.
+Phi = residual + sum f_i*g_i is exact.  Each round picks its vertex in one
+walk that skips subtrees of formal degree below t, so a round costs O(s).
+
+ben_or solves its transposed Vandermonde system in O(n^2) field
+operations through the Lagrange basis, and computes_esp checks a tree of
+its shape without the 2^n expansion.
 """
 
 from __future__ import annotations
@@ -23,24 +34,62 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldDescriptor, FieldElement, FieldError
-from .poly import LinearForm, Polynomial, parse_polynomial
+from .poly import Polynomial, parse_polynomial
 from .rng import SplitMix64
+from .symfunc import gen_esp
 
 
 class FormulaError(ValueError):
     """Raised on malformed trees, bad paths, or violated preconditions."""
 
 
-@dataclass(frozen=True, eq=False)
 class Leaf:
-    label: Polynomial
+    """A leaf with its label; immutable by convention.
+
+    Caches fdeg (formal degree), size (1 for a non-constant label), nvars,
+    and field: the label's field when the label is an affine Polynomial,
+    else None.
+    """
+
+    __slots__ = ("label", "fdeg", "size", "nvars", "field")
+
+    def __init__(self, label: Polynomial):
+        self.label = label
+        if isinstance(label, Polynomial):
+            deg = label.degree()
+            self.fdeg = max(deg, 0)
+            self.size = 1 if deg >= 1 else 0
+            self.nvars = label.nvars
+            self.field = label.field if deg <= 1 else None
+        else:
+            self.fdeg = self.size = self.nvars = 0
+            self.field = None
 
 
-@dataclass(frozen=True, eq=False)
 class Gate:
-    op: str
-    left: object
-    right: object
+    """A +/* gate over two nodes; immutable by convention.
+
+    Caches fdeg, size and nvars from its children, and field: the common
+    field of the subtree when every op in it is + or *, every child is a
+    node and every leaf is affine over that field, else None.
+    """
+
+    __slots__ = ("op", "left", "right", "fdeg", "size", "nvars", "field")
+
+    def __init__(self, op: str, left, right):
+        self.op = op
+        self.left = left
+        self.right = right
+        if isinstance(left, (Leaf, Gate)) and isinstance(right, (Leaf, Gate)):
+            a, b = left.fdeg, right.fdeg
+            self.fdeg = max(a, b) if op == "+" else a + b
+            self.size = left.size + right.size
+            self.nvars = max(left.nvars, right.nvars)
+            ok = op in ("+", "*") and left.field is not None and left.field == right.field
+            self.field = left.field if ok else None
+        else:
+            self.fdeg = self.size = self.nvars = 0
+            self.field = None
 
 
 class Formula:
@@ -49,19 +98,10 @@ class Formula:
     __slots__ = ("root", "field", "nvars")
 
     def __init__(self, root, field: FieldDescriptor):
-        nvars = 0
-        for _, node in _walk(root):
-            if isinstance(node, Leaf):
-                if node.label.field != field:
-                    raise FormulaError(f"leaf over {node.label.field} in a formula over {field}")
-                if node.label.degree() > 1:
-                    raise FormulaError(f"leaf label {node.label} has degree > 1")
-                nvars = max(nvars, node.label.nvars)
-            elif isinstance(node, Gate):
-                if node.op not in ("+", "*"):
-                    raise FormulaError(f"unknown gate op {node.op!r}")
-            else:
-                raise FormulaError(f"not a formula node: {node!r}")
+        if isinstance(root, (Leaf, Gate)) and root.field is not None and root.field == field:
+            nvars = root.nvars
+        else:
+            nvars = _checked_nvars(root, field)
         self.root = root
         self.field = field
         self.nvars = nvars
@@ -97,15 +137,14 @@ class Formula:
     @property
     def size(self) -> int:
         """Number of leaves whose label is not constant."""
-        return sum(1 for _, node in _walk(self.root)
-                   if isinstance(node, Leaf) and node.label.degree() >= 1)
+        return self.root.size
 
     def formal_degree(self) -> int:
-        return _fdeg(self.root)
+        return self.root.fdeg
 
     def poly(self) -> Polynomial:
         """The computed polynomial, expanded exactly."""
-        return _poly(self.root, self.field)
+        return _poly(self.root)
 
     # -- node addressing -----------------------------------------------------
 
@@ -141,25 +180,56 @@ def _walk(root):
             stack.append((path + (0,), node.left))
 
 
-def _fdeg(node) -> int:
-    if isinstance(node, Leaf):
-        return max(node.label.degree(), 0)
-    a, b = _fdeg(node.left), _fdeg(node.right)
-    return max(a, b) if node.op == "+" else a + b
+def _checked_nvars(root, field) -> int:
+    """nvars of a tree whose cached facts do not vouch for it; the walk
+    raises FormulaError at the first node that breaks the rules."""
+    nvars = 0
+    for _, node in _walk(root):
+        if isinstance(node, Leaf):
+            if node.label.field != field:
+                raise FormulaError(f"leaf over {node.label.field} in a formula over {field}")
+            if node.label.degree() > 1:
+                raise FormulaError(f"leaf label {node.label} has degree > 1")
+            nvars = max(nvars, node.label.nvars)
+        elif isinstance(node, Gate):
+            if node.op not in ("+", "*"):
+                raise FormulaError(f"unknown gate op {node.op!r}")
+        else:
+            raise FormulaError(f"not a formula node: {node!r}")
+    return nvars
 
 
-def _poly(node, field) -> Polynomial:
-    if isinstance(node, Leaf):
-        return node.label
-    a, b = _poly(node.left, field), _poly(node.right, field)
-    return a + b if node.op == "+" else a * b
+def _poly(root) -> Polynomial:
+    """The polynomial the tree computes, each gate combining left with right."""
+    values = []
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Leaf):
+            values.append(node.label)
+        elif ready:
+            b = values.pop()
+            a = values.pop()
+            values.append(a + b if node.op == "+" else a * b)
+        else:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+    return values[0]
 
 
-def _render(node) -> str:
-    if isinstance(node, Leaf):
-        s = str(node.label)
-        return f"({s})" if any(c in s for c in "+-*") else s
-    return f"({_render(node.left)} {node.op} {_render(node.right)})"
+def _render(root) -> str:
+    out = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Leaf):
+            s = str(item.label)
+            out.append(f"({s})" if any(c in s for c in "+-*") else s)
+        else:
+            out.append("(")
+            stack += [")", item.right, f" {item.op} ", item.left]
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +240,35 @@ def find_degree_vertex(phi: Formula, t: int):
 
     Requires 1 <= t <= formal_degree/2.  Among qualifying vertices the
     deepest is chosen, ties broken leftmost.
+
+    One preorder walk, left before right, so the first vertex met at the
+    greatest depth is the leftmost there.  Formal degree never rises from
+    a parent to a child, so a subtree whose root is below t holds no
+    candidate and is skipped.  Paths are kept as (step, parent) links and
+    only the winner's is spelled out.
     """
     d = phi.formal_degree()
     if t < 1 or 2 * t > d:
         raise FormulaError(f"t = {t} outside [1, {d}/2]")
-    best = None
-    for path, node in phi.paths():
-        if t <= _fdeg(node) <= 2 * t - 1:
-            key = (-len(path), path)
-            if best is None or key < best:
-                best = key
-    if best is None:
+    hi = 2 * t - 1
+    best, best_depth = None, -1
+    stack = [(phi.root, 0, None)]
+    while stack:
+        node, depth, link = stack.pop()
+        if node.fdeg <= hi and depth > best_depth:
+            best, best_depth = link, depth
+        if isinstance(node, Gate):
+            if node.right.fdeg >= t:
+                stack.append((node.right, depth + 1, (1, link)))
+            if node.left.fdeg >= t:
+                stack.append((node.left, depth + 1, (0, link)))
+    if best_depth < 0:
         raise FormulaError("no vertex in the degree window; tree malformed")
-    return best[1]
+    path = []
+    while best is not None:
+        step, best = best
+        path.append(step)
+    return tuple(reversed(path))
 
 
 def split_linear(phi: Formula, path):
@@ -203,7 +289,7 @@ def split_linear(phi: Formula, path):
     h = Polynomial.constant(phi.field, 1)
     f = Polynomial.zero(phi.field)
     for op, sib in reversed(siblings):
-        s = _poly(sib, phi.field)
+        s = _poly(sib)
         if op == "+":
             f = f + s
         else:
@@ -218,19 +304,19 @@ def replace_with_constant(phi: Formula, path, value) -> Formula:
     The replacement drops every non-constant leaf of the subtree, so the
     size falls by exactly the subtree's size.
     """
-    leaf = Leaf(Polynomial.constant(phi.field, value))
-
-    def rebuild(node, remaining):
-        if not remaining:
-            return leaf
+    path = tuple(path)
+    ancestors = []
+    node = phi.root
+    for step in path:
         if not isinstance(node, Gate):
             raise FormulaError(f"path {path} leaves the tree")
-        step, rest = remaining[0], remaining[1:]
-        if step == 0:
-            return Gate(node.op, rebuild(node.left, rest), node.right)
-        return Gate(node.op, node.left, rebuild(node.right, rest))
-
-    return Formula(rebuild(phi.root, tuple(path)), phi.field)
+        ancestors.append(node)
+        node = node.left if step == 0 else node.right
+    node = Leaf(Polynomial.constant(phi.field, value))
+    for gate, step in zip(reversed(ancestors), reversed(path)):
+        node = (Gate(gate.op, node, gate.right) if step == 0
+                else Gate(gate.op, gate.left, node))
+    return Formula(node, phi.field)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +430,9 @@ def ben_or(n: int, d: int, F: FieldDescriptor) -> Formula:
         raise FormulaError(
             f"field of size {F.order} is too small for {n + 1} interpolation nodes")
     alphas = [F.element_at(j) for j in range(n + 1)]
-    rows = [[F.pow_raw(a.raw, n - k) for a in alphas] for k in range(n + 1)]
-    rhs = [F.one_raw if k == d else F.zero_raw for k in range(n + 1)]
-    coeffs = _solve_linear(rows, rhs, F)
+    coeffs = _interpolation_weights([a.raw for a in alphas], n - d, F)
 
+    xs = [Polynomial.variable(F, i) for i in range(1, n + 1)]
     acc = None
     for j, c in enumerate(coeffs):
         if c == F.zero_raw:
@@ -356,35 +441,110 @@ def ben_or(n: int, d: int, F: FieldDescriptor) -> Formula:
         if n == 0:
             term = Leaf(Polynomial.constant(F, cj))
         else:
-            first = (Polynomial.variable(F, 1) + Polynomial.constant(F, alphas[j])).scale(cj)
-            term = Leaf(first)
-            for i in range(2, n + 1):
-                aff = Polynomial.variable(F, i) + Polynomial.constant(F, alphas[j])
-                term = Gate("*", term, Leaf(aff))
+            labels = _factor_labels(xs, cj, alphas[j])
+            term = Leaf(labels[0])
+            for label in labels[1:]:
+                term = Gate("*", term, Leaf(label))
         acc = term if acc is None else Gate("+", acc, term)
     if acc is None:
         acc = Leaf(Polynomial.zero(F))
     return Formula(acc, F)
 
 
-def _solve_linear(rows, rhs, F: FieldDescriptor):
-    """Gaussian elimination on raw values; the matrix must be square and
-    nonsingular."""
-    n = len(rows)
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != F.zero_raw), None)
-        if pivot is None:
-            raise FormulaError("singular interpolation system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = F.inv_raw(m[col][col])
-        m[col] = [F.mul_raw(x, inv) for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != F.zero_raw:
-                factor = m[r][col]
-                m[r] = [F.sub_raw(x, F.mul_raw(factor, y))
-                        for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+def _interpolation_weights(nodes, m: int, F: FieldDescriptor):
+    """Raw c with sum_j c_j a_j^k = [k == m] for k = 0..len(nodes)-1, the
+    a_j distinct.
+
+    This transposed Vandermonde system is solved by c_j = [x^m] L_j(x) for
+    the Lagrange basis L_j = prod_{i != j} (x - a_i)/(a_j - a_i): summing
+    L_j(x) a_j^k over j interpolates x^k.  P = prod (x - a_j) is built
+    once; per j, synthetic division of P by x - a_j down to x^m gives the
+    numerator and a product of differences the denominator, so the solve
+    costs O(len(nodes)^2) field operations.
+    """
+    add, sub, mul = F.add_raw, F.sub_raw, F.mul_raw
+    zero, one = F.zero_raw, F.one_raw
+    P = [one]                                # lowest coefficient first
+    for a in nodes:
+        P = [sub(lo, mul(a, hi)) for lo, hi in zip([zero] + P, P + [zero])]
+    top = len(nodes) - 1                     # degree of P / (x - a_j)
+    weights = []
+    for j, a in enumerate(nodes):
+        q = one
+        for k in range(top, m, -1):
+            q = add(P[k], mul(a, q))
+        den = one
+        for i, b in enumerate(nodes):
+            if i != j:
+                den = mul(den, sub(a, b))
+        weights.append(mul(q, F.inv_raw(den)))
+    return weights
+
+
+def computes_esp(phi: Formula, n: int, d: int) -> bool:
+    """Whether phi computes e_d in n variables, exactly.
+
+    A tree of ben_or's shape, sum_j c_j * prod_{i=1..n} (x_i + a_j), is
+    checked without expanding it: it equals sum_k (sum_j c_j a_j^(n-k)) e_k
+    and the e_k are linearly independent, so it computes e_d exactly when
+    sum_j c_j a_j^m = [m == n-d] for m = 0..n.  That costs O(n) leaf
+    comparisons and field operations per term.  Any other tree is expanded
+    and compared with gen_esp.
+    """
+    terms = _interpolation_terms(phi, n)
+    if terms is None:
+        return phi.poly() == gen_esp(n, d, phi.field)
+    F = phi.field
+    add, mul = F.add_raw, F.mul_raw
+    weights = [c for c, _ in terms]          # c_j a_j^m, from m = 0
+    for m in range(n + 1):
+        total = F.zero_raw
+        for w in weights:
+            total = add(total, w)
+        if total != (F.one_raw if m == n - d else F.zero_raw):
+            return False
+        weights = [mul(w, a) for w, (_, a) in zip(weights, terms)]
+    return True
+
+
+def _interpolation_terms(phi: Formula, n: int):
+    """Raw pairs (c_j, a_j) when phi is a left-nested sum of left-nested
+    products of leaves labelled _factor_labels(c_j, a_j), the shape ben_or
+    builds for n >= 1; else None."""
+    if n < 1:
+        return None
+    F = phi.field
+    xs = [Polynomial.variable(F, i) for i in range(1, n + 1)]
+    terms = []
+    for summand in _operands(phi.root, "+"):
+        factors = _operands(summand, "*")
+        if len(factors) != n or not all(isinstance(leaf, Leaf) for leaf in factors):
+            return None
+        first = factors[0].label
+        c = first.coefficient((1,))
+        if c.is_zero:
+            return None
+        a = first.constant_term() / c
+        if [leaf.label for leaf in factors] != _factor_labels(xs, c, a):
+            return None
+        terms.append((c.raw, a.raw))
+    return terms
+
+
+def _factor_labels(xs, c: FieldElement, a: FieldElement):
+    """Leaf labels of one ben_or summand: c*(x_1 + a), x_2 + a, ..., x_n + a."""
+    shift = Polynomial.constant(c.field, a)
+    return [(xs[0] + shift).scale(c)] + [x + shift for x in xs[1:]]
+
+
+def _operands(node, op: str) -> list:
+    """Operands, left to right, of the left-nested chain of op gates at node."""
+    out = []
+    while isinstance(node, Gate) and node.op == op:
+        out.append(node.right)
+        node = node.left
+    out.append(node)
+    return out[::-1]
 
 
 def lower_bound_report(n: int, d: int, dim_v2: int | None = None) -> Fraction:
@@ -422,69 +582,81 @@ def random_formula(rng: SplitMix64, field: FieldDescriptor, max_size: int,
             label = label + Polynomial.constant(field, field.element_at(rng.below(q)))
         return Leaf(label)
 
-    def build(k):
-        if k == 1:
-            return random_leaf()
-        k1 = 1 + rng.below(k - 1)
-        op = "+" if rng.below(2) else "*"
-        return Gate(op, build(k1), build(k - k1))
-
-    return Formula(build(1 + rng.below(max_size)), field)
+    # Draws in preorder, so a seed always gives the same tree: a gate of k
+    # leaves draws its split and op, then its left subtree, then its right.
+    # An op string on the stack joins the two subtrees built above it.
+    tasks = [1 + rng.below(max_size)]
+    built = []
+    while tasks:
+        task = tasks.pop()
+        if isinstance(task, str):
+            right = built.pop()
+            built.append(Gate(task, built.pop(), right))
+        elif task == 1:
+            built.append(random_leaf())
+        else:
+            k1 = 1 + rng.below(task - 1)
+            op = "+" if rng.below(2) else "*"
+            tasks += [op, task - k1, k1]
+    return Formula(built[0], field)
 
 
 def parse_formula(text: str, field: FieldDescriptor) -> Formula:
     """Parse infix formula text: +, -, *, parentheses, and leaf literals in
-    the polynomial grammar restricted to degree <= 1."""
+    the polynomial grammar restricted to degree <= 1.
+
+    expr := ['-'] term (('+' | '-') term)*,  term := atom ('*' atom)*,
+    atom := '(' expr ')' | literal; sums and products nest to the left.
+    The parse keeps one frame (expr, op, term) per open parenthesis on an
+    explicit stack, so nesting depth is bounded by memory only.
+    """
     tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take():
-        tok = peek()
-        pos[0] += 1
-        return tok
-
-    def parse_expr():
-        if peek() == "-":
-            take()
-            node = _negate(parse_term(), field)
-        else:
-            node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            if op == "-":
-                rhs = _negate(rhs, field)
-            node = Gate("+", node, rhs)
-        return node
-
-    def parse_term():
-        node = parse_atom()
-        while peek() == "*":
-            take()
-            node = Gate("*", node, parse_atom())
-        return node
-
-    def parse_atom():
-        tok = take()
+    end = len(tokens)
+    pos = 0
+    frames = []                  # (expr, op, term) of each open parenthesis
+    at_expr_start = True
+    while True:
+        if at_expr_start:
+            expr = term = op = None  # op: the sign before the current term
+            if pos < end and tokens[pos] == "-":
+                pos += 1
+                op = "-"
+            at_expr_start = False
+        tok = tokens[pos] if pos < end else None
+        pos += 1
         if tok == "(":
-            node = parse_expr()
-            if take() != ")":
-                raise FormulaError(f"unbalanced parentheses in {text!r}")
-            return node
+            frames.append((expr, op, term))
+            at_expr_start = True
+            continue
         if tok is None or tok in "+-*)":
             raise FormulaError(f"unexpected token {tok!r} in {text!r}")
         label = parse_polynomial(tok, field)
         if label.degree() > 1:
             raise FormulaError(f"leaf literal {tok!r} has degree > 1")
-        return Leaf(label)
-
-    root = parse_expr()
-    if pos[0] != len(tokens):
-        raise FormulaError(f"trailing input in {text!r}")
-    return Formula(root, field)
+        atom = Leaf(label)
+        while True:                  # an atom is complete
+            term = atom if term is None else Gate("*", term, atom)
+            nxt = tokens[pos] if pos < end else None
+            if nxt == "*":
+                pos += 1
+                break
+            if op == "-":
+                term = _negate(term, field)
+            expr = term if expr is None else Gate("+", expr, term)
+            term = None
+            if nxt in ("+", "-"):
+                pos += 1
+                op = nxt
+                break
+            if not frames:
+                if pos != end:
+                    raise FormulaError(f"trailing input in {text!r}")
+                return Formula(expr, field)
+            if nxt != ")":
+                raise FormulaError(f"unbalanced parentheses in {text!r}")
+            pos += 1
+            atom = expr
+            expr, op, term = frames.pop()
 
 
 def _negate(node, field):

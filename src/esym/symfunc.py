@@ -66,7 +66,14 @@ def gen_power_sum(n: int, d: int, field: FieldDescriptor) -> Polynomial:
 
 def esp_of_forms(forms, d: int, field: FieldDescriptor | None = None) -> Polynomial:
     """e_d evaluated at a list of linear forms, by one pass of the
-    truncated generating function prod_i (1 + z*L_i)."""
+    truncated generating function prod_i (1 + z*L_i).
+
+    e_d of m values vanishes for d > m, so that case is the zero
+    polynomial at once, without a sweep over d + 1 table entries.
+    """
+    forms = list(forms)
+    if d > len(forms):
+        return Polynomial.zero(*_field_and_nvars(forms, field))
     return esp_table_of_forms(forms, d, field)[d]
 
 
@@ -79,16 +86,18 @@ def esp_table_of_forms(forms, dmax: int, field: FieldDescriptor | None = None) -
     forms = list(forms)
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    if forms:
-        field = forms[0].field
-        nvars = max(f.nvars for f in forms)
-    elif field is None:
-        raise ValueError("esp_table_of_forms needs forms or an explicit field")
-    else:
-        nvars = 0
+    field, nvars = _field_and_nvars(forms, field)
     polys = [f.to_polynomial() if hasattr(f, "to_polynomial") else f for f in forms]
     return esp_sweep(polys, dmax, Polynomial.zero(field, nvars),
                      Polynomial.constant(field, 1, nvars), operator.add, operator.mul)
+
+
+def _field_and_nvars(forms: list, field: FieldDescriptor | None):
+    if forms:
+        return forms[0].field, max(f.nvars for f in forms)
+    if field is None:
+        raise ValueError("esp_table_of_forms needs forms or an explicit field")
+    return field, 0
 
 
 def power_sum_of_forms(forms, d: int) -> Polynomial:

@@ -117,6 +117,28 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_deeply_nested_formula_is_parsed(capsys):
+    code, body = run_json(capsys, "formula", "peel", "--field", "gf(5)", "--dprime", "3",
+                          "--formula", "(" * 2000 + "x1" + ")" * 2000)
+    assert code == 0
+    assert body["residual"] == "x1" and body["identity_holds"] is True
+
+
+def test_sym_verify_degree_above_form_count_is_immediate(capsys):
+    rep = '{"field": "gf(2)", "degree": 1000000000, "forms": [["1"]]}'
+    code, body = run_json(capsys, "sym", "verify", "--rep", rep)
+    assert code == 0
+    assert body["verified"] is True and body["target"] == "0"
+
+
+def test_ben_or_check_needs_no_expansion(capsys):
+    # 2^16 intermediate terms if expanded; the weight check is O(n^2)
+    code, body = run_json(capsys, "formula", "ben-or", "--n", "16", "--d", "5",
+                          "--field", "gf(17)")
+    assert code == 0
+    assert body["computes_esp"] is True
+
+
 # -- argument conventions --------------------------------------------------------
 
 def test_global_flags_work_on_either_side(capsys):

@@ -1,5 +1,7 @@
 """Formula trees: parsing, degree vertices, peeling, Ben-Or interpolation."""
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,13 @@ from esym.field import QQ, make_field
 from esym.formula import (
     Formula,
     FormulaError,
+    Gate,
+    Leaf,
+    _interpolation_terms,
+    _interpolation_weights,
+    _operands,
     ben_or,
+    computes_esp,
     find_degree_vertex,
     lower_bound_report,
     parse_formula,
@@ -23,6 +31,8 @@ from esym.symfunc import gen_esp
 
 GF5 = make_field("gf(5)")
 GF11 = make_field("gf(11)")
+GF16 = make_field("gf(16)")
+GF1009 = make_field("gf(1009)")
 
 
 def f(text, field=GF5):
@@ -197,3 +207,225 @@ def test_random_formula_is_deterministic():
     b = random_formula(SplitMix64(5), GF5, max_size=10, nvars=3)
     assert str(a) == str(b)
     assert a.size <= 10
+    # the seeded stream fixes the tree: seeds reproduce across versions
+    assert str(a) == ("(x2 + ((((4*x2 + 4) + ((4*x1 + 4) + ((4*x3) + (2*x2)))) * "
+                      "(((2*x2 + 3) * (x1 + 4)) * 2)) + (2*x1 + 1)))")
+
+
+# -- oracles for the cached metadata and the one-walk vertex pick --------------
+
+def ref_fdeg(node):
+    if isinstance(node, Leaf):
+        return max(node.label.degree(), 0)
+    a, b = ref_fdeg(node.left), ref_fdeg(node.right)
+    return max(a, b) if node.op == "+" else a + b
+
+
+def ref_size(node):
+    if isinstance(node, Leaf):
+        return 1 if node.label.degree() >= 1 else 0
+    return ref_size(node.left) + ref_size(node.right)
+
+
+def ref_degree_vertex(phi, t):
+    """Every path, key (-len(path), path): deepest first, then leftmost."""
+    hits = [path for path, node in phi.paths() if t <= ref_fdeg(node) <= 2 * t - 1]
+    return min(hits, key=lambda path: (-len(path), path))
+
+
+def seeded_trees(count=300):
+    rng = SplitMix64(4242)
+    for i in range(count):
+        yield random_formula(rng, GF5, max_size=4 + i % 28, nvars=1 + i % 6)
+
+
+def test_cached_metadata_and_vertex_pick_match_reference_walks():
+    picks = 0
+    for i, phi in enumerate(seeded_trees()):
+        cur = phi
+        while True:
+            for _, node in cur.paths():
+                assert node.fdeg == ref_fdeg(node)
+                assert node.size == ref_size(node)
+            assert cur.formal_degree() == ref_fdeg(cur.root)
+            assert cur.size == ref_size(cur.root)
+            d = cur.formal_degree()
+            if d < 2:
+                break
+            for t in range(1, d // 2 + 1):
+                assert find_degree_vertex(cur, t) == ref_degree_vertex(cur, t)
+                picks += 1
+            # descend as a peel would: cut out a deepest window vertex
+            path = find_degree_vertex(cur, max(1, d // 3))
+            cur = replace_with_constant(cur, path, GF5.element(i % 5))
+    assert picks > 1000
+
+
+# -- malformed trees: the bad node sits deep inside a valid tree ----------------
+
+def _bury(bad):
+    """A valid tree over GF(5) with `bad` three levels down on the right."""
+    x1 = Leaf(parse_polynomial("x1 + 1", GF5))
+    x2 = Leaf(parse_polynomial("2*x2", GF5))
+    return Gate("+", Gate("*", x1, x2), Gate("*", x2, Gate("+", x1, bad)))
+
+
+@pytest.mark.parametrize("make_root, message", [
+    (lambda: _bury(Leaf(parse_polynomial("x1", GF11))),
+     "leaf over gf(11) in a formula over gf(5)"),
+    (lambda: _bury(Leaf(parse_polynomial("x1*x2", GF5))),
+     "leaf label x1*x2 has degree > 1"),
+    (lambda: _bury(Gate("-", Leaf(parse_polynomial("x3", GF5)),
+                        Leaf(parse_polynomial("x4", GF5)))),
+     "unknown gate op '-'"),
+    (lambda: _bury(parse_polynomial("x3", GF5)),
+     "not a formula node: <poly x3 over gf(5)>"),
+], ids=["mixed-field", "degree-2-leaf", "unknown-op", "non-node-child"])
+def test_malformed_trees_raise_the_walks_message(make_root, message):
+    root = make_root()
+    with pytest.raises(FormulaError) as info:
+        Formula(root, GF5)
+    assert str(info.value) == message
+    # a valid formula combined with the bad subtree fails the same way
+    with pytest.raises(FormulaError) as info:
+        Formula(Gate("*", Leaf(parse_polynomial("x4", GF5)), root), GF5)
+    assert str(info.value) == message
+
+
+# -- the O(n^2) interpolation solve against Gaussian elimination ---------------
+
+def _solve_linear(rows, rhs, F):
+    """Gaussian elimination on raw values; the matrix must be square and
+    nonsingular."""
+    n = len(rows)
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != F.zero_raw), None)
+        if pivot is None:
+            raise FormulaError("singular interpolation system")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = F.inv_raw(m[col][col])
+        m[col] = [F.mul_raw(x, inv) for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != F.zero_raw:
+                factor = m[r][col]
+                m[r] = [F.sub_raw(x, F.mul_raw(factor, y))
+                        for x, y in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
+
+
+@pytest.mark.parametrize("field", [GF11, GF1009, QQ, GF16], ids=str)
+def test_interpolation_weights_match_gaussian_elimination(field):
+    for n in range(0, 13):
+        if field.order is not None and field.order < n + 1:
+            break
+        nodes = [field.element_at(j).raw for j in range(n + 1)]
+        for d in range(n + 1):
+            rows = [[field.pow_raw(a, n - k) for a in nodes] for k in range(n + 1)]
+            rhs = [field.one_raw if k == d else field.zero_raw for k in range(n + 1)]
+            assert _interpolation_weights(nodes, n - d, field) == _solve_linear(rows, rhs, field)
+
+
+# -- checking Ben-Or without the 2^n expansion ---------------------------------
+
+def _perturb(phi, factor):
+    """phi with its middle summand's first leaf scaled by factor (its c_j)."""
+    summands = _operands(phi.root, "+")
+    j = len(summands) // 2
+    factors = _operands(summands[j], "*")
+    new = Leaf(factors[0].label.scale(factor))
+    for leaf in factors[1:]:
+        new = Gate("*", new, leaf)
+    summands[j] = new
+    root = summands[0]
+    for s in summands[1:]:
+        root = Gate("+", root, s)
+    return Formula(root, phi.field)
+
+
+def test_computes_esp_agrees_with_expansion():
+    for n in range(1, 9):
+        for d in range(0, n + 1):
+            phi = ben_or(n, d, GF11)
+            assert _interpolation_terms(phi, n) is not None
+            assert computes_esp(phi, n, d) is True
+            assert phi.poly() == gen_esp(n, d, GF11)
+            for other in {(d + 1) % (n + 1), (d + n) % (n + 1)} - {d}:
+                assert computes_esp(phi, n, other) is False
+                assert phi.poly() != gen_esp(n, other, GF11)
+            bad = _perturb(phi, GF11.element(3))
+            assert _interpolation_terms(bad, n) is not None
+            assert computes_esp(bad, n, d) is False
+            assert bad.poly() != gen_esp(n, d, GF11)
+
+
+def test_computes_esp_sees_every_coefficient_of_a_sum_of_ben_or_trees():
+    # the summands of ben_or(n, d) and ben_or(n, d2) in one chain compute
+    # e_d + e_d2, still in ben_or's shape; d2 = 0 moves only the constant
+    for n in range(1, 6):
+        for d in range(n + 1):
+            for d2 in range(n + 1):
+                parts = (_operands(ben_or(n, d, GF11).root, "+")
+                         + _operands(ben_or(n, d2, GF11).root, "+"))
+                root = parts[0]
+                for part in parts[1:]:
+                    root = Gate("+", root, part)
+                phi = Formula(root, GF11)
+                assert _interpolation_terms(phi, n) is not None
+                for target in (d, d2):
+                    assert computes_esp(phi, n, target) is False
+                    assert phi.poly() != gen_esp(n, target, GF11)
+
+
+def test_computes_esp_expands_other_shapes():
+    assert computes_esp(f("x1*x2 + x1*x3 + x2*x3"), 3, 2)
+    assert not computes_esp(f("x1*x2 + x1*x3"), 3, 2)
+    assert computes_esp(f("x1 * x2"), 2, 2)          # one summand, c = 1, a = 0
+    assert not computes_esp(f("3 * x2"), 2, 1)        # no x1 in the first leaf
+    # ben_or's tree with its summands swapped is no longer its shape
+    phi = ben_or(3, 2, GF11)
+    swapped = Formula(Gate("+", phi.root.right, phi.root.left), GF11)
+    assert _interpolation_terms(swapped, 3) is None
+    assert computes_esp(swapped, 3, 2)
+    assert computes_esp(ben_or(0, 0, GF11), 0, 0)
+
+
+# -- no recursion: deep trees under a small stack ---------------------------------
+
+@contextmanager
+def recursion_limit(headroom=120):
+    """Allow only `headroom` frames beyond the caller's depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_deep_trees_need_no_recursion():
+    nested = "(" * 2000 + "x1" + ")" * 2000
+    chain = "*".join(["(x1+x2)"] * 1500)
+    short_chain = "*".join(["(x1+x2)"] * 200)
+    with recursion_limit():
+        phi = parse_formula(nested, GF5)
+        assert (phi.formal_degree(), phi.size, str(phi)) == (1, 1, "x1")
+        psi = parse_formula(chain, GF5)
+        assert (psi.formal_degree(), psi.size) == (1500, 3000)
+        assert str(psi) == "(" * 1499 + "(x1 + x2) * " + " * ".join(["(x1 + x2))"] * 1499)
+        assert psi.poly() == parse_polynomial("x1 + x2", GF5) ** 1500
+        deep = (0,) * 1499
+        assert psi.subtree(deep).formal_degree() == 1
+        assert replace_with_constant(psi, deep, GF5.element(1)).formal_degree() == 1499
+        dec = peel_decompose(parse_formula(short_chain, GF5), 3)
+        assert dec.identity_holds()
+        tree = random_formula(SplitMix64(1), GF5, max_size=3000, nvars=4)
+        again = parse_formula(str(tree), GF5)
+        assert (again.size, again.formal_degree()) == (tree.size, tree.formal_degree())
+        big = ben_or(150, 3, GF1009)
+        assert (big.formal_degree(), big.size) == (150, 151 * 150)
+        assert str(big).count("x150") == 151
+        assert computes_esp(big, 150, 3)

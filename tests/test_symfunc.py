@@ -90,6 +90,16 @@ def test_esp_table_matches_substitution():
         assert esp_of_forms(forms, d) == direct
 
 
+def test_esp_of_forms_above_form_count_is_the_sweeps_zero():
+    forms = [LinearForm(GF4, [1, 2]), LinearForm(GF4, [0, 0, 3])]
+    table = esp_table_of_forms(forms, 5)
+    for d in range(3, 6):
+        got = esp_of_forms(forms, d)
+        assert got.is_zero and got == table[d] and got.nvars == table[d].nvars == 3
+    assert esp_of_forms([], 10**9, GF4).is_zero
+    assert esp_of_forms(forms[:1], 10**9).nvars == 2
+
+
 def test_power_sum_of_forms():
     forms = [LinearForm(QQ, [1, 1]), LinearForm(QQ, [2, -1])]
     expect = parse_polynomial("(x1+x2)*(x1+x2) + (2*x1-x2)*(2*x1-x2)", QQ)
