@@ -7,6 +7,17 @@ not a sum of k terms e_(p+1) of linear forms for any k with ell > k(p-1),
 and the certificate survives border degenerations.  A zero sum certifies
 nothing: the report says inconclusive, never member.
 
+The sum is a dynamic program over subsets of the variables, one layer per
+block.  A state maps the bitmask of the variables used so far to the sum
+over its partial partitions; a layer extends each state by the blocks with
+a nonzero coefficient that hold its lowest free index and avoid it, so every
+partition is counted once.  Each state takes the fewer of the blocks
+anchored there and the subsets of its free indices, and zero states are
+dropped, so sparse inputs such as the block polynomial cost almost nothing.
+TRIAL_CAP bounds the block trials and is checked before each layer's work.
+partitions_evaluated reports the partitions covered, partition_count(n,
+p+1), not a count of partitions visited.
+
 The block polynomial x1..x(p+1) + x(p+2)..x(2p+2) + ... sits outside the
 class this way; random members built from reducible products and (p+1)-th
 powers give the null model that the sum vanishes on.
@@ -18,12 +29,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .field import FieldDescriptor, FieldElement, _is_prime, make_field
+from .field import FieldElement, _is_prime, make_field
 from .poly import LinearForm, Polynomial
 from .rng import SplitMix64
 from .symmodel import ReduciblePolynomial
 
-PARTITION_CAP = 10_000_000
+# an input with at most 10^7 partitions needs at most 2,873,052 block
+# trials (dense coefficients of degree 6 in 18 variables)
+TRIAL_CAP = 4_000_000
 _VARIABLE_CAP = 24
 
 
@@ -34,7 +47,7 @@ class CertificateError(ValueError):
 @dataclass(frozen=True)
 class BlockPolynomialSpec:
     """Parameters (p, ell) of the canonical hard polynomial on (p+1)*ell
-    variables."""
+    variables, at most _VARIABLE_CAP of them."""
 
     p: int
     ell: int
@@ -44,6 +57,8 @@ class BlockPolynomialSpec:
             raise CertificateError(f"p = {self.p} is not prime")
         if self.ell < 1:
             raise CertificateError("ell must be positive")
+        if self.n > _VARIABLE_CAP:
+            raise CertificateError(f"n = {self.n} exceeds the {_VARIABLE_CAP}-variable guard")
 
     @property
     def n(self) -> int:
@@ -53,14 +68,9 @@ class BlockPolynomialSpec:
 def hard_poly(spec: BlockPolynomialSpec) -> Polynomial:
     """Sum of ell disjoint multilinear block monomials of degree p+1 over
     GF(p): x1..x(p+1) + x(p+2)..x(2p+2) + ..."""
-    if spec.n > _VARIABLE_CAP:
-        raise CertificateError(f"n = {spec.n} exceeds the {_VARIABLE_CAP}-variable guard")
     fld = make_field(spec.p)
     size = spec.p + 1
-    terms = {}
-    for i in range(spec.ell):
-        mono = [0] * (i * size) + [1] * size
-        terms[tuple(mono)] = fld.one_raw
+    terms = {(0,) * (i * size) + (1,) * size: fld.one_raw for i in range(spec.ell)}
     return Polynomial(fld, terms, spec.n)
 
 
@@ -72,30 +82,7 @@ def partition_count(n: int, block_size: int) -> int:
     return math.factorial(n) // (math.factorial(block_size) ** ell * math.factorial(ell))
 
 
-def iter_block_partitions(indices, block_size: int):
-    """All partitions of the index tuple into size-block_size blocks.
-
-    Canonical order: each block is anchored at the smallest index not yet
-    used, so every partition appears exactly once.
-    """
-    indices = tuple(indices)
-    if block_size < 1:
-        raise CertificateError("block size must be positive")
-    if len(indices) % block_size:
-        raise CertificateError(
-            f"{len(indices)} indices do not split into blocks of {block_size}")
-    if not indices:
-        yield ()
-        return
-    first, rest = indices[0], indices[1:]
-    for combo in itertools.combinations(rest, block_size - 1):
-        block = (first, *combo)
-        left = tuple(i for i in rest if i not in combo)
-        for tail in iter_block_partitions(left, block_size):
-            yield (block, *tail)
-
-
-def partition_sum(f: Polynomial, p: int, cap: int = PARTITION_CAP) -> FieldElement:
+def partition_sum(f: Polynomial, p: int) -> FieldElement:
     """The metapolynomial: sum over all (p+1)-block partitions of [nvars]
     of the product of f's multilinear coefficients on the blocks."""
     if not _is_prime(p):
@@ -105,23 +92,43 @@ def partition_sum(f: Polynomial, p: int, cap: int = PARTITION_CAP) -> FieldEleme
             f"f lives over {f.field} but the sum is taken in characteristic {p}")
     n = f.nvars
     size = p + 1
-    count = partition_count(n, size)
-    if count > cap:
-        raise CertificateError(f"{count} partitions exceed the cap of {cap}")
+    partition_count(n, size)  # raises unless size divides n
     fld = f.field
-    coeffs = {key: c.raw for key, c in f.multilinear_coefficients().items()}
-    zero, total = fld.zero_raw, fld.zero_raw
-    for partition in iter_block_partitions(range(1, n + 1), size):
-        prod = fld.one_raw
-        for block in partition:
-            c = coeffs.get(block, zero)
-            if c == zero:
-                prod = zero
-                break
-            prod = fld.mul_raw(prod, c)
-        if prod != zero:
-            total = fld.add_raw(total, prod)
-    return FieldElement(fld, total)
+    zero, add, mul = fld.zero_raw, fld.add_raw, fld.mul_raw
+    coeffs = {sum(1 << (i - 1) for i in key): c.raw
+              for key, c in f.multilinear_coefficients().items() if len(key) == size}
+    anchored = [[] for _ in range(n)]     # blocks by their lowest index
+    for block in coeffs:
+        anchored[(block & -block).bit_length() - 1].append(block)
+    states = {0: fld.one_raw}             # used variables -> partial sum
+    trials = 0
+    for layer in range(n // size):
+        # the blocks that can extend a state: those anchored at its lowest
+        # free index, or that index with any size - 1 of the others
+        picks = math.comb(n - layer * size - 1, size - 1)
+        trials += sum(min(picks, len(anchored[_lowest_free(m)])) for m in states)
+        if trials > TRIAL_CAP:
+            raise CertificateError(f"{trials} block trials exceed the cap of {TRIAL_CAP}")
+        grown = {}
+        for mask, value in states.items():
+            low = _lowest_free(mask)
+            if len(anchored[low]) <= picks:
+                blocks = [b for b in anchored[low] if not b & mask]
+            else:
+                free = [1 << i for i in range(low + 1, n) if not mask >> i & 1]
+                subsets = ((1 << low) + sum(rest)
+                           for rest in itertools.combinations(free, size - 1))
+                blocks = [b for b in subsets if b in coeffs]
+            for block in blocks:
+                key = mask | block
+                grown[key] = add(grown.get(key, zero), mul(value, coeffs[block]))
+        states = {m: v for m, v in grown.items() if v != zero}
+    return FieldElement(fld, states.get((1 << n) - 1, zero))
+
+
+def _lowest_free(mask: int) -> int:
+    """Index of the lowest zero bit of mask."""
+    return ((mask + 1) & ~mask).bit_length() - 1
 
 
 @dataclass
@@ -154,14 +161,14 @@ class CertificateReport:
         }
 
 
-def certify_nonmembership(f: Polynomial, p: int, cap: int = PARTITION_CAP) -> CertificateReport:
+def certify_nonmembership(f: Polynomial, p: int) -> CertificateReport:
     """Evaluate the partition sum on f and report what it proves.
 
     A nonzero value rules out sums of k symmetric terms, and their border
     limits, for every k up to ceil(ell/(p-1)) - 1.  A zero value is
     reported as inconclusive: the test is one-sided.
     """
-    value = partition_sum(f, p, cap)
+    value = partition_sum(f, p)
     n = f.nvars
     ell = n // (p + 1)
     if value.is_zero:
@@ -181,10 +188,7 @@ def random_member(k: int, p: int, ell: int, seed: int) -> Polynomial:
     (p+1)-th powers of linear forms, in n = (p+1)*ell variables."""
     if k < 0:
         raise CertificateError("k must be nonnegative")
-    spec = BlockPolynomialSpec(p, ell)
-    n = spec.n
-    if n > _VARIABLE_CAP:
-        raise CertificateError(f"n = {n} exceeds the {_VARIABLE_CAP}-variable guard")
+    n = BlockPolynomialSpec(p, ell).n
     fld = make_field(p)
     rng = SplitMix64(seed)
 

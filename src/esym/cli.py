@@ -171,16 +171,12 @@ def _cmd_sym_decompose(args):
 
 def _cmd_certify(args):
     if args.poly:
-        p = args.p
-        field = make_field(p)
-        poly = parse_polynomial(_read_arg(args.poly), field)
+        poly = parse_polynomial(_read_arg(args.poly), make_field(args.p))
+    elif args.ell is None:
+        raise cert_mod.CertificateError("--ell or --poly is required")
     else:
-        if args.ell is None:
-            raise cert_mod.CertificateError("--ell or --poly is required")
-        spec = cert_mod.BlockPolynomialSpec(args.p, args.ell)
-        poly = cert_mod.hard_poly(spec)
-        p = args.p
-    report = cert_mod.certify_nonmembership(poly, p, cap=args.cap_partitions)
+        poly = cert_mod.hard_poly(cert_mod.BlockPolynomialSpec(args.p, args.ell))
+    report = cert_mod.certify_nonmembership(poly, args.p)
     return {
         "command": "certify",
         "polynomial": str(poly),
@@ -324,9 +320,6 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--seed", type=int, default=d(0), help="64-bit PRNG seed")
     parser.add_argument("--format", choices=("json", "text", "csv"),
                         default=d("json"), help="report format")
-    parser.add_argument("--cap-partitions", type=int,
-                        default=d(cert_mod.PARTITION_CAP),
-                        help="partition enumeration guard")
     parser.add_argument("--cap-points", type=int, default=d(v2space.POINT_CAP),
                         help="point enumeration guard")
 

@@ -159,7 +159,8 @@ _DESCRIPTORS: dict[tuple, "FieldDescriptor"] = {}
 
 
 class FieldDescriptor:
-    """Arithmetic kernel for one field.  Use make_field() to obtain one.
+    """Arithmetic kernel for one field.  Use make_field() to obtain one:
+    descriptors are interned, so equality and hashing are object identity.
 
     Subclasses supply spec_string and the raw operations add_raw, neg_raw,
     mul_raw, inv_raw and pow_raw; p is the characteristic (0 for Q).
@@ -175,17 +176,6 @@ class FieldDescriptor:
         self.p = p
         self.k = k
         self.modulus = modulus
-
-    # -- identity ----------------------------------------------------------
-
-    def _key(self):
-        return (type(self), self.p, self.k, self.modulus)
-
-    def __eq__(self, other):
-        return isinstance(other, FieldDescriptor) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"FieldDescriptor({self.spec_string()!r})"

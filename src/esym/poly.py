@@ -11,7 +11,7 @@ Text grammar (also used by the CLI):
 
     poly   := term ('+' term)*
     term   := [coeff '*'] factor ('*' factor)*
-    factor := x<idx> ['^' exp] | field-element literal
+    factor := x<idx> ['^' exp] | '(' poly ')' ['^' exp] | field-element literal
 
 Examples: "x1*x2 + (t+1)*x3^2", "x1^2 + 2*x1*x2 + x2^2".  A '-' starting a
 term is folded into its coefficient.
@@ -452,63 +452,84 @@ class LinearForm:
 _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
-def _split_top(text: str, seps: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
+def _split_top(s: str, lo: int, hi: int, seps: str, closes: dict) -> list[tuple[int, int]]:
+    """Spans of s[lo:hi] cut at separators outside parentheses ('-' starts
+    the next span); a '(' jumps to its ')' in closes."""
+    parts, start, i = [], lo, lo
+    while i < hi:
+        ch = s[i]
         if ch == "(":
-            depth += 1
+            i = closes.get(i, hi)
         elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-        if depth == 0 and ch in seps and cur:
-            parts.append("".join(cur))
-            cur = [ch] if ch == "-" else []
-        else:
-            cur.append(ch)
-    if depth:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    if cur:
-        parts.append("".join(cur))
-    elif text and text[-1] in seps:
-        raise ValueError(f"dangling {text[-1]!r} in {text!r}")
+            break
+        elif ch in seps and start < i:
+            parts.append((start, i))
+            start = i if ch == "-" else i + 1
+        i += 1
+    if i != hi:
+        raise ValueError(f"unbalanced parentheses in {s[lo:hi]!r}")
+    if start < hi:
+        parts.append((start, hi))
+    elif hi > lo and s[hi - 1] in seps:
+        raise ValueError(f"dangling {s[hi - 1]!r} in {s[lo:hi]!r}")
     return parts
 
 
 def parse_polynomial(text: str, field: FieldDescriptor, nvars: int | None = None) -> Polynomial:
-    """Parse the polynomial text grammar over the given field."""
+    """Parse the polynomial text grammar over the given field.  Each
+    parenthesized factor is parsed by a _parse_sum of its own, suspended on
+    an explicit stack, so nesting depth is bounded by memory only."""
     s = "".join(text.split())
-    if not s:
+    closes, opens = {}, []
+    for i, ch in enumerate(s):
+        if ch == "(":
+            opens.append(i)
+        elif ch == ")" and opens:
+            closes[opens.pop()] = i
+    stack, value = [_parse_sum(s, 0, len(s), text, nvars or 0, field, closes)], None
+    while stack:
+        try:
+            lo, hi = stack[-1].send(value)
+            stack.append(_parse_sum(s, lo, hi, None, 0, field, closes))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    if nvars is not None and value.nvars > nvars:
+        raise ValueError(f"polynomial uses x{value.nvars} but nvars={nvars}")
+    return value
+
+
+def _parse_sum(s: str, lo: int, hi: int, text, nvars: int, field: FieldDescriptor, closes):
+    """Parse s[lo:hi] (quoted as text, or itself when None), yielding the span
+    of each parenthesized factor for its polynomial; no slice of s is held."""
+    if lo == hi:
         raise ValueError("empty polynomial text")
-    result = Polynomial.zero(field, nvars or 0)
-    for term in _split_top(s, "+-"):
-        negate = term.startswith("-")
+    result = Polynomial.zero(field, nvars)
+    for a, b in _split_top(s, lo, hi, "+-", closes):
+        negate = s[a] == "-"
         if negate:
-            term = term[1:]
-        if not term:
-            raise ValueError(f"dangling sign in {text!r}")
+            a += 1
+        if a == b:
+            raise ValueError(f"dangling sign in {s[lo:hi] if text is None else text!r}")
         prod = Polynomial.constant(field, 1)
-        for factor in _split_top(term, "*"):
-            m = _VAR_RE.fullmatch(factor)
-            if m:
+        for fa, fb in _split_top(s, a, b, "*", closes):
+            if s[fa] == "(":
+                close = s.rindex(")", fa, fb)
+                tail = s[close + 1:fb]
+                if tail and (not tail.startswith("^") or not tail[1:].isdigit()):
+                    raise ValueError(f"bad factor {s[fa:fb]!r}")
+                exp = int(tail[1:]) if tail else 1
+                prod = prod * (yield fa + 1, close) ** exp
+            elif m := _VAR_RE.fullmatch(s, fa, fb):
                 idx = int(m.group(1))
                 if idx < 1:
                     raise ValueError("variable indices are 1-based")
                 exp = int(m.group(2)) if m.group(2) else 1
                 prod = prod * Polynomial(field, {(0,) * (idx - 1) + (exp,): field.one_raw})
-            elif factor.startswith("("):
-                body, _, tail = factor.rpartition(")")
-                exp = 1
-                if tail:
-                    if not tail.startswith("^") or not tail[1:].isdigit():
-                        raise ValueError(f"bad factor {factor!r}")
-                    exp = int(tail[1:])
-                prod = prod * parse_polynomial(body[1:], field) ** exp
             else:
-                prod = prod.scale_raw(field.coerce_raw(factor))
+                prod = prod.scale_raw(field.coerce_raw(s[fa:fb]))
         if negate:
             prod = -prod
         result = result + prod
-    if nvars is not None and result.nvars > nvars:
-        raise ValueError(f"polynomial uses x{result.nvars} but nvars={nvars}")
     return result

@@ -2,24 +2,64 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
+from esym import certificate
 from esym.certificate import (
     BlockPolynomialSpec,
     CertificateError,
     CertificateReport,
     certify_nonmembership,
     hard_poly,
-    iter_block_partitions,
     partition_count,
     partition_sum,
     random_member,
 )
+from esym.cli import main
 from esym.field import make_field
-from esym.poly import parse_polynomial
+from esym.poly import Polynomial, parse_polynomial
 
 GF2 = make_field("gf(2)")
+
+
+# -- the enumeration oracle ------------------------------------------------------
+
+def iter_block_partitions(indices, block_size: int):
+    """All partitions of the index tuple into size-block_size blocks.
+
+    Canonical order: each block is anchored at the smallest index not yet
+    used, so every partition appears exactly once.
+    """
+    indices = tuple(indices)
+    if block_size < 1:
+        raise CertificateError("block size must be positive")
+    if len(indices) % block_size:
+        raise CertificateError(
+            f"{len(indices)} indices do not split into blocks of {block_size}")
+    if not indices:
+        yield ()
+        return
+    first, rest = indices[0], indices[1:]
+    for combo in itertools.combinations(rest, block_size - 1):
+        block = (first, *combo)
+        left = tuple(i for i in rest if i not in combo)
+        for tail in iter_block_partitions(left, block_size):
+            yield (block, *tail)
+
+
+def enumerated_partition_sum(f, p):
+    """The partition sum by walking every partition."""
+    fld = f.field
+    coeffs = f.multilinear_coefficients()
+    total = fld.zero
+    for partition in iter_block_partitions(range(1, f.nvars + 1), p + 1):
+        prod = fld.one
+        for block in partition:
+            prod = prod * coeffs.get(block, fld.zero)
+        total = total + prod
+    return total
 
 
 # -- partition combinatorics ---------------------------------------------------
@@ -83,10 +123,48 @@ def test_partition_sum_requires_matching_characteristic():
         partition_sum(f, 3)
 
 
-def test_partition_sum_cap():
-    f = hard_poly(BlockPolynomialSpec(2, 2))
-    with pytest.raises(CertificateError):
-        partition_sum(f, 2, cap=5)
+def _two_anchor_blocks(n):
+    """Every block of three through x1, and every one through x2 and not x1,
+    in n variables over GF(2): dense at the first two anchors."""
+    terms = {}
+    for first in (0, 1):
+        for rest in itertools.combinations(range(first + 1, n), 2):
+            mono = [0] * n
+            for i in (first, *rest):
+                mono[i] = 1
+            terms[tuple(mono)] = 1
+    return Polynomial(GF2, terms, n)
+
+
+def test_partition_sum_trial_cap_refuses_before_the_work(monkeypatch, capsys, tmp_path):
+    # the first layer takes the C(n-1, 2) blocks through x1; the second would
+    # try C(n-4, 2) subsets for each of the C(n-2, 2) states that leave x2
+    # free, past the cap, so the sum is refused after the first layer's
+    # products and before any of the second's
+    n = 69
+    first = math.comb(n - 1, 2)
+    assert first * 100 < certificate.TRIAL_CAP < math.comb(n - 2, 2) * math.comb(n - 4, 2)
+    f = _two_anchor_blocks(n)
+    products = []
+    mul = type(GF2).mul_raw
+
+    def counted_mul(self, a, b):
+        products.append((a, b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(type(GF2), "mul_raw", counted_mul)
+    with pytest.raises(CertificateError, match=f"exceed the cap of {certificate.TRIAL_CAP}$"):
+        partition_sum(f, 2)
+    assert len(products) == first
+    monkeypatch.undo()
+
+    poly_file = tmp_path / "dense.txt"
+    poly_file.write_text(str(f))
+    assert main(["certify", "--p", "2", "--poly", str(poly_file)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: ") and str(certificate.TRIAL_CAP) in out.err
 
 
 def test_partition_sum_by_direct_enumeration():
@@ -105,6 +183,83 @@ def test_partition_sum_by_direct_enumeration():
             prod = prod * coeffs.get(block, GF2.zero)
         total = total + prod
     assert total == partition_sum(f, 2)
+
+
+# -- the subset DP against the enumeration ------------------------------------------
+
+# every (p, ell) that random_member draws in well under a second and whose
+# partition count is at most 2*10^5, with the seeds drawn for each k
+MEMBER_SETTINGS = [(2, 1, 3), (2, 2, 3), (2, 3, 3), (2, 4, 1), (3, 1, 3), (3, 2, 3),
+                   (3, 3, 1), (5, 1, 1), (5, 2, 1), (7, 1, 1)]
+
+
+@pytest.mark.parametrize("p,ell,seeds", MEMBER_SETTINGS)
+def test_dp_matches_enumeration_on_random_members(p, ell, seeds):
+    assert partition_count((p + 1) * ell, p + 1) <= 2 * 10**5
+    for k in range(3 if p > 3 else 4):
+        for seed in range(seeds):
+            f = random_member(k, p, ell, seed=seed)
+            assert partition_sum(f, p) == enumerated_partition_sum(f, p)
+
+
+def _random_polynomial(rng, field, n, block_size, density):
+    """Blocks of the right size at the given density, plus multilinear
+    terms of other sizes and non-multilinear terms, with random
+    coefficients (zero included)."""
+    terms = {}
+    for block in itertools.combinations(range(n), block_size):
+        if rng.random() < density:
+            terms[tuple(1 if i in block else 0 for i in range(n))] = rng.randrange(field.order)
+    for _ in range(rng.randrange(8)):
+        size = rng.choice([s for s in range(min(n, 2 * block_size) + 1) if s != block_size])
+        chosen = rng.sample(range(n), size)
+        terms[tuple(1 if i in chosen else 0 for i in range(n))] = rng.randrange(field.order)
+        if n:
+            mono = [0] * n
+            mono[rng.randrange(n)] = rng.randrange(2, 4)
+            terms[tuple(mono)] = rng.randrange(field.order)
+    return Polynomial(field, terms, n)
+
+
+@pytest.mark.parametrize("spec,p", [("gf(2)", 2), ("gf(3)", 3), ("gf(5)", 5), ("gf(4)", 2)])
+def test_dp_matches_enumeration_on_random_polynomials(spec, p):
+    field = make_field(spec)
+    rng = random.Random(f"{spec} {p}")
+    for n in range(0, 13, p + 1):
+        for density in (0.1, 0.5, 1.0):
+            for _ in range(4 if n < 12 else 1):
+                f = _random_polynomial(rng, field, n, p + 1, density)
+                assert partition_sum(f, p) == enumerated_partition_sum(f, p)
+
+
+@pytest.mark.parametrize("p,n", [(2, 12), (3, 12), (5, 12), (7, 16)])
+def test_dp_matches_enumeration_on_dense_inputs(p, n):
+    # every block present; (7, 16) stays under the trial cap only because a
+    # state takes the fewer of its anchored blocks and its free subsets
+    rng = random.Random(n)
+    f = Polynomial(make_field(p), {
+        tuple(1 if i in block else 0 for i in range(n)): rng.randrange(1, p)
+        for block in itertools.combinations(range(n), p + 1)}, n)
+    assert partition_sum(f, p) == enumerated_partition_sum(f, p)
+
+
+def test_empty_partition_sum_is_one():
+    for p in (2, 3, 5):
+        f = Polynomial.zero(make_field(p))
+        assert partition_sum(f, p) == make_field(p).one == enumerated_partition_sum(f, p)
+        assert certify_nonmembership(f, p).partitions_evaluated == 1
+
+
+def test_block_polynomial_past_the_old_partition_cap(capsys):
+    # 24 variables: 9.2*10^12 partitions, one nonzero state per layer
+    f = hard_poly(BlockPolynomialSpec(2, 8))
+    report = certify_nonmembership(f, 2)
+    assert report.F_value == GF2.one and report.verdict == "nonmember"
+    assert report.partitions_evaluated == partition_count(24, 3) > 9 * 10**12
+    assert main(["certify", "--p", "2", "--ell", "8", "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert "F_value: 1\n" in out and "verdict: nonmember\n" in out
+    assert f"partitions_evaluated: {partition_count(24, 3)}\n" in out
 
 
 # -- certification reports -------------------------------------------------------

@@ -124,6 +124,24 @@ def test_deeply_nested_formula_is_parsed(capsys):
     assert body["residual"] == "x1" and body["identity_holds"] is True
 
 
+def _nested(text, depth=3000):
+    return "(" * depth + text + ")" * depth
+
+
+def test_deeply_nested_polynomials_are_parsed(capsys):
+    code, body = run_json(capsys, "certify", "--p", "2", "--poly", _nested("x1*x2*x3"))
+    assert code == 0 and body["polynomial"] == "x1*x2*x3"
+    code, body = run_json(capsys, "sym", "build", "--field", "gf(4)",
+                          "--quadratic", _nested("x1*x2"))
+    assert code == 0 and body["target"] == "x1*x2" and body["verified"] is True
+    rep = json.dumps(body["representation"])
+    code, body = run_json(capsys, "sym", "verify", "--rep", rep, "--target", _nested("x1*x2"))
+    assert code == 0 and body["verified"] is True
+    code, body = run_json(capsys, "border", "demo", "--field", "gf(4)",
+                          "--target", _nested("x1*x2"))
+    assert code == 0 and body["principal_matches_target"] is True
+
+
 def test_sym_verify_degree_above_form_count_is_immediate(capsys):
     rep = '{"field": "gf(2)", "degree": 1000000000, "forms": [["1"]]}'
     code, body = run_json(capsys, "sym", "verify", "--rep", rep)

@@ -16,6 +16,7 @@ from esym.field import (
     QQ,
     _is_prime,
     embed,
+    host_fields,
     lucas_binomial,
     make_field,
     roots_of_z_pow_d_plus_one,
@@ -95,7 +96,15 @@ def test_reducible_modulus_rejected():
 
 
 def test_descriptors_are_interned():
+    # equality and hashing of descriptors are object identity
     assert make_field("gf(9)") is make_field("gf(3^2)")
+    assert make_field("gf(4)") is make_field("gf(2^2;1,1,1)")
+    assert make_field(5) is make_field("gf(5)")
+    assert make_field("q") is QQ
+    for spec in ("gf(2)", "gf(3)", "gf(4)", "gf(5)"):
+        for host in host_fields(make_field(spec)):
+            assert host is make_field(host.spec_string())
+    assert len({make_field("gf(4)"), make_field("gf(2^2)"), make_field("gf(2)")}) == 2
 
 
 def test_spec_string_round_trip():

@@ -1,7 +1,5 @@
 """Formula trees: parsing, degree vertices, peeling, Ben-Or interpolation."""
 
-import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -392,21 +390,7 @@ def test_computes_esp_expands_other_shapes():
 
 # -- no recursion: deep trees under a small stack ---------------------------------
 
-@contextmanager
-def recursion_limit(headroom=120):
-    """Allow only `headroom` frames beyond the caller's depth."""
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + headroom)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
-def test_deep_trees_need_no_recursion():
+def test_deep_trees_need_no_recursion(recursion_limit):
     nested = "(" * 2000 + "x1" + ")" * 2000
     chain = "*".join(["(x1+x2)"] * 1500)
     short_chain = "*".join(["(x1+x2)"] * 200)

@@ -177,6 +177,7 @@ def test_parse_errors():
         parse_polynomial("(x1", GF5)
     with pytest.raises(ValueError):
         parse_polynomial("x1*x2", GF5, nvars=1)
+    assert parse_polynomial("x1*x2", GF5, nvars=4).nvars == 4
 
 
 # -- linear forms -------------------------------------------------------------
@@ -210,3 +211,15 @@ def test_linear_form_evaluate():
     a = LinearForm(GF5, [2, 3])
     pt = (GF5.element(1), GF5.element(1))
     assert a.evaluate(pt) == GF5.element(0)
+
+
+def test_deep_parentheses_need_no_recursion(recursion_limit):
+    with recursion_limit():
+        assert parse_polynomial("(" * 3000 + "x1 + x2" + ")" * 3000, GF5) == \
+            parse_polynomial("x1 + x2", GF5)
+        assert parse_polynomial("(" * 3000 + "x1" + ")^1*x2" * 3000, GF5) == \
+            parse_polynomial("x1*x2^3000", GF5)
+        with pytest.raises(ValueError, match=r"^dangling '\+' in 'x1\+'$"):
+            parse_polynomial("(" * 3000 + "x1+" + ")" * 3000, GF5)
+        with pytest.raises(ValueError, match=r"^unbalanced parentheses in 'x1\)\(x2'$"):
+            parse_polynomial("(" * 3000 + "(x1)(x2)" + ")" * 3000, GF5)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from esym import symmodel
 from esym.field import embed, make_field
 from esym.poly import LinearForm, parse_polynomial
 from esym.rng import SplitMix64
@@ -135,6 +136,17 @@ def test_append_linear_power_gains_exactly_the_power(field, qtext):
     host = bigger.field
     gained = bigger.target - rep.target.map_field(host)
     assert gained == (q_poly.map_field(host)) ** d
+
+
+def test_append_linear_power_rejects_wrong_roots(monkeypatch):
+    # the constructor of the new representation re-derives e_d of the forms,
+    # so a wrong root list cannot slip through
+    rep = SymRepresentation.from_forms(
+        [LinearForm(GF2, [1 if j == i else 0 for j in range(3)]) for i in range(3)], 3)
+    monkeypatch.setattr(symmodel, "roots_of_z_pow_d_plus_one",
+                        lambda field, d: ([GF4.one] * d, GF4))
+    with pytest.raises(SymModelError):
+        append_linear_power(rep, LinearForm(GF2, [0, 0, 0, 1]))
 
 
 def test_append_preserves_self_certification():
