@@ -244,8 +244,10 @@ def kumar_fanin2(forms, d: int, T: int | None = None):
     """Two product terms whose sum border-computes e_d of the forms.
 
     Requires e_k(forms) = 0 for 1 <= k < d, checked symbolically; then
-    prod(1 + eps*L_i) - 1 = eps^d * e_d(forms) + higher order.  Returns
-    (product_series, minus_one_series, combined).
+    prod(1 + eps*L_i) - 1 = eps^d * e_d(forms) + higher order.  The product
+    is read off the e_k table, since prod_i (1 + eps*L_i) = sum_k eps^k
+    e_k(L) in any commutative ring.  Returns (product_series,
+    minus_one_series, combined).
     """
     forms = list(forms)
     if not forms:
@@ -257,15 +259,11 @@ def kumar_fanin2(forms, d: int, T: int | None = None):
     if T < d + 2:
         raise BorderError(f"truncation {T} is below the minimum d+2 = {d + 2}")
     field = forms[0].field
-    table = esp_table_of_forms(forms, d - 1, field)
+    table = esp_table_of_forms(forms, T - 1, field)
     for k in range(1, d):
         if not table[k].is_zero:
             raise BorderError(f"e_{k} of the forms is {table[k]}, not zero")
-    product = EpsSeries.constant(field, 1, T)
-    for L in forms:
-        factor = EpsSeries(field, T, [Polynomial.constant(field, 1),
-                                      L.to_polynomial()])
-        product = product * factor
+    product = EpsSeries(field, T, table)
     minus_one = EpsSeries.constant(field, -1, T)
     return product, minus_one, product + minus_one
 

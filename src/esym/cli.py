@@ -89,6 +89,8 @@ def _cmd_identities(args):
         for params in _identity_grid(kind, cap):
             rep = symfunc.verify_identity(kind, params, field)
             results.append(rep.to_json())
+    if not results:
+        raise ValueError(f"--max-n {cap} leaves no identity instance to check")
     return {
         "command": "identities",
         "field": field.spec_string(),
@@ -195,6 +197,8 @@ def _cmd_v2_scan(args):
 
 
 def _cmd_v2_witness(args):
+    if args.trials < 1:
+        raise v2space.V2Error(f"--trials must be at least 1, got {args.trials}")
     fam = v2space.witness_family(args.p, args.d)
     field = make_field(args.field) if args.field != "q" else make_field(args.p)
     if field.characteristic != args.p:
@@ -251,7 +255,6 @@ def _cmd_formula_peel(args):
     report = dec.to_json()
     report["command"] = "formula peel"
     report["source_size"] = phi.size
-    report["identity_holds"] = dec.identity_holds()
     return report, 0 if report["identity_holds"] else 1
 
 

@@ -15,13 +15,15 @@ attribute and Formula(...) accepts a well-formed tree without walking it.
 No function here recurses: walks use explicit stacks, so tree depth is
 bounded by memory, not by the interpreter's recursion limit.
 
-peel_decompose repeatedly splits off a product pair around a vertex whose
-formal degree lies in a window [t, 2t-1], t = ceil(d'/3), rewriting
-Phi = h*Phi_v + f and emitting the constant-free parts of (h, poly(Phi_v));
-each round deletes the vertex's subtree, so the number of rounds k obeys
-k*d'/3 <= size.  The residual keeps formal degree < d' and the identity
-Phi = residual + sum f_i*g_i is exact.  Each round picks its vertex in one
-walk that skips subtrees of formal degree below t, so a round costs O(s).
+peel_decompose repeatedly splits off a product pair around a vertex v whose
+formal degree lies in a window [t, 2t-1], t = ceil(d'/3): for
+Phi = h*Phi_v + f it emits the constant-free parts of (h, poly(Phi_v)).
+A round builds only h; the next formula is the old one with v replaced by
+the constant beta of Phi_v, so f is never formed.  Each round deletes the
+vertex's subtree, so the number of rounds k obeys k*d'/3 <= size.  The
+residual keeps formal degree < d' and Phi = residual + sum f_i*g_i is
+exact.  Each round picks its vertex in one walk that skips subtrees of
+formal degree below t.
 
 ben_or solves its transposed Vandermonde system in O(n^2) field
 operations through the Lagrange basis, and computes_esp checks a tree of
@@ -153,12 +155,7 @@ class Formula:
         yield from _walk(self.root)
 
     def node_at(self, path):
-        node = self.root
-        for step in path:
-            if not isinstance(node, Gate):
-                raise FormulaError(f"path {path} leaves the tree")
-            node = node.left if step == 0 else node.right
-        return node
+        return _descend(self.root, path)[1]
 
     def subtree(self, path) -> "Formula":
         return Formula(self.node_at(path), self.field)
@@ -178,6 +175,18 @@ def _walk(root):
         if isinstance(node, Gate):
             stack.append((path + (1,), node.right))
             stack.append((path + (0,), node.left))
+
+
+def _descend(root, path):
+    """([(gate, step), ...] from the root down, node at path); FormulaError
+    when the path leaves the tree."""
+    steps, node = [], root
+    for step in path:
+        if not isinstance(node, Gate):
+            raise FormulaError(f"path {path} leaves the tree")
+        steps.append((node, step))
+        node = node.left if step == 0 else node.right
+    return steps, node
 
 
 def _checked_nvars(root, field) -> int:
@@ -274,28 +283,23 @@ def find_degree_vertex(phi: Formula, t: int):
 def split_linear(phi: Formula, path):
     """(h, f) with phi = h * poly(subtree at path) + f, exactly.
 
-    The tree structure makes phi linear in any single subtree: walking up
-    from the vertex, a sum gate adds its sibling to f and a product gate
-    multiplies both h and f by its sibling.
+    phi is affine in the value of any one subtree v, so f = phi[v := 0],
+    the tree with v replaced by 0, and h is the product of the siblings at
+    the * gates on the path.
     """
-    siblings = []
-    node = phi.root
-    for step in path:
-        if not isinstance(node, Gate):
-            raise FormulaError(f"path {path} leaves the tree")
-        sib = node.right if step == 0 else node.left
-        siblings.append((node.op, sib))
-        node = node.left if step == 0 else node.right
+    return _multiplier(phi, path), replace_with_constant(phi, path, 0).poly()
+
+
+def _multiplier(phi: Formula, path) -> Polynomial:
+    """h of split_linear: the product of the siblings at the * gates on the
+    path, multiplied in from the vertex upward, so the constants that
+    earlier peel rounds leave near the vertex meet h while it is small.
+    Siblings at + gates are never expanded."""
     h = Polynomial.constant(phi.field, 1)
-    f = Polynomial.zero(phi.field)
-    for op, sib in reversed(siblings):
-        s = _poly(sib)
-        if op == "+":
-            f = f + s
-        else:
-            h = h * s
-            f = f * s
-    return h, f
+    for gate, step in reversed(_descend(phi.root, path)[0]):
+        if gate.op == "*":
+            h = h * _poly(gate.right if step == 0 else gate.left)
+    return h
 
 
 def replace_with_constant(phi: Formula, path, value) -> Formula:
@@ -304,16 +308,8 @@ def replace_with_constant(phi: Formula, path, value) -> Formula:
     The replacement drops every non-constant leaf of the subtree, so the
     size falls by exactly the subtree's size.
     """
-    path = tuple(path)
-    ancestors = []
-    node = phi.root
-    for step in path:
-        if not isinstance(node, Gate):
-            raise FormulaError(f"path {path} leaves the tree")
-        ancestors.append(node)
-        node = node.left if step == 0 else node.right
     node = Leaf(Polynomial.constant(phi.field, value))
-    for gate, step in zip(reversed(ancestors), reversed(path)):
+    for gate, step in reversed(_descend(phi.root, tuple(path))[0]):
         node = (Gate(gate.op, node, gate.right) if step == 0
                 else Gate(gate.op, gate.left, node))
     return Formula(node, phi.field)
@@ -335,24 +331,28 @@ class PeelDecomposition:
     def k(self) -> int:
         return len(self.pairs)
 
-    def identity_holds(self) -> bool:
-        acc = self.residual.poly()
-        for f, g in self.pairs:
-            acc = acc + f * g
-        return acc == self.source.poly()
-
-    def to_json(self) -> dict:
+    def _expansions(self):
+        """The expansions of source and of residual + sum f_i*g_i."""
         rhs = self.residual.poly()
         for f, g in self.pairs:
             rhs = rhs + f * g
+        return self.source.poly(), rhs
+
+    def identity_holds(self) -> bool:
+        lhs, rhs = self._expansions()
+        return lhs == rhs
+
+    def to_json(self) -> dict:
+        lhs, rhs = self._expansions()
         return {
             "d_prime": self.d_prime,
             "k": self.k,
             "residual": str(self.residual),
             "residual_formal_degree": self.residual.formal_degree(),
             "pairs": [[str(f), str(g)] for f, g in self.pairs],
-            "source_expansion": str(self.source.poly()),
+            "source_expansion": str(lhs),
             "decomposition_expansion": str(rhs),
+            "identity_holds": lhs == rhs,
         }
 
 
@@ -361,11 +361,11 @@ def peel_decompose(phi: Formula, d_prime: int) -> PeelDecomposition:
     residual below d_prime.
 
     One round: pick v with formal degree in [t, 2t-1] for t = ceil(d'/3),
-    split phi = h*poly(Phi_v) + f, strip constants h = h' + alpha and
-    poly(Phi_v) = g' + beta, emit the pair (h', g'), and continue on the
-    formula for h*beta + f obtained by substituting beta at v.  The
-    leftover alpha*g' has degree < d' and is folded into the residual at
-    the end.  Each round deletes size(Phi_v) >= t leaves, so k*d'/3 <= s.
+    take the multiplier h of phi = h*poly(Phi_v) + f, strip constants
+    h = h' + alpha and poly(Phi_v) = g' + beta, emit the pair (h', g'), and
+    continue on phi with beta substituted at v, which computes h*beta + f.
+    The leftover alpha*g' has degree < d' and is folded into the residual
+    at the end.  Each round deletes size(Phi_v) >= t leaves, so k*d'/3 <= s.
     """
     if d_prime < 3:
         raise FormulaError("d_prime must be at least 3")
@@ -375,7 +375,7 @@ def peel_decompose(phi: Formula, d_prime: int) -> PeelDecomposition:
     extras = Polynomial.zero(phi.field)
     while cur.formal_degree() >= d_prime:
         v = find_degree_vertex(cur, t)
-        h, f = split_linear(cur, v)
+        h = _multiplier(cur, v)
         g = cur.subtree(v).poly()
         alpha = h.constant_term()
         beta = g.constant_term()

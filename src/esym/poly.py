@@ -97,6 +97,13 @@ class Polynomial:
         mono = (0,) * (index - 1) + (1,)
         return cls(field, {mono: field.one_raw}, nvars or index)
 
+    @classmethod
+    def _of(cls, field: FieldDescriptor, terms: dict, nvars: int) -> "Polynomial":
+        """Wrap, without copying, a term dict already trimmed and zero-free."""
+        out = cls(field, None, nvars)
+        out._terms = terms
+        return out
+
     # -- inspection ----------------------------------------------------------
 
     @property
@@ -167,26 +174,16 @@ class Polynomial:
                 return NotImplemented
             other = Polynomial(self.field, {(): raw})
         self._check(other)
-        add = self.field.add_raw
-        zero = self.field.zero_raw
         terms = dict(self._terms)
-        for m, raw in other._terms.items():
-            acc = add(terms.get(m, zero), raw)
-            if acc == zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = acc
-        out = Polynomial(self.field, None, max(self.nvars, other.nvars))
-        out._terms = terms
-        return out
+        _merge(terms, other._terms, self.field)
+        return Polynomial._of(self.field, terms, max(self.nvars, other.nvars))
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.field.neg_raw
-        out = Polynomial(self.field, None, self.nvars)
-        out._terms = {m: neg(raw) for m, raw in self._terms.items()}
-        return out
+        terms = {m: neg(raw) for m, raw in self._terms.items()}
+        return Polynomial._of(self.field, terms, self.nvars)
 
     def __sub__(self, other):
         if isinstance(other, Polynomial):
@@ -218,9 +215,7 @@ class Polynomial:
                     terms.pop(m, None)
                 else:
                     terms[m] = acc
-        out = Polynomial(self.field, None, max(self.nvars, other.nvars))
-        out._terms = terms
-        return out
+        return Polynomial._of(self.field, terms, max(self.nvars, other.nvars))
 
     __rmul__ = __mul__
 
@@ -228,9 +223,8 @@ class Polynomial:
         if raw == self.field.zero_raw:
             return Polynomial.zero(self.field, self.nvars)
         mul = self.field.mul_raw
-        out = Polynomial(self.field, None, self.nvars)
-        out._terms = {m: mul(r, raw) for m, r in self._terms.items()}
-        return out
+        terms = {m: mul(r, raw) for m, r in self._terms.items()}
+        return Polynomial._of(self.field, terms, self.nvars)
 
     def scale(self, scalar) -> "Polynomial":
         raw = self.field.scalar_raw(scalar)
@@ -279,14 +273,11 @@ class Polynomial:
                 coeff = mul(raw, self.field.coerce_raw(e))
                 if coeff != zero:
                     terms[mono_trim(m[:i] + (e - 1,) + m[i + 1:])] = coeff
-        out = Polynomial(self.field, None, self.nvars)
-        out._terms = terms
-        return out
+        return Polynomial._of(self.field, terms, self.nvars)
 
     def homogeneous_component(self, d: int) -> "Polynomial":
-        out = Polynomial(self.field, None, self.nvars)
-        out._terms = {m: r for m, r in self._terms.items() if mono_degree(m) == d}
-        return out
+        terms = {m: r for m, r in self._terms.items() if mono_degree(m) == d}
+        return Polynomial._of(self.field, terms, self.nvars)
 
     def substitute_linear(self, forms) -> "Polynomial":
         """Substitute x_i -> forms[i-1]; forms are LinearForm or Polynomial."""
@@ -297,7 +288,7 @@ class Polynomial:
         target = polys[0].field if polys else self.field
         if any(p.field != target for p in polys):
             raise FieldError("substitution forms live in mixed fields")
-        result = Polynomial.zero(target, width)
+        terms: dict[Monomial, object] = {}
         powers: dict[tuple[int, int], Polynomial] = {}
 
         def power(i: int, e: int) -> Polynomial:
@@ -311,8 +302,8 @@ class Polynomial:
             for i, e in enumerate(m):
                 if e:
                     piece = piece * power(i, e)
-            result = result + piece
-        return result
+            _merge(terms, piece._terms, target)
+        return Polynomial._of(target, terms, width)
 
     def evaluate(self, point) -> FieldElement:
         """Value at a point of field elements (in this field or an extension)."""
@@ -337,10 +328,9 @@ class Polynomial:
         """Lift every coefficient into a host field containing this one."""
         if host == self.field:
             return self
-        out = Polynomial(host, None, self.nvars)
-        out._terms = {m: embed(FieldElement(self.field, r), host).raw
-                      for m, r in self._terms.items()}
-        return out
+        terms = {m: embed(FieldElement(self.field, r), host).raw
+                 for m, r in self._terms.items()}
+        return Polynomial._of(host, terms, self.nvars)
 
     # -- text ------------------------------------------------------------------
 
@@ -363,6 +353,17 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {self} over {self.field}>"
+
+
+def _merge(terms: dict, other: dict, field: FieldDescriptor) -> None:
+    """Add the term dict other into terms in place; cancelled terms drop."""
+    add, zero = field.add_raw, field.zero_raw
+    for m, raw in other.items():
+        acc = add(terms.get(m, zero), raw)
+        if acc == zero:
+            terms.pop(m, None)
+        else:
+            terms[m] = acc
 
 
 def _lift_raw(src: FieldDescriptor, raw, target: FieldDescriptor):
@@ -505,7 +506,7 @@ def _parse_sum(s: str, lo: int, hi: int, text, nvars: int, field: FieldDescripto
     of each parenthesized factor for its polynomial; no slice of s is held."""
     if lo == hi:
         raise ValueError("empty polynomial text")
-    result = Polynomial.zero(field, nvars)
+    terms, width = {}, nvars
     for a, b in _split_top(s, lo, hi, "+-", closes):
         negate = s[a] == "-"
         if negate:
@@ -531,5 +532,6 @@ def _parse_sum(s: str, lo: int, hi: int, text, nvars: int, field: FieldDescripto
                 prod = prod.scale_raw(field.coerce_raw(s[fa:fb]))
         if negate:
             prod = -prod
-        result = result + prod
-    return result
+        _merge(terms, prod._terms, field)
+        width = max(width, prod.nvars)
+    return Polynomial._of(field, terms, width)

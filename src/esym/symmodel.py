@@ -90,9 +90,10 @@ class SymRepresentation:
     def from_json(cls, data) -> "SymRepresentation":
         """Inverse of to_json; data of any other shape raises SymModelError."""
         if not (isinstance(data, dict) and isinstance(data.get("field"), str)
-                and isinstance(data.get("degree"), int)
+                and type(data.get("degree")) is int
                 and isinstance(data.get("forms"), list)
-                and all(isinstance(row, list) for row in data["forms"])):
+                and all(isinstance(row, list) and not any(isinstance(c, bool) for c in row)
+                        for row in data["forms"])):
             raise SymModelError('a representation is a JSON object {"field": spec, '
                                 '"degree": integer, "forms": [[coefficient, ...], ...]}')
         fld = make_field(data["field"])

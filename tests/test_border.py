@@ -12,7 +12,7 @@ from esym.border import (
     kumar_fanin2,
 )
 from esym.field import make_field
-from esym.poly import LinearForm, parse_polynomial
+from esym.poly import LinearForm, Polynomial, parse_polynomial
 from esym.rng import SplitMix64
 from esym.symfunc import esp_of_forms
 from esym.symmodel import quadratic_to_sym
@@ -133,6 +133,48 @@ def test_kumar_truncation_floor():
     rep = quadratic_to_sym(parse_polynomial("x1*x2", GF4))
     with pytest.raises(BorderError):
         kumar_fanin2(rep.forms, 2, T=3)
+
+
+def explicit_product(forms, T):
+    field = forms[0].field
+    acc = EpsSeries.constant(field, 1, T)
+    for L in forms:
+        acc = acc * EpsSeries(field, T, [Polynomial.constant(field, 1), L.to_polynomial()])
+    return acc
+
+
+def kumar_inputs(field, rng):
+    """(forms, d): random forms at d = 1, forms summing to zero at d = 2, and
+    in characteristic 2 the gadget forms of quadratics at d = 2."""
+    def coeff():
+        if field.order is None:
+            return rng.below(7) - 3
+        return field.element_at(rng.below(field.order))
+
+    for m in range(1, 9):
+        n = 1 + m % 4
+        forms = [LinearForm(field, [coeff() for _ in range(n)]) for _ in range(m)]
+        yield forms, 1
+        if m >= 2:
+            last = forms[0]
+            for L in forms[1:-1]:
+                last = last + L
+            yield forms[:-1] + [-last], 2
+    if field.characteristic == 2:
+        for text in ("x1*x2", "x1*x2 + x2*x3", "x1^2 + x2*x3"):
+            yield quadratic_to_sym(parse_polynomial(text, field)).forms, 2
+
+
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(4)", "gf(5)", "q"])
+def test_kumar_product_is_the_product_of_its_factors(spec):
+    field = make_field(spec)
+    rng = SplitMix64(31)
+    for forms, d in kumar_inputs(field, rng):
+        assert len(forms) <= 8
+        for T in sorted({d + 2, 2 * d + 2, len(forms) + 3}):
+            product, minus_one, combined = kumar_fanin2(forms, d, T)
+            assert product == explicit_product(forms, T)
+            assert combined == product + minus_one
 
 
 # -- the shift lemma --------------------------------------------------------------------

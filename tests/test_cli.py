@@ -109,7 +109,14 @@ def test_errors_exit_one(capsys):
     ["sym", "verify", "--rep", '{"degree": 2}'],
     ["sym", "verify", "--rep", "[1]"],
     ["sym", "verify", "--rep", '{"field": "gf(2)", "degree": 2, "forms": 5}'],
-], ids=["certify-no-ell", "zero-denominator", "rep-no-field", "rep-list", "rep-forms-int"])
+    ["v2", "witness", "--p", "2", "--d", "2", "--trials", "0"],
+    ["v2", "witness", "--p", "2", "--d", "2", "--trials", "-5"],
+    ["identities", "--all", "--max-n", "0"],
+    ["sym", "verify", "--rep", '{"field": "gf(3)", "degree": true, "forms": [[1, 2], [1, 0]]}'],
+    ["sym", "verify", "--rep", '{"field": "gf(3)", "degree": 2, "forms": [[true, 2], [1, false]]}'],
+], ids=["certify-no-ell", "zero-denominator", "rep-no-field", "rep-list", "rep-forms-int",
+        "witness-zero-trials", "witness-negative-trials", "identities-max-n-zero",
+        "rep-bool-degree", "rep-bool-coefficient"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1

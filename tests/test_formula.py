@@ -1,9 +1,11 @@
 """Formula trees: parsing, degree vertices, peeling, Ben-Or interpolation."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
+import esym.formula as formula_mod
 from esym.field import QQ, make_field
 from esym.formula import (
     Formula,
@@ -23,7 +25,7 @@ from esym.formula import (
     replace_with_constant,
     split_linear,
 )
-from esym.poly import parse_polynomial
+from esym.poly import Polynomial, parse_polynomial
 from esym.rng import SplitMix64
 from esym.symfunc import gen_esp
 
@@ -119,6 +121,77 @@ def test_split_linear_identity():
         h, rest = split_linear(phi, path)
         g = phi.subtree(path).poly()
         assert phi.poly() == h * g + rest
+
+
+def ref_split_linear(phi, path):
+    """The two-accumulator fold: walking up from the vertex, a sum gate adds
+    its sibling to f and a product gate multiplies both h and f by it."""
+    siblings = []
+    node = phi.root
+    for step in path:
+        if not isinstance(node, Gate):
+            raise FormulaError(f"path {path} leaves the tree")
+        siblings.append((node.op, node.right if step == 0 else node.left))
+        node = node.left if step == 0 else node.right
+    h = Polynomial.constant(phi.field, 1)
+    rest = Polynomial.zero(phi.field)
+    for op, sib in reversed(siblings):
+        s = Formula(sib, phi.field).poly()
+        if op == "+":
+            rest = rest + s
+        else:
+            h, rest = h * s, rest * s
+    return h, rest
+
+
+@pytest.mark.parametrize("spec", ["gf(4)", "gf(5)", "gf(11)"])
+def test_split_linear_matches_the_fold_on_every_path(spec):
+    field = make_field(spec)
+    rng = SplitMix64(99)
+    through_sum = 0
+    for i in range(60):
+        phi = random_formula(rng, field, max_size=3 + i % 14, nvars=1 + i % 4)
+        for path, _ in phi.paths():
+            assert split_linear(phi, path) == ref_split_linear(phi, path)
+            gates = [phi.node_at(path[:j]) for j in range(len(path))]
+            through_sum += any(gate.op == "+" for gate in gates)
+    assert through_sum > 100
+
+
+def test_split_linear_rejects_a_path_through_a_leaf():
+    phi = f("(x1 + x2) * x3")
+    for bad in ((1, 0), [0, 1, 1]):
+        message = f"path {bad} leaves the tree"
+        with pytest.raises(FormulaError, match=re.escape(message)):
+            split_linear(phi, bad)
+        with pytest.raises(FormulaError, match=re.escape(message)):
+            ref_split_linear(phi, bad)
+
+
+def test_multiplier_expands_only_product_siblings(monkeypatch):
+    phi = f("((x1*x2 + x3) * x2 + x1) * (x3 + 1) + x1*x3*x2")
+    real = formula_mod._poly
+    expanded = []
+    monkeypatch.setattr(formula_mod, "_poly",
+                        lambda node: expanded.append(node) or real(node))
+    for path, _ in phi.paths():
+        expanded.clear()
+        formula_mod._multiplier(phi, path)
+        siblings = []
+        for j, step in enumerate(path):
+            gate = phi.node_at(path[:j])
+            if gate.op == "*":
+                siblings.append(gate.right if step == 0 else gate.left)
+        assert expanded == siblings[::-1]
+
+
+def test_peel_forms_no_rest(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("peel_decompose formed f")
+
+    monkeypatch.setattr(formula_mod, "split_linear", forbidden)
+    dec = peel_decompose(f("(x1 + x2*x3) * (x2 + x1*x3) * x3 + x1*x2"), 3)
+    assert dec.k >= 1 and dec.identity_holds()
 
 
 def test_replace_with_constant():

@@ -1,6 +1,7 @@
 """Sparse polynomial and linear form arithmetic."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,20 @@ def test_parse_errors():
     with pytest.raises(ValueError):
         parse_polynomial("x1*x2", GF5, nvars=1)
     assert parse_polynomial("x1*x2", GF5, nvars=4).nvars == 4
+
+
+def test_parse_of_every_degree4_monomial_in_28_variables():
+    # 31,465 terms; each is merged into one running sum, not copied per term
+    terms, parts = {}, []
+    for k, combo in enumerate(combinations_with_replacement(range(28), 4)):
+        mono = [0] * (combo[-1] + 1)
+        for i in combo:
+            mono[i] += 1
+        c = 1 + k % 4
+        terms[tuple(mono)] = GF5.element_at(c).raw
+        parts.append(f"{c}*" + "*".join(f"x{i + 1}" for i in combo))
+    assert len(parts) == 31465
+    assert parse_polynomial(" + ".join(parts), GF5) == Polynomial(GF5, terms, 28)
 
 
 # -- linear forms -------------------------------------------------------------
