@@ -232,8 +232,7 @@ def _cmd_v2_dim(args):
     for k in range(1, args.kmax + 1):
         spec = f"gf({args.p})" if k == 1 else f"gf({args.p}^{k})"
         field = make_field(spec)
-        counts.append((k, v2space.enumerate_v2(args.n, args.d, field,
-                                               cap=args.cap_points).count))
+        counts.append((k, v2space.count_v2(args.n, args.d, field, cap=args.cap_points)))
     slope = v2space.dimension_estimate(counts, args.p)
     return {
         "command": "v2 dim",
@@ -324,7 +323,8 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--format", choices=("json", "text", "csv"),
                         default=d("json"), help="report format")
     parser.add_argument("--cap-points", type=int, default=d(v2space.POINT_CAP),
-                        help="point enumeration guard")
+                        help="v2 guard: the most strata a scan or count walks, "
+                        "and the most points a scan lists")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,16 +10,22 @@ FieldDescriptor subclass with its own raw operations:
                     coefficient vector (constant digit first), so raw order
                     doubles as the canonical element order
 
-Extensions are F_p[t] modulo a fixed irreducible polynomial.  Six moduli are
-pinned so that serialized data is reproducible across runs:
+Extensions are F_p[t] modulo a fixed irreducible polynomial.  Thirteen
+moduli are pinned so that serialized data is reproducible across runs:
 
-    gf(2^2): t^2+t+1    gf(2^3): t^3+t+1     gf(2^4): t^4+t+1
-    gf(3^2): t^2+1      gf(3^3): t^3+2t+1    gf(5^2): t^2+t+1
+    gf(2^2): t^2+t+1            gf(3^2): t^2+1          gf(5^2): t^2+t+1
+    gf(2^3): t^3+t+1            gf(3^3): t^3+2t+1       gf(5^3): t^3+3t+3
+    gf(2^4): t^4+t+1            gf(3^4): t^4+2t^3+2     gf(7^2): t^2+6t+3
+    gf(2^5): t^5+t^2+1          gf(3^5): t^5+2t+1
+    gf(2^6): t^6+t^4+t^3+t+1
+    gf(2^7): t^7+t+1
 
-Larger extensions require an explicit modulus, written constant-first, e.g.
+Other extensions require an explicit modulus, written constant-first, e.g.
 gf(2^8;1,0,1,1,1,0,0,0,1).  Extension multiplication runs on discrete
-log/antilog tables built once per descriptor; characteristic-2 addition is a
-single xor on the raw index.
+log/antilog tables built once per descriptor.  Characteristic-2 addition is
+a single xor on the raw index; odd-characteristic addition runs on a Zech
+logarithm table, g^a + g^b = g^(a + Z(b - a)) with g^Z(i) = 1 + g^i, and
+negation is g^a -> g^(a + (q-1)/2).
 
 Field spec grammar accepted by make_field:
 
@@ -47,6 +53,13 @@ _MODULUS_TABLE = {
     (3, 2): (1, 0, 1),
     (3, 3): (1, 2, 0, 1),
     (5, 2): (1, 1, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 1, 1, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (3, 4): (2, 0, 0, 2, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (5, 3): (3, 3, 0, 1),
+    (7, 2): (3, 6, 1),
 }
 
 # Miller-Rabin with the first 13 prime bases is exact below _MR_LIMIT
@@ -334,7 +347,7 @@ class PrimeField(FieldDescriptor):
 class ExtensionField(FieldDescriptor):
     """GF(p^k) = F_p[t]/(modulus): raw values are base-p digit indices."""
 
-    __slots__ = ("_exp", "_log", "_group", "_red_rows")
+    __slots__ = ("_exp", "_log", "_zech", "_group", "_red_rows")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         super().__init__(p, k, modulus)
@@ -422,33 +435,34 @@ class ExtensionField(FieldDescriptor):
         self._exp = exp
         self._log = log
         self._group = group
+        self._zech = None
+        p = self.p
+        if p != 2:
+            # zech[i] = log(1 + g^i), or -1 where 1 + g^i = 0; adding 1
+            # changes only the constant digit, raw % p, of the base-p index
+            zech = []
+            for x in exp:
+                y = x + 1 if x % p != p - 1 else x + 1 - p
+                zech.append(log[y] if y else -1)
+            self._zech = zech
 
     # -- raw arithmetic ------------------------------------------------------
 
     def add_raw(self, a, b):
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a ^ b
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]  # a negative index wraps mod q-1
+        return 0 if z < 0 else self._exp[(la + z) % self._group]
 
     def neg_raw(self, a):
-        p = self.p
-        if p == 2:
+        if self.p == 2 or not a:
             return a
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._exp[(self._log[a] + self._group // 2) % self._group]
 
     def mul_raw(self, a, b):
         if a == 0 or b == 0:

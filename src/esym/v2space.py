@@ -1,36 +1,50 @@
 """Order-2 zero spaces: points where a polynomial vanishes together with
 all of its first partial derivatives.
 
-enumerate_v2 scans every point of F^n for e_d without differentiating
-formally.  One generating-function sweep (esp_sweep) gives e_0..e_d of the
-point's coordinates.  When e_d vanishes, each partial is checked through
+Over any field, a point of the order-2 zero space V2(e_d) of e_d in n
+variables has at most d-1 distinct coordinates.  The identity
 
     d e_d / d x_i = e_(d-1)(x without x_i) = sum_j (-x_i)^j e_(d-1-j)(x),
 
-an identity exact over any commutative ring, evaluated by one Horner pass in
--x_i per distinct coordinate value.  A point thus costs O(n*d) ring
-operations.  is_order2_zero keeps the formal-derivative route for arbitrary
-polynomials; the two agree and tests cross-check them.
+exact over any commutative ring, reads d e_d / d x_i = P(x_i) for
+P(y) = sum_j e_(d-1-j)(x) (-y)^j, a polynomial of degree d-1 whose leading
+coefficient is (-1)^(d-1) e_0 = +-1.  At a point of V2 every coordinate is a
+root of P, and P has at most d-1 roots (none for d = 1: V2(e_1) is empty).
 
-Every point of the order-2 zero space of e_d has at most d-1 distinct
-coordinates, and conversely highly repetitive points get in via binomial
-coefficients vanishing mod p; witness_family picks the smallest variable
-count where a (d-1)-parameter family of such points works, verifying the
-binomial conditions with lucas_binomial before returning.
+Membership depends only on the multiset of coordinates, so enumerate_v2 and
+count_v2 walk strata, not points.  A stratum is a set of r <= d-1 distinct
+values with a composition of n into r positive multiplicities m_i; it stands
+for the n!/prod m_i! points that arrange it.  Each stratum runs once the
+exact test of a point: one generating-function sweep (esp_sweep) gives
+e_0..e_d of its n coordinates, and when e_d vanishes, one Horner pass in -v
+checks P(v) = 0 for each distinct value v.  That is O(n*d) ring operations
+for each of the sum_r C(q, r) C(n-1, r-1) strata, in place of each of the
+q^n points.  count_v2 adds up the weights of the accepted strata;
+enumerate_v2 expands them into points.  is_order2_zero keeps the
+formal-derivative route for arbitrary polynomials; tests cross-check the
+two, and the strata against a scan of every point.
+
+Conversely, highly repetitive points get in via binomial coefficients
+vanishing mod p; witness_family picks the smallest variable count where a
+(d-1)-parameter family of such points works, verifying the binomial
+conditions with lucas_binomial before returning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import log
+from itertools import combinations, product
+from math import comb, log
 
 from .field import FieldDescriptor, FieldElement, _is_prime, esp_sweep, lucas_binomial
 from .poly import Polynomial
 from .rng import SplitMix64
 
 POINT_CAP = 2**24
+# fixed bound on strata * n * d, the multiply-adds of the e_j sweeps of a
+# strata walk (the cap bounds strata alone, and n is otherwise unbounded)
+SWEEP_CAP = 2**24
 
 
 class V2Error(ValueError):
@@ -77,35 +91,117 @@ class V2PointSet:
         }
 
 
-def enumerate_v2(n: int, d: int, F: FieldDescriptor, cap: int = POINT_CAP) -> V2PointSet:
-    """All points of the order-2 zero space of e_d^n over a finite field.
+def _strata_count(n: int, d: int, q: int, limit: int) -> int:
+    """sum_r C(q, r) C(n-1, r-1) over 1 <= r <= min(d-1, q, n): the strata
+    with at most d-1 distinct values among q.  The sum stops as soon as it
+    passes limit, so the count costs at most limit + 1 terms."""
+    total = 0
+    for r in range(1, min(d - 1, q, n) + 1):
+        total += comb(q, r) * comb(n - 1, r - 1)
+        if total > limit:
+            break
+    return total
 
-    Points are visited in odometer order over the field's canonical element
-    order, so the output list is deterministic.
+
+def _multiset(values, mults) -> list:
+    """The stratum's coordinates, ascending: each value repeated m_i times."""
+    coords = []
+    for v, m in zip(values, mults):
+        coords += [v] * m
+    return coords
+
+
+def _multinomial(mults) -> int:
+    """n!/prod m_i!: the number of points arranging a stratum."""
+    out, total = 1, 0
+    for m in mults:
+        total += m
+        out *= comb(total, m)
+    return out
+
+
+def _accepted_strata(n: int, d: int, F: FieldDescriptor, cap: int) -> list:
+    """(values, multiplicities) of every stratum of F^n inside V2(e_d).
+
+    values ascend through the raw element indices 0..q-1.  Raises V2Error
+    before any stratum is tested when there are more than cap of them, or
+    when their sweeps would take more than SWEEP_CAP multiply-adds.
     """
     if F.order is None:
         raise V2Error("enumeration needs a finite field")
     if not 1 <= d <= n:
         raise V2Error(f"need 1 <= d <= n, got d={d}, n={n}")
-    if F.order**n > cap:
-        raise V2Error(f"{F.order}^{n} points exceed the cap of {cap}")
+    q = F.order
+    strata = _strata_count(n, d, q, min(cap, SWEEP_CAP // (n * d)))
+    if strata > cap:
+        raise V2Error(f"{strata} or more strata exceed the cap of {cap}")
+    if strata * n * d > SWEEP_CAP:
+        raise V2Error(f"{strata} or more strata of {n} coordinates to degree {d} "
+                      f"exceed the fixed bound of {SWEEP_CAP} sweep steps")
 
     add, mul, neg, zero, one = F.add_raw, F.mul_raw, F.neg_raw, F.zero_raw, F.one_raw
-    elems = list(F.elements())
+    accepted = []
+    for r in range(1, min(d - 1, q, n) + 1):
+        for cuts in combinations(range(1, n), r - 1):
+            mults = tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            # the raw values of a finite field are its element indices 0..q-1
+            for values in combinations(range(q), r):
+                e = esp_sweep(_multiset(values, mults), d, zero, one, add, mul)
+                if e[d] != zero:
+                    continue
+                for x in values:
+                    m, acc = neg(x), one  # Horner for sum_j (-x)^j e_(d-1-j)
+                    for j in range(1, d):
+                        acc = add(mul(acc, m), e[j])
+                    if acc != zero:
+                        break
+                else:
+                    accepted.append((values, mults))
+    return accepted
+
+
+def _arrangements(a: list):
+    """Every distinct ordering of the ascending list a, in lexicographic
+    order, by the next-permutation step; a is consumed."""
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        i = last - 1
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+
+
+def count_v2(n: int, d: int, F: FieldDescriptor, cap: int = POINT_CAP) -> int:
+    """Number of points of the order-2 zero space of e_d^n over a finite
+    field, from the strata alone; cap bounds the strata walked."""
+    return sum(_multinomial(mults) for _, mults in _accepted_strata(n, d, F, cap))
+
+
+def enumerate_v2(n: int, d: int, F: FieldDescriptor, cap: int = POINT_CAP) -> V2PointSet:
+    """All points of the order-2 zero space of e_d^n over a finite field.
+
+    Points are listed in lexicographic order over the field's canonical
+    element order, so the output list is deterministic.  cap bounds both the
+    strata walked and the points listed; each is checked before its work.
+    """
+    accepted = _accepted_strata(n, d, F, cap)
+    total = sum(_multinomial(mults) for _, mults in accepted)
+    if total > cap:
+        raise V2Error(f"{total} points exceed the cap of {cap}")
     points = []
-    # the raw values of a finite field are its element indices 0..q-1
-    for coords in product(range(F.order), repeat=n):
-        e = esp_sweep(coords, d, zero, one, add, mul)
-        if e[d] != zero:
-            continue
-        for x in set(coords):
-            m, acc = neg(x), one  # Horner for sum_j (-x)^j e_(d-1-j)
-            for j in range(1, d):
-                acc = add(mul(acc, m), e[j])
-            if acc != zero:
-                break
-        else:
-            points.append(tuple(elems[c] for c in coords))
+    for values, mults in accepted:
+        points += _arrangements(_multiset(values, mults))
+    points.sort()
+    elems = list(F.elements())
+    for i, raws in enumerate(points):
+        points[i] = tuple(elems[c] for c in raws)
     return V2PointSet(field=F, n=n, d=d, points=points)
 
 

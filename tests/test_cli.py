@@ -164,6 +164,42 @@ def test_ben_or_check_needs_no_expansion(capsys):
     assert body["computes_esp"] is True
 
 
+def test_v2_dim_counts_a_six_step_tower(capsys):
+    # 6q^2 - 5q points of V2(e_3^6) over GF(2^k): degree d-1 in q
+    code, body = run_json(capsys, "v2", "dim", "--p", "2", "--n", "6", "--d", "3",
+                          "--kmax", "6")
+    assert code == 0
+    assert body["counts"] == [[1, 14], [2, 76], [3, 344], [4, 1456], [5, 5984], [6, 24256]]
+    assert body["slope_rounded"] == 2
+
+
+@pytest.mark.parametrize("p,kmax", [("2", "7"), ("3", "5"), ("5", "3"), ("7", "2")])
+def test_v2_dim_reaches_every_tabled_extension(capsys, p, kmax):
+    code, body = run_json(capsys, "v2", "dim", "--p", p, "--n", "3", "--d", "2",
+                          "--kmax", kmax)
+    assert code == 0
+    assert [k for k, _ in body["counts"]] == list(range(1, int(kmax) + 1))
+
+
+def test_v2_cap_names_what_it_bounds(capsys):
+    code, out, err = run(capsys, "v2", "scan", "--field", "gf(4)", "--n", "30", "--d", "4",
+                         "--cap-points", "1024")
+    assert (code, out, err) == (1, "", "error: 1802 or more strata exceed the cap of 1024\n")
+    code, out, err = run(capsys, "v2", "scan", "--field", "gf(2)", "--n", "12", "--d", "12",
+                         "--cap-points", "1024")
+    assert (code, out, err) == (1, "", "error: 4083 points exceed the cap of 1024\n")
+    code, body = run_json(capsys, "v2", "dim", "--p", "2", "--n", "12", "--d", "12",
+                          "--kmax", "2", "--cap-points", "1024")
+    assert code == 0 and body["counts"][0] == [1, 4083]
+    code, out, err = run(capsys, "v2", "dim", "--p", "2", "--n", "30", "--d", "4",
+                         "--cap-points", "100")  # 4 + 6*29 strata over GF(4) pass 100
+    assert (code, out, err) == (1, "", "error: 178 or more strata exceed the cap of 100\n")
+    code, out, err = run(capsys, "v2", "scan", "--field", "gf(2)", "--n", "1000000000",
+                         "--d", "2")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "exceed the fixed bound" in err
+
+
 # -- argument conventions --------------------------------------------------------
 
 def test_global_flags_work_on_either_side(capsys):

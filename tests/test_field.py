@@ -14,7 +14,9 @@ from esym.field import (
     FieldElement,
     FieldError,
     QQ,
+    _MODULUS_TABLE,
     _is_prime,
+    _uirreducible,
     embed,
     host_fields,
     lucas_binomial,
@@ -84,10 +86,13 @@ def test_large_non_fields_are_refused_promptly(n):
 
 
 def test_untabled_extension_needs_explicit_modulus():
-    with pytest.raises(FieldError):
-        make_field("gf(7^2)")
+    with pytest.raises(FieldError, match="no built-in modulus"):
+        make_field("gf(2^8)")
+    with pytest.raises(FieldError, match="no built-in modulus"):
+        make_field("gf(7^3)")
     f = make_field("gf(7^2;3,1,1)")  # z^2 + z + 3, irreducible mod 7
     assert f.order == 49
+    assert f is not make_field("gf(7^2)")  # the tabled modulus is t^2+6t+3
 
 
 def test_reducible_modulus_rejected():
@@ -153,6 +158,43 @@ def test_char2_extension_addition_is_xor():
     for a in range(16):
         for b in range(16):
             assert f.add_raw(a, b) == a ^ b
+
+
+def _digit_add(f, a, b, sign=1):
+    """a + sign*b on the base-p digits of the raw indices, one digit at a time."""
+    p, out, mult = f.p, 0, 1
+    for _ in range(f.k):
+        out += ((a + sign * b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+ODD_EXTENSIONS = sorted(f"gf({p}^{k})" for p, k in _MODULUS_TABLE if p != 2)
+
+
+@pytest.mark.parametrize("spec", ODD_EXTENSIONS)
+def test_zech_addition_matches_digit_addition(spec):
+    f = make_field(spec)
+    for a in range(f.order):
+        assert f.neg_raw(a) == _digit_add(f, 0, a, -1)
+        for b in range(f.order):
+            assert f.add_raw(a, b) == _digit_add(f, a, b)
+
+
+def test_zech_oracle_covers_the_named_fields():
+    assert {"gf(3^2)", "gf(5^2)", "gf(3^3)", "gf(7^2)"} <= set(ODD_EXTENSIONS)
+
+
+def test_tabled_moduli_are_irreducible_and_print_short():
+    for (p, k), modulus in _MODULUS_TABLE.items():
+        assert len(modulus) == k + 1 and modulus[-1] == 1
+        assert _uirreducible(modulus, p)
+        f = make_field(f"gf({p}^{k})")
+        assert f.modulus == modulus and f.order == p**k
+        assert str(f) == f"gf({p}^{k})"
+        assert make_field(f"gf({p}^{k};{','.join(map(str, modulus))})") is f
 
 
 def test_gf4_multiplication_table():

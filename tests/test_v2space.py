@@ -5,11 +5,13 @@ from itertools import product
 
 import pytest
 
-from esym.field import lucas_binomial, make_field
+from esym import v2space
+from esym.field import FieldError, esp_sweep, lucas_binomial, make_field
 from esym.poly import parse_polynomial
 from esym.symfunc import gen_esp
 from esym.v2space import (
     V2Error,
+    count_v2,
     dimension_estimate,
     enumerate_v2,
     in_s_k,
@@ -72,9 +74,120 @@ def test_enumerate_matches_pointwise_definition(spec, n, d):
     assert enumerate_v2(n, d, field).points == expect
 
 
-def test_enumeration_point_cap():
+def test_enumeration_point_cap(monkeypatch):
+    # the cap bounds the strata walked, sum_r C(q, r) C(n-1, r-1) for
+    # r <= d-1: 4 + 6*29 + 4*406 = 1802 here, refused before any is tested
+    def forbidden(*args):
+        raise AssertionError("the guarded work ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(v2space, "esp_sweep", forbidden)
+        with pytest.raises(V2Error, match="^1802 or more strata exceed the cap of 1024$"):
+            enumerate_v2(30, 4, GF4, cap=2**10)
+        with pytest.raises(V2Error, match="^1802 or more strata exceed the cap of 1024$"):
+            count_v2(30, 4, GF4, cap=2**10)
+    # 13 strata pass, but their weights sum to 4083 points, refused before
+    # any point is built; counting builds no points and answers
+    with monkeypatch.context() as m:
+        m.setattr(v2space, "_arrangements", forbidden)
+        with pytest.raises(V2Error, match="^4083 points exceed the cap of 1024$"):
+            enumerate_v2(12, 12, GF2, cap=2**10)
+    assert count_v2(12, 12, GF2, cap=2**10) == 4083
+    assert enumerate_v2(12, 12, GF2, cap=4083).count == 4083
+
+
+def test_enumeration_within_the_cap_beyond_q_pow_n():
+    # 4^30 points, but the single stratum family r = 1 holds 4 strata and
+    # only the zero diagonal survives: e_2 = C(30, 2) a^2 = 435 a^2
+    pts = enumerate_v2(30, 2, GF4, cap=2**10)
+    assert pts.points == [(GF4.zero,) * 30]
+    assert count_v2(30, 2, GF4, cap=2**10) == 1
+
+
+def test_sweep_bound_refuses_long_sweeps_before_the_work():
+    # 2 strata of 10^9 coordinates to degree 2, 4097 of 4096 to degree 4096
+    # and 2049 of 2048 to degree 4: within the cap, beyond the fixed bound
+    for n, d, seen in ((10**9, 2, 2), (4096, 4096, 2), (2048, 4, 2049)):
+        # the strata are summed only until they pass the bound
+        msg = (f"^{seen} or more strata of {n} coordinates to degree {d} "
+               f"exceed the fixed bound of {v2space.SWEEP_CAP} sweep steps$")
+        with pytest.raises(V2Error, match=msg):
+            enumerate_v2(n, d, GF2)
+        with pytest.raises(V2Error, match=msg):
+            count_v2(n, d, GF2)
+    # e_1 has no order-2 zeros: nothing to sweep at any n
+    assert count_v2(10**9, 1, GF2) == 0
+    assert enumerate_v2(10**9, 1, GF2).points == []
+
+
+def test_count_v2_rejects_bad_input():
     with pytest.raises(V2Error):
-        enumerate_v2(30, 2, GF4, cap=2**10)
+        count_v2(3, 2, make_field("q"))
+    with pytest.raises(V2Error):
+        count_v2(3, 4, GF2)
+    with pytest.raises(V2Error):
+        count_v2(3, 0, GF2)
+
+
+# -- strata against a scan of every point ---------------------------------------------
+
+def ref_enumerate_v2(n, d, F):
+    """The odometer: every point of F^n, in lexicographic order, each tested
+    by one e_j sweep and a Horner pass per distinct coordinate."""
+    add, mul, neg, zero, one = F.add_raw, F.mul_raw, F.neg_raw, F.zero_raw, F.one_raw
+    elems = list(F.elements())
+    points = []
+    for coords in product(range(F.order), repeat=n):
+        e = esp_sweep(coords, d, zero, one, add, mul)
+        if e[d] != zero:
+            continue
+        for x in set(coords):
+            m, acc = neg(x), one  # Horner for sum_j (-x)^j e_(d-1-j)
+            for j in range(1, d):
+                acc = add(mul(acc, m), e[j])
+            if acc != zero:
+                break
+        else:
+            points.append(tuple(elems[c] for c in coords))
+    return points
+
+
+def _builtin_fields(qmax):
+    for q in range(2, qmax + 1):
+        try:
+            yield make_field(q)
+        except FieldError:
+            pass  # not a prime power, or no tabled modulus
+
+
+ORACLE_CASES = [(F, n) for F in _builtin_fields(27)
+                for n in range(1, 13) if F.order**n <= 2**12]
+
+
+@pytest.mark.parametrize("F,n", [pytest.param(F, n, id=f"{F}-{n}") for F, n in ORACLE_CASES])
+def test_strata_match_the_odometer(F, n):
+    for d in range(1, n + 1):
+        expect = ref_enumerate_v2(n, d, F)
+        # the bound the strata rest on: at most d-1 distinct coordinates
+        assert all(in_s_k(pt, d - 1) for pt in expect)
+        assert enumerate_v2(n, d, F).points == expect, (n, d)
+        assert count_v2(n, d, F) == len(expect), (n, d)
+
+
+def test_oracle_cases_cover_every_small_builtin_field():
+    assert {F.order for F, _ in ORACLE_CASES} == {
+        2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_count_v2_exhibits_both_tight_ends(k):
+    # over GF(2^k), the witness family's n = 6 gives 6q^2 - 5q points for
+    # e_3 (degree d-1 = 2 in q), and n = 5 gives 6q - 5 (degree d-2 = 1)
+    q = 2**k
+    F = make_field(f"gf(2^{k})") if k > 1 else GF2
+    assert witness_family(2, 3).n == 6
+    assert count_v2(6, 3, F) == 6 * q * q - 5 * q
+    assert count_v2(5, 3, F) == 6 * q - 5
 
 
 def test_diagonal_counts_grow_with_the_field():
