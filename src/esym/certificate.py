@@ -70,8 +70,8 @@ def hard_poly(spec: BlockPolynomialSpec) -> Polynomial:
     GF(p): x1..x(p+1) + x(p+2)..x(2p+2) + ..."""
     fld = make_field(spec.p)
     size = spec.p + 1
-    terms = {(0,) * (i * size) + (1,) * size: fld.one_raw for i in range(spec.ell)}
-    return Polynomial(fld, terms, spec.n)
+    blocks = [range(i * size + 1, (i + 1) * size + 1) for i in range(spec.ell)]
+    return Polynomial.squarefree_sum(fld, blocks, spec.n)
 
 
 def partition_count(n: int, block_size: int) -> int:

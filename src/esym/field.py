@@ -260,6 +260,47 @@ class FieldDescriptor:
     def raw_to_str(self, raw) -> str:
         return str(raw)
 
+    # -- sparse products -------------------------------------------------------
+
+    def mul_terms(self, a: dict, b: dict) -> dict:
+        """Product of two term dicts {key: raw} whose keys multiply by
+        integer addition (packed monomials); cancelled terms drop.  This
+        default runs add_raw and mul_raw per product; PrimeField and
+        RationalField accumulate integers and reduce once per output term."""
+        add, mul, zero = self.add_raw, self.mul_raw, self.zero_raw
+        if len(a) > len(b):
+            a, b = b, a
+        items = list(b.items())
+        out = {}
+        get = out.get
+        for ka, ra in a.items():
+            for kb, rb in items:
+                k = ka + kb
+                out[k] = add(get(k, zero), mul(ra, rb))
+        return {k: r for k, r in out.items() if r != zero}
+
+
+def _int_products(a: dict, b: dict) -> dict:
+    """Unreduced integer sums of the products of two {key: int} dicts, keys
+    adding; mul_terms of the fields whose raws reduce to integers."""
+    if len(a) > len(b):
+        a, b = b, a
+    items = list(b.items())
+    out = {}
+    get = out.get
+    for ka, ra in a.items():
+        for kb, rb in items:
+            k = ka + kb
+            out[k] = get(k, 0) + ra * rb
+    return out
+
+
+def _over_common_denominator(terms: dict):
+    """({key: integer numerator}, den) with terms[key] = numerator/den, den
+    the lcm of the denominators."""
+    den = math.lcm(*(r.denominator for r in terms.values()))
+    return {k: r.numerator * (den // r.denominator) for k, r in terms.items()}, den
+
 
 class RationalField(FieldDescriptor):
     """Q: raw values are Fractions."""
@@ -295,6 +336,14 @@ class RationalField(FieldDescriptor):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         return super().coerce_raw(value)
+
+    def mul_terms(self, a, b):
+        """Integer numerators over each operand's common denominator, one
+        Fraction per output term."""
+        na, da = _over_common_denominator(a)
+        nb, db = _over_common_denominator(b)
+        den = da * db
+        return {k: Fraction(v, den) for k, v in _int_products(na, nb).items() if v}
 
     def _raw_from_str(self, s: str) -> Fraction:
         try:
@@ -339,6 +388,11 @@ class PrimeField(FieldDescriptor):
         if n < 0:
             a, n = self.inv_raw(a), -n
         return pow(a, n, self.p)
+
+    def mul_terms(self, a, b):
+        """Unreduced integer products, one reduction mod p per output term."""
+        p = self.p
+        return {k: r for k, v in _int_products(a, b).items() if (r := v % p)}
 
     def _raw_from_str(self, s: str) -> int:
         return int(s.strip("()")) % self.p

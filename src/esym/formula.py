@@ -226,18 +226,20 @@ def _poly(root) -> Polynomial:
 
 
 def _render(root) -> str:
+    """Fully parenthesized text; a gate's left spine is walked in place."""
     out = []
     stack = [root]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
-        elif isinstance(item, Leaf):
-            s = str(item.label)
-            out.append(f"({s})" if any(c in s for c in "+-*") else s)
-        else:
+            continue
+        while isinstance(item, Gate):
             out.append("(")
-            stack += [")", item.right, f" {item.op} ", item.left]
+            stack += [")", item.right, f" {item.op} "]
+            item = item.left
+        s = str(item.label)
+        out.append(f"({s})" if "+" in s or "-" in s or "*" in s else s)
     return "".join(out)
 
 

@@ -1,11 +1,26 @@
 """Sparse multivariate polynomials and linear forms over exact fields.
 
-A Polynomial stores a mapping from monomials to nonzero coefficients.  A
-monomial is a tuple of nonnegative exponents indexed by variable, with
-trailing zeros trimmed, so the same key denotes the same monomial at any
-variable count.  Variables are named x1, x2, ... and the variable count
-widens automatically under arithmetic.  Terms are kept in graded
-lexicographic order for printing and serialization.
+A Polynomial maps packed monomials to nonzero raw coefficients.  A packed
+monomial is one nonnegative int cut into WIDTH = 32-bit fields: the total
+degree sits in the lowest field (field 0) and the exponent of x_i in field
+i.  So the product of two monomials is one int add, the degree of a term is
+one mask, and a key does not depend on the variable count.  Products of
+term dicts run in each field's FieldDescriptor.mul_terms; GF(p) and Q
+accumulate integers and reduce once per output term.
+
+The guard: no field may carry into its neighbour.  The constructor checks
+each term, and *, ** and substitute_linear check in O(1) from their
+operands' degrees, that the total degree stays below DEGREE_LIMIT = 2^32,
+and raise ValueError past it; every exponent is at most the total degree,
+so no field then overflows.  Printing reads only the nonzero fields of a
+key, from the top down, so a term costs O(its variables), not O(its
+highest index).
+
+Variables are named x1, x2, ... and the variable count widens automatically
+under arithmetic.  The public surface speaks exponent tuples with trailing
+zeros trimmed: the constructor takes {tuple: raw}, and terms() and
+coefficient() give and take such tuples, in graded lexicographic order (x1
+first) for printing and serialization.
 
 Text grammar (also used by the CLI):
 
@@ -20,43 +35,84 @@ term is folded into its coefficient.
 from __future__ import annotations
 
 import re
+import struct
+from itertools import compress, count
 
 from .field import FieldDescriptor, FieldElement, FieldError, embed
 
-Monomial = tuple[int, ...]
+WIDTH = 32                  # bits per field; _words reads them as 32-bit words
+DEGREE_LIMIT = 1 << WIDTH
+_MASK = DEGREE_LIMIT - 1
 
 
-def mono_trim(exponents) -> Monomial:
-    exps = list(exponents)
-    while exps and exps[-1] == 0:
-        exps.pop()
-    return tuple(exps)
+def _check_degree(d: int) -> None:
+    if d >= DEGREE_LIMIT:
+        raise ValueError(f"total degree {d} exceeds the packed-monomial bound "
+                         f"2^{WIDTH} - 1")
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
+def _pack(mono) -> int:
+    """Packed key of an exponent sequence (x1's exponent first)."""
+    key = deg = 0
+    shift = WIDTH
+    for e in mono:
+        if e:
+            if e < 0:
+                raise ValueError(f"negative exponent in the monomial {tuple(mono)}")
+            key |= e << shift
+            deg += e
+        shift += WIDTH
+    _check_degree(deg)
+    return key | deg
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
-    return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
+def _top(key: int) -> int:
+    """Index of the highest variable in a packed key; 0 for the constant."""
+    return max((key.bit_length() - 1) // WIDTH, 0)
 
 
-def mono_is_multilinear(m: Monomial) -> bool:
-    return all(e <= 1 for e in m)
+def _words(n: int) -> struct.Struct:
+    """The Struct that reads the n variable fields of a key's 4(n + 1)
+    little-endian bytes, skipping the degree field; one per n."""
+    words = _WORDS.get(n)
+    if words is None:
+        words = _WORDS[n] = struct.Struct(f"<4x{n}I")
+    return words
 
 
-def _mono_str(m: Monomial) -> str:
-    parts = []
-    for i, e in enumerate(m):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    return "*".join(parts)
+_WORDS: dict[int, struct.Struct] = {}
+
+
+def _exponents(key: int) -> tuple[int, ...]:
+    """The monomial (e_1, ..., e_top) of a packed key, trailing zeros
+    trimmed, read in C."""
+    n = _top(key)
+    return _words(n).unpack(key.to_bytes(4 * n + 4, "little"))
+
+
+def _grlex(key: int):
+    """Sort key of graded lex order, x1 first; trimmed tuples compare as
+    padded ones do."""
+    return key & _MASK, _exponents(key)
+
+
+def _vars(key: int) -> list[tuple[int, int]]:
+    """(-index, exponent) of each variable in a packed key, x1 first: the
+    sparse read for keys with few variables among many.  The walk reads from
+    the top field down and stops once the exponents found add up to the
+    degree, so it visits only the nonzero fields.  The index is negated so
+    that, after the degree, these lists compare as padded exponent tuples."""
+    out = []
+    left = key & _MASK
+    while left:
+        i = (key.bit_length() - 1) // WIDTH
+        e = key >> (WIDTH * i)
+        out.append((-i, e))
+        left -= e
+        if left:
+            key ^= e << (WIDTH * i)
+    out.reverse()
+    return out
 
 
 class Polynomial:
@@ -66,40 +122,54 @@ class Polynomial:
 
     def __init__(self, field: FieldDescriptor, terms: dict | None = None, nvars: int = 0):
         self.field = field
-        clean: dict[Monomial, object] = {}
-        width = nvars
+        self._terms = clean = {}
+        self.nvars = nvars
         if terms:
             zero = field.zero_raw
             for mono, raw in terms.items():
-                key = mono_trim(mono)
                 if raw != zero:
-                    clean[key] = raw
-                    if len(key) > width:
-                        width = len(key)
-        self._terms = clean
-        self.nvars = width
+                    clean[_pack(mono)] = raw
+            if clean:   # the largest key holds the highest variable
+                self.nvars = max(nvars, _top(max(clean)))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, field: FieldDescriptor, nvars: int = 0) -> "Polynomial":
-        return cls(field, {}, nvars)
+        return cls(field, None, nvars)
 
     @classmethod
     def constant(cls, field: FieldDescriptor, value, nvars: int = 0) -> "Polynomial":
-        return cls(field, {(): field.coerce_raw(value)}, nvars)
+        raw = field.coerce_raw(value)
+        return cls._of(field, {0: raw} if raw != field.zero_raw else {}, nvars)
 
     @classmethod
     def variable(cls, field: FieldDescriptor, index: int, nvars: int | None = None) -> "Polynomial":
         """The variable x<index>, 1-based."""
         if index < 1:
             raise ValueError("variable index is 1-based")
-        mono = (0,) * (index - 1) + (1,)
-        return cls(field, {mono: field.one_raw}, nvars or index)
+        return cls._of(field, {1 << (WIDTH * index) | 1: field.one_raw}, max(nvars or 0, index))
+
+    @classmethod
+    def squarefree_sum(cls, field: FieldDescriptor, index_sets, nvars: int = 0) -> "Polynomial":
+        """Sum, each with coefficient 1, of the monomials x_i1 * ... * x_ik
+        over the given sets (i1, ..., ik) of distinct 1-based indices."""
+        one = field.one_raw
+        terms = {}
+        for indices in index_sets:
+            key = 0
+            for i in indices:
+                if i < 1:
+                    raise ValueError("variable index is 1-based")
+                key |= 1 << (WIDTH * i)
+            if key.bit_count() != len(indices):
+                raise ValueError(f"repeated variable index in {tuple(indices)}")
+            terms[key | len(indices)] = one
+        return cls._of(field, terms, max(nvars, _top(max(terms, default=0))))
 
     @classmethod
     def _of(cls, field: FieldDescriptor, terms: dict, nvars: int) -> "Polynomial":
-        """Wrap, without copying, a term dict already trimmed and zero-free."""
+        """Wrap, without copying, a packed term dict that is zero-free."""
         out = cls(field, None, nvars)
         out._terms = terms
         return out
@@ -115,14 +185,16 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(mono_degree(m) for m in self._terms)
+        d = -1
+        for k in self._terms:
+            if k & _MASK > d:
+                d = k & _MASK
+        return d
 
     def is_homogeneous(self, d: int | None = None) -> bool:
         if not self._terms:
             return True
-        degrees = {mono_degree(m) for m in self._terms}
+        degrees = {k & _MASK for k in self._terms}
         if d is None:
             return len(degrees) == 1
         return degrees == {d}
@@ -130,35 +202,29 @@ class Polynomial:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def _sorted_monos(self):
-        n = self.nvars
-        return sorted(self._terms,
-                      key=lambda m: (mono_degree(m), m + (0,) * (n - len(m))),
-                      reverse=True)
-
     def terms(self):
         """Yield (monomial, coefficient) pairs in graded lex order."""
-        for m in self._sorted_monos():
-            yield m, FieldElement(self.field, self._terms[m])
+        for k in sorted(self._terms, key=_grlex, reverse=True):
+            yield _exponents(k), FieldElement(self.field, self._terms[k])
 
     def coefficient(self, mono) -> FieldElement:
-        raw = self._terms.get(mono_trim(mono), self.field.zero_raw)
+        raw = self._terms.get(_pack(mono), self.field.zero_raw)
         return FieldElement(self.field, raw)
 
     def constant_term(self) -> FieldElement:
-        return self.coefficient(())
+        return FieldElement(self.field, self._terms.get(0, self.field.zero_raw))
 
     def is_constant_free(self) -> bool:
         """True when the constant term vanishes."""
-        return () not in self._terms
+        return 0 not in self._terms
 
     def multilinear_coefficients(self) -> dict[tuple[int, ...], FieldElement]:
         """Coefficients of squarefree monomials, keyed by 1-based index tuples."""
         out = {}
-        for m, raw in self._terms.items():
-            if mono_is_multilinear(m):
-                key = tuple(i + 1 for i, e in enumerate(m) if e)
-                out[key] = FieldElement(self.field, raw)
+        for k, raw in self._terms.items():
+            exps = _exponents(k)
+            if len(exps) - exps.count(0) == k & _MASK:   # every exponent is 0 or 1
+                out[tuple(compress(count(1), exps))] = FieldElement(self.field, raw)
         return out
 
     # -- arithmetic ----------------------------------------------------------
@@ -172,7 +238,7 @@ class Polynomial:
             raw = self.field.scalar_raw(other)
             if raw is None:
                 return NotImplemented
-            other = Polynomial(self.field, {(): raw})
+            other = Polynomial.constant(self.field, raw)
         self._check(other)
         terms = dict(self._terms)
         _merge(terms, other._terms, self.field)
@@ -182,7 +248,7 @@ class Polynomial:
 
     def __neg__(self):
         neg = self.field.neg_raw
-        terms = {m: neg(raw) for m, raw in self._terms.items()}
+        terms = {k: neg(raw) for k, raw in self._terms.items()}
         return Polynomial._of(self.field, terms, self.nvars)
 
     def __sub__(self, other):
@@ -191,7 +257,7 @@ class Polynomial:
         raw = self.field.scalar_raw(other)
         if raw is None:
             return NotImplemented
-        return self + Polynomial(self.field, {(): self.field.neg_raw(raw)})
+        return self + Polynomial.constant(self.field, self.field.neg_raw(raw))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -203,19 +269,12 @@ class Polynomial:
                 return NotImplemented
             return self.scale_raw(raw)
         self._check(other)
-        mul = self.field.mul_raw
-        add = self.field.add_raw
-        zero = self.field.zero_raw
-        terms: dict[Monomial, object] = {}
-        for ma, ra in self._terms.items():
-            for mb, rb in other._terms.items():
-                m = mono_mul(ma, mb)
-                acc = add(terms.get(m, zero), mul(ra, rb))
-                if acc == zero:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = acc
-        return Polynomial._of(self.field, terms, max(self.nvars, other.nvars))
+        nvars = max(self.nvars, other.nvars)
+        if not self._terms or not other._terms:
+            return Polynomial._of(self.field, {}, nvars)
+        _check_degree(self.degree() + other.degree())
+        return Polynomial._of(self.field, self.field.mul_terms(self._terms, other._terms),
+                              nvars)
 
     __rmul__ = __mul__
 
@@ -223,7 +282,7 @@ class Polynomial:
         if raw == self.field.zero_raw:
             return Polynomial.zero(self.field, self.nvars)
         mul = self.field.mul_raw
-        terms = {m: mul(r, raw) for m, r in self._terms.items()}
+        terms = {k: mul(r, raw) for k, r in self._terms.items()}
         return Polynomial._of(self.field, terms, self.nvars)
 
     def scale(self, scalar) -> "Polynomial":
@@ -235,6 +294,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
+        _check_degree(max(self.degree(), 0) * n)
         out = Polynomial.constant(self.field, 1, self.nvars)
         base = self
         while n:
@@ -252,7 +312,7 @@ class Polynomial:
             return NotImplemented
         if raw == self.field.zero_raw:
             return not self._terms
-        return self._terms == {(): raw}
+        return self._terms == {0: raw}
 
     def __hash__(self):
         return hash((self.field, frozenset(self._terms.items())))
@@ -263,20 +323,21 @@ class Polynomial:
         """Formal derivative with respect to x<index> (1-based)."""
         if index < 1:
             raise ValueError("variable index is 1-based")
-        i = index - 1
-        mul = self.field.mul_raw
+        shift = WIDTH * index
+        step = (1 << shift) | 1                    # x_index in the key
+        mul, coerce = self.field.mul_raw, self.field.coerce_raw
         zero = self.field.zero_raw
         terms = {}
-        for m, raw in self._terms.items():
-            if i < len(m) and m[i]:
-                e = m[i]
-                coeff = mul(raw, self.field.coerce_raw(e))
+        for k, raw in self._terms.items():
+            e = (k >> shift) & _MASK
+            if e:
+                coeff = raw if e == 1 else mul(raw, coerce(e))
                 if coeff != zero:
-                    terms[mono_trim(m[:i] + (e - 1,) + m[i + 1:])] = coeff
+                    terms[k - step] = coeff
         return Polynomial._of(self.field, terms, self.nvars)
 
     def homogeneous_component(self, d: int) -> "Polynomial":
-        terms = {m: r for m, r in self._terms.items() if mono_degree(m) == d}
+        terms = {k: r for k, r in self._terms.items() if k & _MASK == d}
         return Polynomial._of(self.field, terms, self.nvars)
 
     def substitute_linear(self, forms) -> "Polynomial":
@@ -288,18 +349,19 @@ class Polynomial:
         target = polys[0].field if polys else self.field
         if any(p.field != target for p in polys):
             raise FieldError("substitution forms live in mixed fields")
-        terms: dict[Monomial, object] = {}
+        _check_degree(max(self.degree(), 0) * max([p.degree() for p in polys], default=0))
+        terms: dict[int, object] = {}
         powers: dict[tuple[int, int], Polynomial] = {}
 
         def power(i: int, e: int) -> Polynomial:
             key = (i, e)
             if key not in powers:
-                powers[key] = polys[i] ** e
+                powers[key] = polys[i - 1] ** e
             return powers[key]
 
-        for m, raw in self._terms.items():
-            piece = Polynomial.constant(target, _lift_raw(self.field, raw, target), width)
-            for i, e in enumerate(m):
+        for k, raw in self._terms.items():
+            piece = Polynomial._of(target, {0: _lift_raw(self.field, raw, target)}, width)
+            for i, e in enumerate(_exponents(k), 1):
                 if e:
                     piece = piece * power(i, e)
             _merge(terms, piece._terms, target)
@@ -315,21 +377,24 @@ class Polynomial:
             if c.field != target:
                 raise FieldError("point coordinates live in mixed fields")
         raws = [c.raw for c in pts]
+        add, mul, power = target.add_raw, target.mul_raw, target.pow_raw
+        n = self.nvars                     # every key reads as n exponents
+        unpack, size = _words(n).unpack, 4 * n + 4
         acc = target.zero_raw
-        for m, raw in self._terms.items():
-            term = _lift_raw(self.field, raw, target)
-            for i, e in enumerate(m):
+        for k, raw in self._terms.items():
+            term = raw if target == self.field else _lift_raw(self.field, raw, target)
+            for x, e in zip(raws, unpack(k.to_bytes(size, "little"))):
                 if e:
-                    term = target.mul_raw(term, target.pow_raw(raws[i], e))
-            acc = target.add_raw(acc, term)
+                    term = mul(term, x if e == 1 else power(x, e))
+            acc = add(acc, term)
         return FieldElement(target, acc)
 
     def map_field(self, host: FieldDescriptor) -> "Polynomial":
         """Lift every coefficient into a host field containing this one."""
         if host == self.field:
             return self
-        terms = {m: embed(FieldElement(self.field, r), host).raw
-                 for m, r in self._terms.items()}
+        terms = {k: embed(FieldElement(self.field, r), host).raw
+                 for k, r in self._terms.items()}
         return Polynomial._of(host, terms, self.nvars)
 
     # -- text ------------------------------------------------------------------
@@ -337,11 +402,12 @@ class Polynomial:
     def __str__(self):
         if not self._terms:
             return "0"
+        rows = [(k & _MASK, _vars(k), raw) for k, raw in self._terms.items()]
+        rows.sort(reverse=True)
         parts = []
-        for m in self._sorted_monos():
-            raw = self._terms[m]
+        for _, pairs, raw in rows:
             cs = self.field.raw_to_str(raw)
-            mono = _mono_str(m)
+            mono = "*".join([f"x{-i}" if e == 1 else f"x{-i}^{e}" for i, e in pairs])
             if not mono:
                 parts.append(f"({cs})" if ("+" in cs or "-" in cs[1:]) else cs)
             elif raw == self.field.one_raw:
@@ -358,12 +424,12 @@ class Polynomial:
 def _merge(terms: dict, other: dict, field: FieldDescriptor) -> None:
     """Add the term dict other into terms in place; cancelled terms drop."""
     add, zero = field.add_raw, field.zero_raw
-    for m, raw in other.items():
-        acc = add(terms.get(m, zero), raw)
+    for k, raw in other.items():
+        acc = add(terms.get(k, zero), raw)
         if acc == zero:
-            terms.pop(m, None)
+            terms.pop(k, None)
         else:
-            terms[m] = acc
+            terms[k] = acc
 
 
 def _lift_raw(src: FieldDescriptor, raw, target: FieldDescriptor):
@@ -390,16 +456,14 @@ class LinearForm:
         if not poly.is_homogeneous(1) and not poly.is_zero:
             raise ValueError(f"{poly} is not a linear form")
         coeffs = [FieldElement(poly.field, poly.field.zero_raw)] * poly.nvars
-        for m, raw in poly._terms.items():
-            coeffs[len(m) - 1] = FieldElement(poly.field, raw)
+        for k, raw in poly._terms.items():
+            coeffs[_top(k) - 1] = FieldElement(poly.field, raw)
         return cls(poly.field, coeffs)
 
     def to_polynomial(self) -> Polynomial:
-        terms = {}
-        for i, c in enumerate(self.coefficients):
-            if not c.is_zero:
-                terms[(0,) * i + (1,)] = c.raw
-        return Polynomial(self.field, terms, self.nvars)
+        terms = {1 << (WIDTH * i) | 1: c.raw
+                 for i, c in enumerate(self.coefficients, 1) if not c.is_zero}
+        return Polynomial._of(self.field, terms, self.nvars)
 
     @property
     def is_zero(self) -> bool:
@@ -527,7 +591,9 @@ def _parse_sum(s: str, lo: int, hi: int, text, nvars: int, field: FieldDescripto
                 if idx < 1:
                     raise ValueError("variable indices are 1-based")
                 exp = int(m.group(2)) if m.group(2) else 1
-                prod = prod * Polynomial(field, {(0,) * (idx - 1) + (exp,): field.one_raw})
+                _check_degree(exp)
+                key = exp << (WIDTH * idx) | exp
+                prod = prod * Polynomial._of(field, {key: field.one_raw}, _top(key))
             else:
                 prod = prod.scale_raw(field.coerce_raw(s[fa:fb]))
         if negate:

@@ -36,15 +36,8 @@ def esp_on(indices, d: int, field: FieldDescriptor, nvars: int | None = None) ->
         return Polynomial.zero(field, nvars or (max(idx) if idx else 0))
     if math.comb(len(idx), d) > _TERM_GUARD:
         raise ValueError(f"e_{d} over {len(idx)} variables exceeds the term guard")
-    width = nvars or (max(idx) if idx else 0)
-    one = field.one_raw
-    terms = {}
-    for combo in combinations(idx, d):
-        mono = [0] * (combo[-1] if combo else 0)
-        for i in combo:
-            mono[i - 1] = 1
-        terms[tuple(mono)] = one
-    return Polynomial(field, terms, width)
+    return Polynomial.squarefree_sum(field, combinations(idx, d),
+                                     nvars or (max(idx) if idx else 0))
 
 
 def gen_esp(n: int, d: int, field: FieldDescriptor) -> Polynomial:

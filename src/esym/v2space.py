@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, log
+from math import comb
 
 from .field import FieldDescriptor, FieldElement, _is_prime, esp_sweep, lucas_binomial
 from .poly import Polynomial
@@ -206,31 +206,35 @@ def enumerate_v2(n: int, d: int, F: FieldDescriptor, cap: int = POINT_CAP) -> V2
 
 
 def dimension_estimate(counts, p: int):
-    """Least-squares slope of log_p(count) against extension degree k.
+    """Least-squares slope of floor(log_p(count)) against extension degree k.
 
     Input is a list of (k, count) pairs from enumerate_v2 over a tower of
-    extensions.  Returns an exact Fraction; None marks an empty variety
-    (all counts zero).  This is an empirical proxy for dimension, not a
-    proof.
+    extensions.  Each count is read as the integer D with p^D <= count <
+    p^(D+1), found by integer powers, so the whole estimate is exact
+    arithmetic.  A p-power count keeps its exact logarithm; any other count
+    is read as its floor, e.g. the counts 14, 76, 344, 1456, 5984, 24256 of
+    V2(e_3) in 6 variables over GF(2^k), k = 1..6, give D = 3, 6, 8, 10, 12,
+    14 and the slope 15/7, which rounds to the expected 2.  Returns a
+    Fraction; None marks an empty variety (all counts zero).  This is an
+    empirical proxy for dimension, not a proof.
     """
+    if p < 2:
+        raise V2Error(f"the logarithm base p = {p} must be at least 2")
     data = [(k, c) for k, c in counts if c > 0]
     if not data:
         return None
     if len(data) < 2:
         raise V2Error("need at least two nonzero counts for a slope")
 
-    def log_p(c: int) -> Fraction:
-        e = 0
-        m = c
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m == 1:
-            return Fraction(e)
-        return Fraction(log(c, p)).limit_denominator(10**9)
+    def floor_log_p(c: int) -> int:
+        d, power = 0, p
+        while power <= c:
+            power *= p
+            d += 1
+        return d
 
     xs = [Fraction(k) for k, _ in data]
-    ys = [log_p(c) for _, c in data]
+    ys = [Fraction(floor_log_p(c)) for _, c in data]
     xbar = sum(xs) / len(xs)
     ybar = sum(ys) / len(ys)
     num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))

@@ -114,9 +114,10 @@ def test_errors_exit_one(capsys):
     ["identities", "--all", "--max-n", "0"],
     ["sym", "verify", "--rep", '{"field": "gf(3)", "degree": true, "forms": [[1, 2], [1, 0]]}'],
     ["sym", "verify", "--rep", '{"field": "gf(3)", "degree": 2, "forms": [[true, 2], [1, false]]}'],
+    ["certify", "--p", "2", "--poly", "x1^99999999999999"],
 ], ids=["certify-no-ell", "zero-denominator", "rep-no-field", "rep-list", "rep-forms-int",
         "witness-zero-trials", "witness-negative-trials", "identities-max-n-zero",
-        "rep-bool-degree", "rep-bool-coefficient"])
+        "rep-bool-degree", "rep-bool-coefficient", "exponent-past-packed-bound"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esym.field import FieldError, QQ, make_field
-from esym.poly import LinearForm, Polynomial, parse_polynomial
+from esym.field import FieldElement, FieldError, QQ, make_field
+from esym.poly import DEGREE_LIMIT, LinearForm, Polynomial, parse_polynomial
 
 GF4 = make_field("gf(4)")
 GF5 = make_field("gf(5)")
@@ -126,6 +126,24 @@ def test_substitute_linear_against_pointwise_evaluation():
         assert g.evaluate(pt) == f.evaluate(images)
 
 
+def test_substitution_keeps_extension_coefficients():
+    # a coefficient t of GF(4) is the raw index 2, not the integer 2 = 0
+    f = parse_polynomial("t*x1 + (t+1)*x2^2 + t", GF4)
+    identity = [LinearForm(GF4, [1, 0]), LinearForm(GF4, [0, 1])]
+    assert f.substitute_linear(identity) == f
+
+
+def test_squarefree_sum():
+    f = Polynomial.squarefree_sum(GF5, [(1, 3), (2,), ()], 4)
+    assert f == parse_polynomial("x1*x3 + x2 + 1", GF5)
+    assert f.nvars == 4
+    assert Polynomial.squarefree_sum(GF5, []).is_zero
+    with pytest.raises(ValueError, match="repeated variable index"):
+        Polynomial.squarefree_sum(GF5, [(2, 2)])
+    with pytest.raises(ValueError, match="1-based"):
+        Polynomial.squarefree_sum(GF5, [(0, 1)])
+
+
 def test_scalar_coercion():
     f = parse_polynomial("x1", GF5)
     assert f * 2 == parse_polynomial("2*x1", GF5)
@@ -238,3 +256,188 @@ def test_deep_parentheses_need_no_recursion(recursion_limit):
             parse_polynomial("(" * 3000 + "x1+" + ")" * 3000, GF5)
         with pytest.raises(ValueError, match=r"^unbalanced parentheses in 'x1\)\(x2'$"):
             parse_polynomial("(" * 3000 + "(x1)(x2)" + ")" * 3000, GF5)
+
+
+# -- the tuple-keyed slow path, kept as the oracle ---------------------------
+# Polynomials here are {exponent tuple, trailing zeros trimmed: raw}; each
+# product runs add_raw and mul_raw per pair of terms.
+
+def _trim(mono) -> tuple:
+    mono = list(mono)
+    while mono and mono[-1] == 0:
+        mono.pop()
+    return tuple(mono)
+
+
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
+
+
+def oracle_merge(terms: dict, other: dict, F) -> dict:
+    for m, raw in other.items():
+        acc = F.add_raw(terms.get(m, F.zero_raw), raw)
+        if acc == F.zero_raw:
+            terms.pop(m, None)
+        else:
+            terms[m] = acc
+    return terms
+
+
+def oracle_mul(f: dict, g: dict, F) -> dict:
+    out = {}
+    for ma, ra in f.items():
+        for mb, rb in g.items():
+            oracle_merge(out, {_mono_mul(ma, mb): F.mul_raw(ra, rb)}, F)
+    return out
+
+
+def oracle_pow(f: dict, n: int, F) -> dict:
+    out = {(): F.one_raw}
+    for _ in range(n):
+        out = oracle_mul(out, f, F)
+    return out
+
+
+def oracle_substitute(f: dict, forms: list, F) -> dict:
+    out = {}
+    for m, raw in f.items():
+        piece = {(): raw}
+        for i, e in enumerate(m):
+            piece = oracle_mul(piece, oracle_pow(forms[i], e, F), F)
+        oracle_merge(out, piece, F)
+    return out
+
+
+def oracle_derivative(f: dict, index: int, F) -> dict:
+    out = {}
+    for m, raw in f.items():
+        e = m[index - 1] if index <= len(m) else 0
+        if e:
+            mono = _trim(m[:index - 1] + (e - 1,) + m[index:])
+            oracle_merge(out, {mono: F.mul_raw(raw, F.coerce_raw(e))}, F)
+    return out
+
+
+def oracle_evaluate(f: dict, point: list, F):
+    acc = F.zero_raw
+    for m, raw in f.items():
+        for i, e in enumerate(m):
+            raw = F.mul_raw(raw, F.pow_raw(point[i], e))
+        acc = F.add_raw(acc, raw)
+    return acc
+
+
+def own(poly: Polynomial) -> dict:
+    return {m: c.raw for m, c in poly.terms()}
+
+
+ORACLE_FIELDS = [make_field(spec) for spec in
+                 ("q", "gf(5)", "gf(4)", "gf(9)", "gf(2^8;1,0,1,1,1,0,0,0,1)")]
+ORACLE_NVARS = 3
+
+
+def _raws(F):
+    if F.order is None:   # distinct small denominators, so the lcm path is exercised
+        return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+    return st.integers(0, F.order - 1).map(lambda c: F.element_at(c).raw)
+
+
+def _term_dicts(F, max_terms=4):
+    monos = st.tuples(*[st.integers(0, 3)] * ORACLE_NVARS).map(_trim)
+    return st.dictionaries(monos, _raws(F), max_size=max_terms).map(
+        lambda d: {m: r for m, r in d.items() if r != F.zero_raw})
+
+
+@st.composite
+def _oracle_case(draw, F):
+    f, g = draw(_term_dicts(F)), draw(_term_dicts(F))
+    if draw(st.booleans()):
+        # g takes some of f's terms negated, so that sums and products cancel
+        for m in draw(st.lists(st.sampled_from(sorted(f)), max_size=3) if f else st.just([])):
+            g[m] = F.neg_raw(f[m])
+    forms = [draw(_term_dicts(F, 3).map(lambda d: {m: r for m, r in d.items()
+                                                   if sum(m) == 1}))
+             for _ in range(ORACLE_NVARS)]
+    point = [draw(_raws(F)) for _ in range(ORACLE_NVARS)]
+    return f, g, forms, point, draw(st.integers(0, 3)), draw(st.integers(0, 7))
+
+
+@pytest.mark.parametrize("F", ORACLE_FIELDS, ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_polynomials_match_the_tuple_oracle(F, data):
+    f, g, forms, point, n, d = data.draw(_oracle_case(F))
+    P, Q = Polynomial(F, f), Polynomial(F, g)
+    assert own(P) == f
+    assert own(P * Q) == oracle_mul(f, g, F)
+    assert own(P + Q) == oracle_merge(dict(f), g, F)
+    assert own(P + (-P)) == {}
+    assert own(P ** n) == oracle_pow(f, n, F)
+    linear = [LinearForm(F, [FieldElement(F, form.get((0,) * i + (1,), F.zero_raw))
+                             for i in range(ORACLE_NVARS)]) for form in forms]
+    assert own(P.substitute_linear(linear)) == oracle_substitute(f, forms, F)
+    for index in range(1, ORACLE_NVARS + 2):
+        assert own(P.partial_derivative(index)) == oracle_derivative(f, index, F)
+    assert own(P.homogeneous_component(d)) == {m: r for m, r in f.items() if sum(m) == d}
+    assert {m: c.raw for m, c in P.multilinear_coefficients().items()} == {
+        tuple(i + 1 for i, e in enumerate(m) if e): r
+        for m, r in f.items() if all(e <= 1 for e in m)}
+    assert P.evaluate([FieldElement(F, r) for r in point]).raw == oracle_evaluate(f, point, F)
+    assert own(parse_polynomial(str(P), F)) == f
+
+
+def test_products_that_cancel_inside_one_multiply():
+    for F in ORACLE_FIELDS:
+        a = parse_polynomial("x1 + x2", F)
+        b = parse_polynomial("x1 - x2", F)
+        assert own(a * b) == oracle_mul(own(a), own(b), F) == own(
+            parse_polynomial("x1^2 - x2^2", F))
+    assert str(parse_polynomial("x1 + 1", GF5) ** 5) == "x1^5 + 1"
+    half = parse_polynomial("1/2*x1 + 1/3*x2", QQ)
+    assert (half * parse_polynomial("1/2*x1 - 1/3*x2", QQ)) == \
+        parse_polynomial("1/4*x1^2 - 1/9*x2^2", QQ)
+
+
+def test_terms_and_printing_read_high_variable_indices():
+    f = parse_polynomial("x400*x3^2 + 3*x1000 + x2", GF5)
+    assert f.nvars == 1000
+    assert f.degree() == 3
+    assert str(f) == "x3^2*x400 + x2 + 3*x1000"
+    assert [len(m) for m, _ in f.terms()] == [400, 2, 1000]
+    assert f.coefficient((0,) * 999 + (1,)) == GF5.element(3)
+    assert f.multilinear_coefficients() == {(2,): GF5.one, (1000,): GF5.element(3)}
+
+
+# -- the packed-exponent guard ------------------------------------------------
+
+def test_exponents_past_the_packed_bound_are_refused():
+    with pytest.raises(ValueError, match="exceeds the packed-monomial bound"):
+        parse_polynomial("x1^99999999999999", GF5)
+    with pytest.raises(ValueError, match="exceeds the packed-monomial bound"):
+        Polynomial(GF5, {(DEGREE_LIMIT,): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(GF5, {(1, -1): 1})
+    edge = parse_polynomial(f"x2^{DEGREE_LIMIT - 1}", QQ)
+    assert edge.degree() == DEGREE_LIMIT - 1
+    assert edge.partial_derivative(2) == (DEGREE_LIMIT - 1) * parse_polynomial(
+        f"x2^{DEGREE_LIMIT - 2}", QQ)
+    with pytest.raises(ValueError, match="exceeds the packed-monomial bound"):
+        edge * parse_polynomial("x1", QQ)
+    assert (edge * parse_polynomial("3", QQ)).degree() == DEGREE_LIMIT - 1
+
+
+def test_power_across_the_packed_bound_is_refused():
+    x = parse_polynomial("x1 + x2", GF5)
+    half = DEGREE_LIMIT // 2
+    # refused up front, from the degree and the exponent, not by a square
+    with pytest.raises(ValueError, match=f"^total degree {3 * (half + 1)} exceeds"):
+        parse_polynomial("x1^3", GF5) ** (half + 1)
+    with pytest.raises(ValueError, match="exceeds the packed-monomial bound"):
+        parse_polynomial(f"(x1^{half})^2", GF5)
+    with pytest.raises(ValueError, match="exceeds the packed-monomial bound"):
+        x.substitute_linear([parse_polynomial(f"x1^{half}", GF5)] * 2) ** 2
+    assert parse_polynomial("x1", GF5) ** (DEGREE_LIMIT - 1) == \
+        parse_polynomial(f"x1^{DEGREE_LIMIT - 1}", GF5)
+    assert parse_polynomial("2", GF5) ** (10 ** 30) == GF5.element(2) ** (10 ** 30 % 4)

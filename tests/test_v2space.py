@@ -254,10 +254,21 @@ def test_dimension_estimate_exact_slope():
     assert dimension_estimate([(1, 9), (2, 81)], 3) == Fraction(2)
 
 
+def test_dimension_estimate_reads_other_counts_by_their_floor():
+    # floor(log_3) of 5, 30, 100 is 1, 3, 4: slope (-1*1 + 0*3 + 1*4) / 2
+    assert dimension_estimate([(1, 5), (2, 30), (3, 100)], 3) == Fraction(3, 2)
+    # one below and at a power of 2: D = 2, then 3
+    assert dimension_estimate([(1, 7), (2, 8)], 2) == Fraction(1)
+    tower = [(1, 14), (2, 76), (3, 344), (4, 1456), (5, 5984), (6, 24256)]
+    assert dimension_estimate(tower, 2) == Fraction(15, 7)
+
+
 def test_dimension_estimate_degenerate_cases():
     assert dimension_estimate([(1, 0), (2, 0)], 2) is None
     with pytest.raises(V2Error):
         dimension_estimate([(1, 4), (2, 0)], 2)
+    with pytest.raises(V2Error):
+        dimension_estimate([(1, 4), (2, 16)], 1)
 
 
 def test_dimension_estimate_from_enumeration():
