@@ -26,6 +26,11 @@ from .poly import LinearForm, Polynomial
 from .symfunc import esp_table_of_forms
 
 
+# fixed bound on the truncation T: a series holds T coefficients and a
+# product costs O(T^2) polynomial multiplies
+MAX_TRUNCATION = 1 << 16
+
+
 class BorderError(ValueError):
     """Raised on truncation, precondition, or normalization failure."""
 
@@ -36,8 +41,8 @@ class EpsSeries:
     __slots__ = ("field", "truncation", "coeffs")
 
     def __init__(self, field: FieldDescriptor, truncation: int, coeffs=()):
-        if truncation < 1:
-            raise BorderError("truncation must be at least 1")
+        if not 1 <= truncation <= MAX_TRUNCATION:
+            raise BorderError(f"truncation {truncation} is outside 1..{MAX_TRUNCATION}")
         coeffs = list(coeffs)[:truncation]
         for c in coeffs:
             if not isinstance(c, Polynomial) or c.field != field:
@@ -246,8 +251,9 @@ def kumar_fanin2(forms, d: int, T: int | None = None):
     Requires e_k(forms) = 0 for 1 <= k < d, checked symbolically; then
     prod(1 + eps*L_i) - 1 = eps^d * e_d(forms) + higher order.  The product
     is read off the e_k table, since prod_i (1 + eps*L_i) = sum_k eps^k
-    e_k(L) in any commutative ring.  Returns (product_series,
-    minus_one_series, combined).
+    e_k(L) in any commutative ring; the table stops at k = len(forms),
+    above which e_k vanishes, so only the EpsSeries constructor sizes
+    anything by T.  Returns (product_series, minus_one_series, combined).
     """
     forms = list(forms)
     if not forms:
@@ -259,10 +265,10 @@ def kumar_fanin2(forms, d: int, T: int | None = None):
     if T < d + 2:
         raise BorderError(f"truncation {T} is below the minimum d+2 = {d + 2}")
     field = forms[0].field
-    table = esp_table_of_forms(forms, T - 1, field)
-    for k in range(1, d):
-        if not table[k].is_zero:
-            raise BorderError(f"e_{k} of the forms is {table[k]}, not zero")
+    table = esp_table_of_forms(forms, min(T - 1, len(forms)), field)
+    for k, e in enumerate(table[1:d], 1):
+        if not e.is_zero:
+            raise BorderError(f"e_{k} of the forms is {e}, not zero")
     product = EpsSeries(field, T, table)
     minus_one = EpsSeries.constant(field, -1, T)
     return product, minus_one, product + minus_one

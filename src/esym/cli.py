@@ -19,14 +19,13 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from . import border as border_mod
 from . import certificate as cert_mod
 from . import formula as formula_mod
 from . import symfunc, symmodel, v2space
 from .field import FieldError, make_field
-from .poly import LinearForm, Polynomial, parse_polynomial
+from .poly import parse_polynomial
 from .rng import SplitMix64
 
 SCHEMA_VERSION = 1
@@ -188,7 +187,7 @@ def _cmd_certify(args):
 
 def _cmd_v2_scan(args):
     field = make_field(args.field)
-    points = v2space.enumerate_v2(args.n, args.d, field, cap=args.cap_points)
+    points = v2space.enumerate_v2(args.n, args.d, field)
     report = points.to_json()
     report["command"] = "v2 scan"
     report["all_in_s_d_minus_1"] = all(
@@ -232,7 +231,7 @@ def _cmd_v2_dim(args):
     for k in range(1, args.kmax + 1):
         spec = f"gf({args.p})" if k == 1 else f"gf({args.p}^{k})"
         field = make_field(spec)
-        counts.append((k, v2space.count_v2(args.n, args.d, field, cap=args.cap_points)))
+        counts.append((k, v2space.count_v2(args.n, args.d, field)))
     slope = v2space.dimension_estimate(counts, args.p)
     return {
         "command": "v2 dim",
@@ -322,9 +321,6 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--seed", type=int, default=d(0), help="64-bit PRNG seed")
     parser.add_argument("--format", choices=("json", "text", "csv"),
                         default=d("json"), help="report format")
-    parser.add_argument("--cap-points", type=int, default=d(v2space.POINT_CAP),
-                        help="v2 guard: the most strata a scan or count walks, "
-                        "and the most points a scan lists")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,9 +12,11 @@ The guard: no field may carry into its neighbour.  The constructor checks
 each term, and *, ** and substitute_linear check in O(1) from their
 operands' degrees, that the total degree stays below DEGREE_LIMIT = 2^32,
 and raise ValueError past it; every exponent is at most the total degree,
-so no field then overflows.  Printing reads only the nonzero fields of a
-key, from the top down, so a term costs O(its variables), not O(its
-highest index).
+so no field then overflows.  A key for x_i is 32*i bits long, so every
+index that comes from outside (the parser, variable, squarefree_sum, the
+tuple constructor) must lie in 1..MAX_VARIABLE_INDEX = 2^16, checked before
+its key is built.  Printing reads only the nonzero fields of a key, from the
+top down, so a term costs O(its variables), not O(its highest index).
 
 Variables are named x1, x2, ... and the variable count widens automatically
 under arithmetic.  The public surface speaks exponent tuples with trailing
@@ -43,6 +45,13 @@ from .field import FieldDescriptor, FieldElement, FieldError, embed
 WIDTH = 32                  # bits per field; _words reads them as 32-bit words
 DEGREE_LIMIT = 1 << WIDTH
 _MASK = DEGREE_LIMIT - 1
+MAX_VARIABLE_INDEX = 1 << 16
+
+
+def _check_index(i: int) -> None:
+    if not 1 <= i <= MAX_VARIABLE_INDEX:
+        raise ValueError(f"variable index {i} is outside the 1-based range "
+                         f"1..{MAX_VARIABLE_INDEX}")
 
 
 def _check_degree(d: int) -> None:
@@ -54,14 +63,13 @@ def _check_degree(d: int) -> None:
 def _pack(mono) -> int:
     """Packed key of an exponent sequence (x1's exponent first)."""
     key = deg = 0
-    shift = WIDTH
-    for e in mono:
+    for i, e in enumerate(mono, 1):
         if e:
             if e < 0:
                 raise ValueError(f"negative exponent in the monomial {tuple(mono)}")
-            key |= e << shift
+            _check_index(i)
+            key |= e << (WIDTH * i)
             deg += e
-        shift += WIDTH
     _check_degree(deg)
     return key | deg
 
@@ -146,8 +154,7 @@ class Polynomial:
     @classmethod
     def variable(cls, field: FieldDescriptor, index: int, nvars: int | None = None) -> "Polynomial":
         """The variable x<index>, 1-based."""
-        if index < 1:
-            raise ValueError("variable index is 1-based")
+        _check_index(index)
         return cls._of(field, {1 << (WIDTH * index) | 1: field.one_raw}, max(nvars or 0, index))
 
     @classmethod
@@ -159,8 +166,7 @@ class Polynomial:
         for indices in index_sets:
             key = 0
             for i in indices:
-                if i < 1:
-                    raise ValueError("variable index is 1-based")
+                _check_index(i)
                 key |= 1 << (WIDTH * i)
             if key.bit_count() != len(indices):
                 raise ValueError(f"repeated variable index in {tuple(indices)}")
@@ -321,8 +327,7 @@ class Polynomial:
 
     def partial_derivative(self, index: int) -> "Polynomial":
         """Formal derivative with respect to x<index> (1-based)."""
-        if index < 1:
-            raise ValueError("variable index is 1-based")
+        _check_index(index)
         shift = WIDTH * index
         step = (1 << shift) | 1                    # x_index in the key
         mul, coerce = self.field.mul_raw, self.field.coerce_raw
@@ -588,8 +593,7 @@ def _parse_sum(s: str, lo: int, hi: int, text, nvars: int, field: FieldDescripto
                 prod = prod * (yield fa + 1, close) ** exp
             elif m := _VAR_RE.fullmatch(s, fa, fb):
                 idx = int(m.group(1))
-                if idx < 1:
-                    raise ValueError("variable indices are 1-based")
+                _check_index(idx)
                 exp = int(m.group(2)) if m.group(2) else 1
                 _check_degree(exp)
                 key = exp << (WIDTH * idx) | exp

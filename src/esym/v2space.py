@@ -41,10 +41,9 @@ from .field import FieldDescriptor, FieldElement, _is_prime, esp_sweep, lucas_bi
 from .poly import Polynomial
 from .rng import SplitMix64
 
-POINT_CAP = 2**24
-# fixed bound on strata * n * d, the multiply-adds of the e_j sweeps of a
-# strata walk (the cap bounds strata alone, and n is otherwise unbounded)
-SWEEP_CAP = 2**24
+SWEEP_CAP = 2**24  # fixed bound on strata * n * d, the sweep steps of a strata walk
+LIST_CAP = 2**20   # fixed bound on points * n, the coordinates a listing holds
+SCAN_CAP = 2**16   # product_zero_containment scans at most this many points
 
 
 class V2Error(ValueError):
@@ -120,21 +119,19 @@ def _multinomial(mults) -> int:
     return out
 
 
-def _accepted_strata(n: int, d: int, F: FieldDescriptor, cap: int) -> list:
+def _accepted_strata(n: int, d: int, F: FieldDescriptor) -> list:
     """(values, multiplicities) of every stratum of F^n inside V2(e_d).
 
     values ascend through the raw element indices 0..q-1.  Raises V2Error
-    before any stratum is tested when there are more than cap of them, or
-    when their sweeps would take more than SWEEP_CAP multiply-adds.
+    before any stratum is tested when their sweeps would take more than
+    SWEEP_CAP multiply-adds.
     """
     if F.order is None:
         raise V2Error("enumeration needs a finite field")
     if not 1 <= d <= n:
         raise V2Error(f"need 1 <= d <= n, got d={d}, n={n}")
     q = F.order
-    strata = _strata_count(n, d, q, min(cap, SWEEP_CAP // (n * d)))
-    if strata > cap:
-        raise V2Error(f"{strata} or more strata exceed the cap of {cap}")
+    strata = _strata_count(n, d, q, SWEEP_CAP // (n * d))
     if strata * n * d > SWEEP_CAP:
         raise V2Error(f"{strata} or more strata of {n} coordinates to degree {d} "
                       f"exceed the fixed bound of {SWEEP_CAP} sweep steps")
@@ -178,23 +175,25 @@ def _arrangements(a: list):
         a[i + 1:] = a[:i:-1]
 
 
-def count_v2(n: int, d: int, F: FieldDescriptor, cap: int = POINT_CAP) -> int:
+def count_v2(n: int, d: int, F: FieldDescriptor) -> int:
     """Number of points of the order-2 zero space of e_d^n over a finite
-    field, from the strata alone; cap bounds the strata walked."""
-    return sum(_multinomial(mults) for _, mults in _accepted_strata(n, d, F, cap))
+    field, from the strata alone; no point is built."""
+    return sum(_multinomial(mults) for _, mults in _accepted_strata(n, d, F))
 
 
-def enumerate_v2(n: int, d: int, F: FieldDescriptor, cap: int = POINT_CAP) -> V2PointSet:
+def enumerate_v2(n: int, d: int, F: FieldDescriptor) -> V2PointSet:
     """All points of the order-2 zero space of e_d^n over a finite field.
 
     Points are listed in lexicographic order over the field's canonical
-    element order, so the output list is deterministic.  cap bounds both the
-    strata walked and the points listed; each is checked before its work.
+    element order, so the output list is deterministic.  A listing of more
+    than LIST_CAP coordinates (points times n) is refused before any point
+    is built.
     """
-    accepted = _accepted_strata(n, d, F, cap)
+    accepted = _accepted_strata(n, d, F)
     total = sum(_multinomial(mults) for _, mults in accepted)
-    if total > cap:
-        raise V2Error(f"{total} points exceed the cap of {cap}")
+    if total * n > LIST_CAP:
+        raise V2Error(f"{total} points of {n} coordinates exceed the fixed bound "
+                      f"of {LIST_CAP} listed coordinates")
     points = []
     for values, mults in accepted:
         points += _arrangements(_multiset(values, mults))
@@ -307,15 +306,15 @@ def _is_p_power(r: int, p: int) -> bool:
     return r == 1
 
 
-def product_zero_containment(factors, trials: int, seed: int,
-                             cap: int = 2**16) -> bool:
+def product_zero_containment(factors, trials: int, seed: int) -> bool:
     """Check that common zeros of all factor pairs are order-2 zeros of the
     sum of products.
 
     factors is a list of (f, g) pairs of constant-free polynomials over a
-    finite field.  Small point spaces are scanned exhaustively; larger ones
-    are sampled with the seeded generator.  Returns True iff no sampled or
-    enumerated common zero fails the order-2 test.
+    finite field.  Point spaces of at most SCAN_CAP points are scanned
+    exhaustively; larger ones are sampled with the seeded generator.
+    Returns True iff no sampled or enumerated common zero fails the order-2
+    test.
     """
     if not factors:
         raise V2Error("need at least one factor pair")
@@ -343,7 +342,7 @@ def product_zero_containment(factors, trials: int, seed: int,
         return all(f.evaluate(pt).is_zero and g.evaluate(pt).is_zero
                    for f, g in pairs)
 
-    if q**n <= cap:
+    if q**n <= SCAN_CAP:
         candidates = product(list(F.elements()), repeat=n)
     else:
         rng = SplitMix64(seed)

@@ -1,7 +1,8 @@
-"""The public surface: every exported name resolves, and the benchmark's
-tracer wraps and unwraps a fresh import of the package and sees each layer
-of a CLI run."""
+"""The public surface: every exported name resolves, no module imports a
+name it never uses, and the benchmark's tracer wraps and unwraps a fresh
+import of the package and sees each layer of a CLI run."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -9,11 +10,41 @@ from pathlib import Path
 import esym
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "esym"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in esym.__all__ if not hasattr(esym, name)]
     assert missing == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; __future__ imports aside."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_import_check_has_teeth():
+    source = "import os.path\nfrom math import comb, gcd as g\nprint(comb, g)\n"
+    assert unused_imports(source) == ["os (line 1)"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert modules
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in modules}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_bench_tracer_installs_on_a_fresh_import(monkeypatch, capsys):

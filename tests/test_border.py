@@ -2,7 +2,9 @@
 
 import pytest
 
+from esym import border
 from esym.border import (
+    MAX_TRUNCATION,
     BorderError,
     EpsSeries,
     approx_extract,
@@ -14,7 +16,7 @@ from esym.border import (
 from esym.field import make_field
 from esym.poly import LinearForm, Polynomial, parse_polynomial
 from esym.rng import SplitMix64
-from esym.symfunc import esp_of_forms
+from esym.symfunc import esp_of_forms, esp_table_of_forms
 from esym.symmodel import quadratic_to_sym
 
 GF4 = make_field("gf(4)")
@@ -65,6 +67,14 @@ def test_invert_requires_nonzero_constant():
 def test_truncation_must_be_positive():
     with pytest.raises(BorderError):
         EpsSeries(GF5, 0, [])
+
+
+def test_truncation_is_bounded():
+    assert EpsSeries(GF5, MAX_TRUNCATION).truncation == MAX_TRUNCATION
+    with pytest.raises(BorderError, match=f"^truncation {MAX_TRUNCATION + 1} is outside"):
+        EpsSeries(GF5, MAX_TRUNCATION + 1)
+    with pytest.raises(BorderError, match="^truncation 1000000000000 is outside"):
+        EpsSeries.constant(GF5, 1, 10**12)
 
 
 def test_series_equality_and_str():
@@ -133,6 +143,23 @@ def test_kumar_truncation_floor():
     rep = quadratic_to_sym(parse_polynomial("x1*x2", GF4))
     with pytest.raises(BorderError):
         kumar_fanin2(rep.forms, 2, T=3)
+
+
+def test_kumar_sizes_nothing_by_T_before_the_bound(monkeypatch):
+    # e_k of m forms vanishes for k > m, so the table stops at m and the
+    # EpsSeries constructor is the one place T is checked
+    rep = quadratic_to_sym(parse_polynomial("x1*x2", GF4))
+    sizes = []
+
+    def recording(forms, dmax, field=None):
+        sizes.append(dmax)
+        assert dmax <= len(forms), "a T-sized table was asked for"
+        return esp_table_of_forms(forms, dmax, field)
+
+    monkeypatch.setattr(border, "esp_table_of_forms", recording)
+    with pytest.raises(BorderError, match="^truncation 1000000000000 is outside"):
+        kumar_fanin2(rep.forms, 2, 10**12)
+    assert sizes == [len(rep.forms)]
 
 
 def explicit_product(forms, T):

@@ -115,9 +115,12 @@ def test_errors_exit_one(capsys):
     ["sym", "verify", "--rep", '{"field": "gf(3)", "degree": true, "forms": [[1, 2], [1, 0]]}'],
     ["sym", "verify", "--rep", '{"field": "gf(3)", "degree": 2, "forms": [[true, 2], [1, false]]}'],
     ["certify", "--p", "2", "--poly", "x1^99999999999999"],
+    ["certify", "--p", "2", "--poly", "x1000000000 + x1"],
+    ["border", "demo", "--field", "gf(4)", "--target", "x1*x2", "--T", "1000000000000"],
 ], ids=["certify-no-ell", "zero-denominator", "rep-no-field", "rep-list", "rep-forms-int",
         "witness-zero-trials", "witness-negative-trials", "identities-max-n-zero",
-        "rep-bool-degree", "rep-bool-coefficient", "exponent-past-packed-bound"])
+        "rep-bool-degree", "rep-bool-coefficient", "exponent-past-packed-bound",
+        "variable-index-past-bound", "truncation-past-bound"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -183,22 +186,33 @@ def test_v2_dim_reaches_every_tabled_extension(capsys, p, kmax):
 
 
 def test_v2_cap_names_what_it_bounds(capsys):
-    code, out, err = run(capsys, "v2", "scan", "--field", "gf(4)", "--n", "30", "--d", "4",
-                         "--cap-points", "1024")
-    assert (code, out, err) == (1, "", "error: 1802 or more strata exceed the cap of 1024\n")
-    code, out, err = run(capsys, "v2", "scan", "--field", "gf(2)", "--n", "12", "--d", "12",
-                         "--cap-points", "1024")
-    assert (code, out, err) == (1, "", "error: 4083 points exceed the cap of 1024\n")
-    code, body = run_json(capsys, "v2", "dim", "--p", "2", "--n", "12", "--d", "12",
-                          "--kmax", "2", "--cap-points", "1024")
-    assert code == 0 and body["counts"][0] == [1, 4083]
-    code, out, err = run(capsys, "v2", "dim", "--p", "2", "--n", "30", "--d", "4",
-                         "--cap-points", "100")  # 4 + 6*29 strata over GF(4) pass 100
-    assert (code, out, err) == (1, "", "error: 178 or more strata exceed the cap of 100\n")
+    # the listing bound counts coordinates, points * n, and is checked
+    # before any point is built; counting builds none and answers
+    code, out, err = run(capsys, "v2", "scan", "--field", "gf(2)", "--n", "18", "--d", "18")
+    assert (code, out, err) == (1, "", "error: 262125 points of 18 coordinates exceed "
+                                "the fixed bound of 1048576 listed coordinates\n")
+    code, body = run_json(capsys, "v2", "dim", "--p", "2", "--n", "18", "--d", "18",
+                          "--kmax", "2")
+    assert code == 0 and body["counts"][0] == [1, 262125]
+    code, out, err = run(capsys, "v2", "dim", "--p", "2", "--n", "2048", "--d", "4")
+    assert (code, out, err) == (1, "", "error: 2049 or more strata of 2048 coordinates "
+                                "to degree 4 exceed the fixed bound of 16777216 sweep steps\n")
     code, out, err = run(capsys, "v2", "scan", "--field", "gf(2)", "--n", "1000000000",
                          "--d", "2")
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "exceed the fixed bound" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["v2", "scan", "--n", "4", "--d", "2", "--cap-points", "5"],
+    ["v2", "dim", "--p", "2", "--n", "4", "--d", "2", "--cap-points", "5"],
+    ["esp", "--n", "3", "--d", "2", "--cap-points", "7"],
+])
+def test_v2_guards_take_no_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap-points" in capsys.readouterr().err
 
 
 # -- argument conventions --------------------------------------------------------

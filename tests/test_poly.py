@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esym.field import FieldElement, FieldError, QQ, make_field
-from esym.poly import DEGREE_LIMIT, LinearForm, Polynomial, parse_polynomial
+from esym.poly import (
+    DEGREE_LIMIT,
+    MAX_VARIABLE_INDEX,
+    LinearForm,
+    Polynomial,
+    parse_polynomial,
+)
 
 GF4 = make_field("gf(4)")
 GF5 = make_field("gf(5)")
@@ -142,6 +148,28 @@ def test_squarefree_sum():
         Polynomial.squarefree_sum(GF5, [(2, 2)])
     with pytest.raises(ValueError, match="1-based"):
         Polynomial.squarefree_sum(GF5, [(0, 1)])
+
+
+def test_variable_index_is_bounded():
+    # x_i's key is 32*i bits, so every index from outside is checked first
+    top = MAX_VARIABLE_INDEX
+    past = f"^variable index {top + 1} is outside the 1-based range 1..{top}$"
+    assert parse_polynomial(f"x{top} + 1", GF5).nvars == top
+    with pytest.raises(ValueError, match=past):
+        parse_polynomial(f"x{top + 1} + 1", GF5)
+    with pytest.raises(ValueError, match="^variable index 1000000000 is outside"):
+        parse_polynomial("x1000000000 + 1", GF5)
+    assert Polynomial.variable(GF5, top).nvars == top
+    with pytest.raises(ValueError, match=past):
+        Polynomial.variable(GF5, top + 1)
+    assert Polynomial.squarefree_sum(GF5, [(1, top)]).nvars == top
+    with pytest.raises(ValueError, match=past):
+        Polynomial.squarefree_sum(GF5, [(1, top + 1)])
+    assert Polynomial(GF5, {(0,) * (top - 1) + (1,): 1}).nvars == top
+    with pytest.raises(ValueError, match=past):
+        Polynomial(GF5, {(0,) * top + (1,): 1})
+    with pytest.raises(ValueError, match="^variable index 1000000000 is outside"):
+        parse_polynomial("x1", GF5).partial_derivative(10**9)
 
 
 def test_scalar_coercion():

@@ -75,38 +75,51 @@ def test_enumerate_matches_pointwise_definition(spec, n, d):
 
 
 def test_enumeration_point_cap(monkeypatch):
-    # the cap bounds the strata walked, sum_r C(q, r) C(n-1, r-1) for
-    # r <= d-1: 4 + 6*29 + 4*406 = 1802 here, refused before any is tested
+    # the listing bound counts coordinates held, points * n: V2(e_n^n) over
+    # GF(2) has 2^n - n - 1 points, and at n = 17, 18 and 20 they hold more
+    # than 2^20 coordinates, so they are refused before any point is built
     def forbidden(*args):
         raise AssertionError("the guarded work ran")
 
     with monkeypatch.context() as m:
-        m.setattr(v2space, "esp_sweep", forbidden)
-        with pytest.raises(V2Error, match="^1802 or more strata exceed the cap of 1024$"):
-            enumerate_v2(30, 4, GF4, cap=2**10)
-        with pytest.raises(V2Error, match="^1802 or more strata exceed the cap of 1024$"):
-            count_v2(30, 4, GF4, cap=2**10)
-    # 13 strata pass, but their weights sum to 4083 points, refused before
-    # any point is built; counting builds no points and answers
-    with monkeypatch.context() as m:
         m.setattr(v2space, "_arrangements", forbidden)
-        with pytest.raises(V2Error, match="^4083 points exceed the cap of 1024$"):
-            enumerate_v2(12, 12, GF2, cap=2**10)
-    assert count_v2(12, 12, GF2, cap=2**10) == 4083
-    assert enumerate_v2(12, 12, GF2, cap=4083).count == 4083
+        for n, total in ((17, 131054), (18, 262125), (20, 1048555)):
+            msg = (f"^{total} points of {n} coordinates exceed the fixed bound "
+                   f"of {v2space.LIST_CAP} listed coordinates$")
+            with pytest.raises(V2Error, match=msg):
+                enumerate_v2(n, n, GF2)
+        # 13 trillion points over GF(4): the strata are walked, no point built
+        with pytest.raises(V2Error, match="^13141572128839 points of 30 coordinates"):
+            enumerate_v2(30, 4, GF4)
+    # counting builds no points and answers past the listing bound
+    assert count_v2(18, 18, GF2) == 262125
+    assert count_v2(20, 20, GF2) == 1048555
+    # the bound is inclusive: exactly LIST_CAP coordinates are listed
+    with monkeypatch.context() as m:
+        m.setattr(v2space, "LIST_CAP", 4083 * 12)
+        assert enumerate_v2(12, 12, GF2).count == 4083
+        m.setattr(v2space, "LIST_CAP", 4083 * 12 - 1)
+        with pytest.raises(V2Error, match="^4083 points of 12 coordinates"):
+            enumerate_v2(12, 12, GF2)
+    # n = d = 16 just fits: 65,519 points, 1,048,304 coordinates
+    assert enumerate_v2(16, 16, GF2).count == 65519
 
 
 def test_enumeration_within_the_cap_beyond_q_pow_n():
     # 4^30 points, but the single stratum family r = 1 holds 4 strata and
     # only the zero diagonal survives: e_2 = C(30, 2) a^2 = 435 a^2
-    pts = enumerate_v2(30, 2, GF4, cap=2**10)
+    pts = enumerate_v2(30, 2, GF4)
     assert pts.points == [(GF4.zero,) * 30]
-    assert count_v2(30, 2, GF4, cap=2**10) == 1
+    assert count_v2(30, 2, GF4) == 1
 
 
-def test_sweep_bound_refuses_long_sweeps_before_the_work():
+def test_sweep_bound_refuses_long_sweeps_before_the_work(monkeypatch):
     # 2 strata of 10^9 coordinates to degree 2, 4097 of 4096 to degree 4096
-    # and 2049 of 2048 to degree 4: within the cap, beyond the fixed bound
+    # and 2049 of 2048 to degree 4: each past the fixed bound
+    def forbidden(*args):
+        raise AssertionError("the guarded work ran")
+
+    monkeypatch.setattr(v2space, "esp_sweep", forbidden)
     for n, d, seen in ((10**9, 2, 2), (4096, 4096, 2), (2048, 4, 2049)):
         # the strata are summed only until they pass the bound
         msg = (f"^{seen} or more strata of {n} coordinates to degree {d} "
@@ -285,6 +298,36 @@ def test_product_zero_containment_exhaustive():
     f = parse_polynomial("x1*x2", GF2)
     g = parse_polynomial("x2*x3", GF2)
     assert product_zero_containment([(f, g)], trials=10, seed=1)
+
+
+def test_product_zero_containment_samples_past_the_scan_bound(monkeypatch):
+    # 2^17 points exceed SCAN_CAP = 2^16, so the points are drawn from the
+    # seeded generator and the odometer is never reached
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exhaustive scan ran")
+
+    f = parse_polynomial("x1*x17", GF2)
+    g = parse_polynomial("x2*x17", GF2)
+    seen = []
+
+    def recording(total, pt):
+        seen.append(tuple(c.raw for c in pt))
+        return is_order2_zero(total, pt)
+
+    monkeypatch.setattr(v2space, "product", forbidden)
+    monkeypatch.setattr(v2space, "is_order2_zero", recording)
+    runs = {}
+    for seed in (1, 1, 2):
+        seen.clear()
+        assert product_zero_containment([(f, g)], trials=50, seed=seed)
+        runs.setdefault(seed, []).append(list(seen))
+    # only common zeros reach the order-2 test; each has 17 coordinates
+    assert 0 < len(runs[1][0]) <= 50
+    assert all(len(pt) == 17 and (pt[16] == 0 or pt[0] == pt[1] == 0)
+               for pt in runs[1][0])
+    # the same seed draws the same points; another seed draws others
+    assert runs[1][0] == runs[1][1]
+    assert runs[2][0] != runs[1][0]
 
 
 def test_product_zero_containment_rejects_constants():
