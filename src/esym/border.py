@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .field import FieldDescriptor, FieldElement, FieldError, esp_sweep
+from .field import FieldDescriptor, FieldError, esp_sweep
 from .poly import LinearForm, Polynomial
 from .symfunc import esp_table_of_forms
 
@@ -66,7 +66,7 @@ class EpsSeries:
     @classmethod
     def from_polynomial(cls, poly: Polynomial, truncation: int,
                         eps_power: int = 0) -> "EpsSeries":
-        coeffs = [Polynomial.zero(poly.field)] * eps_power + [poly]
+        coeffs = [Polynomial.zero(poly.field)] * min(eps_power, truncation) + [poly]
         return cls(poly.field, truncation, coeffs)
 
     @classmethod
@@ -117,21 +117,8 @@ class EpsSeries:
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, EpsSeries):
-            if other.field != self.field:
-                raise FieldError("mixed fields in series arithmetic")
-            return other
-        if isinstance(other, Polynomial):
-            if other.field != self.field:
-                raise FieldError("mixed fields in series arithmetic")
-            return EpsSeries.from_polynomial(other, self.truncation)
-        if isinstance(other, (int, FieldElement)):
-            return EpsSeries.constant(self.field, other, self.truncation)
-        return None
-
     def __add__(self, other):
-        s = self._coerce(other)
+        s = _as_series(other, self.field, self.truncation)
         if s is None:
             return NotImplemented
         T = min(self.truncation, s.truncation)
@@ -144,13 +131,13 @@ class EpsSeries:
         return EpsSeries(self.field, self.truncation, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        s = self._coerce(other)
+        s = _as_series(other, self.field, self.truncation)
         if s is None:
             return NotImplemented
         return self + (-s)
 
     def __mul__(self, other):
-        s = self._coerce(other)
+        s = _as_series(other, self.field, self.truncation)
         if s is None:
             return NotImplemented
         T = min(self.truncation, s.truncation)
@@ -175,7 +162,7 @@ class EpsSeries:
         """Multiply by eps^j, keeping the truncation."""
         if j < 0:
             raise BorderError("negative shift")
-        pad = [Polynomial.zero(self.field)] * j
+        pad = [Polynomial.zero(self.field)] * min(j, self.truncation)
         return EpsSeries(self.field, self.truncation, pad + list(self.coeffs))
 
     def divide_eps(self, v: int) -> "EpsSeries":
@@ -329,8 +316,9 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
     """Convert fan-in-k products of affine eps-factors into k symmetric
     terms whose sum extracts to the same target.
 
-    Each term is (scalar, factors): the scalar coerces to an EpsSeries and
-    every factor is an EpsSeries with affine coefficients.  Factors with a
+    Each term is (scalar, factors): the scalar and every factor coerce to
+    an EpsSeries (from a series, polynomial, linear form or field scalar),
+    and every factor has affine coefficients.  Factors with a
     zero constant part must have the single-power shape eps^w * ell and are
     repaired through constant_shift; remaining factors are normalized to
     gamma * (1 + lhat), the gammas folded into the scalar, and lhat's
@@ -344,12 +332,13 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
     norm_terms = []
     for scalar, factors in terms:
         c = _as_series(scalar, field, T)
-        fs = []
-        for f in factors:
-            s = _as_series(f, field, T)
+        fs = [_as_series(f, field, T) for f in factors]
+        if c is None or None in fs:
+            raise BorderError("a term holds a value that is not a series, polynomial, "
+                              f"linear form or scalar over {field}")
+        for s in fs:
             if any(c_.degree() > 1 for c_ in s.coeffs):
                 raise BorderError(f"factor {s} is not affine")
-            fs.append(s)
         norm_terms.append((c, fs))
 
     def term_product(c, fs):
@@ -428,16 +417,20 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
     return reps
 
 
-def _as_series(value, field: FieldDescriptor, T: int) -> EpsSeries:
-    if isinstance(value, EpsSeries):
-        if value.field != field:
-            raise FieldError("series over the wrong field")
-        return value
-    if isinstance(value, Polynomial):
-        return EpsSeries.from_polynomial(value, T)
+def _as_series(value, field: FieldDescriptor, T: int):
+    """A series, polynomial, linear form or scalar of field as a series mod
+    eps^T (a series keeps its own truncation); None for any other type."""
     if isinstance(value, LinearForm):
-        return EpsSeries.from_polynomial(value.to_polynomial(), T)
-    return EpsSeries.constant(field, value, T)
+        value = value.to_polynomial()
+    if isinstance(value, Polynomial):
+        value = EpsSeries.from_polynomial(value, T)
+    elif not isinstance(value, EpsSeries):
+        if field.scalar_raw(value) is None:
+            return None
+        return EpsSeries.constant(field, value, T)
+    if value.field != field:
+        raise FieldError("mixed fields in series arithmetic")
+    return value
 
 
 def _scalar_part(s: EpsSeries) -> EpsSeries:

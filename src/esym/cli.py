@@ -162,7 +162,7 @@ def _cmd_sym_decompose(args):
     data = json.loads(_read_arg(args.rep))
     rep = symmodel.SymRepresentation.from_json(data)
     dec = symmodel.newton_decompose(rep)
-    exact = dec.assembled() == rep.realized()
+    exact = dec.assembled() == rep.target
     return {
         "command": "sym decompose",
         "decomposition": dec.to_json(),
@@ -299,7 +299,7 @@ def _cmd_border_demo(args):
         "command": "border demo",
         "field": rep.field.spec_string(),
         "target": str(rep.target),
-        "T": args.T if args.T else 2 * 2 + 2,
+        "T": combined.truncation,
         "form_count": len(rep.forms),
         "order": witness.order,
         "principal": str(witness.principal),

@@ -2,8 +2,10 @@
 moves between them.
 
 A SymRepresentation is a list of linear forms together with a degree d and
-the polynomial the construction is meant to realize; the constructor checks
-realized() == target exactly, so an instance is self-certifying.  The moves:
+the polynomial the forms realize.  The constructor expands e_d of the forms
+once, by the generating-function sweep; a target passed in must equal that
+expansion exactly, and with no target the expansion becomes the target, so
+an instance is self-certifying.  The moves:
 
   * append_linear_power: extend a representation of f to one of f + q^d by
     appending the d forms -w_i*q for the roots w_i of z^d + 1.
@@ -17,22 +19,19 @@ realized() == target exactly, so an instance is self-certifying.  The moves:
     exact; the power-sum block carries sign (-1)^p, so it flips for odd p.
   * reducible_to_sym: in characteristic 2, turn a product of a quadratic
     and a linear factor into a degree-3 representation, cancelling the
-    leftover cubes with append_linear_power.
+    leftover cubes with one block of cube-root multiples per gadget form.
 
 All construction is pure; every function returns fresh objects.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .field import (FieldDescriptor, FieldElement, FieldError, host_fields, make_field,
                     roots_of_z_pow_d_plus_one)
 from .poly import LinearForm, Polynomial
-from .symfunc import esp_of_forms, esp_table_of_forms, gen_esp, power_sum_of_forms
-
-_LITERAL_VERIFY_GUARD = 50_000
+from .symfunc import esp_of_forms, esp_table_of_forms, power_sum_of_forms
 
 
 class SymModelError(ValueError):
@@ -44,22 +43,26 @@ class SymRepresentation:
 
     __slots__ = ("field", "degree", "forms", "target")
 
-    def __init__(self, field: FieldDescriptor, degree: int, forms, target: Polynomial):
+    def __init__(self, field: FieldDescriptor, degree: int, forms,
+                 target: Polynomial | None = None):
         if degree < 0:
             raise SymModelError("degree must be nonnegative")
         forms = tuple(forms)
         for f in forms:
             if f.field != field:
                 raise FieldError(f"form over {f.field} in a representation over {field}")
-        if target.field != field:
+        if target is not None and target.field != field:
             raise FieldError(f"target over {target.field} in a representation over {field}")
+        realized = esp_of_forms(forms, degree, field)
+        if target is None:
+            target = realized
+        elif realized != target:
+            raise SymModelError(
+                f"forms do not realize the recorded target (degree {degree}, {len(forms)} forms)")
         self.field = field
         self.degree = degree
         self.forms = forms
         self.target = target
-        if self.realized() != target:
-            raise SymModelError(
-                f"forms do not realize the recorded target (degree {degree}, {len(forms)} forms)")
 
     @classmethod
     def from_forms(cls, forms, degree: int, field: FieldDescriptor | None = None) -> "SymRepresentation":
@@ -68,8 +71,7 @@ class SymRepresentation:
             field = forms[0].field
         elif field is None:
             raise SymModelError("an empty representation needs an explicit field")
-        target = esp_of_forms(forms, degree, field)
-        return cls(field, degree, forms, target)
+        return cls(field, degree, forms)
 
     @property
     def nvars(self) -> int:
@@ -106,18 +108,9 @@ class SymRepresentation:
 
 
 def verify_representation(rep: SymRepresentation, target: Polynomial) -> bool:
-    """Check e_d(forms) == target by direct substitution into gen_esp.
-
-    Falls back to the generating-function sweep when the symbolic e_d would
-    exceed the term guard; both routes expand the same polynomial.
-    """
-    m = len(rep.forms)
-    if 0 < m and rep.degree <= m and math.comb(m, rep.degree) <= _LITERAL_VERIFY_GUARD:
-        realized = gen_esp(m, rep.degree, rep.field).substitute_linear(rep.forms)
-    else:
-        realized = esp_of_forms(rep.forms, rep.degree, rep.field)
-    target = target.map_field(rep.field) if target.field != rep.field else target
-    return realized == target
+    """Check e_d(forms) == target, the target lifted into the representation's
+    field, by one generating-function sweep."""
+    return rep.realized() == target.map_field(rep.field)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +306,12 @@ def reducible_to_sym(g: ReduciblePolynomial) -> SymRepresentation:
     """Degree-3 representation of quadratic*linear over characteristic 2.
 
     Builds e_2 forms for the quadratic factor, appends the linear factor as
-    one more form, and cancels each leftover cube L_i^3 with
-    append_linear_power (the e_1^3 and g_2^3 cubes cancel each other mod 2).
+    one more form, and cancels each leftover cube L_i^3 with the block
+    (-w_1*L_i, -w_2*L_i, -w_3*L_i) for the roots w_j of z^3 + 1 (the e_1^3
+    and g_2^3 cubes cancel each other mod 2).  A block has e_1 = e_2 = 0
+    and e_3 = L_i^3, so e_3 of the whole list is e_3 of the gadget forms
+    and the linear factor plus the sum of the cubes; the one constructor
+    check re-derives it.
     """
     if g.field.characteristic != 2:
         raise SymModelError("reducible_to_sym needs characteristic 2")
@@ -325,12 +322,9 @@ def reducible_to_sym(g: ReduciblePolynomial) -> SymRepresentation:
     lin = g.factor_high if quad is g.factor_low else g.factor_low
 
     base = quadratic_to_sym(quad)
-    host = base.field
-    lin_form = LinearForm.from_polynomial(lin.map_field(host))
-    inner = list(base.forms)
-    combined = SymRepresentation.from_forms(inner + [lin_form], 3)
-    for L in inner:
-        combined = append_linear_power(combined, L.map_field(combined.field))
-    if combined.target != g.product.map_field(combined.field):
-        raise SymModelError("internal: cube cancellation missed the target")
-    return combined
+    roots, host = roots_of_z_pow_d_plus_one(base.field, 3)
+    gadget = [L.map_field(host) for L in base.forms]
+    forms = gadget + [LinearForm.from_polynomial(lin.map_field(host))]
+    for L in gadget:
+        forms.extend(L.scale(-w) for w in roots)
+    return SymRepresentation(host, 3, forms, g.product.map_field(host))

@@ -1,5 +1,8 @@
 """Truncated eps-series and border constructions."""
 
+import time
+from fractions import Fraction
+
 import pytest
 
 from esym import border
@@ -13,7 +16,7 @@ from esym.border import (
     esp_of_series,
     kumar_fanin2,
 )
-from esym.field import make_field
+from esym.field import FieldError, make_field
 from esym.poly import LinearForm, Polynomial, parse_polynomial
 from esym.rng import SplitMix64
 from esym.symfunc import esp_of_forms, esp_table_of_forms
@@ -46,6 +49,38 @@ def test_eps_shift_and_divide():
     t = EpsSeries.from_polynomial(x1, 4)
     with pytest.raises(BorderError):
         t.divide_eps(1)
+
+
+def test_padding_stops_at_the_truncation():
+    # a power of eps at or past T is the zero series; no padding of that
+    # length is built
+    start = time.process_time()
+    assert EpsSeries.eps(GF5, 4, 10**8) == EpsSeries.zero(GF5, 4)
+    assert EpsSeries.constant(GF5, 1, 4).shift(10**8) == EpsSeries.zero(GF5, 4)
+    assert time.process_time() - start < 1.0
+    x1 = parse_polynomial("x1", GF5)
+    assert EpsSeries.from_polynomial(x1, 4, 3).coeff(3) == x1
+    assert EpsSeries.from_polynomial(x1, 4, 4).is_zero
+
+
+def test_operands_coerce_like_depth3_terms():
+    q = make_field("q")
+    one = EpsSeries.constant(q, 1, 3)
+    half = EpsSeries.constant(q, Fraction(1, 2), 3)
+    assert one * Fraction(1, 2) == half == Fraction(1, 2) * one
+    L = LinearForm(q, [1, 2])
+    Lseries = EpsSeries.from_polynomial(L.to_polynomial(), 3)
+    assert one + L == one + Lseries == L + one
+    assert one * L == Lseries
+    assert (one - L).coeff(0) == parse_polynomial("1 - x1 - 2*x2", q)
+    with pytest.raises(TypeError):
+        EpsSeries.constant(GF5, 1, 3) * Fraction(1, 2)  # no Fraction scalars mod 5
+    with pytest.raises(TypeError):
+        one + "1"
+    with pytest.raises(FieldError, match="mixed fields in series arithmetic"):
+        one + EpsSeries.constant(GF5, 1, 3)
+    with pytest.raises(FieldError, match="mixed fields in series arithmetic"):
+        one * LinearForm(GF5, [1])
 
 
 def test_invert_round_trip():
@@ -273,6 +308,13 @@ def test_depth3_rejects_wrong_target():
     terms = [(1, [EpsSeries.constant(GF5, 1, T)])]
     with pytest.raises(BorderError):
         depth3_to_sym(terms, parse_polynomial("x1*x2", GF5), T)
+
+
+def test_depth3_rejects_a_term_of_no_series_type():
+    T = 5
+    with pytest.raises(BorderError, match="not a series, polynomial"):
+        depth3_to_sym([("1", [EpsSeries.constant(GF5, 1, T)])],
+                      parse_polynomial("x1", GF5), T)
 
 
 def test_depth3_rejects_nonaffine_factor():

@@ -153,6 +153,23 @@ def test_deeply_nested_polynomials_are_parsed(capsys):
     assert code == 0 and body["principal_matches_target"] is True
 
 
+def test_sym_verify_and_decompose_a_built_representation(capsys):
+    code, body = run_json(capsys, "sym", "build", "--field", "gf(4)",
+                          "--quadratic", "x1*x2 + x3^2")
+    rep = json.dumps(body["representation"])
+    code, body = run_json(capsys, "sym", "verify", "--rep", rep, "--target", "x1*x2 + x3")
+    assert code == 2 and body["verified"] is False
+    cubic = '{"field": "gf(2)", "degree": 3, "forms": [[1, 0], [0, 1], [1, 1], [1]]}'
+    code, body = run_json(capsys, "sym", "decompose", "--rep", cubic)
+    assert code == 0 and body["reassembly_exact"] is True
+
+
+def test_border_demo_reports_the_series_truncation(capsys):
+    code, body = run_json(capsys, "border", "demo", "--field", "gf(4)",
+                          "--target", "x1*x2", "--T", "9")
+    assert code == 0 and body["T"] == 9
+
+
 def test_sym_verify_degree_above_form_count_is_immediate(capsys):
     rep = '{"field": "gf(2)", "degree": 1000000000, "forms": [["1"]]}'
     code, body = run_json(capsys, "sym", "verify", "--rep", rep)

@@ -6,7 +6,7 @@ import pytest
 
 from esym import symmodel
 from esym.field import embed, make_field
-from esym.poly import LinearForm, parse_polynomial
+from esym.poly import LinearForm, Polynomial, parse_polynomial
 from esym.rng import SplitMix64
 from esym.symfunc import esp_of_forms, gen_esp
 from esym.symmodel import (
@@ -116,11 +116,27 @@ def test_json_tamper_detected():
 
 
 def test_verify_representation_both_routes_agree():
+    # the substitution of the forms into the symbolic e_d is the oracle of
+    # the one generating-function sweep behind from_forms and verify
     rep = quadratic_to_sym(parse_polynomial("x1*x2 + x2*x3 + x3^2", GF4))
-    # literal route
     direct = gen_esp(len(rep.forms), rep.degree, GF4).substitute_linear(rep.forms)
     assert verify_representation(rep, rep.target)
     assert direct == rep.target
+    rng = SplitMix64(909)
+    for spec in ("q", "gf(2)", "gf(3)", "gf(4)"):
+        field = make_field(spec)
+        size = field.order or 5
+        for _ in range(12):
+            m = 1 + rng.below(6)
+            nvars = 1 + rng.below(4)
+            forms = [LinearForm(field, [field.element_at(rng.below(size))
+                                        for _ in range(nvars)]) for _ in range(m)]
+            for d in range(m + 1):
+                rep = SymRepresentation.from_forms(forms, d)
+                assert gen_esp(m, d, field).substitute_linear(forms) == rep.target
+                assert verify_representation(rep, rep.target)
+                off = rep.target + Polynomial.variable(field, 1) ** d
+                assert not verify_representation(rep, off)
 
 
 # -- appending a power of a linear form ----------------------------------------
@@ -204,9 +220,13 @@ def test_newton_tie_keeps_esp_factor_low():
 
 # -- degree-3 product representation over characteristic 2 ----------------------
 
-def test_reducible_to_sym_form_count_and_target():
-    lin = parse_polynomial("x1 + x2", GF2)
-    quad = parse_polynomial("x1*x2 + x3^2", GF2)
+@pytest.mark.parametrize("field,lin_text,quad_text", [
+    (GF2, "x1 + x2", "x1*x2 + x3^2"),
+    (GF4, "t*x1 + x3", "t*x1*x2 + x2^2 + (t+1)*x2*x3"),
+])
+def test_reducible_to_sym_form_count_and_target(field, lin_text, quad_text):
+    lin = parse_polynomial(lin_text, field)
+    quad = parse_polynomial(quad_text, field)
     g = ReduciblePolynomial(lin, quad)
     rep = reducible_to_sym(g)
     # 3M gadget forms, the linear factor, and a cube-root block of 3 per
@@ -214,6 +234,47 @@ def test_reducible_to_sym_form_count_and_target():
     assert len(rep.forms) == 12 * quad.term_count() + 1
     assert rep.target == g.product.map_field(rep.field)
     assert verify_representation(rep, rep.target)
+
+
+def test_reducible_to_sym_rejects_wrong_roots(monkeypatch):
+    # no intermediate check remains: the one constructor re-derives e_3 of
+    # the whole form list, so a wrong root list cannot slip through
+    g = ReduciblePolynomial(parse_polynomial("x1 + x2", GF2),
+                            parse_polynomial("x1*x2 + x3^2", GF2))
+    monkeypatch.setattr(symmodel, "roots_of_z_pow_d_plus_one",
+                        lambda field, d: ([GF4.one] * d, GF4))
+    with pytest.raises(SymModelError):
+        reducible_to_sym(g)
+
+
+def _count_sweeps(monkeypatch):
+    """Degrees of every esp_of_forms call symmodel makes from now on."""
+    degrees = []
+    sweep = symmodel.esp_of_forms
+
+    def counted(forms, d, field=None):
+        degrees.append(d)
+        return sweep(forms, d, field)
+
+    monkeypatch.setattr(symmodel, "esp_of_forms", counted)
+    return degrees
+
+
+def test_each_representation_is_expanded_once(monkeypatch):
+    rep = quadratic_to_sym(parse_polynomial("x1*x2 + x2*x3 + x3^2", GF4))
+    degrees = _count_sweeps(monkeypatch)
+    SymRepresentation.from_forms(rep.forms, 2)
+    assert degrees == [2]
+    degrees.clear()
+    assert verify_representation(rep, rep.target)
+    assert degrees == [2]
+    degrees.clear()
+    quad = parse_polynomial("x1*x2 + x3^2 + x2*x4", GF2)
+    reducible_to_sym(ReduciblePolynomial(parse_polynomial("x1 + x4", GF2), quad))
+    # the degree-2 sweeps build the quadratic's gadgets; the product is
+    # expanded and checked once
+    assert degrees.count(3) == 1
+    assert degrees.count(2) == quad.term_count() + 1
 
 
 def test_reducible_to_sym_requires_char_two_and_degrees():
