@@ -6,6 +6,17 @@ dividing by eps^v lowers T by v.  A series witnesses a border computation
 of f when it reads eps^N * f + eps^(N+1) * (anything): approx_extract
 returns that N and principal part.
 
+A series is one zero-free term dict, as a Polynomial is.  A key is
+(x_key << WIDTH) | i for the term x^m * eps^i: the eps-power i sits in the
+lowest 32-bit field and the packed monomial x_key of poly.py (its total
+degree in field 0) is shifted up one field, so the x-degree of a key k is
+(k >> WIDTH) & _MASK.  Keys still add under multiplication, so a series
+product is one FieldDescriptor.mul_terms call followed by dropping the
+terms with eps-power T or more.  No field carries: eps-powers stay below
+T <= 2^16, so a sum of two is below 2^17, and a product checks, as
+Polynomial.__mul__ does, that its x-degree stays below 2^32.  The dense
+tuple of coefficient polynomials, .coeffs, is derived on read.
+
 kumar_fanin2 realizes e_d of forms with two product terms:
 prod(1 + eps*L_i) - 1, valid when e_1..e_(d-1) of the forms vanish.
 constant_shift realizes the lemma that a factor may be nudged by eps^M
@@ -14,20 +25,30 @@ fan-in-k circuit of affine eps-factors into k symmetric terms: each factor
 is normalized to gamma * (1 + lhat) with gamma a scalar series, and the
 degree-d part in x of each product is exactly e_d of the normalized linear
 parts, so the sum of scalar * e_d(forms) extracts to the same principal.
+
+depth3_to_sym reads only the degree-d part in x of the circuit and of the
+realized symmetric terms, so it multiplies with a degree cut (_mul_upto):
+terms of x-degree above d are dropped from the operands and the product.
+The cut is exact.  x-degrees are nonnegative and add under multiplication,
+so a product term of degree at most d comes from two operand terms of
+degree at most d each; the product's part of degree <= d, and with it the
+degree-d part, depends only on the operands' parts of degree <= d.  Sums
+keep degrees, so a sum of cut products is the cut of the sum.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import islice
 
 from .field import FieldDescriptor, FieldError, esp_sweep
-from .poly import LinearForm, Polynomial
+from .poly import WIDTH, LinearForm, Polynomial, _check_degree, _MASK, _merge, _top
 from .symfunc import esp_table_of_forms
 
 
-# fixed bound on the truncation T: a series holds T coefficients and a
-# product costs O(T^2) polynomial multiplies
+# fixed bound on the truncation T: it keeps eps-powers, and sums of two,
+# inside one key field, and .coeffs builds T polynomials
 MAX_TRUNCATION = 1 << 16
 
 
@@ -35,23 +56,42 @@ class BorderError(ValueError):
     """Raised on truncation, precondition, or normalization failure."""
 
 
+def _check_truncation(truncation: int) -> None:
+    if not 1 <= truncation <= MAX_TRUNCATION:
+        raise BorderError(f"truncation {truncation} is outside 1..{MAX_TRUNCATION}")
+
+
+def _x_degree(terms: dict) -> int:
+    """Highest x-degree among packed series terms; -1 for none."""
+    return max([(k >> WIDTH) & _MASK for k in terms], default=-1)
+
+
 class EpsSeries:
     """Polynomial coefficients by eps-power, exact mod eps^truncation."""
 
-    __slots__ = ("field", "truncation", "coeffs")
+    __slots__ = ("field", "truncation", "_terms")
 
     def __init__(self, field: FieldDescriptor, truncation: int, coeffs=()):
-        if not 1 <= truncation <= MAX_TRUNCATION:
-            raise BorderError(f"truncation {truncation} is outside 1..{MAX_TRUNCATION}")
-        coeffs = list(coeffs)[:truncation]
-        for c in coeffs:
+        _check_truncation(truncation)
+        terms = {}
+        for i, c in enumerate(islice(coeffs, truncation)):
             if not isinstance(c, Polynomial) or c.field != field:
                 raise BorderError(f"coefficient {c!r} is not a polynomial over {field}")
-        while len(coeffs) < truncation:
-            coeffs.append(Polynomial.zero(field))
+            for k, raw in c._terms.items():
+                terms[k << WIDTH | i] = raw
         self.field = field
         self.truncation = truncation
-        self.coeffs = tuple(coeffs)
+        self._terms = terms
+
+    @classmethod
+    def _of(cls, field: FieldDescriptor, truncation: int, terms: dict) -> "EpsSeries":
+        """Wrap, without copying, a zero-free packed term dict whose
+        eps-powers are below the truncation."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.truncation = truncation
+        out._terms = terms
+        return out
 
     # -- constructors ----------------------------------------------------------
 
@@ -61,13 +101,17 @@ class EpsSeries:
 
     @classmethod
     def constant(cls, field: FieldDescriptor, value, truncation: int) -> "EpsSeries":
-        return cls(field, truncation, [Polynomial.constant(field, value)])
+        return cls.from_polynomial(Polynomial.constant(field, value), truncation)
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial, truncation: int,
                         eps_power: int = 0) -> "EpsSeries":
-        coeffs = [Polynomial.zero(poly.field)] * min(eps_power, truncation) + [poly]
-        return cls(poly.field, truncation, coeffs)
+        _check_truncation(truncation)
+        if not isinstance(poly, Polynomial):
+            raise BorderError(f"coefficient {poly!r} is not a polynomial")
+        i = max(eps_power, 0)
+        terms = {k << WIDTH | i: raw for k, raw in poly._terms.items()} if i < truncation else {}
+        return cls._of(poly.field, truncation, terms)
 
     @classmethod
     def eps(cls, field: FieldDescriptor, truncation: int, power: int = 1) -> "EpsSeries":
@@ -77,31 +121,38 @@ class EpsSeries:
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not self._terms
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficient polynomials of eps^0, ..., eps^(T-1)."""
+        parts = self._by_power()
+        zero = Polynomial.zero(self.field)
+        return tuple(parts.get(i, zero) for i in range(self.truncation))
 
     def coeff(self, i: int) -> Polynomial:
-        return self.coeffs[i]
+        if i < 0:
+            i += self.truncation
+        if not 0 <= i < self.truncation:
+            raise IndexError(f"eps-power {i} is outside the truncation {self.truncation}")
+        return _polynomial(self.field, {k >> WIDTH: raw for k, raw in self._terms.items()
+                                        if k & _MASK == i})
 
     def valuation(self):
         """Least eps-power with a nonzero coefficient; None for the zero series."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return i
-        return None
+        return min([k & _MASK for k in self._terms], default=None)
 
     def __eq__(self, other):
         return (isinstance(other, EpsSeries) and self.field == other.field
                 and self.truncation == other.truncation
-                and self.coeffs == other.coeffs)
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.field, self.truncation, self.coeffs))
+        return hash((self.field, self.truncation, frozenset(self._terms.items())))
 
     def __str__(self):
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
+        for i, c in sorted(self._by_power().items()):
             body = f"({c})" if c.term_count() > 1 else str(c)
             power = "" if i == 0 else "e" if i == 1 else f"e^{i}"
             if not power:
@@ -115,6 +166,13 @@ class EpsSeries:
     def __repr__(self):
         return f"<EpsSeries mod e^{self.truncation}: {self}>"
 
+    def _by_power(self) -> dict:
+        """{i: the nonzero coefficient of eps^i}."""
+        parts = {}
+        for k, raw in self._terms.items():
+            parts.setdefault(k & _MASK, {})[k >> WIDTH] = raw
+        return {i: _polynomial(self.field, p) for i, p in parts.items()}
+
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other):
@@ -122,13 +180,16 @@ class EpsSeries:
         if s is None:
             return NotImplemented
         T = min(self.truncation, s.truncation)
-        return EpsSeries(self.field, T,
-                         [a + b for a, b in zip(self.coeffs[:T], s.coeffs[:T])])
+        terms = {k: raw for k, raw in self._terms.items() if k & _MASK < T}
+        _merge(terms, {k: raw for k, raw in s._terms.items() if k & _MASK < T}, self.field)
+        return EpsSeries._of(self.field, T, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EpsSeries(self.field, self.truncation, [-c for c in self.coeffs])
+        neg = self.field.neg_raw
+        return EpsSeries._of(self.field, self.truncation,
+                             {k: neg(raw) for k, raw in self._terms.items()})
 
     def __sub__(self, other):
         s = _as_series(other, self.field, self.truncation)
@@ -136,34 +197,37 @@ class EpsSeries:
             return NotImplemented
         return self + (-s)
 
+    def __rsub__(self, other):
+        s = _as_series(other, self.field, self.truncation)
+        if s is None:
+            return NotImplemented
+        return s + (-self)
+
     def __mul__(self, other):
         s = _as_series(other, self.field, self.truncation)
         if s is None:
             return NotImplemented
-        T = min(self.truncation, s.truncation)
-        zero = Polynomial.zero(self.field)
-        out = [zero] * T
-        for i, a in enumerate(self.coeffs[:T]):
-            if a.is_zero:
-                continue
-            for j in range(T - i):
-                b = s.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return EpsSeries(self.field, T, out)
+        return _mul_upto(self, s)
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "EpsSeries":
-        return EpsSeries(self.field, self.truncation,
-                         [c.scale(scalar) for c in self.coeffs])
+        raw = self.field.scalar_raw(scalar)
+        if raw is None:
+            raise FieldError(f"cannot scale by {scalar!r}")
+        if raw == self.field.zero_raw:
+            return EpsSeries._of(self.field, self.truncation, {})
+        mul = self.field.mul_raw
+        return EpsSeries._of(self.field, self.truncation,
+                             {k: mul(r, raw) for k, r in self._terms.items()})
 
     def shift(self, j: int) -> "EpsSeries":
         """Multiply by eps^j, keeping the truncation."""
         if j < 0:
             raise BorderError("negative shift")
-        pad = [Polynomial.zero(self.field)] * min(j, self.truncation)
-        return EpsSeries(self.field, self.truncation, pad + list(self.coeffs))
+        T = self.truncation
+        return EpsSeries._of(self.field, T, {k + j: raw for k, raw in self._terms.items()
+                                             if (k & _MASK) + j < T})
 
     def divide_eps(self, v: int) -> "EpsSeries":
         """Exact division by eps^v; the truncation drops to T - v."""
@@ -171,31 +235,60 @@ class EpsSeries:
             return self
         if v < 0 or v >= self.truncation:
             raise BorderError(f"cannot divide by e^{v} at truncation {self.truncation}")
-        if any(not c.is_zero for c in self.coeffs[:v]):
+        if any(k & _MASK < v for k in self._terms):
             raise BorderError(f"series is not divisible by e^{v}")
-        return EpsSeries(self.field, self.truncation - v, self.coeffs[v:])
+        return EpsSeries._of(self.field, self.truncation - v,
+                             {k - v: raw for k, raw in self._terms.items()})
 
     def invert(self) -> "EpsSeries":
-        """Inverse of a series whose eps^0 coefficient is a nonzero constant."""
-        lead = self.coeffs[0]
-        if lead.degree() > 0 or lead.is_zero:
+        """Inverse of a series whose eps^0 coefficient is a nonzero constant,
+        by the recurrence out_k = -sum_(1 <= i <= k) a_i * out_(k-i) / a_0
+        over the eps-powers i > 0 that are present."""
+        parts = self._by_power()
+        lead = parts.pop(0, None)
+        if lead is None or lead.degree() > 0:
             raise BorderError("only series with a nonzero constant leading "
                               "coefficient are invertible")
         inv0 = lead.constant_term().inverse()
-        T = self.truncation
+        if not parts:
+            return EpsSeries.constant(self.field, inv0, self.truncation)
+        powers = sorted(parts)
         out = [Polynomial.constant(self.field, inv0)]
-        for k in range(1, T):
+        for k in range(1, self.truncation):
             acc = Polynomial.zero(self.field)
-            for i in range(1, k + 1):
-                if not self.coeffs[i].is_zero:
-                    acc = acc + self.coeffs[i] * out[k - i]
+            for i in powers:
+                if i > k:
+                    break
+                acc = acc + parts[i] * out[k - i]
             out.append(acc.scale(-inv0))
-        return EpsSeries(self.field, T, out)
+        return EpsSeries(self.field, self.truncation, out)
 
     def homogeneous_part(self, d: int) -> "EpsSeries":
         """Keep only the degree-d part in x of every coefficient."""
-        return EpsSeries(self.field, self.truncation,
-                         [c.homogeneous_component(d) for c in self.coeffs])
+        return EpsSeries._of(self.field, self.truncation,
+                             {k: raw for k, raw in self._terms.items()
+                              if (k >> WIDTH) & _MASK == d})
+
+
+def _polynomial(field: FieldDescriptor, terms: dict) -> Polynomial:
+    """A coefficient polynomial from its zero-free packed term dict."""
+    return Polynomial._of(field, terms, _top(max(terms)) if terms else 0)
+
+
+def _mul_upto(a: EpsSeries, b: EpsSeries, d: int = _MASK) -> EpsSeries:
+    """a * b without the terms of x-degree above d: one mul_terms call on the
+    operands' terms of degree <= d and eps-power below T, the smaller
+    truncation.  Exact for the kept degrees (see the module docstring); the
+    default d keeps every degree."""
+    T = min(a.truncation, b.truncation)
+    ta = {k: r for k, r in a._terms.items() if k & _MASK < T and (k >> WIDTH) & _MASK <= d}
+    tb = {k: r for k, r in b._terms.items() if k & _MASK < T and (k >> WIDTH) & _MASK <= d}
+    if not ta or not tb:
+        return EpsSeries._of(a.field, T, {})
+    _check_degree(_x_degree(ta) + _x_degree(tb))
+    prod = a.field.mul_terms(ta, tb)
+    return EpsSeries._of(a.field, T, {k: r for k, r in prod.items()
+                                      if k & _MASK < T and (k >> WIDTH) & _MASK <= d})
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +311,8 @@ def approx_extract(s: EpsSeries) -> BorderWitness:
         return BorderWitness(order=s.truncation,
                              principal=Polynomial.zero(s.field),
                              tail_present=False)
-    tail = any(not c.is_zero for c in s.coeffs[v + 1:])
-    return BorderWitness(order=v, principal=s.coeffs[v], tail_present=tail)
+    tail = any(k & _MASK > v for k in s._terms)
+    return BorderWitness(order=v, principal=s.coeff(v), tail_present=tail)
 
 
 def esp_of_series(forms, d: int, field: FieldDescriptor,
@@ -305,11 +398,13 @@ class EpsSymRepresentation:
     field: FieldDescriptor
 
     def realized(self) -> EpsSeries:
-        T = self.scalar.truncation
-        for f in self.forms:
-            T = min(T, f.truncation)
+        return self._realized_upto(_MASK)
+
+    def _realized_upto(self, d: int) -> EpsSeries:
+        """realized() without its terms of x-degree above d."""
+        T = min([self.scalar.truncation] + [f.truncation for f in self.forms])
         e = esp_of_series(self.forms, self.degree, self.field, T)
-        return self.scalar * e
+        return _mul_upto(self.scalar, e, d)
 
 
 def depth3_to_sym(terms, target: Polynomial, T: int):
@@ -323,7 +418,9 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
     repaired through constant_shift; remaining factors are normalized to
     gamma * (1 + lhat), the gammas folded into the scalar, and lhat's
     linear coefficients become the forms.  The sum of realized terms is
-    checked against the original by H_d extraction.
+    checked against the original by H_d extraction.  Both checks read only
+    the degree-d part in x, so their products are cut at x-degree d, which
+    is exact (see the module docstring).
     """
     if not target.is_homogeneous() or target.is_zero:
         raise BorderError("target must be homogeneous and nonzero")
@@ -337,20 +434,18 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
             raise BorderError("a term holds a value that is not a series, polynomial, "
                               f"linear form or scalar over {field}")
         for s in fs:
-            if any(c_.degree() > 1 for c_ in s.coeffs):
+            if _x_degree(s._terms) > 1:
                 raise BorderError(f"factor {s} is not affine")
         norm_terms.append((c, fs))
 
-    def term_product(c, fs):
-        acc = c
-        for f in fs:
-            acc = acc * f
-        return acc
-
     def total_of(tl):
+        """The sum of the terms' products, cut at x-degree d."""
         acc = EpsSeries.zero(field, T)
         for c, fs in tl:
-            acc = acc + term_product(c, fs)
+            prod = c
+            for f in fs:
+                prod = _mul_upto(prod, f, d)
+            acc = acc + prod
         return acc
 
     w0 = approx_extract(total_of(norm_terms).homogeneous_part(d))
@@ -367,11 +462,11 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
             w = f.valuation()
             if w is None:
                 raise BorderError("a zero factor cannot be normalized")
-            if any(not f.coeffs[j].is_zero for j in range(w + 1, f.truncation)):
+            if any(k & _MASK > w for k in f._terms):
                 raise BorderError(
                     f"factor {f} has no constant part and is not eps^w * linear; "
                     "cannot normalize within a truncated series")
-            ell = LinearForm.from_polynomial(f.coeffs[w])
+            ell = LinearForm.from_polynomial(f.coeff(w))
             others = c
             for j, other in enumerate(fs):
                 if j != fi:
@@ -407,7 +502,7 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
 
     combined = None
     for rep in reps:
-        r = rep.realized()
+        r = rep._realized_upto(d)
         combined = r if combined is None else combined + r
     wr = approx_extract(combined.homogeneous_part(d))
     if wr.order != w0.order or wr.principal != target:
@@ -434,7 +529,6 @@ def _as_series(value, field: FieldDescriptor, T: int):
 
 
 def _scalar_part(s: EpsSeries) -> EpsSeries:
-    """The series of constant terms of each coefficient."""
-    return EpsSeries(s.field, s.truncation,
-                     [Polynomial.constant(s.field, c.constant_term())
-                      for c in s.coeffs])
+    """The series of constant terms of each coefficient: the keys with no x."""
+    return EpsSeries._of(s.field, s.truncation,
+                         {k: raw for k, raw in s._terms.items() if k <= _MASK})

@@ -15,6 +15,7 @@ pure function of the arguments, so golden comparisons strip the timestamp.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -409,9 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built once per process; parsing does not
+    change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, code = args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -25,7 +25,9 @@ gf(2^8;1,0,1,1,1,0,0,0,1).  Extension multiplication runs on discrete
 log/antilog tables built once per descriptor.  Characteristic-2 addition is
 a single xor on the raw index; odd-characteristic addition runs on a Zech
 logarithm table, g^a + g^b = g^(a + Z(b - a)) with g^Z(i) = 1 + g^i, and
-negation is g^a -> g^(a + (q-1)/2).
+negation is g^a -> g^(a + (q-1)/2).  A product of term dicts over GF(2^k)
+stays in the log domain: one read of the doubled antilog table per pair of
+terms, xored into the output term.
 
 Field spec grammar accepted by make_field:
 
@@ -266,7 +268,8 @@ class FieldDescriptor:
         """Product of two term dicts {key: raw} whose keys multiply by
         integer addition (packed monomials); cancelled terms drop.  This
         default runs add_raw and mul_raw per product; PrimeField and
-        RationalField accumulate integers and reduce once per output term."""
+        RationalField accumulate integers and reduce once per output term,
+        and ExtensionField over GF(2^k) adds logs."""
         add, mul, zero = self.add_raw, self.mul_raw, self.zero_raw
         if len(a) > len(b):
             a, b = b, a
@@ -401,7 +404,7 @@ class PrimeField(FieldDescriptor):
 class ExtensionField(FieldDescriptor):
     """GF(p^k) = F_p[t]/(modulus): raw values are base-p digit indices."""
 
-    __slots__ = ("_exp", "_log", "_zech", "_group", "_red_rows")
+    __slots__ = ("_exp", "_exp2", "_log", "_zech", "_group", "_red_rows")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         super().__init__(p, k, modulus)
@@ -489,9 +492,12 @@ class ExtensionField(FieldDescriptor):
         self._exp = exp
         self._log = log
         self._group = group
-        self._zech = None
+        self._zech = self._exp2 = None
         p = self.p
-        if p != 2:
+        if p == 2:
+            # exp read at a sum of two logs, each below q - 1, without a mod
+            self._exp2 = exp + exp
+        else:
             # zech[i] = log(1 + g^i), or -1 where 1 + g^i = 0; adding 1
             # changes only the constant digit, raw % p, of the base-p index
             zech = []
@@ -534,6 +540,26 @@ class ExtensionField(FieldDescriptor):
                 raise ZeroDivisionError("inverse of zero")
             return 1 if n == 0 else 0
         return self._exp[(self._log[a] * n) % self._group]
+
+    def mul_terms(self, a, b):
+        """Over GF(2^k), in the log domain: the logs of one operand are
+        taken once, and each product is one table read xored into its
+        output term.  Odd p uses the default path.  The operands are
+        zero-free, as every term dict is, since zero has no log."""
+        if self.p != 2:
+            return super().mul_terms(a, b)
+        if len(a) > len(b):
+            a, b = b, a
+        log, exp2 = self._log, self._exp2
+        logs = [(kb, log[rb]) for kb, rb in b.items()]
+        out = {}
+        get = out.get
+        for ka, ra in a.items():
+            la = log[ra]
+            for kb, lb in logs:
+                k = ka + kb
+                out[k] = get(k, 0) ^ exp2[la + lb]
+        return {k: r for k, r in out.items() if r}
 
     # -- elements, printing and parsing ----------------------------------------
 

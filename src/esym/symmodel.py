@@ -158,11 +158,15 @@ def quadratic_gadget(u: LinearForm, v: LinearForm) -> SymRepresentation:
         raise FieldError("gadget factors live in mixed fields")
     host, omega = _host_with_omega(u.field)
     uu, vv = u.map_field(host), v.map_field(host)
+    return SymRepresentation(host, 2, _gadget_forms(uu, vv, omega),
+                             uu.to_polynomial() * vv.to_polynomial())
+
+
+def _gadget_forms(u: LinearForm, v: LinearForm, omega: FieldElement) -> tuple:
+    """The gadget's forms for u and v over omega's field; their e_2 is u*v
+    and their e_1 is 0 since 1 + w + w^2 = 0."""
     omega2 = omega * omega
-    forms = (uu.scale(omega) + vv.scale(omega2),
-             uu.scale(omega2) + vv.scale(omega),
-             uu + vv)
-    return SymRepresentation(host, 2, forms, uu.to_polynomial() * vv.to_polynomial())
+    return (u.scale(omega) + v.scale(omega2), u.scale(omega2) + v.scale(omega), u + v)
 
 
 def quadratic_to_sym(f: Polynomial) -> SymRepresentation:
@@ -172,7 +176,7 @@ def quadratic_to_sym(f: Polynomial) -> SymRepresentation:
         raise SymModelError("quadratic_to_sym needs characteristic 2")
     if not f.is_homogeneous(2) and not f.is_zero:
         raise SymModelError("quadratic_to_sym needs a homogeneous quadratic")
-    host, _ = _host_with_omega(f.field)
+    host, omega = _host_with_omega(f.field)
     lifted = f.map_field(host)
     forms: list[LinearForm] = []
     n = lifted.nvars
@@ -184,8 +188,8 @@ def quadratic_to_sym(f: Polynomial) -> SymRepresentation:
             i = j = on[0]
         u = LinearForm(host, [coeff if t == i - 1 else host.zero for t in range(n)])
         v = LinearForm(host, [host.one if t == j - 1 else host.zero for t in range(n)])
-        forms.extend(quadratic_gadget(u, v).forms)
-    return SymRepresentation(host, 2, forms, lifted)
+        forms.extend(_gadget_forms(u, v, omega))
+    return SymRepresentation(host, 2, forms, lifted)   # the one check of all 3M forms
 
 
 # ---------------------------------------------------------------------------

@@ -322,3 +322,281 @@ def test_depth3_rejects_nonaffine_factor():
     sq = EpsSeries.from_polynomial(parse_polynomial("x1*x1", GF5), T)
     with pytest.raises(BorderError):
         depth3_to_sym([(1, [sq])], parse_polynomial("x1^2", GF5), T)
+
+
+# -- the dense-list oracle ---------------------------------------------------------------
+
+class DenseSeries:
+    """The dense-list series arithmetic that the packed term dict replaced:
+    T coefficient polynomials, products by the T^2 loop over them."""
+
+    def __init__(self, field, T, coeffs=()):
+        coeffs = list(coeffs)[:T]
+        self.field, self.T = field, T
+        self.c = coeffs + [Polynomial.zero(field)] * (T - len(coeffs))
+
+    def series(self):
+        return EpsSeries(self.field, self.T, self.c)
+
+    def __add__(self, other):
+        T = min(self.T, other.T)
+        return DenseSeries(self.field, T, [a + b for a, b in zip(self.c[:T], other.c[:T])])
+
+    def __neg__(self):
+        return DenseSeries(self.field, self.T, [-c for c in self.c])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        T = min(self.T, other.T)
+        out = [Polynomial.zero(self.field)] * T
+        for i, a in enumerate(self.c[:T]):
+            for j in range(T - i):
+                out[i + j] = out[i + j] + a * other.c[j]
+        return DenseSeries(self.field, T, out)
+
+    def scale(self, scalar):
+        return DenseSeries(self.field, self.T, [c.scale(scalar) for c in self.c])
+
+    def shift(self, j):
+        pad = [Polynomial.zero(self.field)] * min(j, self.T)
+        return DenseSeries(self.field, self.T, pad + self.c)
+
+    def divide_eps(self, v):
+        if v == 0:
+            return self
+        if v < 0 or v >= self.T or any(not c.is_zero for c in self.c[:v]):
+            raise BorderError("not divisible")
+        return DenseSeries(self.field, self.T - v, self.c[v:])
+
+    def invert(self):
+        lead = self.c[0]
+        if lead.degree() > 0 or lead.is_zero:
+            raise BorderError("not invertible")
+        inv0 = lead.constant_term().inverse()
+        out = [Polynomial.constant(self.field, inv0)]
+        for k in range(1, self.T):
+            acc = Polynomial.zero(self.field)
+            for i in range(1, k + 1):
+                acc = acc + self.c[i] * out[k - i]
+            out.append(acc.scale(-inv0))
+        return DenseSeries(self.field, self.T, out)
+
+    def homogeneous_part(self, d):
+        return DenseSeries(self.field, self.T, [c.homogeneous_component(d) for c in self.c])
+
+    def valuation(self):
+        return next((i for i, c in enumerate(self.c) if not c.is_zero), None)
+
+    def __str__(self):
+        parts = []
+        for i, c in enumerate(self.c):
+            if c.is_zero:
+                continue
+            body = f"({c})" if c.term_count() > 1 else str(c)
+            power = "" if i == 0 else "e" if i == 1 else f"e^{i}"
+            parts.append(body if not power else power if body == "1" else f"{body}*{power}")
+        return " + ".join(parts) if parts else "0"
+
+
+def _element(field, rng):
+    if field.order is None:
+        return Fraction(rng.below(7) - 3, 1 + rng.below(3))
+    return field.element_at(rng.below(field.order))
+
+
+def _dense(field, T, rng, invertible=False):
+    """A seeded dense series: about half its coefficients zero, the others
+    up to three terms in x1..x3 of degree at most 2."""
+    coeffs = []
+    for i in range(T):
+        terms = {}
+        if rng.below(2):
+            for _ in range(1 + rng.below(3)):
+                mono = tuple(rng.below(2) for _ in range(1 + rng.below(3)))
+                terms[mono] = field.coerce_raw(_element(field, rng))
+        coeffs.append(Polynomial(field, terms))
+    if invertible:
+        c = _element(field, rng)
+        coeffs[0] = Polynomial.constant(field, c if c != 0 else 1)
+    return DenseSeries(field, T, coeffs)
+
+
+def _same(dense, series):
+    assert series == dense.series()
+    assert series.truncation == dense.T
+    assert series.coeffs == tuple(dense.c)
+    assert [series.coeff(i) for i in range(dense.T)] == dense.c
+    assert str(series) == str(dense)
+    assert series.valuation() == dense.valuation()
+    assert hash(series) == hash(dense.series())
+
+
+@pytest.mark.parametrize("spec", ["q", "gf(5)", "gf(4)", "gf(9)"])
+def test_packed_series_match_the_dense_oracle(spec):
+    field = make_field(spec)
+    rng = SplitMix64(2027)
+    for T in range(1, 8):
+        for _ in range(6):
+            a = _dense(field, T, rng)
+            b = _dense(field, 1 + rng.below(7), rng)
+            sa, sb = a.series(), b.series()
+            _same(a, sa)
+            _same(a + b, sa + sb)
+            _same(a - b, sa - sb)
+            _same(a * b, sa * sb)
+            _same(-a, -sa)
+            _same(a * a, sa * sa)
+            c = _element(field, rng)
+            _same(a.scale(c), sa.scale(c))
+            for j in range(T + 2):
+                _same(a.shift(j), sa.shift(j))
+                _same(a.shift(j).divide_eps(min(j, T - 1)),
+                      sa.shift(j).divide_eps(min(j, T - 1)))
+            for d in range(4):
+                _same(a.homogeneous_part(d), sa.homogeneous_part(d))
+            for v in range(T + 1):
+                try:
+                    want = a.divide_eps(v)
+                except BorderError:
+                    with pytest.raises(BorderError):
+                        sa.divide_eps(v)
+                else:
+                    _same(want, sa.divide_eps(v))
+            u = _dense(field, T, rng, invertible=True)
+            _same(u.invert(), u.series().invert())
+            _same(u * u.invert(), u.series() * u.series().invert())
+            assert (sa == sb) == (str(a) == str(b) and a.T == b.T)
+
+
+def test_rsub_over_q_and_gf4():
+    q = make_field("q")
+    for field in (q, GF4):
+        s = EpsSeries.from_polynomial(parse_polynomial("x1 + 1", field), 3).shift(1) \
+            + EpsSeries.constant(field, 1, 3)
+        assert 2 - s == -(s - 2)
+        assert field.one - s == -(s - 1)
+        L = LinearForm(field, [1, 1])
+        assert L - s == -(s - L)
+        assert L.to_polynomial() - s == -(s - L)
+        assert s - s == EpsSeries.zero(field, 3)
+    with pytest.raises(TypeError):
+        "1" - EpsSeries.constant(q, 1, 3)
+    with pytest.raises(FieldError, match="mixed fields in series arithmetic"):
+        LinearForm(GF5, [1]) - EpsSeries.constant(q, 1, 3)
+
+
+def test_degree_bound_of_a_series_product():
+    # x-degrees add in the field above the eps-power; a product that would
+    # carry out of it is refused, as Polynomial.__mul__ refuses it
+    half = Polynomial(GF5, {(1 << 31,): 1})
+    s = EpsSeries.from_polynomial(half, 4, 1)
+    with pytest.raises(ValueError, match="exceeds the packed-monomial bound"):
+        s * s
+    with pytest.raises(ValueError, match="exceeds the packed-monomial bound"):
+        half * half
+    rest = Polynomial(GF5, {((1 << 31) - 1,): 2})
+    prod = s * EpsSeries.from_polynomial(rest, 4, 2)
+    assert prod == EpsSeries.from_polynomial(half * rest, 4, 3)
+    assert prod.valuation() == 3 and prod.coeff(3).degree() == (1 << 32) - 1
+    assert str(prod) == f"2*x1^{(1 << 32) - 1}*e^3"
+
+
+# -- the degree cut of depth3_to_sym ------------------------------------------------------
+
+def _uncut(monkeypatch):
+    """Make every series product, the cut ones included, a full product."""
+    full = border._mul_upto
+    monkeypatch.setattr(border, "_mul_upto", lambda a, b, d=None: full(a, b))
+
+
+def _depth3_circuits(field, rng):
+    """Seeded (terms, target, T): fan-in 2 kumar circuits of forms with e_1 = 0,
+    the same with a third term that only reaches past the extracted order,
+    a factor with no constant part (the constant_shift repair), and a wrong
+    target."""
+    def coeff():
+        c = _element(field, rng)
+        return c if c != 0 else 1
+
+    for _ in range(4):
+        n = 2 + rng.below(3)
+        forms = [LinearForm(field, [coeff() for _ in range(n)]) for _ in range(2 + rng.below(3))]
+        last = forms[0]
+        for L in forms[1:]:
+            last = last + L
+        forms.append(-last)
+        target = esp_of_forms(forms, 2)
+        if target.is_zero:
+            continue
+        T = 4 + rng.below(3)
+        one = EpsSeries.constant(field, 1, T)
+        factors = [one + EpsSeries.from_polynomial(L.to_polynomial(), T).shift(1) for L in forms]
+        yield [(1, factors), (-1, [])], target, T
+        extra = [one + EpsSeries.from_polynomial(L.to_polynomial(), T).shift(1)
+                 for L in forms[:2]]
+        yield [(1, factors), (-1, []), (EpsSeries.eps(field, T, 3), extra)], target, T
+        yield [(1, factors), (-1, [])], target + target, T
+    a, b = coeff(), coeff()
+    x1 = EpsSeries.from_polynomial(parse_polynomial("x1", field), 6).scale(a)
+    x2 = EpsSeries.from_polynomial(parse_polynomial("x2", field), 6).scale(b)
+    yield ([(1, [x1.shift(1), EpsSeries.constant(field, 1, 6) + x2.shift(2)])],
+           parse_polynomial("x1*x2", field).scale(field.element(a) * field.element(b)), 6)
+
+
+def _outcome(terms, target, T):
+    try:
+        reps = depth3_to_sym(terms, target, T)
+    except BorderError as exc:
+        return "raises", str(exc)
+    return [(r.scalar, r.forms, r.degree) for r in reps]
+
+
+@pytest.mark.parametrize("spec", ["gf(4)", "gf(5)", "q"])
+def test_depth3_cut_matches_the_uncut_product(spec, monkeypatch):
+    field = make_field(spec)
+    circuits = list(_depth3_circuits(field, SplitMix64(404)))
+    cut = [_outcome(*c) for c in circuits]
+    _uncut(monkeypatch)
+    assert [_outcome(*c) for c in circuits] == cut
+    assert sum(o[0] == "raises" for o in cut) >= 1
+    assert sum(o[0] != "raises" for o in cut) >= 5
+
+
+def _forty_five_forms():
+    """The 5-variable GF(4) quadratic with every term present, as 45 gadget
+    forms lifted to 1 + eps*L."""
+    f = parse_polynomial(" + ".join(f"x{i}*x{j}" for i in range(1, 6)
+                                    for j in range(i, 6)), GF4)
+    rep = quadratic_to_sym(f)
+    T = 6
+    one = EpsSeries.constant(GF4, 1, T)
+    factors = [one + EpsSeries.from_polynomial(L.to_polynomial(), T).shift(1)
+               for L in rep.forms]
+    return [(1, factors), (-1, [])], rep.target, T
+
+
+def _term_products(monkeypatch, call):
+    """Term products that GF(4)'s mul_terms sees during call()."""
+    seen = [0]
+    mul_terms = type(GF4).mul_terms
+
+    def counted(self, a, b):
+        seen[0] += len(a) * len(b)
+        return mul_terms(self, a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(type(GF4), "mul_terms", counted)
+        call()
+    return seen[0]
+
+
+def test_depth3_degree_cut_bounds_the_work(monkeypatch):
+    terms, target, T = _forty_five_forms()
+    assert len(terms[0][1]) == 45
+    cut = _term_products(monkeypatch, lambda: depth3_to_sym(terms, target, T))
+    # 1,350 with the cut at d = 2; the uncut products make 7,576
+    assert cut <= 1350
+    _uncut(monkeypatch)
+    assert _term_products(monkeypatch, lambda: depth3_to_sym(terms, target, T)) > 5 * cut

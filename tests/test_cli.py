@@ -8,11 +8,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from esym.cli import SCHEMA_VERSION, main
+from esym.cli import SCHEMA_VERSION, build_parser, main
 
 GOLDEN_DIR = Path(os.environ.get("ESYM_GOLDEN_DIR",
                                  Path(__file__).parent / "golden"))
@@ -280,3 +282,48 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["polynomial"] == "x1 + x2 + x3"
+
+
+def _fresh(*argv):
+    """Exit code and stdout of a new interpreter running esym."""
+    proc = subprocess.run([sys.executable, "-m", "esym", *argv], capture_output=True,
+                          text=True, env={**os.environ, "COLUMNS": "80"})
+    return proc.returncode, proc.stdout
+
+
+def _in_process(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:   # argparse exits on --help and on bad flags
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def _untimed(out):
+    body = json.loads(out)
+    body.pop("timestamp")
+    return body
+
+
+def test_one_process_runs_commands_back_to_back(capsys, monkeypatch):
+    # main builds its parser once per process; runs that share it print
+    # what fresh processes print
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = [["esp", "--n", "4", "--d", "2", "--field", "gf(3)"],
+                ["sym", "build", "--quadratic", "x1*x2 + x3^2", "--field", "gf(4)"],
+                ["certify", "--p", "2", "--ell", "2"],
+                ["esp", "--n", "3", "--d", "1", "--format", "text"]]
+    for argv in commands + commands[::-1]:
+        code, out = _in_process(capsys, *argv)
+        want_code, want_out = _fresh(*argv)
+        assert code == want_code
+        if "--format" in argv:
+            assert out == want_out
+        else:
+            assert _untimed(out) == _untimed(want_out)
+    assert _in_process(capsys, "esp", "--n", "3")[0] == 2
+    for argv in (["--help"], ["sym", "build", "--help"], ["border", "demo", "--help"]):
+        code, out = _in_process(capsys, *argv)
+        assert (code, out) == _fresh(*argv)
+        assert code == 0 and out.startswith("usage: esym")
+    assert _in_process(capsys, "--help")[1] == build_parser().format_help()

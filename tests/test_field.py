@@ -23,6 +23,7 @@ from esym.field import (
     make_field,
     roots_of_z_pow_d_plus_one,
 )
+from esym.rng import SplitMix64
 
 SMALL_SPECS = ["gf(2)", "gf(3)", "gf(5)", "gf(4)", "gf(8)", "gf(9)", "gf(16)", "gf(25)", "gf(27)"]
 
@@ -324,3 +325,20 @@ def test_element_str_parse_round_trip(spec):
     f = make_field(spec)
     for a in f.elements():
         assert f.element(str(a)) == a
+
+
+@pytest.mark.parametrize("spec", ["gf(4)", "gf(8)", "gf(2^8;1,0,1,1,1,0,0,0,1)", "gf(9)"])
+def test_mul_terms_matches_the_generic_path(spec):
+    # GF(2^k) multiplies term dicts in the log domain; few distinct keys
+    # make outputs collide and cancel
+    F = make_field(spec)
+    rng = SplitMix64(88)
+    for size in (1, 2, 5, 12, 30):
+        for keys in (4, 50):
+            a = {rng.below(keys): 1 + rng.below(F.order - 1) for _ in range(size)}
+            b = {rng.below(keys): 1 + rng.below(F.order - 1) for _ in range(size + 3)}
+            want = FieldDescriptor.mul_terms(F, a, b)
+            assert F.mul_terms(a, b) == want
+            assert F.mul_terms(b, a) == want
+            assert all(want.values())
+    assert F.mul_terms({}, {1: 1}) == {}
