@@ -12,10 +12,12 @@ lowest 32-bit field and the packed monomial x_key of poly.py (its total
 degree in field 0) is shifted up one field, so the x-degree of a key k is
 (k >> WIDTH) & _MASK.  Keys still add under multiplication, so a series
 product is one FieldDescriptor.mul_terms call followed by dropping the
-terms with eps-power T or more.  No field carries: eps-powers stay below
-T <= 2^16, so a sum of two is below 2^17, and a product checks, as
-Polynomial.__mul__ does, that its x-degree stays below 2^32.  The dense
-tuple of coefficient polynomials, .coeffs, is derived on read.
+terms with eps-power T or more, and esp_of_series one fused sweep
+(_esp_terms) that cuts each row the same way.  No field carries:
+eps-powers stay below T <= 2^16, so a sum of two is below 2^17, and a
+product checks, as Polynomial.__mul__ does, that its x-degree stays below
+2^32.  The dense tuple of coefficient polynomials,
+.coeffs, is derived on read.
 
 kumar_fanin2 realizes e_d of forms with two product terms:
 prod(1 + eps*L_i) - 1, valid when e_1..e_(d-1) of the forms vanish.
@@ -38,11 +40,10 @@ keep degrees, so a sum of cut products is the cut of the sum.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import islice
 
-from .field import FieldDescriptor, FieldError, esp_sweep
+from .field import FieldDescriptor, FieldError, _dot_terms, _esp_terms
 from .poly import WIDTH, LinearForm, Polynomial, _check_degree, _MASK, _merge, _top
 from .symfunc import esp_table_of_forms
 
@@ -109,8 +110,10 @@ class EpsSeries:
         _check_truncation(truncation)
         if not isinstance(poly, Polynomial):
             raise BorderError(f"coefficient {poly!r} is not a polynomial")
-        i = max(eps_power, 0)
-        terms = {k << WIDTH | i: raw for k, raw in poly._terms.items()} if i < truncation else {}
+        if eps_power < 0:
+            raise BorderError(f"negative eps-power {eps_power}")
+        terms = ({k << WIDTH | eps_power: raw for k, raw in poly._terms.items()}
+                 if eps_power < truncation else {})
         return cls._of(poly.field, truncation, terms)
 
     @classmethod
@@ -249,19 +252,17 @@ class EpsSeries:
         if lead is None or lead.degree() > 0:
             raise BorderError("only series with a nonzero constant leading "
                               "coefficient are invertible")
-        inv0 = lead.constant_term().inverse()
+        F, T = self.field, self.truncation
+        inv0 = F.inv_raw(lead.constant_term().raw)
         if not parts:
-            return EpsSeries.constant(self.field, inv0, self.truncation)
-        powers = sorted(parts)
-        out = [Polynomial.constant(self.field, inv0)]
-        for k in range(1, self.truncation):
-            acc = Polynomial.zero(self.field)
-            for i in powers:
-                if i > k:
-                    break
-                acc = acc + parts[i] * out[k - i]
-            out.append(acc.scale(-inv0))
-        return EpsSeries(self.field, self.truncation, out)
+            return EpsSeries._of(F, T, {0: inv0})
+        _check_degree((T - 1) * _x_degree(self._terms))
+        minus_inv0, out = F.neg_raw(inv0), [{0: inv0}]
+        for k in range(1, T):   # each out_k is one accumulation
+            acc = _dot_terms(F, [(parts[i]._terms, out[k - i]) for i in parts if i <= k])
+            out.append({key: F.mul_raw(r, minus_inv0) for key, r in acc.items()})
+        return EpsSeries._of(F, T, {key << WIDTH | k: r for k, t in enumerate(out)
+                                    for key, r in t.items()})
 
     def homogeneous_part(self, d: int) -> "EpsSeries":
         """Keep only the degree-d part in x of every coefficient."""
@@ -283,8 +284,6 @@ def _mul_upto(a: EpsSeries, b: EpsSeries, d: int = _MASK) -> EpsSeries:
     T = min(a.truncation, b.truncation)
     ta = {k: r for k, r in a._terms.items() if k & _MASK < T and (k >> WIDTH) & _MASK <= d}
     tb = {k: r for k, r in b._terms.items() if k & _MASK < T and (k >> WIDTH) & _MASK <= d}
-    if not ta or not tb:
-        return EpsSeries._of(a.field, T, {})
     _check_degree(_x_degree(ta) + _x_degree(tb))
     prod = a.field.mul_terms(ta, tb)
     return EpsSeries._of(a.field, T, {k: r for k, r in prod.items()
@@ -317,9 +316,21 @@ def approx_extract(s: EpsSeries) -> BorderWitness:
 
 def esp_of_series(forms, d: int, field: FieldDescriptor,
                   truncation: int) -> EpsSeries:
-    """e_d of eps-series arguments, by the generating-function sweep."""
-    return esp_sweep(forms, d, EpsSeries.zero(field, truncation),
-                     EpsSeries.constant(field, 1, truncation), operator.add, operator.mul)[d]
+    """e_d of eps-series (or values _as_series coerces), by one fused sweep
+    over their terms below T, the least truncation, keeping its own below T."""
+    _check_truncation(truncation)
+    series = [_as_series(f, field, truncation) for f in forms]
+    if None in series:
+        raise BorderError(f"an argument of esp_of_series is not a series over {field}")
+    if not 0 < d <= len(series):   # e_0 = 1, and e_d = 0 past the argument count
+        return EpsSeries.constant(field, 1 if d == 0 else 0, truncation)
+    T = min([truncation] + [s.truncation for s in series])
+    terms = [{k: r for k, r in s._terms.items() if k & _MASK < T} for s in series]
+    _check_degree(sum(sorted([_x_degree(t) for t in terms])[-d:]))
+    # rows are cut below T after each step, unless d eps-powers stay below T
+    top = sum(sorted([max((k & _MASK for k in t), default=0) for t in terms])[-d:])
+    cut = None if top < T else (lambda row: {k: r for k, r in row.items() if k & _MASK < T})
+    return EpsSeries._of(field, T, _esp_terms(field, terms, d, cut)[d])
 
 
 # ---------------------------------------------------------------------------

@@ -228,11 +228,9 @@ def _cmd_v2_witness(args):
 
 
 def _cmd_v2_dim(args):
-    counts = []
-    for k in range(1, args.kmax + 1):
-        spec = f"gf({args.p})" if k == 1 else f"gf({args.p}^{k})"
-        field = make_field(spec)
-        counts.append((k, v2space.count_v2(args.n, args.d, field)))
+    tower = [make_field(f"gf({args.p})" if k == 1 else f"gf({args.p}^{k})")
+             for k in range(1, args.kmax + 1)]
+    counts = list(enumerate(v2space.count_v2_tower(args.n, args.d, tower), 1))
     slope = v2space.dimension_estimate(counts, args.p)
     return {
         "command": "v2 dim",

@@ -25,9 +25,7 @@ gf(2^8;1,0,1,1,1,0,0,0,1).  Extension multiplication runs on discrete
 log/antilog tables built once per descriptor.  Characteristic-2 addition is
 a single xor on the raw index; odd-characteristic addition runs on a Zech
 logarithm table, g^a + g^b = g^(a + Z(b - a)) with g^Z(i) = 1 + g^i, and
-negation is g^a -> g^(a + (q-1)/2).  A product of term dicts over GF(2^k)
-stays in the log domain: one read of the doubled antilog table per pair of
-terms, xored into the output term.
+negation is g^a -> g^(a + (q-1)/2).
 
 Field spec grammar accepted by make_field:
 
@@ -35,8 +33,11 @@ Field spec grammar accepted by make_field:
 
 Extension elements print as polynomials in t, e.g. "t+1".
 
-esp_sweep gives e_0..e_d of a list of values in any commutative ring whose
-operations are passed in: raw field values, polynomials and eps-series.
+Products of term dicts {key: raw}, keys adding, run on one kernel per kind:
+addmul_terms adds into an accumulator in place (GF(p) and Q sum integers,
+Q over a common denominator; GF(2^k) xors antilog reads; odd GF(p^k) runs
+add_raw and mul_raw) and finish_terms reduces each term once.  mul_terms,
+_dot_terms (sums of products) and _esp_terms (e_j, on esp_sweep) use it.
 """
 
 from __future__ import annotations
@@ -262,47 +263,30 @@ class FieldDescriptor:
     def raw_to_str(self, raw) -> str:
         return str(raw)
 
-    # -- sparse products -------------------------------------------------------
+    # -- sparse products: the kernel of the module docstring -----------------
 
-    def mul_terms(self, a: dict, b: dict) -> dict:
-        """Product of two term dicts {key: raw} whose keys multiply by
-        integer addition (packed monomials); cancelled terms drop.  This
-        default runs add_raw and mul_raw per product; PrimeField and
-        RationalField accumulate integers and reduce once per output term,
-        and ExtensionField over GF(2^k) adds logs."""
-        add, mul, zero = self.add_raw, self.mul_raw, self.zero_raw
+    def addmul_terms(self, acc: dict, a: dict, b: dict) -> dict:
+        """acc += a * b in place, returning acc; Q and GF(p) sum integers."""
         if len(a) > len(b):
             a, b = b, a
         items = list(b.items())
-        out = {}
-        get = out.get
+        get = acc.get
         for ka, ra in a.items():
             for kb, rb in items:
                 k = ka + kb
-                out[k] = add(get(k, zero), mul(ra, rb))
-        return {k: r for k, r in out.items() if r != zero}
+                acc[k] = get(k, 0) + ra * rb
+        return acc
 
+    def finish_terms(self, acc: dict, den: int = 1) -> dict:
+        """The zero-free raw term dict of acc / den."""
+        return {k: r for k, r in acc.items() if r}
 
-def _int_products(a: dict, b: dict) -> dict:
-    """Unreduced integer sums of the products of two {key: int} dicts, keys
-    adding; mul_terms of the fields whose raws reduce to integers."""
-    if len(a) > len(b):
-        a, b = b, a
-    items = list(b.items())
-    out = {}
-    get = out.get
-    for ka, ra in a.items():
-        for kb, rb in items:
-            k = ka + kb
-            out[k] = get(k, 0) + ra * rb
-    return out
-
-
-def _over_common_denominator(terms: dict):
-    """({key: integer numerator}, den) with terms[key] = numerator/den, den
-    the lcm of the denominators."""
-    den = math.lcm(*(r.denominator for r in terms.values()))
-    return {k: r.numerator * (den // r.denominator) for k, r in terms.items()}, den
+    def mul_terms(self, a: dict, b: dict) -> dict:
+        """a * b: one addmul_terms into a fresh accumulator, one finish."""
+        den = 1
+        if not self.p:   # Q: integer numerators over one denominator
+            (a, b), den = _lift_common(self, [a, b])
+        return self.finish_terms(self.addmul_terms({}, a, b), den * den)
 
 
 class RationalField(FieldDescriptor):
@@ -340,13 +324,8 @@ class RationalField(FieldDescriptor):
             return Fraction(value)
         return super().coerce_raw(value)
 
-    def mul_terms(self, a, b):
-        """Integer numerators over each operand's common denominator, one
-        Fraction per output term."""
-        na, da = _over_common_denominator(a)
-        nb, db = _over_common_denominator(b)
-        den = da * db
-        return {k: Fraction(v, den) for k, v in _int_products(na, nb).items() if v}
+    def finish_terms(self, acc, den=1):
+        return {k: Fraction(v, den) for k, v in acc.items() if v}
 
     def _raw_from_str(self, s: str) -> Fraction:
         try:
@@ -392,10 +371,9 @@ class PrimeField(FieldDescriptor):
             a, n = self.inv_raw(a), -n
         return pow(a, n, self.p)
 
-    def mul_terms(self, a, b):
-        """Unreduced integer products, one reduction mod p per output term."""
+    def finish_terms(self, acc, den=1):
         p = self.p
-        return {k: r for k, v in _int_products(a, b).items() if (r := v % p)}
+        return {k: r for k, v in acc.items() if (r := v % p)}
 
     def _raw_from_str(self, s: str) -> int:
         return int(s.strip("()")) % self.p
@@ -541,25 +519,29 @@ class ExtensionField(FieldDescriptor):
             return 1 if n == 0 else 0
         return self._exp[(self._log[a] * n) % self._group]
 
-    def mul_terms(self, a, b):
-        """Over GF(2^k), in the log domain: the logs of one operand are
-        taken once, and each product is one table read xored into its
-        output term.  Odd p uses the default path.  The operands are
-        zero-free, as every term dict is, since zero has no log."""
-        if self.p != 2:
-            return super().mul_terms(a, b)
+    def addmul_terms(self, acc, a, b):
+        """Odd p: add_raw and mul_raw per product.  GF(2^k): the logs of one
+        operand once, then one table read xored into each term; zero raws
+        (cancelled accumulator terms) have no log and are skipped."""
         if len(a) > len(b):
             a, b = b, a
+        get = acc.get
+        if self.p != 2:
+            add, mul, items = self.add_raw, self.mul_raw, list(b.items())
+            for ka, ra in a.items():
+                for kb, rb in items:
+                    k = ka + kb
+                    acc[k] = add(get(k, 0), mul(ra, rb))
+            return acc
         log, exp2 = self._log, self._exp2
-        logs = [(kb, log[rb]) for kb, rb in b.items()]
-        out = {}
-        get = out.get
+        logs = [(kb, log[rb]) for kb, rb in b.items() if rb]
         for ka, ra in a.items():
-            la = log[ra]
-            for kb, lb in logs:
-                k = ka + kb
-                out[k] = get(k, 0) ^ exp2[la + lb]
-        return {k: r for k, r in out.items() if r}
+            if ra:
+                la = log[ra]
+                for kb, lb in logs:
+                    k = ka + kb
+                    acc[k] = get(k, 0) ^ exp2[la + lb]
+        return acc
 
     # -- elements, printing and parsing ----------------------------------------
 
@@ -763,12 +745,50 @@ def host_fields(field: FieldDescriptor):
 def esp_sweep(values, dmax: int, zero, one, add, mul) -> list:
     """[e_0, e_1, ..., e_dmax] of the values, by one pass of the truncated
     generating function prod_i (1 + z*v_i) in the ring given by zero, one,
-    add and mul (raw field values, polynomials or eps-series)."""
+    add and mul: raw values, or term dicts for _esp_terms."""
     table = [one] + [zero] * dmax
     for i, v in enumerate(values, 1):
         for j in range(min(i, dmax), 0, -1):
             table[j] = add(table[j], mul(v, table[j - 1]))
     return table
+
+
+def _lift_common(field: FieldDescriptor, dicts: list) -> tuple[list, int]:
+    """Kernel forms of zero-free term dicts, and their denominator D: over
+    Q integer numerators over one D; a finite field's raws, with D = 1."""
+    if field.p:
+        return dicts, 1
+    den = math.lcm(*[r.denominator for t in dicts for r in t.values()])
+    return [{k: r.numerator * (den // r.denominator) for k, r in t.items()} for t in dicts], den
+
+
+def _dot_terms(field: FieldDescriptor, pairs) -> dict:
+    """sum a*b over pairs of zero-free term dicts, as one accumulation."""
+    ops, den = _lift_common(field, [t for pair in pairs for t in pair])
+    acc = {}
+    for a, b in zip(ops[::2], ops[1::2]):
+        field.addmul_terms(acc, a, b)
+    return field.finish_terms(acc, den * den)
+
+
+def _esp_terms(field: FieldDescriptor, values, dmax: int, thin=None) -> list[dict]:
+    """[e_0, ..., e_dmax] of zero-free term dicts (dmax <= len(values)) by
+    esp_sweep, each step one addmul_terms into its row, each row finished
+    once at the end; over Q row j sums e_j * D^j in integers.  thin(row),
+    if given, cuts a row after each step.  Over GF(p) with dmax >= 2p each
+    step also reduces its row, dropping the terms that cancel mod p: timed,
+    that pays there and costs up to 1.6x nearer p = dmax or at large p."""
+    values, den = _lift_common(field, values)
+    addmul, finish = field.addmul_terms, field.finish_terms
+    if field.k == 1 and field.p and 2 * field.p <= dmax:
+        thin = finish if thin is None else (lambda row, cut=thin: cut(finish(row)))
+
+    def step(row, pair):   # rows start as None
+        row = addmul({} if row is None else row, *pair)
+        return row if thin is None else thin(row)
+
+    table = esp_sweep(values, dmax, None, {0: 1}, step, lambda v, prev: (v, prev))
+    return [finish(row, den**j) for j, row in enumerate(table)]
 
 
 # ---------------------------------------------------------------------------

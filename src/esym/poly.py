@@ -5,8 +5,8 @@ monomial is one nonnegative int cut into WIDTH = 32-bit fields: the total
 degree sits in the lowest field (field 0) and the exponent of x_i in field
 i.  So the product of two monomials is one int add, the degree of a term is
 one mask, and a key does not depend on the variable count.  Products of
-term dicts run in each field's FieldDescriptor.mul_terms; GF(p) and Q
-accumulate integers and reduce once per output term.
+term dicts run on the field's kernel (FieldDescriptor.addmul_terms into an
+accumulator, then finish_terms), which reduces once per output term.
 
 The guard: no field may carry into its neighbour.  The constructor checks
 each term, and *, ** and substitute_linear check in O(1) from their
@@ -507,7 +507,7 @@ class LinearForm:
                 and self.to_polynomial() == other.to_polynomial())
 
     def __hash__(self):
-        return hash((self.field, tuple(c.raw for c in self.coefficients)))
+        return hash(self.to_polynomial())   # as __eq__: trailing zeros do not count
 
     def __str__(self):
         return str(self.to_polynomial())

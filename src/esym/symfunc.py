@@ -17,12 +17,11 @@ difference so callers can inspect where an identity fails.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .field import FieldDescriptor, esp_sweep
-from .poly import Polynomial
+from .field import FieldDescriptor, FieldError, _dot_terms, _esp_terms
+from .poly import Polynomial, _check_degree
 
 IDENTITY_KINDS = ("generating_function", "split", "partial_derivative", "euler", "newton")
 
@@ -71,7 +70,8 @@ def esp_of_forms(forms, d: int, field: FieldDescriptor | None = None) -> Polynom
 
 
 def esp_table_of_forms(forms, dmax: int, field: FieldDescriptor | None = None) -> list[Polynomial]:
-    """[e_0, e_1, ..., e_dmax] at the given forms, in one DP sweep.
+    """[e_0, e_1, ..., e_dmax] at the given forms, in one fused DP sweep
+    (_esp_terms) that stops at e_m for m forms; higher e_k vanish.
 
     The field argument is only needed when forms is empty, where e_0 = 1
     and every higher e_k vanishes.
@@ -81,8 +81,13 @@ def esp_table_of_forms(forms, dmax: int, field: FieldDescriptor | None = None) -
         raise ValueError("dmax must be nonnegative")
     field, nvars = _field_and_nvars(forms, field)
     polys = [f.to_polynomial() if hasattr(f, "to_polynomial") else f for f in forms]
-    return esp_sweep(polys, dmax, Polynomial.zero(field, nvars),
-                     Polynomial.constant(field, 1, nvars), operator.add, operator.mul)
+    if any(p.field != field for p in polys):
+        raise FieldError("forms live in mixed fields")
+    top = min(dmax, len(polys))
+    _check_degree(sum(sorted([max(p.degree(), 0) for p in polys], reverse=True)[:top]))
+    rows = _esp_terms(field, [p._terms for p in polys], top)
+    zero = Polynomial.zero(field, nvars)
+    return [Polynomial._of(field, t, nvars) for t in rows] + [zero] * (dmax - top)
 
 
 def _field_and_nvars(forms: list, field: FieldDescriptor | None):
@@ -147,9 +152,8 @@ def verify_identity(kind: str, params: dict, field: FieldDescriptor) -> Identity
         lhs = Polynomial.constant(field, 1, n + 1)
         for i in range(1, n + 1):
             lhs = lhs * (Polynomial.variable(field, i, n + 1) + y)
-        rhs = Polynomial.zero(field, n + 1)
-        for k in range(n + 1):
-            rhs = rhs + y ** (n - k) * esp_on(range(1, n + 1), k, field, n + 1)
+        rhs = _sum_of_products(field, n + 1, [(y ** (n - k), esp_on(range(1, n + 1), k, field))
+                                              for k in range(n + 1)])
 
     elif kind == "split":
         n, m, d = _require(params, "n", "m", "d")
@@ -158,9 +162,8 @@ def verify_identity(kind: str, params: dict, field: FieldDescriptor) -> Identity
         first = range(1, n + 1)
         second = range(n + 1, n + m + 1)
         lhs = gen_esp(n + m, d, field)
-        rhs = Polynomial.zero(field, n + m)
-        for k in range(d + 1):
-            rhs = rhs + esp_on(first, k, field, n + m) * esp_on(second, d - k, field, n + m)
+        rhs = _sum_of_products(field, n + m, [(esp_on(first, k, field),
+                                               esp_on(second, d - k, field)) for k in range(d + 1)])
 
     elif kind == "partial_derivative":
         n, d = _require(params, "n", "d")
@@ -182,9 +185,8 @@ def verify_identity(kind: str, params: dict, field: FieldDescriptor) -> Identity
         if not 1 <= d <= n:
             raise ValueError("euler needs 1 <= d <= n")
         e = gen_esp(n, d, field)
-        lhs = Polynomial.zero(field, n)
-        for i in range(1, n + 1):
-            lhs = lhs + Polynomial.variable(field, i, n) * e.partial_derivative(i)
+        lhs = _sum_of_products(field, n, [(Polynomial.variable(field, i), e.partial_derivative(i))
+                                          for i in range(1, n + 1)])
         rhs = e.scale(d)
 
     else:  # newton
@@ -192,12 +194,14 @@ def verify_identity(kind: str, params: dict, field: FieldDescriptor) -> Identity
         if not 1 <= d <= n:
             raise ValueError("newton needs 1 <= d <= n")
         lhs = gen_esp(n, d, field).scale(d)
-        rhs = Polynomial.zero(field, n)
-        sign = field.one
-        for k in range(1, d + 1):
-            term = gen_power_sum(n, k, field) * gen_esp(n, d - k, field)
-            rhs = rhs + term.scale(sign)
-            sign = -sign
+        rhs = _sum_of_products(field, n, [(gen_power_sum(n, k, field).scale((-1) ** (k + 1)),
+                                           gen_esp(n, d - k, field))
+                                          for k in range(1, d + 1)])
 
     diff = lhs - rhs
     return IdentityReport(kind, dict(params), diff.is_zero, diff)
+
+
+def _sum_of_products(field: FieldDescriptor, nvars: int, pairs) -> Polynomial:
+    """sum a*b over pairs of polynomials of degree at most 16, one accumulation."""
+    return Polynomial._of(field, _dot_terms(field, [(a._terms, b._terms) for a, b in pairs]), nvars)

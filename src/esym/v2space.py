@@ -119,23 +119,22 @@ def _multinomial(mults) -> int:
     return out
 
 
-def _accepted_strata(n: int, d: int, F: FieldDescriptor) -> list:
-    """(values, multiplicities) of every stratum of F^n inside V2(e_d).
-
-    values ascend through the raw element indices 0..q-1.  Raises V2Error
-    before any stratum is tested when their sweeps would take more than
-    SWEEP_CAP multiply-adds.
-    """
+def _check_walk(n: int, d: int, F: FieldDescriptor) -> None:
+    """Raise V2Error unless a strata walk of F^n to degree d is defined and
+    takes at most SWEEP_CAP sweep steps; run before any stratum is tested."""
     if F.order is None:
         raise V2Error("enumeration needs a finite field")
     if not 1 <= d <= n:
         raise V2Error(f"need 1 <= d <= n, got d={d}, n={n}")
-    q = F.order
-    strata = _strata_count(n, d, q, SWEEP_CAP // (n * d))
+    strata = _strata_count(n, d, F.order, SWEEP_CAP // (n * d))
     if strata * n * d > SWEEP_CAP:
         raise V2Error(f"{strata} or more strata of {n} coordinates to degree {d} "
                       f"exceed the fixed bound of {SWEEP_CAP} sweep steps")
 
+
+def _accepted_strata(n: int, d: int, F: FieldDescriptor) -> list:
+    """(ascending values, multiplicities) of the strata of F^n in V2(e_d); after _check_walk."""
+    q = F.order
     add, mul, neg, zero, one = F.add_raw, F.mul_raw, F.neg_raw, F.zero_raw, F.one_raw
     accepted = []
     for r in range(1, min(d - 1, q, n) + 1):
@@ -178,7 +177,14 @@ def _arrangements(a: list):
 def count_v2(n: int, d: int, F: FieldDescriptor) -> int:
     """Number of points of the order-2 zero space of e_d^n over a finite
     field, from the strata alone; no point is built."""
-    return sum(_multinomial(mults) for _, mults in _accepted_strata(n, d, F))
+    return count_v2_tower(n, d, [F])[0]
+
+
+def count_v2_tower(n: int, d: int, fields) -> list[int]:
+    """count_v2 over each field; every field is checked before any is counted."""
+    for F in fields:
+        _check_walk(n, d, F)
+    return [sum(_multinomial(mults) for _, mults in _accepted_strata(n, d, F)) for F in fields]
 
 
 def enumerate_v2(n: int, d: int, F: FieldDescriptor) -> V2PointSet:
@@ -189,6 +195,7 @@ def enumerate_v2(n: int, d: int, F: FieldDescriptor) -> V2PointSet:
     than LIST_CAP coordinates (points times n) is refused before any point
     is built.
     """
+    _check_walk(n, d, F)
     accepted = _accepted_strata(n, d, F)
     total = sum(_multinomial(mults) for _, mults in accepted)
     if total * n > LIST_CAP:

@@ -1,5 +1,6 @@
 """Truncated eps-series and border constructions."""
 
+import operator
 import time
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from esym.border import (
     esp_of_series,
     kumar_fanin2,
 )
-from esym.field import FieldError, make_field
+from esym.field import FieldError, esp_sweep, make_field
 from esym.poly import LinearForm, Polynomial, parse_polynomial
 from esym.rng import SplitMix64
 from esym.symfunc import esp_of_forms, esp_table_of_forms
@@ -470,6 +471,53 @@ def test_packed_series_match_the_dense_oracle(spec):
             assert (sa == sb) == (str(a) == str(b) and a.T == b.T)
 
 
+SWEEP_SPECS = ["q", "gf(3)", "gf(5)", "gf(1009)", "gf(4)", "gf(9)", "gf(2^8;1,0,1,1,1,0,0,0,1)"]
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_fused_series_sweep_matches_the_ring_generic_sweep(spec):
+    # the oracle: the same DP through EpsSeries + and *, which cut every
+    # product at eps^T; forms of mixed truncations, zero forms included;
+    # gf(3) at d >= 6 also reduces each row as it is cut
+    field = make_field(spec)
+    rng = SplitMix64(2029)
+    for T in range(1, 8):
+        for m in (0, 1, 2, 4, 6, 8):
+            forms = [_dense(field, 1 + rng.below(8), rng).series() for _ in range(m)]
+            want = esp_sweep(forms, 8, EpsSeries.zero(field, T),
+                             EpsSeries.constant(field, 1, T), operator.add, operator.mul)
+            for d in range(9):
+                got = esp_of_series(forms, d, field, T)
+                assert got == want[d]
+                assert got.truncation == want[d].truncation
+
+
+def test_esp_of_series_cancels_to_zero():
+    # (1 + eps*x1) and (1 - eps*x1) over Q: e_1 = 2, e_2 = 1 - eps^2*x1^2;
+    # five copies of eps*x1 over GF(5): e_1..e_4 vanish and e_5 = eps^5*x1^5
+    q = make_field("q")
+    x1 = Polynomial.variable(q, 1)
+    one = EpsSeries.constant(q, 1, 4)
+    pair = [one + EpsSeries.from_polynomial(x1, 4, 1), one - EpsSeries.from_polynomial(x1, 4, 1)]
+    assert esp_of_series(pair, 1, q, 4) == EpsSeries.constant(q, 2, 4)
+    assert esp_of_series(pair, 2, q, 4) == one - EpsSeries.from_polynomial(x1 * x1, 4, 2)
+    y = EpsSeries.from_polynomial(Polynomial.variable(GF5, 1), 7, 1)
+    for d in range(1, 5):
+        assert esp_of_series([y] * 5, d, GF5, 7).is_zero
+    assert esp_of_series([y] * 5, 5, GF5, 7) == EpsSeries.from_polynomial(
+        Polynomial.variable(GF5, 1) ** 5, 7, 5)
+    assert esp_of_series([y] * 5, 5, GF5, 5).is_zero    # eps^5 is cut at T = 5
+
+
+def test_negative_eps_powers_are_refused():
+    x1 = Polynomial.variable(GF5, 1)
+    with pytest.raises(BorderError, match="negative eps-power -3"):
+        EpsSeries.from_polynomial(x1, 4, -3)
+    with pytest.raises(BorderError, match="negative eps-power -2"):
+        EpsSeries.eps(GF5, 4, -2)
+    assert str(EpsSeries.eps(GF5, 4, 0)) == "1"
+
+
 def test_rsub_over_q_and_gf4():
     q = make_field("q")
     for field in (q, GF4):
@@ -578,18 +626,35 @@ def _forty_five_forms():
 
 
 def _term_products(monkeypatch, call):
-    """Term products that GF(4)'s mul_terms sees during call()."""
+    """Term products that GF(4)'s kernel makes during call(): every product,
+    mul_terms and the fused e_j sweep alike, passes through addmul_terms,
+    which skips the zero raws an accumulator keeps for cancelled terms."""
     seen = [0]
-    mul_terms = type(GF4).mul_terms
+    addmul_terms = type(GF4).addmul_terms
 
-    def counted(self, a, b):
-        seen[0] += len(a) * len(b)
-        return mul_terms(self, a, b)
+    def counted(self, acc, a, b):
+        seen[0] += sum(map(bool, a.values())) * sum(map(bool, b.values()))
+        return addmul_terms(self, acc, a, b)
 
     with monkeypatch.context() as m:
-        m.setattr(type(GF4), "mul_terms", counted)
+        m.setattr(type(GF4), "addmul_terms", counted)
         call()
     return seen[0]
+
+
+def test_fused_series_sweep_cuts_each_row_below_T(monkeypatch):
+    # dense series fill eps^0..eps^(T-1); rows cut after each step make the
+    # same term products as the ring sweep, whose every product is cut, and
+    # rows left whole to the end would make more
+    rng = SplitMix64(2033)
+    T = 5
+    forms = [_dense(GF4, T, rng, invertible=True).series() for _ in range(6)]
+    for d in (2, 4, 6):
+        fused = _term_products(monkeypatch, lambda: esp_of_series(forms, d, GF4, T))
+        ring = _term_products(monkeypatch, lambda: esp_sweep(
+            forms, d, EpsSeries.zero(GF4, T), EpsSeries.constant(GF4, 1, T),
+            operator.add, operator.mul))
+        assert 0 < fused <= ring
 
 
 def test_depth3_degree_cut_bounds_the_work(monkeypatch):

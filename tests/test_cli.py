@@ -222,6 +222,22 @@ def test_v2_cap_names_what_it_bounds(capsys):
     assert len(err.splitlines()) == 1 and "exceed the fixed bound" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    # gf(2^1..2^6) are within the bound, gf(2^7) is not
+    (["--p", "2", "--n", "30", "--d", "3", "--kmax", "7"],
+     "error: 235840 or more strata of 30 coordinates to degree 3 exceed the fixed "
+     "bound of 16777216 sweep steps\n"),
+    (["--p", "2", "--n", "3", "--d", "2", "--kmax", "8"],
+     "error: no built-in modulus for gf(2^8); supply one as gf(2^8;c0,c1,...)\n"),
+])
+def test_v2_dim_refuses_a_tower_before_counting(capsys, monkeypatch, argv, message):
+    def no_count(*args):
+        raise AssertionError("a field was counted before the whole tower was checked")
+
+    monkeypatch.setattr("esym.v2space._accepted_strata", no_count)
+    assert run(capsys, "v2", "dim", *argv) == (1, "", message)
+
+
 @pytest.mark.parametrize("argv", [
     ["v2", "scan", "--n", "4", "--d", "2", "--cap-points", "5"],
     ["v2", "dim", "--p", "2", "--n", "4", "--d", "2", "--cap-points", "5"],

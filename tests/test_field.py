@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esym.field import (
-    FieldDescriptor,
     FieldElement,
     FieldError,
     QQ,
     _MODULUS_TABLE,
+    _dot_terms,
     _is_prime,
     _uirreducible,
     embed,
@@ -327,18 +327,73 @@ def test_element_str_parse_round_trip(spec):
         assert f.element(str(a)) == a
 
 
-@pytest.mark.parametrize("spec", ["gf(4)", "gf(8)", "gf(2^8;1,0,1,1,1,0,0,0,1)", "gf(9)"])
+# -- the product kernel -------------------------------------------------------
+
+KERNEL_SPECS = ["q", "gf(5)", "gf(1009)", "gf(4)", "gf(8)", "gf(2^8;1,0,1,1,1,0,0,0,1)", "gf(9)"]
+
+
+def oracle_mul_terms(F, a: dict, b: dict) -> dict:
+    """The product of two term dicts by one add_raw and one mul_raw per
+    pair of terms, keys adding; cancelled terms drop."""
+    out = {}
+    for ka, ra in a.items():
+        for kb, rb in b.items():
+            out[ka + kb] = F.add_raw(out.get(ka + kb, F.zero_raw), F.mul_raw(ra, rb))
+    return {k: r for k, r in out.items() if r != F.zero_raw}
+
+
+def random_raw(F, rng) -> object:
+    """A nonzero raw value; over Q a fraction with a small mixed denominator."""
+    if F.order is None:
+        return Fraction(rng.below(19) - 9 or 1, 1 + rng.below(6))
+    return 1 + rng.below(F.order - 1)
+
+
+def random_terms(F, rng, size: int, keys: int) -> dict:
+    return {rng.below(keys): random_raw(F, rng) for _ in range(size)}
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
 def test_mul_terms_matches_the_generic_path(spec):
-    # GF(2^k) multiplies term dicts in the log domain; few distinct keys
-    # make outputs collide and cancel
+    # few distinct keys make outputs collide and cancel
     F = make_field(spec)
     rng = SplitMix64(88)
     for size in (1, 2, 5, 12, 30):
         for keys in (4, 50):
-            a = {rng.below(keys): 1 + rng.below(F.order - 1) for _ in range(size)}
-            b = {rng.below(keys): 1 + rng.below(F.order - 1) for _ in range(size + 3)}
-            want = FieldDescriptor.mul_terms(F, a, b)
+            a = random_terms(F, rng, size, keys)
+            b = random_terms(F, rng, size + 3, keys)
+            want = oracle_mul_terms(F, a, b)
             assert F.mul_terms(a, b) == want
             assert F.mul_terms(b, a) == want
-            assert all(want.values())
-    assert F.mul_terms({}, {1: 1}) == {}
+            assert all(r != F.zero_raw for r in want.values())
+    assert F.mul_terms({}, {1: F.one_raw}) == {}
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_dot_terms_is_the_sum_of_the_products(spec):
+    F = make_field(spec)
+    rng = SplitMix64(89)
+    for count in (0, 1, 2, 7):
+        pairs = [(random_terms(F, rng, 1 + rng.below(6), 6),
+                  random_terms(F, rng, 1 + rng.below(6), 6)) for _ in range(count)]
+        want = {}
+        for a, b in pairs:
+            for k, r in oracle_mul_terms(F, a, b).items():
+                want[k] = F.add_raw(want.get(k, F.zero_raw), r)
+        assert _dot_terms(F, pairs) == {k: r for k, r in want.items() if r != F.zero_raw}
+
+
+@pytest.mark.parametrize("spec", ["gf(4)", "gf(9)", "gf(5)"])
+def test_an_accumulator_keeps_cancelled_terms_until_the_finish(spec):
+    # x + (p-1)x accumulates to a zero raw over GF(p^k); used as an operand,
+    # the zero has no log and must add nothing
+    F = make_field(spec)
+    a, one = {1: F.one_raw}, {0: F.one_raw}
+    acc = {}
+    for _ in range(F.p):
+        F.addmul_terms(acc, a, one)
+    assert F.finish_terms(acc) == {}
+    out = {}
+    F.addmul_terms(out, acc, {0: F.one_raw, 3: F.one_raw})
+    F.addmul_terms(out, a, one)
+    assert F.finish_terms(out) == {1: F.one_raw}

@@ -252,6 +252,16 @@ def test_linear_form_algebra():
     assert a.scale(2).coefficients == (GF5.element(2), GF5.element(4))
 
 
+def test_equal_linear_forms_hash_alike():
+    # trailing zero coefficients change neither equality nor the hash
+    a, b = LinearForm(GF5, [1]), LinearForm(GF5, [1, 0])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert {a: "first"}[b] == "first"
+    assert LinearForm(QQ, [0, 0]) in {LinearForm(QQ, [])}
+    assert len({a, LinearForm(GF5, [1, 1]), LinearForm(GF5, [0, 1])}) == 3
+
+
 def test_linear_form_polynomial_round_trip():
     a = LinearForm(GF5, [1, 0, 3])
     assert LinearForm.from_polynomial(a.to_polynomial()) == a

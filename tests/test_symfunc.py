@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 
-from esym.field import QQ, make_field
-from esym.poly import LinearForm, parse_polynomial
+from esym import symfunc
+from esym.field import QQ, FieldError, esp_sweep, make_field
+from esym.poly import LinearForm, Polynomial, parse_polynomial
+from esym.rng import SplitMix64
 from esym.symfunc import (
     IDENTITY_KINDS,
     esp_of_forms,
@@ -98,6 +101,112 @@ def test_esp_of_forms_above_form_count_is_the_sweeps_zero():
         assert got.is_zero and got == table[d] and got.nvars == table[d].nvars == 3
     assert esp_of_forms([], 10**9, GF4).is_zero
     assert esp_of_forms(forms[:1], 10**9).nvars == 2
+
+
+SWEEP_SPECS = ["q", "gf(3)", "gf(5)", "gf(1009)", "gf(4)", "gf(9)", "gf(2^8;1,0,1,1,1,0,0,0,1)"]
+
+
+def _random_poly(field, rng, nvars: int):
+    """Up to four terms of degree at most 2 in x1..x_nvars (none: the zero
+    form); over Q the coefficients have mixed denominators."""
+    terms = {}
+    for _ in range(rng.below(5)):
+        mono = tuple(rng.below(2) for _ in range(nvars))
+        if field.order is None:
+            terms[mono] = Fraction(rng.below(11) - 5 or 1, 1 + rng.below(6))
+        else:
+            terms[mono] = 1 + rng.below(field.order - 1)
+    return Polynomial(field, terms, nvars)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_fused_sweep_matches_the_ring_generic_sweep(spec):
+    # the oracle: the same DP through Polynomial + and *; gf(3) at
+    # dmax >= 6 takes the per-step reduction of small-p sweeps
+    field = make_field(spec)
+    rng = SplitMix64(2031)
+    for m in (0, 1, 2, 5, 9):
+        forms = [_random_poly(field, rng, 3) for _ in range(m)]
+        for dmax in range(9):
+            want = esp_sweep(forms, dmax, Polynomial.zero(field, 3),
+                             Polynomial.constant(field, 1, 3), operator.add, operator.mul)
+            assert esp_table_of_forms(forms, dmax, field) == want
+
+
+def test_fused_sweep_cancels_to_zero():
+    # p copies of one form over GF(p); L, tL, t^2 L over GF(4) (1 + t + t^2 = 0);
+    # L and -L over Q
+    L = LinearForm(make_field("gf(5)"), [1, 2, 3])
+    table = esp_table_of_forms([L] * 5, 6)
+    assert [e.is_zero for e in table] == [False, True, True, True, True, False, True]
+    assert table[5] == L.to_polynomial() ** 5
+    w = GF4.element("t")
+    M = LinearForm(GF4, [1, w])
+    table = esp_table_of_forms([M, M.scale(w), M.scale(w * w)], 3)
+    assert table[1].is_zero and table[2].is_zero and table[3] == M.to_polynomial() ** 3
+    N = LinearForm(QQ, [Fraction(1, 2), Fraction(2, 3)])
+    table = esp_table_of_forms([N, -N], 2)
+    assert table[1].is_zero and table[2] == -(N.to_polynomial() ** 2)
+    with pytest.raises(FieldError, match="mixed fields"):
+        esp_table_of_forms([L, M], 2)
+
+
+def _old_sides(kind, params, field):
+    """Both sides of an identity as verify_identity formed them before its
+    sums became one accumulation each: one Polynomial + per product."""
+    n = params["n"]
+    if kind == "generating_function":
+        y = Polynomial.variable(field, n + 1)
+        lhs = Polynomial.constant(field, 1, n + 1)
+        for i in range(1, n + 1):
+            lhs = lhs * (Polynomial.variable(field, i, n + 1) + y)
+        rhs = Polynomial.zero(field, n + 1)
+        for k in range(n + 1):
+            rhs = rhs + y ** (n - k) * symfunc.esp_on(range(1, n + 1), k, field, n + 1)
+        return lhs, rhs
+    d = params["d"]
+    if kind == "split":
+        m = params["m"]
+        rhs = Polynomial.zero(field, n + m)
+        for k in range(d + 1):
+            rhs = rhs + (symfunc.esp_on(range(1, n + 1), k, field, n + m)
+                         * symfunc.esp_on(range(n + 1, n + m + 1), d - k, field, n + m))
+        return symfunc.gen_esp(n + m, d, field), rhs
+    e = symfunc.gen_esp(n, d, field)
+    if kind == "euler":
+        lhs = Polynomial.zero(field, n)
+        for i in range(1, n + 1):
+            lhs = lhs + Polynomial.variable(field, i, n) * e.partial_derivative(i)
+        return lhs, e.scale(d)
+    rhs = Polynomial.zero(field, n)
+    sign = field.one
+    for k in range(1, d + 1):
+        rhs = rhs + (symfunc.gen_power_sum(n, k, field) * symfunc.gen_esp(n, d - k, field)).scale(sign)
+        sign = -sign
+    return e.scale(d), rhs
+
+
+@pytest.mark.parametrize("spec", ["q", "gf(5)", "gf(4)", "gf(9)"])
+@pytest.mark.parametrize("kind,params", [
+    ("generating_function", {"n": 4}), ("split", {"n": 2, "m": 3, "d": 3}),
+    ("euler", {"n": 4, "d": 2}), ("newton", {"n": 4, "d": 3})])
+def test_a_perturbed_identity_reports_the_old_discrepancy(monkeypatch, spec, kind, params):
+    # each e_k and p_k gains c * x1^(k+1) (c = 2/3 over Q), which is not
+    # homogeneous of degree k, so no identity holds
+    field = make_field(spec)
+    c = Fraction(2, 3) if field.order is None else field.element_at(field.order - 1)
+    esp, power_sum = symfunc.esp_on, symfunc.gen_power_sum
+
+    def bump(poly, k):
+        return poly + (Polynomial.variable(field, 1) ** (k + 1)).scale(c)
+
+    monkeypatch.setattr(symfunc, "esp_on", lambda idx, k, F, nvars=None: bump(esp(idx, k, F, nvars), k))
+    monkeypatch.setattr(symfunc, "gen_power_sum", lambda n, k, F: bump(power_sum(n, k, F), k))
+    lhs, rhs = _old_sides(kind, params, field)
+    report = verify_identity(kind, params, field)
+    assert not report.holds
+    assert report.discrepancy == lhs - rhs
+    assert str(report.discrepancy) == str(lhs - rhs)
 
 
 def test_power_sum_of_forms():
