@@ -22,12 +22,16 @@ A round builds only h; the next formula is the old one with v replaced by
 the constant beta of Phi_v, so f is never formed.  Each round deletes the
 vertex's subtree, so the number of rounds k obeys k*d'/3 <= size.  The
 residual keeps formal degree < d' and Phi = residual + sum f_i*g_i is
-exact.  Each round picks its vertex in one walk that skips subtrees of
-formal degree below t.
+exact.  Nodes are immutable and a round rebuilds only the path to v, so a
+peel keeps two dicts keyed by the gate itself: its expansion, and its
+deepest-then-leftmost candidate for the fixed window.  A round after the
+first computes both only for the gates of the rebuilt path, then drops the
+old path's gates from both; the multiplier stops once h is 0.
 
 ben_or solves its transposed Vandermonde system in O(n^2) field
-operations through the Lagrange basis, and computes_esp checks a tree of
-its shape without the 2^n expansion.
+operations through the Lagrange basis and builds each leaf label as one
+packed term dict over keys shared by every leaf; computes_esp checks a
+tree of its shape without the 2^n expansion.
 """
 
 from __future__ import annotations
@@ -35,10 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldDescriptor, FieldElement, FieldError
-from .poly import Polynomial, parse_polynomial
+from .field import FieldDescriptor, FieldError
+from .poly import WIDTH, Polynomial, parse_polynomial
 from .rng import SplitMix64
 from .symfunc import gen_esp
+
+
+# ben_or's leaf count n(n+1) may not pass this; at about 500 bytes a leaf
+# it keeps a Ben-Or tree near 2 GB at most, and ben_or(2000) within reach
+MAX_BEN_OR_LEAVES = 1 << 22
 
 
 class FormulaError(ValueError):
@@ -208,8 +217,12 @@ def _checked_nvars(root, field) -> int:
     return nvars
 
 
-def _poly(root) -> Polynomial:
-    """The polynomial the tree computes, each gate combining left with right."""
+def _poly(root, memo=None) -> Polynomial:
+    """The polynomial the tree computes, each gate combining left with right.
+
+    memo, when given, maps gates to their expansions: a gate found there is
+    read, not walked, and every gate expanded here is added to it.
+    """
     values = []
     stack = [(root, False)]
     while stack:
@@ -219,7 +232,12 @@ def _poly(root) -> Polynomial:
         elif ready:
             b = values.pop()
             a = values.pop()
-            values.append(a + b if node.op == "+" else a * b)
+            value = a + b if node.op == "+" else a * b
+            if memo is not None:
+                memo[node] = value
+            values.append(value)
+        elif memo is not None and node in memo:
+            values.append(memo[node])
         else:
             stack += [(node, True), (node.right, False), (node.left, False)]
     return values[0]
@@ -246,40 +264,52 @@ def _render(root) -> str:
 # ---------------------------------------------------------------------------
 # vertex pick and linear split
 
-def find_degree_vertex(phi: Formula, t: int):
+def find_degree_vertex(phi: Formula, t: int, memo=None):
     """Path of a vertex with formal degree in [t, 2t-1].
 
     Requires 1 <= t <= formal_degree/2.  Among qualifying vertices the
     deepest is chosen, ties broken leftmost.
 
-    One preorder walk, left before right, so the first vertex met at the
-    greatest depth is the leftmost there.  Formal degree never rises from
-    a parent to a child, so a subtree whose root is below t holds no
-    candidate and is skipped.  Paths are kept as (step, parent) links and
-    only the winner's is spelled out.
+    Formal degree never rises from a parent to a child, so only subtrees
+    whose root reaches t hold a candidate, and each such subtree holds one:
+    a node below 2t has itself, and a node at 2t or above has a child at t
+    or above.  The pick is filled in bottom-up, each gate taking the deeper
+    of its children's picks, the left on a tie, or itself when neither child
+    reaches t.  A pick is (depth below the gate, path as (step, rest) links)
+    and only the root's is spelled out.  memo, when given, is a dict that
+    keeps each gate's pick under its t across calls, so a tree that shares
+    all but one rebuilt path with an earlier one walks only that path.
     """
     d = phi.formal_degree()
     if t < 1 or 2 * t > d:
         raise FormulaError(f"t = {t} outside [1, {d}/2]")
-    hi = 2 * t - 1
-    best, best_depth = None, -1
-    stack = [(phi.root, 0, None)]
+    picks = {} if memo is None else memo.setdefault(t, {})
+    stack = [(phi.root, False)]
     while stack:
-        node, depth, link = stack.pop()
-        if node.fdeg <= hi and depth > best_depth:
-            best, best_depth = link, depth
-        if isinstance(node, Gate):
-            if node.right.fdeg >= t:
-                stack.append((node.right, depth + 1, (1, link)))
-            if node.left.fdeg >= t:
-                stack.append((node.left, depth + 1, (0, link)))
-    if best_depth < 0:
-        raise FormulaError("no vertex in the degree window; tree malformed")
+        node, ready = stack.pop()
+        left, right = node.left, node.right
+        if not ready:
+            stack.append((node, True))
+            if right.fdeg >= t and isinstance(right, Gate) and right not in picks:
+                stack.append((right, False))
+            if left.fdeg >= t and isinstance(left, Gate) and left not in picks:
+                stack.append((left, False))
+            continue
+        depth, link = 0, None
+        if left.fdeg >= t:
+            below, rest = picks[left] if isinstance(left, Gate) else (0, None)
+            depth, link = below + 1, (0, rest)
+        if right.fdeg >= t:
+            below, rest = picks[right] if isinstance(right, Gate) else (0, None)
+            if below >= depth:
+                depth, link = below + 1, (1, rest)
+        picks[node] = (depth, link)
     path = []
-    while best is not None:
-        step, best = best
+    link = picks[phi.root][1]
+    while link is not None:
+        step, link = link
         path.append(step)
-    return tuple(reversed(path))
+    return tuple(path)
 
 
 def split_linear(phi: Formula, path):
@@ -292,15 +322,18 @@ def split_linear(phi: Formula, path):
     return _multiplier(phi, path), replace_with_constant(phi, path, 0).poly()
 
 
-def _multiplier(phi: Formula, path) -> Polynomial:
+def _multiplier(phi: Formula, path, memo=None) -> Polynomial:
     """h of split_linear: the product of the siblings at the * gates on the
     path, multiplied in from the vertex upward, so the constants that
     earlier peel rounds leave near the vertex meet h while it is small.
-    Siblings at + gates are never expanded."""
+    Siblings at + gates are never expanded, and once h is 0 no further
+    sibling is.  memo is passed on to _poly."""
     h = Polynomial.constant(phi.field, 1)
     for gate, step in reversed(_descend(phi.root, path)[0]):
         if gate.op == "*":
-            h = h * _poly(gate.right if step == 0 else gate.left)
+            h = h * _poly(gate.right if step == 0 else gate.left, memo)
+            if not h:
+                break
     return h
 
 
@@ -368,6 +401,13 @@ def peel_decompose(phi: Formula, d_prime: int) -> PeelDecomposition:
     continue on phi with beta substituted at v, which computes h*beta + f.
     The leftover alpha*g' has degree < d' and is folded into the residual
     at the end.  Each round deletes size(Phi_v) >= t leaves, so k*d'/3 <= s.
+
+    The rounds share two peel-local memos, each gate's expansion (read by
+    _multiplier and for g) and its vertex pick (find_degree_vertex), so a
+    round expands and walks only what replace_with_constant rebuilt.  Both
+    are called through the module.  A gate of the old path is dropped from
+    both memos after its round; if a shared subtree still holds it, the
+    next round computes it again.
     """
     if d_prime < 3:
         raise FormulaError("d_prime must be at least 3")
@@ -375,10 +415,12 @@ def peel_decompose(phi: Formula, d_prime: int) -> PeelDecomposition:
     cur = phi
     pairs = []
     extras = Polynomial.zero(phi.field)
+    expansions, picks = {}, {}
     while cur.formal_degree() >= d_prime:
-        v = find_degree_vertex(cur, t)
-        h = _multiplier(cur, v)
-        g = cur.subtree(v).poly()
+        v = find_degree_vertex(cur, t, picks)
+        h = _multiplier(cur, v, expansions)
+        steps, node = _descend(cur.root, v)
+        g = _poly(node, expansions)
         alpha = h.constant_term()
         beta = g.constant_term()
         h0 = h - alpha
@@ -388,6 +430,11 @@ def peel_decompose(phi: Formula, d_prime: int) -> PeelDecomposition:
         if not alpha.is_zero and g0:
             extras = extras + g0.scale(alpha)
         cur = replace_with_constant(cur, v, beta)
+        # the old path is out of the new tree, unless a shared subtree
+        # still holds it; then dropping it costs a recompute, not a wrong pick
+        for gate, _ in steps + [(node, 0)]:
+            expansions.pop(gate, None)
+            picks[t].pop(gate, None)
     residual = cur if extras.is_zero else Formula.combine(
         "+", cur, _poly_to_formula(extras))
     return PeelDecomposition(source=phi, residual=residual, pairs=pairs, d_prime=d_prime)
@@ -424,26 +471,29 @@ def ben_or(n: int, d: int, F: FieldDescriptor) -> Formula:
 
     Expands sum_j c_j * prod_i (x_i + a_j) over the first n+1 canonical
     field elements a_j, with c solving the Vandermonde system that picks
-    out e_d from prod_i (y + x_i).  Size is at most (n+1)*n.
+    out e_d from prod_i (y + x_i).  Size is at most (n+1)*n, and n(n+1)
+    may not pass MAX_BEN_OR_LEAVES, checked before any work.
     """
     if not 0 <= d <= n:
         raise FormulaError(f"need 0 <= d <= n, got d={d}, n={n}")
+    if n * (n + 1) > MAX_BEN_OR_LEAVES:
+        raise FormulaError(f"{n * (n + 1)} leaves for n = {n} exceed the fixed bound "
+                           f"of {MAX_BEN_OR_LEAVES} Ben-Or leaves")
     if F.order is not None and F.order < n + 1:
         raise FormulaError(
             f"field of size {F.order} is too small for {n + 1} interpolation nodes")
-    alphas = [F.element_at(j) for j in range(n + 1)]
-    coeffs = _interpolation_weights([a.raw for a in alphas], n - d, F)
+    alphas = [F.element_at(j).raw for j in range(n + 1)]
+    coeffs = _interpolation_weights(alphas, n - d, F)
 
-    xs = [Polynomial.variable(F, i) for i in range(1, n + 1)]
+    keys = _variable_keys(n)
     acc = None
-    for j, c in enumerate(coeffs):
+    for c, a in zip(coeffs, alphas):
         if c == F.zero_raw:
             continue
-        cj = FieldElement(F, c)
         if n == 0:
-            term = Leaf(Polynomial.constant(F, cj))
+            term = Leaf(Polynomial._of(F, {0: c}, 0))
         else:
-            labels = _factor_labels(xs, cj, alphas[j])
+            labels = _factor_labels(keys, c, a, F)
             term = Leaf(labels[0])
             for label in labels[1:]:
                 term = Gate("*", term, Leaf(label))
@@ -516,7 +566,7 @@ def _interpolation_terms(phi: Formula, n: int):
     if n < 1:
         return None
     F = phi.field
-    xs = [Polynomial.variable(F, i) for i in range(1, n + 1)]
+    keys = None
     terms = []
     for summand in _operands(phi.root, "+"):
         factors = _operands(summand, "*")
@@ -527,16 +577,31 @@ def _interpolation_terms(phi: Formula, n: int):
         if c.is_zero:
             return None
         a = first.constant_term() / c
-        if [leaf.label for leaf in factors] != _factor_labels(xs, c, a):
+        keys = keys or _variable_keys(n)    # once a summand has shown n factors
+        if [leaf.label for leaf in factors] != _factor_labels(keys, c.raw, a.raw, F):
             return None
         terms.append((c.raw, a.raw))
     return terms
 
 
-def _factor_labels(xs, c: FieldElement, a: FieldElement):
-    """Leaf labels of one ben_or summand: c*(x_1 + a), x_2 + a, ..., x_n + a."""
-    shift = Polynomial.constant(c.field, a)
-    return [(xs[0] + shift).scale(c)] + [x + shift for x in xs[1:]]
+def _variable_keys(n: int) -> list:
+    """The packed keys of x_1, ..., x_n, shared by every leaf label built
+    from them."""
+    return [1 << (WIDTH * i) | 1 for i in range(1, n + 1)]
+
+
+def _factor_labels(keys, c, a, F: FieldDescriptor):
+    """Leaf labels of one ben_or summand, c*(x_1 + a), x_2 + a, ..., x_n + a,
+    for raw c != 0 and a, each one packed term dict over the shared keys."""
+    one = F.one_raw
+    if a == F.zero_raw:
+        first = {keys[0]: c}
+        rest = [{key: one} for key in keys[1:]]
+    else:
+        first = {keys[0]: c, 0: F.mul_raw(c, a)}
+        rest = [{key: one, 0: a} for key in keys[1:]]
+    return [Polynomial._of(F, first, 1)] + [
+        Polynomial._of(F, terms, i) for i, terms in enumerate(rest, 2)]
 
 
 def _operands(node, op: str) -> list:

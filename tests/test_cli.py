@@ -222,6 +222,17 @@ def test_v2_cap_names_what_it_bounds(capsys):
     assert len(err.splitlines()) == 1 and "exceed the fixed bound" in err
 
 
+def test_ben_or_leaf_bound_is_one_error_line(capsys):
+    # n(n+1) leaves are bounded before any is built, over any large field
+    code, out, err = run(capsys, "formula", "ben-or", "--n", "70000", "--d", "3",
+                         "--field", "gf(2147483647)")
+    assert (code, out, err) == (1, "", "error: 4900070000 leaves for n = 70000 exceed "
+                                "the fixed bound of 4194304 Ben-Or leaves\n")
+    code, out, err = run(capsys, "formula", "ben-or", "--n", "2048", "--d", "3",
+                         "--field", "q")
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv,message", [
     # gf(2^1..2^6) are within the bound, gf(2^7) is not
     (["--p", "2", "--n", "30", "--d", "3", "--kmax", "7"],

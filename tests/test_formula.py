@@ -1,6 +1,9 @@
 """Formula trees: parsing, degree vertices, peeling, Ben-Or interpolation."""
 
+import hashlib
+import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,6 +33,7 @@ from esym.rng import SplitMix64
 from esym.symfunc import gen_esp
 
 GF5 = make_field("gf(5)")
+GF7 = make_field("gf(7)")
 GF11 = make_field("gf(11)")
 GF16 = make_field("gf(16)")
 GF1009 = make_field("gf(1009)")
@@ -173,7 +177,7 @@ def test_multiplier_expands_only_product_siblings(monkeypatch):
     real = formula_mod._poly
     expanded = []
     monkeypatch.setattr(formula_mod, "_poly",
-                        lambda node: expanded.append(node) or real(node))
+                        lambda node, memo=None: expanded.append(node) or real(node, memo))
     for path, _ in phi.paths():
         expanded.clear()
         formula_mod._multiplier(phi, path)
@@ -183,6 +187,24 @@ def test_multiplier_expands_only_product_siblings(monkeypatch):
             if gate.op == "*":
                 siblings.append(gate.right if step == 0 else gate.left)
         assert expanded == siblings[::-1]
+
+
+def test_multiplier_stops_once_h_is_zero(monkeypatch):
+    phi = f("(x1 * 0) * (x2 + 1) * (x3 + 1) * (x1 + x2)")
+    path = find_degree_vertex(phi, 1)
+    assert path == (0, 0, 0, 0)
+    real_poly, real_mul = formula_mod._poly, Polynomial.__mul__
+    expanded, products = [], []
+    monkeypatch.setattr(formula_mod, "_poly",
+                        lambda node, memo=None: expanded.append(node) or real_poly(node, memo))
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda a, b: products.append(b) or real_mul(a, b))
+    h = formula_mod._multiplier(phi, path, {})
+    assert not h
+    assert expanded == [phi.node_at((0, 0, 0, 1))]     # the 0; nothing above it
+    assert len(products) == 1
+    monkeypatch.undo()
+    assert peel_bullets_hold(phi, 3).k == 0
 
 
 def test_peel_forms_no_rest(monkeypatch):
@@ -252,6 +274,31 @@ def test_ben_or_needs_enough_field_elements():
         ben_or(5, 2, GF5)  # needs n+1 = 6 distinct interpolation nodes
 
 
+@pytest.mark.parametrize("n", [2000, 2047])
+def test_ben_or_within_the_leaf_bound_goes_on_to_solve(monkeypatch, n):
+    def solve(*args):
+        raise LookupError("solving")
+
+    monkeypatch.setattr(formula_mod, "_interpolation_weights", solve)
+    with pytest.raises(LookupError):
+        ben_or(n, 3, QQ)
+
+
+@pytest.mark.parametrize("n, spec", [(2048, "q"), (70000, "gf(2147483647)")])
+def test_ben_or_refuses_past_the_leaf_bound_before_any_work(monkeypatch, n, spec):
+    def forbidden(*args):
+        raise AssertionError("ben_or worked before checking its leaf bound")
+
+    monkeypatch.setattr(formula_mod, "_interpolation_weights", forbidden)
+    field = make_field(spec)
+    monkeypatch.setattr(type(field), "element_at", forbidden)
+    assert n * (n + 1) > formula_mod.MAX_BEN_OR_LEAVES == 1 << 22
+    message = (f"{n * (n + 1)} leaves for n = {n} exceed the fixed bound of "
+               f"4194304 Ben-Or leaves")
+    with pytest.raises(FormulaError, match=f"^{message}$"):
+        ben_or(n, 3, field)
+
+
 def test_ben_or_over_rationals():
     assert ben_or(4, 2, QQ).poly() == gen_esp(4, 2, QQ)
 
@@ -283,7 +330,7 @@ def test_random_formula_is_deterministic():
                       "(((2*x2 + 3) * (x1 + 4)) * 2)) + (2*x1 + 1)))")
 
 
-# -- oracles for the cached metadata and the one-walk vertex pick --------------
+# -- oracles for the cached metadata and the bottom-up vertex pick ------------
 
 def ref_fdeg(node):
     if isinstance(node, Leaf):
@@ -486,3 +533,161 @@ def test_deep_trees_need_no_recursion(recursion_limit):
         assert (big.formal_degree(), big.size) == (150, 151 * 150)
         assert str(big).count("x150") == 151
         assert computes_esp(big, 150, 3)
+
+
+# -- memoized peel rounds: the preorder walk as the oracle ---------------------
+
+def preorder_degree_vertex(phi, t):
+    """The pick as one preorder walk, left before right, so the first vertex
+    met at the greatest depth is the leftmost there; a subtree whose root is
+    below t holds no candidate and is skipped."""
+    hi = 2 * t - 1
+    best, best_depth = None, -1
+    stack = [(phi.root, ())]
+    while stack:
+        node, path = stack.pop()
+        if node.fdeg <= hi and len(path) > best_depth:
+            best, best_depth = path, len(path)
+        if isinstance(node, Gate):
+            if node.right.fdeg >= t:
+                stack.append((node.right, path + (1,)))
+            if node.left.fdeg >= t:
+                stack.append((node.left, path + (0,)))
+    return best
+
+
+def checked_picks(monkeypatch):
+    """Route peel_decompose's vertex picks through the oracle; returns the
+    list of picks made, one per round."""
+    real = formula_mod.find_degree_vertex
+    made = []
+
+    def checked(phi, t, memo=None):
+        path = real(phi, t, memo)
+        assert path == preorder_degree_vertex(phi, t)
+        made.append(path)
+        return path
+
+    monkeypatch.setattr(formula_mod, "find_degree_vertex", checked)
+    return made
+
+
+def oracle_trees(spec, count):
+    """Seeded trees over gf(5), gf(7), or over q with gf(7)'s shapes and
+    coefficients."""
+    rng = SplitMix64(5150)
+    for i in range(count):
+        phi = random_formula(rng, GF5 if spec == "gf(5)" else GF7,
+                             max_size=6 + i % 34, nvars=1 + i % 5)
+        yield _copy(phi.root, QQ) if spec == "q" else phi
+
+
+def _copy(root, field=None):
+    """The tree rebuilt with fresh gates, so it shares no gate with root;
+    over field, each leaf label is read again from its text."""
+    built, stack = [], [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Leaf):
+            built.append(node if field is None else Leaf(parse_polynomial(str(node.label), field)))
+        elif ready:
+            right = built.pop()
+            built.append(Gate(node.op, built.pop(), right))
+        else:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+    return Formula(built[0], field or root.field)
+
+
+@pytest.mark.parametrize("spec", ["gf(5)", "gf(7)", "q"])
+def test_every_memoized_pick_matches_the_preorder_walk(monkeypatch, spec):
+    made = checked_picks(monkeypatch)
+    for phi in oracle_trees(spec, 80):
+        for d_prime in range(3, 7):
+            assert peel_decompose(phi, d_prime).identity_holds()
+    assert len(made) > 300
+    assert len(set(made)) > 20
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_shared_subtrees_peel_as_their_unshared_copies(monkeypatch, op):
+    made = checked_picks(monkeypatch)
+    rounds = 0
+    for phi in oracle_trees("gf(5)", 24):
+        shared = Formula(Gate(op, phi.root, phi.root), GF5)
+        for d_prime in range(3, 7):
+            before = len(made)
+            dec = peel_decompose(shared, d_prime)
+            rounds += len(made) - before
+            assert dec.to_json() == peel_decompose(_copy(shared.root), d_prime).to_json()
+    assert rounds > 200
+    # right-hand picks run into gates that left-hand rounds evicted
+    assert sum(path[0] == 1 for path in made) > 50
+
+
+def test_a_pick_memo_reused_with_another_t_gives_no_stale_path():
+    phi = f("(x1 * x2 * x3) * (x1 + x2)")
+    memo = {}
+    # the root's pick for t = 1 is x1, of formal degree 1, outside [2, 3]
+    assert find_degree_vertex(phi, 1, memo) == (0, 0, 0)
+    assert find_degree_vertex(phi, 2, memo) == (0, 0)
+    assert find_degree_vertex(phi, 1, memo) == (0, 0, 0)
+    rng = SplitMix64(808)
+    checked = 0
+    for i in range(80):
+        phi = random_formula(rng, GF5, max_size=8 + i % 30, nvars=3)
+        memo = {}
+        ts = list(range(1, phi.formal_degree() // 2 + 1))
+        for t in ts + ts[::-1]:
+            assert find_degree_vertex(phi, t, memo) == preorder_degree_vertex(phi, t)
+            checked += 1
+    assert checked > 200
+
+
+# -- output identity: digests of the outputs before the peel memos -------------
+
+PEEL_DIGEST = "d7df79760ed32b2ad8f92a5055e43fa751a077c9bb68ec2b8b51d8ee31d5ca14"
+BEN_OR_DIGEST = "cd8f633676efccf6792b10dc5dac1a1c506f4202d0cfd683eb63be7099227a7e"
+
+
+def test_peel_outputs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    rng = SplitMix64(2718)
+    for i in range(200):
+        phi = random_formula(rng, GF5, max_size=6 + i % 30, nvars=1 + i % 5)
+        for d_prime in range(3, 7):
+            text = json.dumps(peel_decompose(phi, d_prime).to_json(), sort_keys=True)
+            digest.update(text.encode())
+    assert digest.hexdigest() == PEEL_DIGEST
+
+
+def test_ben_or_outputs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for n in range(13):
+        for d in range(n + 1):
+            digest.update(str(ben_or(n, d, GF1009)).encode())
+    assert digest.hexdigest() == BEN_OR_DIGEST
+
+
+# -- work bound: a round multiplies along the rebuilt path only ----------------
+
+def test_peel_multiplies_a_bounded_number_of_times_per_round(monkeypatch):
+    chain = parse_formula("*".join(["(x1+x2)"] * 300), GF5)
+    counts = Counter()
+    real_mul, real_find = Polynomial.__mul__, formula_mod.find_degree_vertex
+
+    def counted_mul(a, b):
+        counts["multiplies"] += 1
+        return real_mul(a, b)
+
+    def counted_find(*args):
+        counts["rounds"] += 1
+        return real_find(*args)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(formula_mod, "find_degree_vertex", counted_find)
+    dec = peel_decompose(chain, 3)
+    monkeypatch.undo()
+    # the re-expanding peel made 178,204 multiplies here, about depth per round
+    assert counts["rounds"] == 596
+    assert counts["multiplies"] <= 3 * counts["rounds"]
+    assert dec.identity_holds()
