@@ -228,6 +228,8 @@ def _cmd_v2_witness(args):
 
 
 def _cmd_v2_dim(args):
+    if args.kmax < 2:
+        raise v2space.V2Error(f"--kmax must be at least 2 for a slope, got {args.kmax}")
     tower = [make_field(f"gf({args.p})" if k == 1 else f"gf({args.p}^{k})")
              for k in range(1, args.kmax + 1)]
     counts = list(enumerate(v2space.count_v2_tower(args.n, args.d, tower), 1))

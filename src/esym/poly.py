@@ -377,11 +377,7 @@ class Polynomial:
         pts = list(point)
         if len(pts) < self.nvars:
             raise ValueError(f"need {self.nvars} coordinates, got {len(pts)}")
-        target = pts[0].field if pts else self.field
-        for c in pts:
-            if c.field != target:
-                raise FieldError("point coordinates live in mixed fields")
-        raws = [c.raw for c in pts]
+        target, raws = _point_raws(self.field, pts)
         add, mul, power = target.add_raw, target.mul_raw, target.pow_raw
         n = self.nvars                     # every key reads as n exponents
         unpack, size = _words(n).unpack, 4 * n + 4
@@ -435,6 +431,16 @@ def _merge(terms: dict, other: dict, field: FieldDescriptor) -> None:
             terms.pop(k, None)
         else:
             terms[k] = acc
+
+
+def _point_raws(field: FieldDescriptor, pts: list) -> tuple[FieldDescriptor, list]:
+    """The field a point's coordinates live in (field for the empty point)
+    and their raws; FieldError when they live in mixed fields."""
+    target = pts[0].field if pts else field
+    for c in pts:
+        if c.field != target:
+            raise FieldError("point coordinates live in mixed fields")
+    return target, [c.raw for c in pts]
 
 
 def _lift_raw(src: FieldDescriptor, raw, target: FieldDescriptor):

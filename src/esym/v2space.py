@@ -20,9 +20,10 @@ e_0..e_d of its n coordinates, and when e_d vanishes, one Horner pass in -v
 checks P(v) = 0 for each distinct value v.  That is O(n*d) ring operations
 for each of the sum_r C(q, r) C(n-1, r-1) strata, in place of each of the
 q^n points.  count_v2 adds up the weights of the accepted strata;
-enumerate_v2 expands them into points.  is_order2_zero keeps the
-formal-derivative route for arbitrary polynomials; tests cross-check the
-two, and the strata against a scan of every point.
+enumerate_v2 expands them into points.  is_order2_zero runs the same test
+on a point when its polynomial is e_d (told from the packed keys by integer
+tests alone), and evaluates formal partial derivatives of any other; tests
+cross-check the two routes, and the strata against a scan of every point.
 
 Conversely, highly repetitive points get in via binomial coefficients
 vanishing mod p; witness_family picks the smallest variable count where a
@@ -38,7 +39,7 @@ from itertools import combinations, product
 from math import comb
 
 from .field import FieldDescriptor, FieldElement, _is_prime, esp_sweep, lucas_binomial
-from .poly import Polynomial
+from .poly import _MASK, WIDTH, Polynomial, _lift_raw, _point_raws
 from .rng import SplitMix64
 
 SWEEP_CAP = 2**24  # fixed bound on strata * n * d, the sweep steps of a strata walk
@@ -51,15 +52,58 @@ class V2Error(ValueError):
 
 
 def is_order2_zero(f: Polynomial, point) -> bool:
-    """True iff f and all nvars first partials vanish at the point, exactly."""
+    """True iff f and all nvars first partials vanish at the point, exactly.
+
+    When f is e_d in its nvars variables, the point gets the strata walk's
+    O(n*d) test: one e_j sweep, then one Horner pass of P at each distinct
+    coordinate.  Any other f is evaluated with its formal partials."""
     pt = tuple(f.field.element(c) if not isinstance(c, FieldElement) else c
                for c in point)
     if len(pt) != f.nvars:
         raise V2Error(f"point has {len(pt)} coordinates, f has {f.nvars} variables")
-    if not f.evaluate(pt).is_zero:
-        return False
-    return all(f.partial_derivative(i).evaluate(pt).is_zero
-               for i in range(1, f.nvars + 1))
+    d = _esp_degree(f)
+    if d is None:
+        if not f.evaluate(pt).is_zero:
+            return False
+        return all(f.partial_derivative(i).evaluate(pt).is_zero
+                   for i in range(1, f.nvars + 1))
+    F, raws = _point_raws(f.field, pt)
+    _lift_raw(f.field, f.field.one_raw, F)  # as evaluate does: F must host f's coefficients
+    return _order2_test(F, d)(raws, set(raws))
+
+
+def _esp_degree(f: Polynomial):
+    """d when f is exactly e_d in its nvars variables, else None: C(nvars, d)
+    terms, each with coefficient 1, degree d and d exponent bits (so every
+    exponent is 0 or 1), are every d-subset of the variables, once."""
+    terms, one = f._terms, f.field.one_raw
+    d = next(iter(terms), 0) & _MASK
+    if not terms or len(terms) != comb(f.nvars, d):
+        return None
+    for k, raw in terms.items():
+        if raw != one or k & _MASK != d or (k >> WIDTH).bit_count() != d:
+            return None
+    return d
+
+
+def _order2_test(F: FieldDescriptor, d: int):
+    """test(coords, values): whether e_d and d e_d / d x_i = P(x_i) vanish at
+    raw coordinates in F whose distinct values are values, by one sweep and
+    one Horner pass per value."""
+    add, mul, neg, zero, one = F.add_raw, F.mul_raw, F.neg_raw, F.zero_raw, F.one_raw
+
+    def test(coords, values) -> bool:
+        e = esp_sweep(coords, d, zero, one, add, mul)
+        if e[d] != zero:
+            return False
+        for x in values:
+            m, acc = neg(x), one  # Horner for sum_j (-x)^j e_(d-1-j)
+            for j in range(1, d):
+                acc = add(mul(acc, m), e[j])
+            if acc != zero:
+                return False
+        return True
+    return test
 
 
 def in_s_k(point, k: int) -> bool:
@@ -134,24 +178,14 @@ def _check_walk(n: int, d: int, F: FieldDescriptor) -> None:
 
 def _accepted_strata(n: int, d: int, F: FieldDescriptor) -> list:
     """(ascending values, multiplicities) of the strata of F^n in V2(e_d); after _check_walk."""
-    q = F.order
-    add, mul, neg, zero, one = F.add_raw, F.mul_raw, F.neg_raw, F.zero_raw, F.one_raw
+    q, vanishes = F.order, _order2_test(F, d)
     accepted = []
     for r in range(1, min(d - 1, q, n) + 1):
         for cuts in combinations(range(1, n), r - 1):
             mults = tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
             # the raw values of a finite field are its element indices 0..q-1
             for values in combinations(range(q), r):
-                e = esp_sweep(_multiset(values, mults), d, zero, one, add, mul)
-                if e[d] != zero:
-                    continue
-                for x in values:
-                    m, acc = neg(x), one  # Horner for sum_j (-x)^j e_(d-1-j)
-                    for j in range(1, d):
-                        acc = add(mul(acc, m), e[j])
-                    if acc != zero:
-                        break
-                else:
+                if vanishes(_multiset(values, mults), values):
                     accepted.append((values, mults))
     return accepted
 
@@ -289,16 +323,17 @@ def witness_family(p: int, d: int) -> WitnessFamily:
 
     Requires n - d + 1 to be a power of p, at least d - 1, and the binomial
     coefficients C(n-d+2, i) for 2 <= i <= d and C(n-d+1, i) for
-    1 <= i <= d-1 to vanish mod p (checked with lucas_binomial).
+    1 <= i <= d-1 to vanish mod p (checked with lucas_binomial).  d must be
+    at least 2: V2(e_1) is empty.
     """
     if not _is_prime(p):
         raise V2Error(f"p = {p} is not prime")
-    if d < 1:
-        raise V2Error("d must be positive")
+    if d < 2:
+        raise V2Error(f"a witness family needs d >= 2 (V2(e_1) is empty), got d = {d}")
     n = d
     while True:
         r = n - d + 1
-        if r >= max(1, d - 1) and _is_p_power(r, p):
+        if r >= d - 1 and _is_p_power(r, p):
             fam = WitnessFamily(p=p, d=d, n=n)
             if all(lucas_binomial(a, i, p) == 0 for a, i in fam.required_binomials()):
                 return fam

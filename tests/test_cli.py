@@ -113,6 +113,7 @@ def test_errors_exit_one(capsys):
     ["sym", "verify", "--rep", '{"field": "gf(2)", "degree": 2, "forms": 5}'],
     ["v2", "witness", "--p", "2", "--d", "2", "--trials", "0"],
     ["v2", "witness", "--p", "2", "--d", "2", "--trials", "-5"],
+    ["v2", "witness", "--p", "2", "--d", "1"],
     ["identities", "--all", "--max-n", "0"],
     ["sym", "verify", "--rep", '{"field": "gf(3)", "degree": true, "forms": [[1, 2], [1, 0]]}'],
     ["sym", "verify", "--rep", '{"field": "gf(3)", "degree": 2, "forms": [[true, 2], [1, false]]}'],
@@ -120,7 +121,7 @@ def test_errors_exit_one(capsys):
     ["certify", "--p", "2", "--poly", "x1000000000 + x1"],
     ["border", "demo", "--field", "gf(4)", "--target", "x1*x2", "--T", "1000000000000"],
 ], ids=["certify-no-ell", "zero-denominator", "rep-no-field", "rep-list", "rep-forms-int",
-        "witness-zero-trials", "witness-negative-trials", "identities-max-n-zero",
+        "witness-zero-trials", "witness-negative-trials", "witness-d-one", "identities-max-n-zero",
         "rep-bool-degree", "rep-bool-coefficient", "exponent-past-packed-bound",
         "variable-index-past-bound", "truncation-past-bound"])
 def test_bad_input_is_one_error_line(capsys, argv):
@@ -247,6 +248,18 @@ def test_v2_dim_refuses_a_tower_before_counting(capsys, monkeypatch, argv, messa
 
     monkeypatch.setattr("esym.v2space._accepted_strata", no_count)
     assert run(capsys, "v2", "dim", *argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("kmax", ["1", "0", "-3"])
+def test_v2_dim_refuses_kmax_below_two_before_any_field(capsys, monkeypatch, kmax):
+    # a slope needs two extension degrees; nothing is built or counted first
+    def forbidden(*args):
+        raise AssertionError("a field was built or counted")
+
+    monkeypatch.setattr("esym.cli.make_field", forbidden)
+    monkeypatch.setattr("esym.v2space.count_v2_tower", forbidden)
+    assert run(capsys, "v2", "dim", "--p", "2", "--n", "5", "--d", "2", "--kmax", kmax) == (
+        1, "", f"error: --kmax must be at least 2 for a slope, got {kmax}\n")
 
 
 @pytest.mark.parametrize("argv", [

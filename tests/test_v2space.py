@@ -6,8 +6,9 @@ from itertools import product
 import pytest
 
 from esym import v2space
-from esym.field import FieldError, esp_sweep, lucas_binomial, make_field
-from esym.poly import parse_polynomial
+from esym.field import FieldElement, FieldError, esp_sweep, lucas_binomial, make_field
+from esym.poly import Polynomial, parse_polynomial
+from esym.rng import SplitMix64
 from esym.symfunc import gen_esp
 from esym.v2space import (
     V2Error,
@@ -45,6 +46,131 @@ def test_is_order2_zero_arity_check():
         is_order2_zero(e, (GF2.one,))
 
 
+# -- membership test: the e_d route against the formal-derivative route ----------------
+
+def formal_order2(f, point):
+    """The definition: f and its nvars formal partial derivatives vanish at
+    the point.  The oracle for is_order2_zero's e_d route, raising what the
+    formal route raises."""
+    pt = tuple(f.field.element(c) if not isinstance(c, FieldElement) else c
+               for c in point)
+    if len(pt) != f.nvars:
+        raise V2Error(f"point has {len(pt)} coordinates, f has {f.nvars} variables")
+    if not f.evaluate(pt).is_zero:
+        return False
+    return all(f.partial_derivative(i).evaluate(pt).is_zero
+               for i in range(1, f.nvars + 1))
+
+
+def _outcome(test, f, pt):
+    """The answer, or the type and message of what the test raised."""
+    try:
+        return test(f, pt)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _low_rank_points(F, n, rng, count):
+    """count seeded points of F^n with at most 3 distinct coordinates, so
+    that many land in V2; Q draws from -2..2 and the halves between."""
+    for _ in range(count):
+        if F.order:
+            values = [F.element_at(rng.below(F.order)) for _ in range(1 + rng.below(3))]
+        else:
+            values = [F.element(Fraction(rng.below(5) - 2, 1 + rng.below(2)))
+                      for _ in range(1 + rng.below(3))]
+        yield tuple(values[rng.below(len(values))] for _ in range(n))
+
+
+ORDER2_SPECS = ("gf(2)", "gf(3)", "gf(4)", "gf(5)", "gf(8)", "gf(9)", "gf(27)", "q")
+POINT_EXTENSIONS = {"gf(2)": "gf(4)", "gf(3)": "gf(9)"}
+
+
+@pytest.mark.parametrize("spec", ORDER2_SPECS)
+def test_esp_route_matches_the_formal_route(spec):
+    F = make_field(spec)
+    hosts = [F] + [make_field(POINT_EXTENSIONS[spec])] if spec in POINT_EXTENSIONS else [F]
+    rng = SplitMix64(1300 + (F.order or 0))
+    answers = []
+    for n in range(8):
+        for d in range(n + 1):
+            e = gen_esp(n, d, F)
+            assert v2space._esp_degree(e) == d
+            for H in hosts:
+                for pt in _low_rank_points(H, n, rng, 12):
+                    expect = formal_order2(e, pt)
+                    assert is_order2_zero(e, pt) == expect, (n, d, H, pt)
+                    answers.append(expect)
+    assert answers.count(True) >= 10 and answers.count(False) >= 10
+
+
+def _lookalikes(n, d, F):
+    """Polynomials one step from e_d^n that are not e_d in their nvars
+    variables, with the coordinate count each takes."""
+    e = gen_esp(n, d, F)
+    mono = next(iter(e.terms()))[0]
+    term = Polynomial(F, {mono: F.one_raw}, n)
+    yield "minus-a-term", e - term, n
+    if d:  # e_0 = 1 is e_0 in any number of variables, and 1^2 = 1
+        yield "padded", e + Polynomial.zero(F, n + 1), n + 1
+        yield "a-term-squared", e - term + term * term, n
+    yield "plus-one", e + Polynomial.constant(F, 1), n
+    if F.characteristic != 2:
+        yield "twice", e * Polynomial.constant(F, 2), n
+
+
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(4)", "gf(5)", "gf(9)", "q"])
+def test_lookalikes_take_the_formal_route(spec):
+    F = make_field(spec)
+    rng = SplitMix64(1400 + (F.order or 0))
+    for n in range(1, 6):
+        for d in range(n + 1):
+            for name, g, width in _lookalikes(n, d, F):
+                assert v2space._esp_degree(g) is None, (name, n, d)
+                for pt in _low_rank_points(F, width, rng, 6):
+                    assert is_order2_zero(g, pt) == formal_order2(g, pt), (name, n, d, pt)
+
+
+def test_esp_route_raises_as_the_formal_route_does():
+    GF3, GF5, GF8, Q = (make_field(s) for s in ("gf(3)", "gf(5)", "gf(8)", "q"))
+    e2 = gen_esp(3, 2, GF2)
+    cases = [
+        (e2, (GF2.one,)),                                 # too few coordinates
+        (e2, (GF2.one,) * 4),                             # too many
+        (e2, (GF2.one, GF4.one, GF2.one)),                # mixed fields
+        (e2, (GF2.one, "zz", GF2.one)),                   # a bad literal
+        (gen_esp(3, 2, GF4), (GF2.one,) * 3),             # GF(4) is not in GF(2)
+        (gen_esp(3, 2, GF4), (GF8.one,) * 3),             # nor in GF(8)
+        (gen_esp(3, 2, GF3), (GF5.one,) * 3),             # characteristics differ
+        (gen_esp(3, 2, Q), (GF2.zero,) * 3),
+        (e2, (Q.zero,) * 3),
+        (gen_esp(3, 0, GF4), (GF2.zero,) * 3),            # e_0 = 1 must lift too
+    ]
+    for e, pt in cases:
+        expect = _outcome(formal_order2, e, pt)
+        assert isinstance(expect, tuple), pt  # every case raises
+        assert _outcome(is_order2_zero, e, pt) == expect
+
+
+def test_esp_route_needs_no_formal_derivative(monkeypatch):
+    e = gen_esp(12, 4, GF4)
+    points = list(_low_rank_points(GF4, 12, SplitMix64(1312), 40))
+    expect = [formal_order2(e, pt) for pt in points]
+    assert True in expect and False in expect
+    lookalikes = [e + Polynomial.constant(GF4, 1),
+                  e * Polynomial.constant(GF4, GF4.element_at(2))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the formal route ran")
+
+    monkeypatch.setattr(Polynomial, "partial_derivative", forbidden)
+    monkeypatch.setattr(Polynomial, "evaluate", forbidden)
+    assert [is_order2_zero(e, pt) for pt in points] == expect
+    for g in lookalikes:
+        with pytest.raises(AssertionError, match="the formal route ran"):
+            is_order2_zero(g, points[0])
+
+
 def test_in_s_k():
     a, b = GF4.element_at(1), GF4.element_at(2)
     assert in_s_k((a, a, a), 1)
@@ -70,7 +196,7 @@ ENUMERATION_CASES = [("gf(4)", 3, 2), ("gf(4)", 4, 2), ("gf(4)", 4, 3), ("gf(4)"
 def test_enumerate_matches_pointwise_definition(spec, n, d):
     field = make_field(spec)
     e = gen_esp(n, d, field)
-    expect = [pt for pt in product(list(field.elements()), repeat=n) if is_order2_zero(e, pt)]
+    expect = [pt for pt in product(list(field.elements()), repeat=n) if formal_order2(e, pt)]
     assert enumerate_v2(n, d, field).points == expect
 
 
@@ -253,6 +379,10 @@ def test_witness_point_shape():
 def test_witness_family_rejects_bad_input():
     with pytest.raises(V2Error):
         witness_family(4, 2)
+    # V2(e_1) is empty, so no family has d < 2
+    for d in (1, 0, -1):
+        with pytest.raises(V2Error, match="needs d >= 2"):
+            witness_family(2, d)
     fam = witness_family(2, 2)
     with pytest.raises(V2Error):
         fam.point([GF2.one, GF2.one], GF2)  # arity is 1
