@@ -380,7 +380,7 @@ def constant_shift(F: EpsSeries, G: EpsSeries, ell: LinearForm,
     def extract(s: EpsSeries) -> BorderWitness:
         return approx_extract(s.homogeneous_part(degree) if degree is not None else s)
 
-    base = F * ell.to_polynomial() + G
+    base = F * ell + G
     w0 = extract(base)
     if w0.principal != target:
         raise BorderError(
@@ -524,10 +524,8 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
 
 
 def _as_series(value, field: FieldDescriptor, T: int):
-    """A series, polynomial, linear form or scalar of field as a series mod
-    eps^T (a series keeps its own truncation); None for any other type."""
-    if isinstance(value, LinearForm):
-        value = value.to_polynomial()
+    """A series, polynomial (forms included) or scalar of field as a series
+    mod eps^T (a series keeps its own truncation); None for any other type."""
     if isinstance(value, Polynomial):
         value = EpsSeries.from_polynomial(value, T)
     elif not isinstance(value, EpsSeries):

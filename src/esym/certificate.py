@@ -211,5 +211,5 @@ def random_member(k: int, p: int, ell: int, seed: int) -> Polynomial:
         total = total + r.product
     for _ in range(rng.below(4)):
         q = LinearForm(fld, [rng.below(p) for _ in range(n)])
-        total = total + q.to_polynomial() ** (p + 1)
+        total = total + q ** (p + 1)
     return total

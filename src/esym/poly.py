@@ -14,15 +14,19 @@ operands' degrees, that the total degree stays below DEGREE_LIMIT = 2^32,
 and raise ValueError past it; every exponent is at most the total degree,
 so no field then overflows.  A key for x_i is 32*i bits long, so every
 index that comes from outside (the parser, variable, squarefree_sum, the
-tuple constructor) must lie in 1..MAX_VARIABLE_INDEX = 2^16, checked before
-its key is built.  Printing reads only the nonzero fields of a key, from the
-top down, so a term costs O(its variables), not O(its highest index).
+tuple constructor, the length of a LinearForm's row) must lie in
+1..MAX_VARIABLE_INDEX = 2^16, checked before its key is built.  Printing
+reads only the nonzero fields of a key, from the top down, so a term costs
+O(its variables), not O(its highest index).
 
 Variables are named x1, x2, ... and the variable count widens automatically
 under arithmetic.  The public surface speaks exponent tuples with trailing
 zeros trimmed: the constructor takes {tuple: raw}, and terms() and
 coefficient() give and take such tuples, in graded lexicographic order (x1
 first) for printing and serialization.
+
+A LinearForm is a Polynomial whose terms all have degree 1; it adds a row
+constructor and reader, and no arithmetic of its own.
 
 Text grammar (also used by the CLI):
 
@@ -141,24 +145,26 @@ class Polynomial:
                 self.nvars = max(nvars, _top(max(clean)))
 
     # -- constructors --------------------------------------------------------
+    # These build plain Polynomials, also when called on a subclass.
 
-    @classmethod
-    def zero(cls, field: FieldDescriptor, nvars: int = 0) -> "Polynomial":
-        return cls(field, None, nvars)
+    @staticmethod
+    def zero(field: FieldDescriptor, nvars: int = 0) -> "Polynomial":
+        return Polynomial._of(field, {}, nvars)
 
-    @classmethod
-    def constant(cls, field: FieldDescriptor, value, nvars: int = 0) -> "Polynomial":
+    @staticmethod
+    def constant(field: FieldDescriptor, value, nvars: int = 0) -> "Polynomial":
         raw = field.coerce_raw(value)
-        return cls._of(field, {0: raw} if raw != field.zero_raw else {}, nvars)
+        return Polynomial._of(field, {0: raw} if raw != field.zero_raw else {}, nvars)
 
-    @classmethod
-    def variable(cls, field: FieldDescriptor, index: int, nvars: int | None = None) -> "Polynomial":
+    @staticmethod
+    def variable(field: FieldDescriptor, index: int, nvars: int | None = None) -> "Polynomial":
         """The variable x<index>, 1-based."""
         _check_index(index)
-        return cls._of(field, {1 << (WIDTH * index) | 1: field.one_raw}, max(nvars or 0, index))
+        return Polynomial._of(field, {1 << (WIDTH * index) | 1: field.one_raw},
+                              max(nvars or 0, index))
 
-    @classmethod
-    def squarefree_sum(cls, field: FieldDescriptor, index_sets, nvars: int = 0) -> "Polynomial":
+    @staticmethod
+    def squarefree_sum(field: FieldDescriptor, index_sets, nvars: int = 0) -> "Polynomial":
         """Sum, each with coefficient 1, of the monomials x_i1 * ... * x_ik
         over the given sets (i1, ..., ik) of distinct 1-based indices."""
         one = field.one_raw
@@ -171,13 +177,13 @@ class Polynomial:
             if key.bit_count() != len(indices):
                 raise ValueError(f"repeated variable index in {tuple(indices)}")
             terms[key | len(indices)] = one
-        return cls._of(field, terms, max(nvars, _top(max(terms, default=0))))
+        return Polynomial._of(field, terms, max(nvars, _top(max(terms, default=0))))
 
     @classmethod
     def _of(cls, field: FieldDescriptor, terms: dict, nvars: int) -> "Polynomial":
         """Wrap, without copying, a packed term dict that is zero-free."""
-        out = cls(field, None, nvars)
-        out._terms = terms
+        out = cls.__new__(cls)
+        out.field, out._terms, out.nvars = field, terms, nvars
         return out
 
     # -- inspection ----------------------------------------------------------
@@ -248,14 +254,15 @@ class Polynomial:
         self._check(other)
         terms = dict(self._terms)
         _merge(terms, other._terms, self.field)
-        return Polynomial._of(self.field, terms, max(self.nvars, other.nvars))
+        cls = type(self) if type(other) is type(self) else Polynomial   # form + form
+        return cls._of(self.field, terms, max(self.nvars, other.nvars))
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.field.neg_raw
         terms = {k: neg(raw) for k, raw in self._terms.items()}
-        return Polynomial._of(self.field, terms, self.nvars)
+        return type(self)._of(self.field, terms, self.nvars)
 
     def __sub__(self, other):
         if isinstance(other, Polynomial):
@@ -286,10 +293,10 @@ class Polynomial:
 
     def scale_raw(self, raw) -> "Polynomial":
         if raw == self.field.zero_raw:
-            return Polynomial.zero(self.field, self.nvars)
+            return type(self)._of(self.field, {}, self.nvars)
         mul = self.field.mul_raw
         terms = {k: mul(r, raw) for k, r in self._terms.items()}
-        return Polynomial._of(self.field, terms, self.nvars)
+        return type(self)._of(self.field, terms, self.nvars)
 
     def scale(self, scalar) -> "Polynomial":
         raw = self.field.scalar_raw(scalar)
@@ -346,8 +353,8 @@ class Polynomial:
         return Polynomial._of(self.field, terms, self.nvars)
 
     def substitute_linear(self, forms) -> "Polynomial":
-        """Substitute x_i -> forms[i-1]; forms are LinearForm or Polynomial."""
-        polys = [f.to_polynomial() if isinstance(f, LinearForm) else f for f in forms]
+        """Substitute x_i -> forms[i-1], each a Polynomial (a LinearForm is one)."""
+        polys = list(forms)
         if len(polys) < self.nvars:
             raise ValueError(f"{self.nvars} variables but only {len(polys)} forms")
         width = max([p.nvars for p in polys], default=0)
@@ -396,7 +403,7 @@ class Polynomial:
             return self
         terms = {k: embed(FieldElement(self.field, r), host).raw
                  for k, r in self._terms.items()}
-        return Polynomial._of(host, terms, self.nvars)
+        return type(self)._of(host, terms, self.nvars)
 
     # -- text ------------------------------------------------------------------
 
@@ -449,74 +456,43 @@ def _lift_raw(src: FieldDescriptor, raw, target: FieldDescriptor):
     return embed(FieldElement(src, raw), target).raw
 
 
-class LinearForm:
-    """Homogeneous degree-1 form: one coefficient per variable, no constant."""
+class LinearForm(Polynomial):
+    """A Polynomial whose terms all have degree 1, built from a row of
+    coefficients; nvars is the row's length, trailing zeros included.
+    Negation, scaling, map_field and form + form give forms, any other
+    operation a plain Polynomial; a form equals the Polynomial with its terms.
+    """
 
-    __slots__ = ("field", "coefficients")
+    __slots__ = ()
 
     def __init__(self, field: FieldDescriptor, coefficients):
-        self.field = field
-        self.coefficients = tuple(field.element(c) for c in coefficients)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coefficients)
+        row = list(coefficients)
+        if len(row) > MAX_VARIABLE_INDEX:
+            raise ValueError(f"a row of {len(row)} coefficients needs x{len(row)}, past "
+                             f"the variable index bound {MAX_VARIABLE_INDEX}")
+        zero = field.zero_raw
+        self.field, self.nvars = field, len(row)
+        self._terms = {1 << (WIDTH * i) | 1: raw
+                       for i, raw in enumerate(map(field.coerce_raw, row), 1) if raw != zero}
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial) -> "LinearForm":
-        if not poly.is_homogeneous(1) and not poly.is_zero:
+        """The form with poly's terms, shared, not copied, and its nvars."""
+        if not poly.is_homogeneous(1):
             raise ValueError(f"{poly} is not a linear form")
-        coeffs = [FieldElement(poly.field, poly.field.zero_raw)] * poly.nvars
-        for k, raw in poly._terms.items():
-            coeffs[_top(k) - 1] = FieldElement(poly.field, raw)
-        return cls(poly.field, coeffs)
-
-    def to_polynomial(self) -> Polynomial:
-        terms = {1 << (WIDTH * i) | 1: c.raw
-                 for i, c in enumerate(self.coefficients, 1) if not c.is_zero}
-        return Polynomial._of(self.field, terms, self.nvars)
+        return cls._of(poly.field, poly._terms, poly.nvars)
 
     @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coefficients)
+    def coefficients(self) -> tuple[FieldElement, ...]:
+        """(c_1, ..., c_nvars), zeros included."""
+        row = [self.field.zero_raw] * self.nvars
+        for k, raw in self._terms.items():
+            row[_top(k) - 1] = raw
+        return tuple(FieldElement(self.field, raw) for raw in row)
 
-    def evaluate(self, point) -> FieldElement:
-        return self.to_polynomial().evaluate(point)
-
-    def scale(self, scalar) -> "LinearForm":
-        s = self.field.element(scalar) if not isinstance(scalar, FieldElement) else scalar
-        return LinearForm(self.field, [c * s for c in self.coefficients])
-
-    def map_field(self, host: FieldDescriptor) -> "LinearForm":
-        if host == self.field:
-            return self
-        return LinearForm(host, [embed(c, host) for c in self.coefficients])
-
-    def __add__(self, other: "LinearForm"):
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        if self.field != other.field:
-            raise FieldError("mixed fields in linear form sum")
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] = merged[i] + c
-        return LinearForm(self.field, merged)
-
-    def __neg__(self):
-        return LinearForm(self.field, [-c for c in self.coefficients])
-
-    def __eq__(self, other):
-        return (isinstance(other, LinearForm) and self.field == other.field
-                and self.to_polynomial() == other.to_polynomial())
-
-    def __hash__(self):
-        return hash(self.to_polynomial())   # as __eq__: trailing zeros do not count
-
-    def __str__(self):
-        return str(self.to_polynomial())
+    def to_polynomial(self) -> Polynomial:
+        """The same terms as a plain Polynomial, in O(1)."""
+        return Polynomial._of(self.field, self._terms, self.nvars)
 
     def __repr__(self):
         return f"<form {self} over {self.field}>"

@@ -80,12 +80,11 @@ def esp_table_of_forms(forms, dmax: int, field: FieldDescriptor | None = None) -
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
     field, nvars = _field_and_nvars(forms, field)
-    polys = [f.to_polynomial() if hasattr(f, "to_polynomial") else f for f in forms]
-    if any(p.field != field for p in polys):
+    if any(p.field != field for p in forms):
         raise FieldError("forms live in mixed fields")
-    top = min(dmax, len(polys))
-    _check_degree(sum(sorted([max(p.degree(), 0) for p in polys], reverse=True)[:top]))
-    rows = _esp_terms(field, [p._terms for p in polys], top)
+    top = min(dmax, len(forms))
+    _check_degree(sum(sorted([max(p.degree(), 0) for p in forms], reverse=True)[:top]))
+    rows = _esp_terms(field, [p._terms for p in forms], top)
     zero = Polynomial.zero(field, nvars)
     return [Polynomial._of(field, t, nvars) for t in rows] + [zero] * (dmax - top)
 
@@ -106,8 +105,7 @@ def power_sum_of_forms(forms, d: int) -> Polynomial:
     nvars = max(f.nvars for f in forms)
     acc = Polynomial.zero(field, nvars)
     for form in forms:
-        fp = form.to_polynomial() if hasattr(form, "to_polynomial") else form
-        acc = acc + fp**d
+        acc = acc + form**d
     return acc
 
 

@@ -130,7 +130,7 @@ def append_linear_power(rep: SymRepresentation, q: LinearForm) -> SymRepresentat
     q_host = q.map_field(host)
     lifted = [f.map_field(host) for f in rep.forms]
     block = [q_host.scale(-w) for w in roots]
-    new_target = rep.target.map_field(host) + q_host.to_polynomial() ** d
+    new_target = rep.target.map_field(host) + q_host ** d
     return SymRepresentation(host, d, lifted + block, new_target)
 
 
@@ -158,8 +158,7 @@ def quadratic_gadget(u: LinearForm, v: LinearForm) -> SymRepresentation:
         raise FieldError("gadget factors live in mixed fields")
     host, omega = _host_with_omega(u.field)
     uu, vv = u.map_field(host), v.map_field(host)
-    return SymRepresentation(host, 2, _gadget_forms(uu, vv, omega),
-                             uu.to_polynomial() * vv.to_polynomial())
+    return SymRepresentation(host, 2, _gadget_forms(uu, vv, omega), uu * vv)
 
 
 def _gadget_forms(u: LinearForm, v: LinearForm, omega: FieldElement) -> tuple:
@@ -182,12 +181,9 @@ def quadratic_to_sym(f: Polynomial) -> SymRepresentation:
     n = lifted.nvars
     for mono, coeff in lifted.terms():
         on = [i + 1 for i, e in enumerate(mono) if e]
-        if len(on) == 2:
-            i, j = on
-        else:
-            i = j = on[0]
-        u = LinearForm(host, [coeff if t == i - 1 else host.zero for t in range(n)])
-        v = LinearForm(host, [host.one if t == j - 1 else host.zero for t in range(n)])
+        i, j = on if len(on) == 2 else on * 2
+        u = LinearForm.from_polynomial(Polynomial.variable(host, i, n).scale_raw(coeff.raw))
+        v = LinearForm.from_polynomial(Polynomial.variable(host, j, n))
         forms.extend(_gadget_forms(u, v, omega))
     return SymRepresentation(host, 2, forms, lifted)   # the one check of all 3M forms
 
@@ -249,9 +245,9 @@ class NewtonDecomposition:
         acc = Polynomial.zero(self.field)
         for r in self.reducibles:
             acc = acc + r.product
-        acc = acc + self.frobenius_term.to_polynomial() ** (p + 1)
+        acc = acc + self.frobenius_term ** (p + 1)
         for L in self.linear_power_terms:
-            acc = acc + (L.to_polynomial() ** (p + 1)).scale(self.power_sign)
+            acc = acc + (L ** (p + 1)).scale(self.power_sign)
         return acc
 
     def to_json(self) -> dict:

@@ -18,6 +18,14 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_linear_form_keeps_no_algebra_of_its_own():
+    # a LinearForm is a degree-1 Polynomial: arithmetic, equality, hash,
+    # evaluate, map_field and str are all Polynomial's
+    own = set(vars(esym.LinearForm)) - {"__firstlineno__", "__static_attributes__"}
+    assert own == {"__init__", "from_polynomial", "coefficients", "to_polynomial",
+                   "__repr__", "__slots__", "__doc__", "__module__"}
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports but never reads; __future__ imports aside."""
     tree = ast.parse(source)

@@ -120,10 +120,12 @@ def test_errors_exit_one(capsys):
     ["certify", "--p", "2", "--poly", "x1^99999999999999"],
     ["certify", "--p", "2", "--poly", "x1000000000 + x1"],
     ["border", "demo", "--field", "gf(4)", "--target", "x1*x2", "--T", "1000000000000"],
+    ["sym", "verify", "--rep", json.dumps({"field": "gf(2)", "degree": 1,
+                                           "forms": [[0] * 199_999 + [1]]})],
 ], ids=["certify-no-ell", "zero-denominator", "rep-no-field", "rep-list", "rep-forms-int",
         "witness-zero-trials", "witness-negative-trials", "witness-d-one", "identities-max-n-zero",
         "rep-bool-degree", "rep-bool-coefficient", "exponent-past-packed-bound",
-        "variable-index-past-bound", "truncation-past-bound"])
+        "variable-index-past-bound", "truncation-past-bound", "rep-row-past-index-bound"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1

@@ -284,6 +284,69 @@ def test_linear_form_evaluate():
     assert a.evaluate(pt) == GF5.element(0)
 
 
+def _form_row(form):
+    return [c.raw for c in form.coefficients]
+
+
+def test_linear_form_closure():
+    # negation, scaling, map_field and form +/- form stay forms, keeping the
+    # widest row (trailing zeros included) and their coefficients
+    a, b = LinearForm(GF5, [1, 2, 0]), LinearForm(GF5, [0, 3, 0, 0])
+    GF2 = make_field("gf(2)")
+    stays = [(a + b, 4, [1, 0, 0, 0]), (a - b, 4, [1, 4, 0, 0]), (-a, 3, [4, 3, 0]),
+             (a.scale(3), 3, [3, 1, 0]), (GF5.element(2) * a, 3, [2, 4, 0]),
+             (a * 2, 3, [2, 4, 0]), (a.scale(0), 3, [0, 0, 0]), (a - a, 3, [0, 0, 0]),
+             (LinearForm(GF2, [1, 0]).map_field(GF4), 2, [1, 0])]
+    for form, nvars, row in stays:
+        assert type(form) is LinearForm
+        assert form.nvars == nvars and _form_row(form) == row
+    # every other operation gives a plain Polynomial
+    p = parse_polynomial("x1*x2", GF5)
+    for poly in [a * b, a + 1, 1 + a, a - 1, 1 - a, a + p, p + a, a - p, p - a,
+                 a ** 2, a ** 1, a.partial_derivative(1), a.homogeneous_component(1),
+                 p.substitute_linear([a, b]), a.to_polynomial()]:
+        assert type(poly) is Polynomial
+    assert str(a * b) == "3*x1*x2 + x2^2"
+
+
+def test_linear_form_equals_the_polynomial_with_its_terms():
+    # a form equals, and hashes like, the Polynomial with the same terms
+    a = LinearForm(GF5, [1, 2, 0])
+    p = parse_polynomial("x1 + 2*x2", GF5)
+    assert a == p and p == a and hash(a) == hash(p)
+    assert {p: "poly"}[a] == "poly" and len({a, p, a.to_polynomial()}) == 1
+    assert LinearForm(GF5, []) == 0 and LinearForm(GF5, [0, 0]) == Polynomial.zero(GF5)
+
+
+def test_mixed_field_form_sums_raise_the_polynomial_error():
+    with pytest.raises(FieldError, match=r"^mixed fields: gf\(5\) and gf\(2\^2\)$"):
+        LinearForm(GF5, [1]) + LinearForm(GF4, [1])
+
+
+def test_no_route_makes_a_form_with_a_term_off_degree_one():
+    a = LinearForm(GF5, [1, 2])
+    built = [LinearForm.zero(GF5, 2), LinearForm.constant(GF5, 3), LinearForm.variable(GF5, 2),
+             LinearForm.squarefree_sum(GF5, [(1, 2)])]
+    assert [type(p) for p in built] == [Polynomial] * 4
+    routes = built + [a + 1, 1 + a, a - 1, 1 - a, a * a, a ** 0, a ** 1, a ** 2, a * 0,
+                      a.scale(0), a + a, a - a, -a, a.partial_derivative(1),
+                      a.homogeneous_component(1), a.substitute_linear([a, a]),
+                      a.map_field(make_field("gf(5^2)")),
+                      LinearForm.from_polynomial(Polynomial.zero(GF5, 3))]
+    for poly in routes:
+        if isinstance(poly, LinearForm):
+            assert poly.is_homogeneous(1), poly
+
+
+def test_linear_form_row_past_the_index_bound_is_refused():
+    assert LinearForm(GF5, [0] * (MAX_VARIABLE_INDEX - 1) + [1]).nvars == MAX_VARIABLE_INDEX
+    with pytest.raises(ValueError, match="past the variable index bound"):
+        LinearForm(GF5, [0] * 199_999 + [1])
+    # refused before any coefficient is read, so before any key is built
+    with pytest.raises(ValueError, match="past the variable index bound"):
+        LinearForm(GF5, [object()] * (MAX_VARIABLE_INDEX + 1))
+
+
 def test_deep_parentheses_need_no_recursion(recursion_limit):
     with recursion_limit():
         assert parse_polynomial("(" * 3000 + "x1 + x2" + ")" * 3000, GF5) == \
