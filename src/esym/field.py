@@ -217,7 +217,8 @@ class FieldDescriptor:
 
     def coerce_raw(self, value):
         """Raw value from an element of this field, an int, or a literal
-        string; subclasses accept Fractions (Q) and digit tuples (GF(p^k))."""
+        string; subclasses accept Fractions (Q) and digit tuples (GF(p^k)).
+        A literal may sit in one pair of parentheses."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldError(f"element of {value.field} used in {self}")
@@ -225,7 +226,13 @@ class FieldDescriptor:
         if isinstance(value, int):
             return value % self.p  # prime-subfield constant
         if isinstance(value, str):
-            return self._raw_from_str(value.strip())
+            s = value.strip()
+            try:
+                return self._raw_from_str(s[1:-1] if s[:1] == "(" and s[-1:] == ")" else s)
+            except FieldError:
+                raise
+            except ValueError:
+                raise FieldError(f"bad element literal {s!r} for {self}") from None
         raise FieldError(f"cannot interpret {value!r} as an element of {self}")
 
     def scalar_raw(self, other):
@@ -329,7 +336,7 @@ class RationalField(FieldDescriptor):
 
     def _raw_from_str(self, s: str) -> Fraction:
         try:
-            return Fraction(s.strip("()"))
+            return Fraction(s)
         except ZeroDivisionError:
             raise FieldError(f"zero denominator in the literal {s!r}") from None
 
@@ -376,7 +383,7 @@ class PrimeField(FieldDescriptor):
         return {k: r for k, v in acc.items() if (r := v % p)}
 
     def _raw_from_str(self, s: str) -> int:
-        return int(s.strip("()")) % self.p
+        return int(s) % self.p
 
 
 class ExtensionField(FieldDescriptor):
@@ -568,24 +575,18 @@ class ExtensionField(FieldDescriptor):
         return "+".join(parts) if parts else "0"
 
     def _raw_from_str(self, s: str) -> int:
-        if s.startswith("(") and s.endswith(")"):
-            s = s[1:-1].strip()
-        s = s.replace(" ", "").replace("-", "+-")
+        """Terms c, t^e or c*t^e joined by '+' or '-'; '-' may open the text."""
         cs = [0] * self.k
-        for token in s.split("+"):
-            if not token:
-                continue
-            m = re.fullmatch(r"(-?\d+)?\*?(t(?:\^(\d+))?)?", token)
-            if not m or (m.group(1) is None and m.group(2) is None):
-                raise FieldError(f"bad element literal {token!r} for {self}")
-            coeff = int(m.group(1)) if m.group(1) is not None else 1
-            if m.group(2) is None:
-                e = 0
-            else:
-                e = int(m.group(3)) if m.group(3) is not None else 1
+        for token in re.split(r"\+|(?<=.)(?=-)", s.replace(" ", "")):
+            m = _EXT_TERM_RE.fullmatch(token)
+            if not m:
+                raise ValueError(token)          # coerce_raw names the literal
+            sign, const, coeff, exp = m.groups()
+            e = 0 if const else int(exp or 1)
             if e >= self.k:
                 raise FieldError(f"literal power t^{e} too large for {self}")
-            cs[e] = (cs[e] + coeff) % self.p
+            c = int(const or coeff or 1)
+            cs[e] = (cs[e] - c if sign else cs[e] + c) % self.p
         return self._undigits(cs)
 
 
@@ -683,6 +684,7 @@ def _get_descriptor(cls, p=0, k=1, modulus=None) -> FieldDescriptor:
 
 QQ = _get_descriptor(RationalField)
 
+_EXT_TERM_RE = re.compile(r"(-?)(?:(\d+)|(?:(\d+)\*?)?t(?:\^(\d+))?)")
 _SPEC_RE = re.compile(r"gf\(\s*(\d+)\s*(?:\^\s*(\d+)\s*)?(?:;\s*([0-9,\s]+))?\)", re.IGNORECASE)
 
 

@@ -28,6 +28,10 @@ deepest-then-leftmost candidate for the fixed window.  A round after the
 first computes both only for the gates of the rebuilt path, then drops the
 old path's gates from both; the multiplier stops once h is 0.
 
+parse_formula reads the polynomial text grammar with no '^' after a ')' and
+every other factor one leaf literal of degree <= 1, on poly's splitter and
+explicit-stack driver.
+
 ben_or solves its transposed Vandermonde system in O(n^2) field
 operations through the Lagrange basis and builds each leaf label as one
 packed term dict over keys shared by every leaf; computes_esp checks a
@@ -37,10 +41,11 @@ tree of its shape without the 2^n expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 
-from .field import FieldDescriptor, FieldError
-from .poly import WIDTH, Polynomial, parse_polynomial
+from .field import FieldDescriptor, FieldError, esp_sweep
+from .poly import WIDTH, Polynomial, _parse_nested, _split_top, parse_polynomial
 from .rng import SplitMix64
 from .symfunc import gen_esp
 
@@ -319,17 +324,18 @@ def split_linear(phi: Formula, path):
     the tree with v replaced by 0, and h is the product of the siblings at
     the * gates on the path.
     """
-    return _multiplier(phi, path), replace_with_constant(phi, path, 0).poly()
+    h = _multiplier(_descend(phi.root, path)[0], phi.field)
+    return h, replace_with_constant(phi, path, 0).poly()
 
 
-def _multiplier(phi: Formula, path, memo=None) -> Polynomial:
-    """h of split_linear: the product of the siblings at the * gates on the
-    path, multiplied in from the vertex upward, so the constants that
-    earlier peel rounds leave near the vertex meet h while it is small.
-    Siblings at + gates are never expanded, and once h is 0 no further
-    sibling is.  memo is passed on to _poly."""
-    h = Polynomial.constant(phi.field, 1)
-    for gate, step in reversed(_descend(phi.root, path)[0]):
+def _multiplier(steps, field: FieldDescriptor, memo=None) -> Polynomial:
+    """h of split_linear from _descend's steps: the product of the siblings
+    at the * gates on the path, multiplied in from the vertex upward, so the
+    constants that earlier peel rounds leave near the vertex meet h while it
+    is small.  Siblings at + gates are never expanded, and once h is 0 no
+    further sibling is.  memo is passed on to _poly."""
+    h = Polynomial.constant(field, 1)
+    for gate, step in reversed(steps):
         if gate.op == "*":
             h = h * _poly(gate.right if step == 0 else gate.left, memo)
             if not h:
@@ -405,9 +411,10 @@ def peel_decompose(phi: Formula, d_prime: int) -> PeelDecomposition:
     The rounds share two peel-local memos, each gate's expansion (read by
     _multiplier and for g) and its vertex pick (find_degree_vertex), so a
     round expands and walks only what replace_with_constant rebuilt.  Both
-    are called through the module.  A gate of the old path is dropped from
-    both memos after its round; if a shared subtree still holds it, the
-    next round computes it again.
+    are called through the module; one descent of the picked path serves h
+    and g.  A gate of the old path is dropped from both memos after its
+    round; if a shared subtree still holds it, the next round computes it
+    again.
     """
     if d_prime < 3:
         raise FormulaError("d_prime must be at least 3")
@@ -418,8 +425,8 @@ def peel_decompose(phi: Formula, d_prime: int) -> PeelDecomposition:
     expansions, picks = {}, {}
     while cur.formal_degree() >= d_prime:
         v = find_degree_vertex(cur, t, picks)
-        h = _multiplier(cur, v, expansions)
         steps, node = _descend(cur.root, v)
+        h = _multiplier(steps, cur.field, expansions)
         g = _poly(node, expansions)
         alpha = h.constant_term()
         beta = g.constant_term()
@@ -515,10 +522,9 @@ def _interpolation_weights(nodes, m: int, F: FieldDescriptor):
     costs O(len(nodes)^2) field operations.
     """
     add, sub, mul = F.add_raw, F.sub_raw, F.mul_raw
-    zero, one = F.zero_raw, F.one_raw
-    P = [one]                                # lowest coefficient first
-    for a in nodes:
-        P = [sub(lo, mul(a, hi)) for lo, hi in zip([zero] + P, P + [zero])]
+    one = F.one_raw
+    # P = sum_j e_j(-a) x^(len - j): its coefficients are the e_j backwards
+    P = esp_sweep([F.neg_raw(a) for a in nodes], len(nodes), F.zero_raw, one, add, mul)[::-1]
     top = len(nodes) - 1                     # degree of P / (x - a_j)
     weights = []
     for j, a in enumerate(nodes):
@@ -669,80 +675,39 @@ def random_formula(rng: SplitMix64, field: FieldDescriptor, max_size: int,
 
 
 def parse_formula(text: str, field: FieldDescriptor) -> Formula:
-    """Parse infix formula text: +, -, *, parentheses, and leaf literals in
-    the polynomial grammar restricted to degree <= 1.
+    """Parse formula text (see the module docstring) into the tree it
+    spells: sums and products nest to the left, and a term that opens with
+    '-' is negated as a whole.  Nesting depth is bounded by memory only."""
+    return Formula(_parse_nested(text, partial(_parse_sum, text, field)), field)
 
-    expr := ['-'] term (('+' | '-') term)*,  term := atom ('*' atom)*,
-    atom := '(' expr ')' | literal; sums and products nest to the left.
-    The parse keeps one frame (expr, op, term) per open parenthesis on an
-    explicit stack, so nesting depth is bounded by memory only.
-    """
-    tokens = _tokenize(text)
-    end = len(tokens)
-    pos = 0
-    frames = []                  # (expr, op, term) of each open parenthesis
-    at_expr_start = True
-    while True:
-        if at_expr_start:
-            expr = term = op = None  # op: the sign before the current term
-            if pos < end and tokens[pos] == "-":
-                pos += 1
-                op = "-"
-            at_expr_start = False
-        tok = tokens[pos] if pos < end else None
-        pos += 1
-        if tok == "(":
-            frames.append((expr, op, term))
-            at_expr_start = True
-            continue
-        if tok is None or tok in "+-*)":
-            raise FormulaError(f"unexpected token {tok!r} in {text!r}")
-        label = parse_polynomial(tok, field)
-        if label.degree() > 1:
-            raise FormulaError(f"leaf literal {tok!r} has degree > 1")
-        atom = Leaf(label)
-        while True:                  # an atom is complete
+
+def _parse_sum(text, field, s, lo, hi, closes, top):
+    """The _parse_nested parse_sum of the formula grammar: the tree of s[lo:hi]."""
+    if lo == hi:
+        raise FormulaError(f"empty formula or parentheses in {text!r}")
+    expr = None
+    for a, b in _split_top(s, lo, hi, "+-", closes):
+        negate = s[a] == "-"
+        if a + negate == b:
+            raise FormulaError(f"dangling sign in {text if top else s[lo:hi]!r}")
+        term = None
+        for fa, fb in _split_top(s, a + negate, b, "*", closes):
+            if s[fa] != "(":
+                label = parse_polynomial(s[fa:fb], field)
+                if label.degree() > 1:
+                    raise FormulaError(f"leaf literal {s[fa:fb]!r} has degree > 1")
+                atom = Leaf(label)
+            elif s[fb - 1] == ")":
+                atom = yield fa + 1, fb - 1
+            else:
+                raise FormulaError(f"bad factor {s[fa:fb]!r}")
             term = atom if term is None else Gate("*", term, atom)
-            nxt = tokens[pos] if pos < end else None
-            if nxt == "*":
-                pos += 1
-                break
-            if op == "-":
-                term = _negate(term, field)
-            expr = term if expr is None else Gate("+", expr, term)
-            term = None
-            if nxt in ("+", "-"):
-                pos += 1
-                op = nxt
-                break
-            if not frames:
-                if pos != end:
-                    raise FormulaError(f"trailing input in {text!r}")
-                return Formula(expr, field)
-            if nxt != ")":
-                raise FormulaError(f"unbalanced parentheses in {text!r}")
-            pos += 1
-            atom = expr
-            expr, op, term = frames.pop()
+        term = _negate(term, field) if negate else term
+        expr = term if expr is None else Gate("+", expr, term)
+    return expr
 
 
 def _negate(node, field):
     if isinstance(node, Leaf):
         return Leaf(-node.label)
     return Gate("*", Leaf(Polynomial.constant(field, -1)), node)
-
-
-def _tokenize(text: str):
-    tokens = []
-    lit = []
-    for ch in text:
-        if ch in "+-*()":
-            if lit and "".join(lit).strip():
-                tokens.append("".join(lit).strip())
-            lit = []
-            tokens.append(ch)
-        else:
-            lit.append(ch)
-    if lit and "".join(lit).strip():
-        tokens.append("".join(lit).strip())
-    return tokens

@@ -28,20 +28,22 @@ first) for printing and serialization.
 A LinearForm is a Polynomial whose terms all have degree 1; it adds a row
 constructor and reader, and no arithmetic of its own.
 
-Text grammar (also used by the CLI):
+Text grammar (also used by the CLI), whitespace ignored:
 
-    poly   := term ('+' term)*
-    term   := [coeff '*'] factor ('*' factor)*
+    poly   := ['-'] term (('+' | '-' | '+-') term)*
+    term   := factor ('*' factor)*
     factor := x<idx> ['^' exp] | '(' poly ')' ['^' exp] | field-element literal
 
-Examples: "x1*x2 + (t+1)*x3^2", "x1^2 + 2*x1*x2 + x2^2".  A '-' starting a
-term is folded into its coefficient.
+Examples: "x1*x2 + (t+1)*x3^2", "x1^2 + 2*x1*x2 - x2^2".  _parse_nested
+drives it and formula.parse_formula's grammar alike, one generator per
+parenthesized span on an explicit stack.
 """
 
 from __future__ import annotations
 
 import re
 import struct
+from functools import partial
 from itertools import compress, count
 
 from .field import FieldDescriptor, FieldElement, FieldError, embed
@@ -505,8 +507,9 @@ _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
 def _split_top(s: str, lo: int, hi: int, seps: str, closes: dict) -> list[tuple[int, int]]:
-    """Spans of s[lo:hi] cut at separators outside parentheses ('-' starts
-    the next span); a '(' jumps to its ')' in closes."""
+    """Spans of s[lo:hi] cut at separators outside parentheses; a '-' starts
+    the next span and may open one, any other separator needs a span on both
+    sides.  A '(' jumps to its ')' in closes."""
     parts, start, i = [], lo, lo
     while i < hi:
         ch = s[i]
@@ -514,9 +517,12 @@ def _split_top(s: str, lo: int, hi: int, seps: str, closes: dict) -> list[tuple[
             i = closes.get(i, hi)
         elif ch == ")":
             break
-        elif ch in seps and start < i:
-            parts.append((start, i))
-            start = i if ch == "-" else i + 1
+        elif ch in seps:
+            if start < i:
+                parts.append((start, i))
+                start = i if ch == "-" else i + 1
+            elif ch != "-":
+                raise ValueError(f"dangling {ch!r} in {s[lo:hi]!r}")
         i += 1
     if i != hi:
         raise ValueError(f"unbalanced parentheses in {s[lo:hi]!r}")
@@ -527,10 +533,12 @@ def _split_top(s: str, lo: int, hi: int, seps: str, closes: dict) -> list[tuple[
     return parts
 
 
-def parse_polynomial(text: str, field: FieldDescriptor, nvars: int | None = None) -> Polynomial:
-    """Parse the polynomial text grammar over the given field.  Each
-    parenthesized factor is parsed by a _parse_sum of its own, suspended on
-    an explicit stack, so nesting depth is bounded by memory only."""
+def _parse_nested(text: str, parse_sum):
+    """The value of text, whitespace removed, by one generator
+    parse_sum(s, lo, hi, closes, top) per parenthesized span: it yields the
+    inner span of each parenthesized factor and is sent back its value.
+    closes maps each '(' to its ')', and the generators wait on an explicit
+    stack, so nesting depth is bounded by memory only."""
     s = "".join(text.split())
     closes, opens = {}, []
     for i, ch in enumerate(s):
@@ -538,34 +546,38 @@ def parse_polynomial(text: str, field: FieldDescriptor, nvars: int | None = None
             opens.append(i)
         elif ch == ")" and opens:
             closes[opens.pop()] = i
-    stack, value = [_parse_sum(s, 0, len(s), text, nvars or 0, field, closes)], None
+    stack, value = [parse_sum(s, 0, len(s), closes, True)], None
     while stack:
         try:
             lo, hi = stack[-1].send(value)
-            stack.append(_parse_sum(s, lo, hi, None, 0, field, closes))
+            stack.append(parse_sum(s, lo, hi, closes, False))
             value = None
         except StopIteration as done:
             stack.pop()
             value = done.value
+    return value
+
+
+def parse_polynomial(text: str, field: FieldDescriptor, nvars: int | None = None) -> Polynomial:
+    """Parse the polynomial text grammar over the given field."""
+    value = _parse_nested(text, partial(_parse_sum, text, nvars or 0, field))
     if nvars is not None and value.nvars > nvars:
         raise ValueError(f"polynomial uses x{value.nvars} but nvars={nvars}")
     return value
 
 
-def _parse_sum(s: str, lo: int, hi: int, text, nvars: int, field: FieldDescriptor, closes):
-    """Parse s[lo:hi] (quoted as text, or itself when None), yielding the span
-    of each parenthesized factor for its polynomial; no slice of s is held."""
+def _parse_sum(text, nvars: int, field: FieldDescriptor, s: str, lo: int, hi: int, closes, top):
+    """_parse_nested's parse_sum for polynomials; the top span is quoted as
+    text and is at least nvars wide.  No slice of s is held."""
     if lo == hi:
         raise ValueError("empty polynomial text")
-    terms, width = {}, nvars
+    terms, width = {}, nvars if top else 0
     for a, b in _split_top(s, lo, hi, "+-", closes):
         negate = s[a] == "-"
-        if negate:
-            a += 1
-        if a == b:
-            raise ValueError(f"dangling sign in {s[lo:hi] if text is None else text!r}")
+        if a + negate == b:
+            raise ValueError(f"dangling sign in {text if top else s[lo:hi]!r}")
         prod = Polynomial.constant(field, 1)
-        for fa, fb in _split_top(s, a, b, "*", closes):
+        for fa, fb in _split_top(s, a + negate, b, "*", closes):
             if s[fa] == "(":
                 close = s.rindex(")", fa, fb)
                 tail = s[close + 1:fb]
@@ -582,8 +594,6 @@ def _parse_sum(s: str, lo: int, hi: int, text, nvars: int, field: FieldDescripto
                 prod = prod * Polynomial._of(field, {key: field.one_raw}, _top(key))
             else:
                 prod = prod.scale_raw(field.coerce_raw(s[fa:fb]))
-        if negate:
-            prod = -prod
-        _merge(terms, prod._terms, field)
+        _merge(terms, (-prod if negate else prod)._terms, field)
         width = max(width, prod.nvars)
     return Polynomial._of(field, terms, width)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import (FieldDescriptor, FieldElement, FieldError, host_fields, make_field,
+from .field import (FieldDescriptor, FieldElement, FieldError, make_field,
                     roots_of_z_pow_d_plus_one)
 from .poly import LinearForm, Polynomial
 from .symfunc import esp_of_forms, esp_table_of_forms, power_sum_of_forms
@@ -140,12 +140,8 @@ def _host_with_omega(field: FieldDescriptor):
     """(host, omega) with omega a primitive cube root of unity, char 2 only."""
     if field.characteristic != 2:
         raise SymModelError("a cube root of unity needs characteristic 2 here")
-    for host in host_fields(field):
-        for raw in range(2, host.order):
-            sq = host.mul_raw(raw, raw)
-            if host.add_raw(host.add_raw(sq, raw), host.one_raw) == host.zero_raw:
-                return host, FieldElement(host, raw)
-    raise SymModelError(f"no available extension of {field} contains a cube root of unity")
+    roots, host = roots_of_z_pow_d_plus_one(field, 3)      # 1, w, w^2 by raw
+    return host, roots[1]
 
 
 def quadratic_gadget(u: LinearForm, v: LinearForm) -> SymRepresentation:

@@ -122,10 +122,18 @@ def test_errors_exit_one(capsys):
     ["border", "demo", "--field", "gf(4)", "--target", "x1*x2", "--T", "1000000000000"],
     ["sym", "verify", "--rep", json.dumps({"field": "gf(2)", "degree": 1,
                                            "forms": [[0] * 199_999 + [1]]})],
+    ["formula", "peel", "--field", "gf(5)", "--dprime", "3", "--formula", ""],
+    ["formula", "peel", "--field", "gf(5)", "--dprime", "3", "--formula", "()"],
+    ["formula", "peel", "--field", "gf(5)", "--dprime", "3", "--formula", "(x1+x2)^2"],
+    ["formula", "peel", "--field", "gf(5)", "--dprime", "3", "--formula", "x1**x2"],
+    ["certify", "--p", "2", "--poly", "3()"],
+    ["sym", "build", "--field", "gf(4)", "--quadratic", "*t*x1*x2"],
 ], ids=["certify-no-ell", "zero-denominator", "rep-no-field", "rep-list", "rep-forms-int",
         "witness-zero-trials", "witness-negative-trials", "witness-d-one", "identities-max-n-zero",
         "rep-bool-degree", "rep-bool-coefficient", "exponent-past-packed-bound",
-        "variable-index-past-bound", "truncation-past-bound", "rep-row-past-index-bound"])
+        "variable-index-past-bound", "truncation-past-bound", "rep-row-past-index-bound",
+        "formula-empty", "formula-empty-parens", "formula-power", "formula-double-star",
+        "poly-empty-call", "quadratic-leading-star"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1

@@ -1,6 +1,7 @@
 """Field arithmetic: descriptors, raw operations, extensions, embeddings."""
 
 import math
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -23,6 +24,7 @@ from esym.field import (
     make_field,
     roots_of_z_pow_d_plus_one,
 )
+from esym.poly import Polynomial, parse_polynomial
 from esym.rng import SplitMix64
 
 SMALL_SPECS = ["gf(2)", "gf(3)", "gf(5)", "gf(4)", "gf(8)", "gf(9)", "gf(16)", "gf(25)", "gf(27)"]
@@ -324,7 +326,30 @@ def test_lucas_rejects_bad_input():
 def test_element_str_parse_round_trip(spec):
     f = make_field(spec)
     for a in f.elements():
-        assert f.element(str(a)) == a
+        text = f.raw_to_str(a.raw)
+        assert f.element(text) == a == f.element(f" ({text}) ")
+        assert parse_polynomial(text, f) == parse_polynomial(f"({text})", f) == \
+            Polynomial.constant(f, a)
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("q", "3()"), ("q", "((3))"), ("q", "x1(x2"), ("q", ""), ("gf(5)", "3()"),
+    ("gf(5)", "x1(x2"), ("gf(5)", "1/2"), ("gf(4)", "+"), ("gf(4)", "(+)"), ("gf(4)", "*t"),
+    ("gf(4)", "+t"), ("gf(4)", "t+"), ("gf(4)", "2*"), ("gf(9)", "t+-1"), ("gf(9)", "--t"),
+    ("gf(9)", "((t))"), ("gf(9)", "t^"),
+])
+def test_bad_literals_raise_one_field_error(spec, text):
+    f = make_field(spec)
+    with pytest.raises(FieldError, match=f"^{re.escape(f'bad element literal {text!r} for {f}')}$"):
+        f.element(text)
+
+
+def test_literal_errors_keep_their_cause():
+    with pytest.raises(FieldError, match="zero denominator"):
+        QQ.element("(1/0)")
+    with pytest.raises(FieldError, match=r"literal power t\^2 too large"):
+        make_field("gf(9)").element("t^2")
+    assert make_field("gf(9)").element("-t - 1") == make_field("gf(9)").element("2*t+2")
 
 
 # -- the product kernel -------------------------------------------------------

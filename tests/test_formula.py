@@ -89,6 +89,33 @@ def test_leaves_must_be_affine():
         Formula.leaf(parse_polynomial("x1^2", GF5))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty formula or parentheses in ''"),
+    ("  ", "empty formula or parentheses in '  '"),
+    ("()", "empty formula or parentheses in '()'"),
+    ("(x1+x2)^2", "bad factor '(x1+x2)^2'"),
+    ("(x1)x2", "bad factor '(x1)x2'"),
+    ("(x1)(x2)", "unbalanced parentheses in 'x1)(x2'"),
+    ("x1**x2", "dangling '*' in 'x1**x2'"),
+    ("+x1", "dangling '+' in '+x1'"),
+    ("x1 +", "dangling '+' in 'x1+'"),
+    ("x1 - - x2", "dangling sign in 'x1 - - x2'"),
+    ("x1*-x2", "dangling '*' in 'x1*'"),
+    ("x1*x2^2", "leaf literal 'x2^2' has degree > 1"),
+    ("x1(x2)", "bad element literal 'x1(x2)' for gf(5)"),
+    ("(x1", "unbalanced parentheses in '(x1'"),
+])
+def test_parse_refuses_malformed_text(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        f(text)
+
+
+def test_a_term_may_open_with_minus_after_plus():
+    # the polynomial grammar's rule; the tree is the one of "x1 - x2*x3"
+    assert str(f("x1+-x2*x3")) == str(f("x1 - x2*x3")) == "(x1 + (4 * (x2 * x3)))"
+    assert str(f("-(x1 + 1) * x2 + -3")) == "((4 * ((x1 + 1) * x2)) + 2)"
+
+
 # -- degree vertices -----------------------------------------------------------
 
 def test_find_degree_vertex_window():
@@ -180,7 +207,7 @@ def test_multiplier_expands_only_product_siblings(monkeypatch):
                         lambda node, memo=None: expanded.append(node) or real(node, memo))
     for path, _ in phi.paths():
         expanded.clear()
-        formula_mod._multiplier(phi, path)
+        formula_mod._multiplier(formula_mod._descend(phi.root, path)[0], phi.field)
         siblings = []
         for j, step in enumerate(path):
             gate = phi.node_at(path[:j])
@@ -199,7 +226,7 @@ def test_multiplier_stops_once_h_is_zero(monkeypatch):
                         lambda node, memo=None: expanded.append(node) or real_poly(node, memo))
     monkeypatch.setattr(Polynomial, "__mul__",
                         lambda a, b: products.append(b) or real_mul(a, b))
-    h = formula_mod._multiplier(phi, path, {})
+    h = formula_mod._multiplier(formula_mod._descend(phi.root, path)[0], phi.field, {})
     assert not h
     assert expanded == [phi.node_at((0, 0, 0, 1))]     # the 0; nothing above it
     assert len(products) == 1
@@ -658,6 +685,47 @@ def test_peel_outputs_match_the_pinned_digest():
             text = json.dumps(peel_decompose(phi, d_prime).to_json(), sort_keys=True)
             digest.update(text.encode())
     assert digest.hexdigest() == PEEL_DIGEST
+
+
+def formula_corpus(rng, count):
+    """Seeded formula texts over gf(5), gf(4) and q: random trees spelled
+    with spare parentheses, spacing, and '-' where a sum may open."""
+    literals = {"gf(5)": ["x1", "x2", "x3", "2*x1", "3", "0", "x2^1", " 4 ", "x1^0"],
+                "gf(4)": ["x1", "x2", "t", "(t+1)", "t*x2", "1", "x3", "(t)"],
+                "q": ["x1", "x2", "1/2", "3", "x3", "1/3*x1", "0", "(-2)"]}
+    specs = list(literals)
+    corpus = []
+    for _ in range(count):
+        spec = specs[rng.below(3)]
+        pool = literals[spec]
+        built, tasks = [], [1 + rng.below(5)]
+        while tasks:
+            task = tasks.pop()
+            if isinstance(task, str):
+                right = built.pop()
+                text = built.pop() + task + right
+                if rng.below(3) == 0:
+                    text = "(" + ("-" if rng.below(3) == 0 else "") + text + ")"
+                built.append(text)
+            elif task == 0 or rng.below(4) == 0:
+                lit = pool[rng.below(len(pool))]
+                built.append(lit if rng.below(4) else "(" + lit + ")")
+            else:
+                tasks += [["+", "-", "*", " * ", " + ", " - "][rng.below(6)], task - 1, task - 1]
+        text = built[0]
+        corpus.append((("-" if rng.below(5) == 0 else "") + text, spec))
+    return corpus
+
+
+# the trees of the one-frame-per-parenthesis parser that preceded _parse_nested
+PARSE_DIGEST = "f4ca2c84d5496108a901b0592fd490feffc8fde521e712d9bd70749a4d5bb256"
+
+
+def test_parse_outputs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for text, spec in formula_corpus(SplitMix64(1618), 3000):
+        digest.update(f"{spec} {text!r} {parse_formula(text, make_field(spec))}\n".encode())
+    assert digest.hexdigest() == PARSE_DIGEST
 
 
 def test_ben_or_outputs_match_the_pinned_digest():

@@ -1,5 +1,6 @@
 """Sparse polynomial and linear form arithmetic."""
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -225,6 +226,30 @@ def test_parse_errors():
     with pytest.raises(ValueError):
         parse_polynomial("x1*x2", GF5, nvars=1)
     assert parse_polynomial("x1*x2", GF5, nvars=4).nvars == 4
+
+
+@pytest.mark.parametrize("text, field, message", [
+    ("3()", QQ, "bad element literal '3()' for q"),
+    ("x1+3()", QQ, "bad element literal '3()' for q"),
+    ("x1(x2)", GF5, "bad element literal 'x1(x2)' for gf(5)"),
+    ("x1(x2)", QQ, "bad element literal 'x1(x2)' for q"),
+    ("+3", GF5, "dangling '+' in '+3'"),
+    ("x1++x2", GF5, "dangling '+' in 'x1++x2'"),
+    ("x1**x2", GF5, "dangling '*' in 'x1**x2'"),
+    ("*x1", GF5, "dangling '*' in '*x1'"),
+    ("+", GF4, "dangling '+' in '+'"),
+    ("(+)", GF4, "dangling '+' in '+'"),
+    ("*t*x1", GF4, "dangling '*' in '*t*x1'"),
+    ("+t", GF4, "dangling '+' in '+t'"),
+])
+def test_parse_refuses_text_outside_the_grammar(text, field, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_polynomial(text, field)
+
+
+def test_a_minus_may_open_any_term():
+    assert parse_polynomial("-x1+-2*x2 - 3", GF5) == parse_polynomial("4*x1 + 3*x2 + 2", GF5)
+    assert parse_polynomial("x1*(-x2)", QQ) == -parse_polynomial("x1*x2", QQ)
 
 
 def test_parse_of_every_degree4_monomial_in_28_variables():
