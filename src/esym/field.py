@@ -31,7 +31,9 @@ Field spec grammar accepted by make_field:
 
     q | gf(P) | gf(P^K) | gf(P^K;c0,c1,...,cK)
 
-Extension elements print as polynomials in t, e.g. "t+1".
+Extension elements print as polynomials in t, e.g. "t+1".  Literals are
+ASCII: -?[0-9]+ in GF(p), and in Q with an optional /[0-9]+.  The host of
+the roots of z^d + 1 is read off the group order, not searched for.
 
 Products of term dicts {key: raw}, keys adding, run on one kernel per kind:
 addmul_terms adds into an accumulator in place (GF(p) and Q sum integers,
@@ -158,15 +160,18 @@ def _uirreducible(m: tuple[int, ...], p: int) -> bool:
     mlist = list(m)
     for deg in range(1, k // 2 + 1):
         for idx in range(p**deg):
-            div = []
-            v = idx
-            for _ in range(deg):
-                div.append(v % p)
-                v //= p
-            div.append(1)
-            if not _umod(mlist, div, p):
+            if not _umod(mlist, _base_p_digits(idx, p, deg) + [1], p):
                 return False
     return True
+
+
+def _base_p_digits(raw: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of raw, constant digit first."""
+    out = []
+    for _ in range(k):
+        out.append(raw % p)
+        raw //= p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +233,7 @@ class FieldDescriptor:
         if isinstance(value, str):
             s = value.strip()
             try:
-                return self._raw_from_str(s[1:-1] if s[:1] == "(" and s[-1:] == ")" else s)
+                return self._raw_from_str(s[1:-1].strip() if s[:1] == "(" and s[-1:] == ")" else s)
             except FieldError:
                 raise
             except ValueError:
@@ -335,6 +340,8 @@ class RationalField(FieldDescriptor):
         return {k: Fraction(v, den) for k, v in acc.items() if v}
 
     def _raw_from_str(self, s: str) -> Fraction:
+        if not _RATIONAL_RE.fullmatch(s):
+            raise ValueError(s)                  # coerce_raw names the literal
         try:
             return Fraction(s)
         except ZeroDivisionError:
@@ -383,6 +390,8 @@ class PrimeField(FieldDescriptor):
         return {k: r for k, v in acc.items() if (r := v % p)}
 
     def _raw_from_str(self, s: str) -> int:
+        if not _INTEGER_RE.fullmatch(s):
+            raise ValueError(s)                  # coerce_raw names the literal
         return int(s) % self.p
 
 
@@ -415,14 +424,6 @@ class ExtensionField(FieldDescriptor):
             rows.append(tuple(row))
         self._red_rows = rows
 
-    def _digits(self, raw: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            out.append(raw % p)
-            raw //= p
-        return out
-
     def _undigits(self, cs) -> int:
         out = 0
         for c in reversed(cs):
@@ -431,7 +432,7 @@ class ExtensionField(FieldDescriptor):
 
     def _mul_generic(self, a: int, b: int) -> int:
         p, k = self.p, self.k
-        da, db = self._digits(a), self._digits(b)
+        da, db = _base_p_digits(a, p, k), _base_p_digits(b, p, k)
         conv = [0] * (2 * k - 1)
         for i, x in enumerate(da):
             if x:
@@ -561,7 +562,7 @@ class ExtensionField(FieldDescriptor):
         return super().coerce_raw(value)
 
     def raw_to_str(self, raw) -> str:
-        cs = self._digits(raw)
+        cs = _base_p_digits(raw, self.p, self.k)
         parts = []
         for e in range(self.k - 1, -1, -1):
             c = cs[e]
@@ -684,8 +685,10 @@ def _get_descriptor(cls, p=0, k=1, modulus=None) -> FieldDescriptor:
 
 QQ = _get_descriptor(RationalField)
 
-_EXT_TERM_RE = re.compile(r"(-?)(?:(\d+)|(?:(\d+)\*?)?t(?:\^(\d+))?)")
-_SPEC_RE = re.compile(r"gf\(\s*(\d+)\s*(?:\^\s*(\d+)\s*)?(?:;\s*([0-9,\s]+))?\)", re.IGNORECASE)
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_EXT_TERM_RE = re.compile(r"(-?)(?:([0-9]+)|(?:([0-9]+)\*?)?t(?:\^([0-9]+))?)")
+_SPEC_RE = re.compile(r"(?ai)gf\(\s*(\d+)\s*(?:\^\s*(\d+)\s*)?(?:;\s*([0-9,\s]+))?\)")
 
 
 def make_field(spec) -> FieldDescriptor:
@@ -733,15 +736,6 @@ def make_field(spec) -> FieldDescriptor:
         return _get_descriptor(ExtensionField, p, k, _MODULUS_TABLE[(p, k)])
     raise FieldError(
         f"no built-in modulus for gf({p}^{k}); supply one as gf({p}^{k};c0,c1,...)")
-
-
-def host_fields(field: FieldDescriptor):
-    """The field, then each tabled extension containing it, smallest first:
-    the candidates for the smallest extension that hosts some element."""
-    yield field
-    for (p, k), mod in sorted(_MODULUS_TABLE.items(), key=lambda kv: kv[0][0] ** kv[0][1]):
-        if p == field.p and k % field.k == 0 and p**k > field.order:
-            yield _get_descriptor(ExtensionField, p, k, mod)
 
 
 def esp_sweep(values, dmax: int, zero, one, add, mul) -> list:
@@ -848,7 +842,8 @@ def embed(element: FieldElement, host: FieldDescriptor) -> FieldElement:
         return FieldElement(host, element.raw)  # prime subfield is raws 0..p-1
     if host.k % src.k != 0:
         raise FieldError(f"{src} is not a subfield of {host}")
-    return FieldElement(host, _horner(host, src._digits(element.raw), _embedding_root(src, host)))
+    digits = _base_p_digits(element.raw, src.p, src.k)
+    return FieldElement(host, _horner(host, digits, _embedding_root(src, host)))
 
 
 # ---------------------------------------------------------------------------
@@ -859,38 +854,36 @@ def roots_of_z_pow_d_plus_one(field: FieldDescriptor, d: int):
     Returns (roots, host) where roots is a list of d host elements listed
     with multiplicity: writing d = p^a * d0 with p not dividing d0,
     z^d + 1 = (z^d0 + 1)^(p^a), so each of the d0 distinct roots repeats
-    p^a times.  The product of (z - root) over the list is verified to
-    reproduce z^d + 1 exactly before returning.
+    p^a times.  Their orders divide N = d0 (p = 2) or 2*d0, so GF(p^j) holds
+    them all exactly when N divides p^j - 1; the host is the field or the
+    tabled GF(p^j) for the least such multiple j of the field's degree.
+    The product of (z - root) over the list is verified to reproduce
+    z^d + 1 exactly before returning.
     """
     if field.characteristic == 0:
         raise FieldError("roots_of_z_pow_d_plus_one requires positive characteristic")
     if d < 1:
         raise FieldError("degree must be positive")
-    p = field.p
-    a, d0 = 0, d
+    p, k = field.p, field.k
+    d0 = d
     while d0 % p == 0:
         d0 //= p
-        a += 1
-
-    for host in host_fields(field):
-        minus_one = host.neg_raw(host.one_raw)
-        found = [x for x in range(host.order) if host.pow_raw(x, d0) == minus_one]
-        if len(found) == d0:
-            roots = [FieldElement(host, r) for r in found for _ in range(p**a)]
-            # prod (z - w_i) = sum_j e_j(-w) z^(d-j): it is z^d + 1 exactly
-            # when e_0..e_d of the negated roots read 1, 0, ..., 0, 1
-            neg = [host.neg_raw(w.raw) for w in roots]
-            esp = esp_sweep(neg, d, host.zero_raw, host.one_raw, host.add_raw, host.mul_raw)
-            if esp != [host.one_raw] + [host.zero_raw] * (d - 1) + [host.one_raw]:
-                raise FieldError("internal: root product check failed")
-            return roots, host
-
-    needed_order = d0 if p == 2 else 2 * d0
-    j = 1
-    while (p**j - 1) % needed_order != 0 or j % field.k != 0:
-        j += 1
-        if p**j > MAX_EXTENSION_SIZE:
-            break
-    raise FieldError(
-        f"host too large: no available extension of {field} splits z^{d}+1; "
-        f"roots have multiplicative order {needed_order}, requiring gf({p}^{j})")
+    N = d0 if p == 2 else 2 * d0
+    j, r = k, pow(p, k, N)                  # r = p^j mod N, back at 1 within N steps
+    while r != 1 % N:
+        j, r = j + k, r * pow(p, k, N) % N
+    if j != k and (p, j) not in _MODULUS_TABLE:
+        raise FieldError(
+            f"host too large: no available extension of {field} splits z^{d}+1; "
+            f"roots have multiplicative order {N}, requiring gf({p}^{j})")
+    host = field if j == k else _get_descriptor(ExtensionField, p, j, _MODULUS_TABLE[(p, j)])
+    minus_one = host.neg_raw(host.one_raw)
+    found = [x for x in range(host.order) if host.pow_raw(x, d0) == minus_one]
+    roots = [FieldElement(host, r) for r in found for _ in range(d // d0)]
+    # prod (z - w_i) = sum_j e_j(-w) z^(d-j): it is z^d + 1 exactly
+    # when e_0..e_d of the negated roots read 1, 0, ..., 0, 1
+    neg = [host.neg_raw(w.raw) for w in roots]
+    esp = esp_sweep(neg, d, host.zero_raw, host.one_raw, host.add_raw, host.mul_raw)
+    if esp != [host.one_raw] + [host.zero_raw] * (d - 1) + [host.one_raw]:
+        raise FieldError("internal: root product check failed")
+    return roots, host

@@ -9,9 +9,10 @@ a product gate the sum; it upper-bounds the degree of the computed
 polynomial.  Nodes are addressed by paths: tuples of 0 (left) and 1
 (right) from the root.
 
-Every node caches its formal degree, size, nvars and field when it is
-built, in O(1) from its children, so formal_degree() and size read one
-attribute and Formula(...) accepts a well-formed tree without walking it.
+A node is checked where it is built (an affine Polynomial label; op + or *
+over two nodes of one field) and caches its formal degree, size, nvars and
+field in O(1) from its children: formal_degree() and size read one
+attribute, and Formula(...) checks only its root, never walking the tree.
 No function here recurses: walks use explicit stacks, so tree depth is
 bounded by memory, not by the interpreter's recursion limit.
 
@@ -60,52 +61,54 @@ class FormulaError(ValueError):
 
 
 class Leaf:
-    """A leaf with its label; immutable by convention.
+    """A leaf with an affine label; immutable by convention.
 
-    Caches fdeg (formal degree), size (1 for a non-constant label), nvars,
-    and field: the label's field when the label is an affine Polynomial,
-    else None.
+    Caches fdeg (formal degree), size (1 for a non-constant label), nvars
+    and field.  FormulaError unless the label is a Polynomial of degree <= 1.
     """
 
     __slots__ = ("label", "fdeg", "size", "nvars", "field")
 
     def __init__(self, label: Polynomial):
+        if not isinstance(label, Polynomial):
+            raise FormulaError(f"leaf label {label!r} is not a Polynomial")
+        deg = label.degree()
+        if deg > 1:
+            raise FormulaError(f"leaf label {label} has degree > 1")
         self.label = label
-        if isinstance(label, Polynomial):
-            deg = label.degree()
-            self.fdeg = max(deg, 0)
-            self.size = 1 if deg >= 1 else 0
-            self.nvars = label.nvars
-            self.field = label.field if deg <= 1 else None
-        else:
-            self.fdeg = self.size = self.nvars = 0
-            self.field = None
+        self.fdeg = max(deg, 0)
+        self.size = 1 if deg == 1 else 0
+        self.nvars = label.nvars
+        self.field = label.field
 
 
 class Gate:
-    """A +/* gate over two nodes; immutable by convention.
+    """A +/* gate over two nodes of one field; immutable by convention.
 
-    Caches fdeg, size and nvars from its children, and field: the common
-    field of the subtree when every op in it is + or *, every child is a
-    node and every leaf is affine over that field, else None.
+    Caches fdeg, size, nvars and field from its children.  FormulaError
+    for another op or a child that is not a node, FieldError for children
+    over different fields.
     """
 
     __slots__ = ("op", "left", "right", "fdeg", "size", "nvars", "field")
 
     def __init__(self, op: str, left, right):
+        if op not in ("+", "*"):
+            raise FormulaError(f"unknown gate op {op!r}")
+        if not isinstance(left, (Leaf, Gate)):
+            raise FormulaError(f"not a formula node: {left!r}")
+        if not isinstance(right, (Leaf, Gate)):
+            raise FormulaError(f"not a formula node: {right!r}")
+        if left.field is not right.field:
+            raise FieldError(f"mixed fields in a formula gate: {left.field} and {right.field}")
         self.op = op
         self.left = left
         self.right = right
-        if isinstance(left, (Leaf, Gate)) and isinstance(right, (Leaf, Gate)):
-            a, b = left.fdeg, right.fdeg
-            self.fdeg = max(a, b) if op == "+" else a + b
-            self.size = left.size + right.size
-            self.nvars = max(left.nvars, right.nvars)
-            ok = op in ("+", "*") and left.field is not None and left.field == right.field
-            self.field = left.field if ok else None
-        else:
-            self.fdeg = self.size = self.nvars = 0
-            self.field = None
+        a, b = left.fdeg, right.fdeg
+        self.fdeg = max(a, b) if op == "+" else a + b
+        self.size = left.size + right.size
+        self.nvars = max(left.nvars, right.nvars)
+        self.field = left.field
 
 
 class Formula:
@@ -114,13 +117,13 @@ class Formula:
     __slots__ = ("root", "field", "nvars")
 
     def __init__(self, root, field: FieldDescriptor):
-        if isinstance(root, (Leaf, Gate)) and root.field is not None and root.field == field:
-            nvars = root.nvars
-        else:
-            nvars = _checked_nvars(root, field)
+        if not isinstance(root, (Leaf, Gate)):
+            raise FormulaError(f"not a formula node: {root!r}")
+        if root.field is not field:
+            raise FormulaError(f"leaf over {root.field} in a formula over {field}")
         self.root = root
         self.field = field
-        self.nvars = nvars
+        self.nvars = root.nvars
 
     # -- constructors --------------------------------------------------------
 
@@ -138,8 +141,6 @@ class Formula:
 
     @classmethod
     def combine(cls, op: str, a: "Formula", b: "Formula") -> "Formula":
-        if a.field != b.field:
-            raise FieldError("mixed fields in a formula gate")
         return cls(Gate(op, a.root, b.root), a.field)
 
     def __add__(self, other: "Formula"):
@@ -201,25 +202,6 @@ def _descend(root, path):
         steps.append((node, step))
         node = node.left if step == 0 else node.right
     return steps, node
-
-
-def _checked_nvars(root, field) -> int:
-    """nvars of a tree whose cached facts do not vouch for it; the walk
-    raises FormulaError at the first node that breaks the rules."""
-    nvars = 0
-    for _, node in _walk(root):
-        if isinstance(node, Leaf):
-            if node.label.field != field:
-                raise FormulaError(f"leaf over {node.label.field} in a formula over {field}")
-            if node.label.degree() > 1:
-                raise FormulaError(f"leaf label {node.label} has degree > 1")
-            nvars = max(nvars, node.label.nvars)
-        elif isinstance(node, Gate):
-            if node.op not in ("+", "*"):
-                raise FormulaError(f"unknown gate op {node.op!r}")
-        else:
-            raise FormulaError(f"not a formula node: {node!r}")
-    return nvars
 
 
 def _poly(root, memo=None) -> Polynomial:
@@ -448,14 +430,13 @@ def peel_decompose(phi: Formula, d_prime: int) -> PeelDecomposition:
 
 
 def _poly_to_formula(poly: Polynomial) -> Formula:
-    """A formula computing the polynomial: sum of products of affine leaves.
+    """A formula computing the nonzero polynomial: sum of products of affine
+    leaves.
 
     Formal degree equals the polynomial's degree, so folding a low-degree
     polynomial into a residual cannot raise its formal degree.
     """
     field = poly.field
-    if poly.is_zero:
-        return Formula.constant(field, 0)
     acc = None
     for mono, coeff in poly.terms():
         variables = [i + 1 for i, e in enumerate(mono) for _ in range(e)]
@@ -505,9 +486,7 @@ def ben_or(n: int, d: int, F: FieldDescriptor) -> Formula:
             for label in labels[1:]:
                 term = Gate("*", term, Leaf(label))
         acc = term if acc is None else Gate("+", acc, term)
-    if acc is None:
-        acc = Leaf(Polynomial.zero(F))
-    return Formula(acc, F)
+    return Formula(acc, F)       # some c_j is nonzero: they solve a nonsingular system
 
 
 def _interpolation_weights(nodes, m: int, F: FieldDescriptor):

@@ -503,7 +503,7 @@ class LinearForm(Polynomial):
 # ---------------------------------------------------------------------------
 # parsing
 
-_VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
+_VAR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 
 
 def _split_top(s: str, lo: int, hi: int, seps: str, closes: dict) -> list[tuple[int, int]]:
@@ -581,7 +581,7 @@ def _parse_sum(text, nvars: int, field: FieldDescriptor, s: str, lo: int, hi: in
             if s[fa] == "(":
                 close = s.rindex(")", fa, fb)
                 tail = s[close + 1:fb]
-                if tail and (not tail.startswith("^") or not tail[1:].isdigit()):
+                if tail and not (tail[0] == "^" and tail[1:].isascii() and tail[1:].isdigit()):
                     raise ValueError(f"bad factor {s[fa:fb]!r}")
                 exp = int(tail[1:]) if tail else 1
                 prod = prod * (yield fa + 1, close) ** exp

@@ -330,22 +330,13 @@ def witness_family(p: int, d: int) -> WitnessFamily:
         raise V2Error(f"p = {p} is not prime")
     if d < 2:
         raise V2Error(f"a witness family needs d >= 2 (V2(e_1) is empty), got d = {d}")
-    n = d
+    r = 1                                    # n - d + 1, over the powers of p
     while True:
-        r = n - d + 1
-        if r >= d - 1 and _is_p_power(r, p):
-            fam = WitnessFamily(p=p, d=d, n=n)
+        if r >= d - 1:
+            fam = WitnessFamily(p=p, d=d, n=r + d - 1)
             if all(lucas_binomial(a, i, p) == 0 for a, i in fam.required_binomials()):
                 return fam
-        n += 1
-
-
-def _is_p_power(r: int, p: int) -> bool:
-    if r < 1:
-        return False
-    while r % p == 0:
-        r //= p
-    return r == 1
+        r *= p
 
 
 def product_zero_containment(factors, trials: int, seed: int) -> bool:

@@ -1,5 +1,6 @@
 """Field arithmetic: descriptors, raw operations, extensions, embeddings."""
 
+import hashlib
 import math
 import re
 import time
@@ -19,7 +20,6 @@ from esym.field import (
     _is_prime,
     _uirreducible,
     embed,
-    host_fields,
     lucas_binomial,
     make_field,
     roots_of_z_pow_d_plus_one,
@@ -49,6 +49,12 @@ def test_rational_field():
 def test_prime_field_spec_variants():
     assert make_field("gf(7)") == make_field("GF(7)")
     assert make_field("gf(7^1)") == make_field("gf(7)")
+
+
+@pytest.mark.parametrize("spec", ["gf(\u0665)", "gf(2^\u0663)", "gf(\uff17)"])
+def test_spec_digits_are_ascii(spec):
+    with pytest.raises(FieldError, match="^bad field spec"):
+        make_field(spec)
 
 
 def test_nonprime_base_rejected():
@@ -110,7 +116,8 @@ def test_descriptors_are_interned():
     assert make_field(5) is make_field("gf(5)")
     assert make_field("q") is QQ
     for spec in ("gf(2)", "gf(3)", "gf(4)", "gf(5)"):
-        for host in host_fields(make_field(spec)):
+        for d in range(1, 5):
+            _, host = roots_of_z_pow_d_plus_one(make_field(spec), d)
             assert host is make_field(host.spec_string())
     assert len({make_field("gf(4)"), make_field("gf(2^2)"), make_field("gf(2)")}) == 2
 
@@ -306,6 +313,42 @@ def test_roots_requires_positive_characteristic():
         roots_of_z_pow_d_plus_one(QQ, 2)
 
 
+ROOT_SPECS = ["gf(2)", "gf(3)", "gf(4)", "gf(5)", "gf(7)", "gf(8)", "gf(9)", "gf(11)", "gf(16)",
+              "gf(25)", "gf(27)", "gf(3^2;2,2,1)", "gf(2^8;1,0,1,1,1,0,0,0,1)"]
+
+
+def test_roots_and_hosts_match_the_pinned_digest():
+    # SHA-256 of every (host, root raws), or "no host", for d = 1..24 over
+    # ROOT_SPECS, computed with the earlier search that scanned each tabled
+    # extension in turn
+    h = hashlib.sha256()
+    for spec in ROOT_SPECS:
+        for d in range(1, 25):
+            try:
+                roots, host = roots_of_z_pow_d_plus_one(make_field(spec), d)
+                item = (str(host), [r.raw for r in roots])
+            except FieldError:
+                item = "no host"
+            h.update(repr((spec, d, item)).encode())
+    assert h.hexdigest() == "6a389b363455cf1c8e6c8d530c9640230ad367a51180f216526aed46d57069cb"
+
+
+@pytest.mark.parametrize("spec, d, needed", [
+    ("gf(2)", 29, "gf(2^28)"), ("gf(4)", 23, "gf(2^22)"), ("gf(2)", 17, "gf(2^8)"),
+    ("gf(3)", 7, "gf(3^6)"), ("gf(11)", 4, "gf(11^2)"),
+])
+def test_no_host_names_the_field_that_holds_the_roots(spec, d, needed):
+    # the roots have order dividing N = d0 (p = 2) or 2*d0, and gf(p^j)
+    # holds them exactly when N divides p^j - 1
+    field = make_field(spec)
+    with pytest.raises(FieldError, match=rf"requiring {re.escape(needed)}$"):
+        roots_of_z_pow_d_plus_one(field, d)
+    p, j = map(int, needed[3:-1].split("^"))
+    n = d if p == 2 else 2 * d
+    assert (p**j - 1) % n == 0 and j % field.k == 0
+    assert all((p**i - 1) % n for i in range(field.k, j, field.k))
+
+
 # -- Lucas binomials --------------------------------------------------------
 
 @given(st.integers(0, 400), st.integers(0, 400), st.sampled_from([2, 3, 5, 7]))
@@ -342,6 +385,28 @@ def test_bad_literals_raise_one_field_error(spec, text):
     f = make_field(spec)
     with pytest.raises(FieldError, match=f"^{re.escape(f'bad element literal {text!r} for {f}')}$"):
         f.element(text)
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("gf(5)", "1_0"), ("gf(5)", "\u0663"), ("gf(5)", "3.0"), ("gf(5)", "0x3"), ("q", "1e3"),
+    ("q", "1.5"), ("q", "1_0/3"), ("q", "\u0663/2"), ("q", "1/-2"), ("q", "inf"),
+    ("gf(4)", "\u0661"), ("gf(9)", "t^\u0661"),
+])
+def test_literals_outside_the_ascii_grammar_are_refused(spec, text):
+    # int() and Fraction() read these; the grammar is -?[0-9]+ (and /[0-9]+ over Q)
+    f = make_field(spec)
+    with pytest.raises(FieldError, match="^bad element literal"):
+        f.element(f"({text})")
+    with pytest.raises(FieldError, match="^bad element literal"):
+        parse_polynomial(f"{text}*x1", f)
+
+
+def test_literals_inside_the_grammar_still_parse():
+    assert make_field("gf(5)").element("-13") == make_field("gf(5)").element("( 2 )")
+    assert QQ.element("-6/4") == QQ.element("(-3/2)")
+    with pytest.raises(FieldError, match="^bad element literal"):
+        make_field("gf(5)").element("+3")              # as in the GF(p^k) reader
+    assert parse_polynomial("10*x1 - 007", QQ) == parse_polynomial("10*x1 + (-7)", QQ)
 
 
 def test_literal_errors_keep_their_cause():

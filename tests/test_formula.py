@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import esym.formula as formula_mod
-from esym.field import QQ, make_field
+from esym.field import QQ, FieldError, make_field
 from esym.formula import (
     Formula,
     FormulaError,
@@ -406,35 +406,45 @@ def test_cached_metadata_and_vertex_pick_match_reference_walks():
     assert picks > 1000
 
 
-# -- malformed trees: the bad node sits deep inside a valid tree ----------------
+# -- malformed nodes are refused where they are built --------------------------
 
 def _bury(bad):
-    """A valid tree over GF(5) with `bad` three levels down on the right."""
+    """A valid tree over GF(5) with `bad` three levels down on the right;
+    bad is a callable, so the node it builds is built inside the tree."""
     x1 = Leaf(parse_polynomial("x1 + 1", GF5))
     x2 = Leaf(parse_polynomial("2*x2", GF5))
-    return Gate("+", Gate("*", x1, x2), Gate("*", x2, Gate("+", x1, bad)))
+    return Gate("+", Gate("*", x1, x2), Gate("*", x2, Gate("+", x1, bad())))
 
 
-@pytest.mark.parametrize("make_root, message", [
-    (lambda: _bury(Leaf(parse_polynomial("x1", GF11))),
-     "leaf over gf(11) in a formula over gf(5)"),
-    (lambda: _bury(Leaf(parse_polynomial("x1*x2", GF5))),
+@pytest.mark.parametrize("make_bad, error, message", [
+    (lambda: Leaf(parse_polynomial("x1", GF11)), FieldError,
+     "mixed fields in a formula gate: gf(5) and gf(11)"),
+    (lambda: Leaf(parse_polynomial("x1*x2", GF5)), FormulaError,
      "leaf label x1*x2 has degree > 1"),
-    (lambda: _bury(Gate("-", Leaf(parse_polynomial("x3", GF5)),
-                        Leaf(parse_polynomial("x4", GF5)))),
-     "unknown gate op '-'"),
-    (lambda: _bury(parse_polynomial("x3", GF5)),
+    (lambda: Gate("-", Leaf(parse_polynomial("x3", GF5)), Leaf(parse_polynomial("x4", GF5))),
+     FormulaError, "unknown gate op '-'"),
+    (lambda: parse_polynomial("x3", GF5), FormulaError,
      "not a formula node: <poly x3 over gf(5)>"),
 ], ids=["mixed-field", "degree-2-leaf", "unknown-op", "non-node-child"])
-def test_malformed_trees_raise_the_walks_message(make_root, message):
-    root = make_root()
-    with pytest.raises(FormulaError) as info:
-        Formula(root, GF5)
+def test_malformed_trees_raise_the_walks_message(make_bad, error, message):
+    # the messages a whole-tree walk in Formula(...) once gave; now the bad
+    # node's own constructor gives them, before any tree holds it
+    with pytest.raises(error) as info:
+        _bury(make_bad)
     assert str(info.value) == message
-    # a valid formula combined with the bad subtree fails the same way
-    with pytest.raises(FormulaError) as info:
-        Formula(Gate("*", Leaf(parse_polynomial("x4", GF5)), root), GF5)
-    assert str(info.value) == message
+
+
+def test_formula_refuses_a_root_over_another_field_or_a_non_node():
+    phi = parse_formula("x1*x2 + 3", GF5)
+    with pytest.raises(FormulaError, match=r"^leaf over gf\(5\) in a formula over gf\(7\)$"):
+        Formula(phi.root, GF7)
+    with pytest.raises(FormulaError, match=r"^not a formula node: <poly x1 over gf\(5\)>$"):
+        Formula(parse_polynomial("x1", GF5), GF5)
+    with pytest.raises(FormulaError, match=r"^leaf label 3 is not a Polynomial$"):
+        Leaf(3)
+    with pytest.raises(FieldError, match=r"^mixed fields in a formula gate: gf\(5\) and gf\(7\)$"):
+        phi + Formula.variable(GF7, 1)
+    assert Formula(phi.root, GF5).nvars == 2
 
 
 # -- the O(n^2) interpolation solve against Gaussian elimination ---------------

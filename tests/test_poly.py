@@ -241,6 +241,10 @@ def test_parse_errors():
     ("(+)", GF4, "dangling '+' in '+'"),
     ("*t*x1", GF4, "dangling '*' in '*t*x1'"),
     ("+t", GF4, "dangling '+' in '+t'"),
+    ("1_0*x1", GF5, "bad element literal '1_0' for gf(5)"),
+    ("1.5*x1", QQ, "bad element literal '1.5' for q"),
+    ("x\u0663", GF5, "bad element literal 'x\u0663' for gf(5)"),
+    ("(x1)^\u00b2", GF5, "bad factor '(x1)^\u00b2'"),
 ])
 def test_parse_refuses_text_outside_the_grammar(text, field, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -12,6 +12,7 @@ from esym.rng import SplitMix64
 from esym.symfunc import gen_esp
 from esym.v2space import (
     V2Error,
+    WitnessFamily,
     count_v2,
     dimension_estimate,
     enumerate_v2,
@@ -358,6 +359,24 @@ def test_witness_family_minimal_n(p, d, n):
     assert fam.n == n
     assert fam.parameter_arity == d - 1
     assert all(lucas_binomial(a, i, p) == 0 for a, i in fam.required_binomials())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_witness_family_matches_the_scan_over_every_n(p):
+    # the least n >= d whose n - d + 1 is a power of p, at least d - 1, with
+    # every required binomial vanishing, found by trying each n in turn
+    for d in range(2, 40):
+        n = d
+        while True:
+            r = n - d + 1
+            while r % p == 0:
+                r //= p
+            if r == 1 and n - d + 1 >= d - 1:
+                fam = WitnessFamily(p=p, d=d, n=n)
+                if all(lucas_binomial(a, i, p) == 0 for a, i in fam.required_binomials()):
+                    break
+            n += 1
+        assert witness_family(p, d) == fam
 
 
 def test_witness_points_are_order2_zeros():
