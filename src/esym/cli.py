@@ -25,7 +25,7 @@ from . import border as border_mod
 from . import certificate as cert_mod
 from . import formula as formula_mod
 from . import symfunc, symmodel, v2space
-from .field import FieldError, make_field
+from .field import _INTEGER_RE, FieldError, make_field
 from .poly import parse_polynomial
 from .rng import SplitMix64
 
@@ -38,6 +38,14 @@ def _read_arg(value: str) -> str:
         with open(value, "r", encoding="utf-8") as fh:
             return fh.read()
     return value
+
+
+def _integer(text: str) -> int:
+    """An integer option: ASCII digits after an optional '-', as in a GF(p)
+    literal; argparse reports other text as a usage error."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _emit(report: dict, fmt: str, stream) -> None:
@@ -319,7 +327,7 @@ def _add_common(parser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--field", default=d("q"),
                         help="field spec: q, gf(P), gf(P^K), gf(P^K;c0,c1,...)")
-    parser.add_argument("--seed", type=int, default=d(0), help="64-bit PRNG seed")
+    parser.add_argument("--seed", type=_integer, default=d(0), help="64-bit PRNG seed")
     parser.add_argument("--format", choices=("json", "text", "csv"),
                         default=d("json"), help="report format")
 
@@ -336,12 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identities", parents=[common], help="verify symmetric-function identities")
     p.add_argument("--all", action="store_true", help="run every identity kind")
     p.add_argument("--kind", choices=symfunc.IDENTITY_KINDS)
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p.add_argument("--max-n", type=_integer, default=8, dest="max_n")
     p.set_defaults(func=_cmd_identities)
 
     p = sub.add_parser("esp", parents=[common], help="print e_d in n variables")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--d", type=_integer, required=True)
     p.set_defaults(func=_cmd_esp)
 
     psym = sub.add_parser("sym", parents=[common], help="symmetric-model constructions")
@@ -359,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sym_decompose)
 
     p = sub.add_parser("certify", parents=[common], help="partition-sum non-membership certificate")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--ell", type=int)
+    p.add_argument("--p", type=_integer, required=True)
+    p.add_argument("--ell", type=_integer)
     p.add_argument("--poly", help="polynomial to certify (text or file); "
                                   "defaults to the block polynomial")
     p.set_defaults(func=_cmd_certify)
@@ -368,35 +376,35 @@ def build_parser() -> argparse.ArgumentParser:
     pv2 = sub.add_parser("v2", parents=[common], help="order-2 zero space experiments")
     v2sub = pv2.add_subparsers(dest="v2_command", required=True)
     p = v2sub.add_parser("scan", parents=[common], help="enumerate the order-2 zeros of e_d^n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--d", type=_integer, required=True)
     p.set_defaults(func=_cmd_v2_scan)
     p = v2sub.add_parser("witness", parents=[common], help="random checks of the witness family")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--p", type=_integer, required=True)
+    p.add_argument("--d", type=_integer, required=True)
+    p.add_argument("--trials", type=_integer, default=100)
     p.set_defaults(func=_cmd_v2_witness)
     p = v2sub.add_parser("dim", parents=[common], help="count-slope dimension estimate")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=3)
+    p.add_argument("--p", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--d", type=_integer, required=True)
+    p.add_argument("--kmax", type=_integer, default=3)
     p.set_defaults(func=_cmd_v2_dim)
 
     pf = sub.add_parser("formula", parents=[common], help="formula IR passes")
     fsub = pf.add_subparsers(dest="formula_command", required=True)
     p = fsub.add_parser("peel", parents=[common], help="peel into residual + sum of products")
     p.add_argument("--formula", required=True, help="formula text or file")
-    p.add_argument("--dprime", type=int, required=True)
+    p.add_argument("--dprime", type=_integer, required=True)
     p.set_defaults(func=_cmd_formula_peel)
     p = fsub.add_parser("ben-or", parents=[common], help="interpolation formula for e_d^n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--d", type=_integer, required=True)
     p.set_defaults(func=_cmd_formula_ben_or)
     p = fsub.add_parser("bound", parents=[common], help="formula-size lower bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--dim", type=int)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--d", type=_integer, required=True)
+    p.add_argument("--dim", type=_integer)
     p.set_defaults(func=_cmd_formula_bound)
 
     pb = sub.add_parser("border", parents=[common], help="truncated eps-series demos")
@@ -404,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = bsub.add_parser("demo", parents=[common], help="border fan-in-2 product for a quadratic")
     p.add_argument("--target", required=True,
                    help="homogeneous quadratic (text or file)")
-    p.add_argument("--T", type=int, default=None, help="series truncation")
+    p.add_argument("--T", type=_integer, default=None, help="series truncation")
     p.set_defaults(func=_cmd_border_demo)
 
     return parser

@@ -130,26 +130,20 @@ def _factor(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over GF(p) as trimmed constant-first int lists,
-# used only to bootstrap extension arithmetic
+# univariate polynomials over GF(p) as constant-first int lists, used only
+# to bootstrap extension arithmetic
 
-def _utrim(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _umod(a: list[int], m: list[int], p: int) -> list[int]:
+def _umod(a: list[int], m, p: int) -> list[int]:
+    """The remainder of a by the monic m over GF(p): its len(m) - 1 low
+    digits, each in [0, p).  a's digits may be any ints."""
     a = list(a)
     dm = len(m) - 1
-    lead_inv = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * lead_inv) % p
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * mi) % p
-        _utrim(a)
-    return a
+    for top in range(len(a) - 1, dm - 1, -1):
+        c = a[top] % p
+        if c:                                # m[dm] = 1 cancels a[top]
+            for i in range(dm):
+                a[top - dm + i] -= c * m[i]
+    return [c % p for c in a[:dm]]
 
 
 def _uirreducible(m: tuple[int, ...], p: int) -> bool:
@@ -157,10 +151,9 @@ def _uirreducible(m: tuple[int, ...], p: int) -> bool:
     k = len(m) - 1
     if k < 1 or m[-1] == 0:
         return False
-    mlist = list(m)
     for deg in range(1, k // 2 + 1):
         for idx in range(p**deg):
-            if not _umod(mlist, _base_p_digits(idx, p, deg) + [1], p):
+            if not any(_umod(m, _base_p_digits(idx, p, deg) + [1], p)):
                 return False
     return True
 
@@ -222,8 +215,8 @@ class FieldDescriptor:
 
     def coerce_raw(self, value):
         """Raw value from an element of this field, an int, or a literal
-        string; subclasses accept Fractions (Q) and digit tuples (GF(p^k)).
-        A literal may sit in one pair of parentheses."""
+        string; Q also accepts Fractions.  A literal may sit in one pair of
+        parentheses."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldError(f"element of {value.field} used in {self}")
@@ -398,11 +391,10 @@ class PrimeField(FieldDescriptor):
 class ExtensionField(FieldDescriptor):
     """GF(p^k) = F_p[t]/(modulus): raw values are base-p digit indices."""
 
-    __slots__ = ("_exp", "_exp2", "_log", "_zech", "_group", "_red_rows")
+    __slots__ = ("_exp", "_exp2", "_log", "_zech", "_group")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         super().__init__(p, k, modulus)
-        self._build_reduction_rows()
         self._build_log_tables()
 
     def spec_string(self) -> str:
@@ -411,18 +403,6 @@ class ExtensionField(FieldDescriptor):
         return f"gf({self.p}^{self.k};{','.join(str(c) for c in self.modulus)})"
 
     # -- bootstrap -----------------------------------------------------------
-
-    def _build_reduction_rows(self):
-        p, k, m = self.p, self.k, self.modulus
-        rows = []
-        row = [(-c) % p for c in m[:k]]  # t^k
-        rows.append(tuple(row))
-        for _ in range(k - 2):
-            row = [0] + row[:]           # multiply by t
-            top = row.pop()              # coefficient of t^k
-            row = [(row[i] + top * rows[0][i]) % p for i in range(k)]
-            rows.append(tuple(row))
-        self._red_rows = rows
 
     def _undigits(self, cs) -> int:
         out = 0
@@ -437,15 +417,8 @@ class ExtensionField(FieldDescriptor):
         for i, x in enumerate(da):
             if x:
                 for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        out = conv[:k]
-        for e in range(k, 2 * k - 1):
-            c = conv[e]
-            if c:
-                row = self._red_rows[e - k]
-                for i in range(k):
-                    out[i] = (out[i] + c * row[i]) % p
-        return self._undigits(out)
+                    conv[i + j] += x * y
+        return self._undigits(_umod(conv, self.modulus, p))
 
     def _pow_generic(self, a: int, n: int) -> int:
         r = 1
@@ -552,14 +525,6 @@ class ExtensionField(FieldDescriptor):
         return acc
 
     # -- elements, printing and parsing ----------------------------------------
-
-    def coerce_raw(self, value):
-        if isinstance(value, (tuple, list)):
-            if len(value) > self.k or not all(isinstance(c, int) for c in value):
-                raise FieldError(f"{value!r} is not a list of at most {self.k} "
-                                 f"integer coefficients for {self}")
-            return self._undigits([c % self.p for c in value] + [0] * (self.k - len(value)))
-        return super().coerce_raw(value)
 
     def raw_to_str(self, raw) -> str:
         cs = _base_p_digits(raw, self.p, self.k)
@@ -857,8 +822,9 @@ def roots_of_z_pow_d_plus_one(field: FieldDescriptor, d: int):
     p^a times.  Their orders divide N = d0 (p = 2) or 2*d0, so GF(p^j) holds
     them all exactly when N divides p^j - 1; the host is the field or the
     tabled GF(p^j) for the least such multiple j of the field's degree.
-    The product of (z - root) over the list is verified to reproduce
-    z^d + 1 exactly before returning.
+    The product of (z - root) over the d0 distinct roots is verified to
+    reproduce z^d0 + 1 exactly before returning; its p^a-th power is then
+    z^d + 1 by Frobenius.
     """
     if field.characteristic == 0:
         raise FieldError("roots_of_z_pow_d_plus_one requires positive characteristic")
@@ -879,11 +845,10 @@ def roots_of_z_pow_d_plus_one(field: FieldDescriptor, d: int):
     host = field if j == k else _get_descriptor(ExtensionField, p, j, _MODULUS_TABLE[(p, j)])
     minus_one = host.neg_raw(host.one_raw)
     found = [x for x in range(host.order) if host.pow_raw(x, d0) == minus_one]
-    roots = [FieldElement(host, r) for r in found for _ in range(d // d0)]
-    # prod (z - w_i) = sum_j e_j(-w) z^(d-j): it is z^d + 1 exactly
-    # when e_0..e_d of the negated roots read 1, 0, ..., 0, 1
-    neg = [host.neg_raw(w.raw) for w in roots]
-    esp = esp_sweep(neg, d, host.zero_raw, host.one_raw, host.add_raw, host.mul_raw)
-    if esp != [host.one_raw] + [host.zero_raw] * (d - 1) + [host.one_raw]:
+    # prod (z - w_i) over d0 values = sum_j e_j(-w) z^(d0-j): it is z^d0 + 1
+    # exactly when e_0..e_d0 of the negated roots read 1, 0, ..., 0, 1
+    neg = [host.neg_raw(w) for w in found]
+    esp = esp_sweep(neg, d0, host.zero_raw, host.one_raw, host.add_raw, host.mul_raw)
+    if len(found) != d0 or esp != [host.one_raw] + [host.zero_raw] * (d0 - 1) + [host.one_raw]:
         raise FieldError("internal: root product check failed")
-    return roots, host
+    return [FieldElement(host, r) for r in found for _ in range(d // d0)], host

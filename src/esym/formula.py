@@ -430,8 +430,8 @@ def peel_decompose(phi: Formula, d_prime: int) -> PeelDecomposition:
 
 
 def _poly_to_formula(poly: Polynomial) -> Formula:
-    """A formula computing the nonzero polynomial: sum of products of affine
-    leaves.
+    """A formula computing the nonzero constant-free polynomial: sum of
+    products of affine leaves.
 
     Formal degree equals the polynomial's degree, so folding a low-degree
     polynomial into a residual cannot raise its formal degree.
@@ -440,13 +440,9 @@ def _poly_to_formula(poly: Polynomial) -> Formula:
     acc = None
     for mono, coeff in poly.terms():
         variables = [i + 1 for i, e in enumerate(mono) for _ in range(e)]
-        if not variables:
-            term = Leaf(Polynomial.constant(field, coeff))
-        else:
-            first = Polynomial.variable(field, variables[0]).scale(coeff)
-            term = Leaf(first)
-            for v in variables[1:]:
-                term = Gate("*", term, Leaf(Polynomial.variable(field, v)))
+        term = Leaf(Polynomial.variable(field, variables[0]).scale(coeff))
+        for v in variables[1:]:
+            term = Gate("*", term, Leaf(Polynomial.variable(field, v)))
         acc = term if acc is None else Gate("+", acc, term)
     return Formula(acc, field)
 

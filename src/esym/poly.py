@@ -9,13 +9,14 @@ term dicts run on the field's kernel (FieldDescriptor.addmul_terms into an
 accumulator, then finish_terms), which reduces once per output term.
 
 The guard: no field may carry into its neighbour.  The constructor checks
-each term, and *, ** and substitute_linear check in O(1) from their
-operands' degrees, that the total degree stays below DEGREE_LIMIT = 2^32,
-and raise ValueError past it; every exponent is at most the total degree,
-so no field then overflows.  A key for x_i is 32*i bits long, so every
-index that comes from outside (the parser, variable, squarefree_sum, the
-tuple constructor, the length of a LinearForm's row) must lie in
-1..MAX_VARIABLE_INDEX = 2^16, checked before its key is built.  Printing
+each term, and * and ** check in O(1) from their operands' degrees, that
+the total degree stays below DEGREE_LIMIT = 2^32, and raise ValueError past
+it; every exponent is at most the total degree, so no field then overflows.
+A key for x_i is 32*i bits long, so a dense row of w variables holds about
+2w^2 bytes of keys, and every index that comes from outside (the parser,
+variable, squarefree_sum, the tuple constructor, the length of a
+LinearForm's row) must lie in 1..MAX_VARIABLE_INDEX = 2^11, checked before
+its key is built; ben_or's largest n, 2047, fits.  Printing
 reads only the nonzero fields of a key, from the top down, so a term costs
 O(its variables), not O(its highest index).
 
@@ -51,7 +52,7 @@ from .field import FieldDescriptor, FieldElement, FieldError, embed
 WIDTH = 32                  # bits per field; _words reads them as 32-bit words
 DEGREE_LIMIT = 1 << WIDTH
 _MASK = DEGREE_LIMIT - 1
-MAX_VARIABLE_INDEX = 1 << 16
+MAX_VARIABLE_INDEX = 1 << 11
 
 
 def _check_index(i: int) -> None:
@@ -332,7 +333,7 @@ class Polynomial:
     def __hash__(self):
         return hash((self.field, frozenset(self._terms.items())))
 
-    # -- calculus and substitution --------------------------------------------
+    # -- calculus and evaluation ----------------------------------------------
 
     def partial_derivative(self, index: int) -> "Polynomial":
         """Formal derivative with respect to x<index> (1-based)."""
@@ -349,37 +350,6 @@ class Polynomial:
                 if coeff != zero:
                     terms[k - step] = coeff
         return Polynomial._of(self.field, terms, self.nvars)
-
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        terms = {k: r for k, r in self._terms.items() if k & _MASK == d}
-        return Polynomial._of(self.field, terms, self.nvars)
-
-    def substitute_linear(self, forms) -> "Polynomial":
-        """Substitute x_i -> forms[i-1], each a Polynomial (a LinearForm is one)."""
-        polys = list(forms)
-        if len(polys) < self.nvars:
-            raise ValueError(f"{self.nvars} variables but only {len(polys)} forms")
-        width = max([p.nvars for p in polys], default=0)
-        target = polys[0].field if polys else self.field
-        if any(p.field != target for p in polys):
-            raise FieldError("substitution forms live in mixed fields")
-        _check_degree(max(self.degree(), 0) * max([p.degree() for p in polys], default=0))
-        terms: dict[int, object] = {}
-        powers: dict[tuple[int, int], Polynomial] = {}
-
-        def power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in powers:
-                powers[key] = polys[i - 1] ** e
-            return powers[key]
-
-        for k, raw in self._terms.items():
-            piece = Polynomial._of(target, {0: _lift_raw(self.field, raw, target)}, width)
-            for i, e in enumerate(_exponents(k), 1):
-                if e:
-                    piece = piece * power(i, e)
-            _merge(terms, piece._terms, target)
-        return Polynomial._of(target, terms, width)
 
     def evaluate(self, point) -> FieldElement:
         """Value at a point of field elements (in this field or an extension)."""

@@ -73,10 +73,6 @@ class SymRepresentation:
             raise SymModelError("an empty representation needs an explicit field")
         return cls(field, degree, forms)
 
-    @property
-    def nvars(self) -> int:
-        return max((f.nvars for f in self.forms), default=self.target.nvars)
-
     def realized(self) -> Polynomial:
         """e_degree of the forms, expanded exactly."""
         return esp_of_forms(self.forms, self.degree, self.field)
@@ -210,9 +206,6 @@ class ReduciblePolynomial:
     @property
     def field(self) -> FieldDescriptor:
         return self.product.field
-
-    def degree(self) -> int:
-        return self.product.degree()
 
     def __repr__(self):
         return f"<reducible ({self.factor_low})*({self.factor_high})>"

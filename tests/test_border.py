@@ -22,6 +22,7 @@ from esym.poly import LinearForm, Polynomial, parse_polynomial
 from esym.rng import SplitMix64
 from esym.symfunc import esp_of_forms, esp_table_of_forms
 from esym.symmodel import quadratic_to_sym
+from poly_oracles import homogeneous_component
 
 GF4 = make_field("gf(4)")
 GF5 = make_field("gf(5)")
@@ -385,7 +386,7 @@ class DenseSeries:
         return DenseSeries(self.field, self.T, out)
 
     def homogeneous_part(self, d):
-        return DenseSeries(self.field, self.T, [c.homogeneous_component(d) for c in self.c])
+        return DenseSeries(self.field, self.T, [homogeneous_component(c, d) for c in self.c])
 
     def valuation(self):
         return next((i for i, c in enumerate(self.c) if not c.is_zero), None)

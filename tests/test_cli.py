@@ -128,12 +128,16 @@ def test_errors_exit_one(capsys):
     ["formula", "peel", "--field", "gf(5)", "--dprime", "3", "--formula", "x1**x2"],
     ["certify", "--p", "2", "--poly", "3()"],
     ["sym", "build", "--field", "gf(4)", "--quadratic", "*t*x1*x2"],
+    ["sym", "verify", "--rep", '{"field": "gf(4)", "degree": 1, "forms": [[[true, 1]]]}'],
+    ["sym", "verify", "--rep", '{"field": "gf(4)", "degree": 1, "forms": [[[0, 1], 1]]}'],
+    ["esp", "--n", "2049", "--d", "1"],
 ], ids=["certify-no-ell", "zero-denominator", "rep-no-field", "rep-list", "rep-forms-int",
         "witness-zero-trials", "witness-negative-trials", "witness-d-one", "identities-max-n-zero",
         "rep-bool-degree", "rep-bool-coefficient", "exponent-past-packed-bound",
         "variable-index-past-bound", "truncation-past-bound", "rep-row-past-index-bound",
         "formula-empty", "formula-empty-parens", "formula-power", "formula-double-star",
-        "poly-empty-call", "quadratic-leading-star"])
+        "poly-empty-call", "quadratic-leading-star", "rep-nested-bool-digits",
+        "rep-nested-digits", "esp-past-variable-bound"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -284,6 +288,26 @@ def test_v2_guards_take_no_option(capsys, argv):
     assert "unrecognized arguments: --cap-points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["v2", "witness", "--p", "2", "--d", "\u0663"],
+    ["formula", "bound", "--n", "1_0", "--d", "4"],
+    ["esp", "--n", "+4", "--d", "2"],
+    ["esp", "--n", "4", "--d", "2.0"],
+    ["--seed", "0x1", "esp", "--n", "4", "--d", "2"],
+])
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
+def test_integer_options_keep_sign_and_leading_zeros(capsys):
+    _, a = run_json(capsys, "--seed", "-3", "esp", "--n", "004", "--d", "02")
+    _, b = run_json(capsys, "--seed", "-3", "esp", "--n", "4", "--d", "2")
+    assert a == b and a["n"] == 4
+
+
 # -- argument conventions --------------------------------------------------------
 
 def test_global_flags_work_on_either_side(capsys):
@@ -316,6 +340,27 @@ def test_csv_format(capsys):
     rows = {row["key"]: row["value"] for row in csv.DictReader(io.StringIO(out))}
     assert rows["polynomial"] == "x1*x2 + x1*x3 + x2*x3"
     assert rows["terms"] == "3"
+
+
+def test_text_format_nests_dicts_and_lists(capsys):
+    code, out, _ = run(capsys, "sym", "build", "--quadratic", "x1*x2", "--field", "gf(4)",
+                       "--format", "text")
+    assert code == 0
+    assert out == (
+        "command: sym build\nform_count: 3\nrepresentation:\n  degree: 2\n"
+        "  field: gf(2^2)\n  forms:\n    -:\n      - t\n      - t+1\n    -:\n"
+        "      - t+1\n      - t\n    -:\n      - 1\n      - 1\n"
+        "target: x1*x2\nverified: True\n")
+
+
+def test_csv_format_writes_nested_values_as_json(capsys):
+    argv = ["v2", "scan", "--n", "4", "--d", "3", "--field", "gf(2)"]
+    _, body = run_json(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = {row["key"]: row["value"] for row in csv.DictReader(io.StringIO(out))}
+    assert json.loads(rows["points"]) == body["points"] and len(body["points"]) > 1
+    assert rows["count"] == str(body["count"])
 
 
 def test_json_keys_are_sorted(capsys):

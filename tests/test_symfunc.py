@@ -21,6 +21,7 @@ from esym.symfunc import (
     power_sum_of_forms,
     verify_identity,
 )
+from poly_oracles import substitute_linear
 
 GF4 = make_field("gf(4)")
 
@@ -88,7 +89,7 @@ def test_esp_table_matches_substitution():
              LinearForm(GF4, [2, 2]), LinearForm(GF4, [0, 1])]
     table = esp_table_of_forms(forms, 3)
     for d in range(0, 4):
-        direct = gen_esp(len(forms), d, GF4).substitute_linear(forms)
+        direct = substitute_linear(gen_esp(len(forms), d, GF4), forms)
         assert table[d] == direct
         assert esp_of_forms(forms, d) == direct
 

@@ -21,6 +21,7 @@ from esym.symmodel import (
     reducible_to_sym,
     verify_representation,
 )
+from poly_oracles import substitute_linear
 
 GF2 = make_field("gf(2)")
 GF3 = make_field("gf(3)")
@@ -119,7 +120,7 @@ def test_verify_representation_both_routes_agree():
     # the substitution of the forms into the symbolic e_d is the oracle of
     # the one generating-function sweep behind from_forms and verify
     rep = quadratic_to_sym(parse_polynomial("x1*x2 + x2*x3 + x3^2", GF4))
-    direct = gen_esp(len(rep.forms), rep.degree, GF4).substitute_linear(rep.forms)
+    direct = substitute_linear(gen_esp(len(rep.forms), rep.degree, GF4), rep.forms)
     assert verify_representation(rep, rep.target)
     assert direct == rep.target
     rng = SplitMix64(909)
@@ -133,7 +134,7 @@ def test_verify_representation_both_routes_agree():
                                         for _ in range(nvars)]) for _ in range(m)]
             for d in range(m + 1):
                 rep = SymRepresentation.from_forms(forms, d)
-                assert gen_esp(m, d, field).substitute_linear(forms) == rep.target
+                assert substitute_linear(gen_esp(m, d, field), forms) == rep.target
                 assert verify_representation(rep, rep.target)
                 off = rep.target + Polynomial.variable(field, 1) ** d
                 assert not verify_representation(rep, off)
