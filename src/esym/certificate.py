@@ -145,7 +145,8 @@ class CertificateReport:
 
     @property
     def verdict(self) -> str:
-        return "nonmember" if not self.F_value.is_zero else "inconclusive"
+        # border_valid holds exactly when a nonempty range of k is ruled out
+        return "nonmember" if self.border_valid else "inconclusive"
 
     def to_json(self) -> dict:
         return {
@@ -166,20 +167,18 @@ def certify_nonmembership(f: Polynomial, p: int) -> CertificateReport:
 
     A nonzero value rules out sums of k symmetric terms, and their border
     limits, for every k up to ceil(ell/(p-1)) - 1.  A zero value is
-    reported as inconclusive: the test is one-sided.
+    reported as inconclusive: the test is one-sided.  So is a polynomial
+    in no variables, whose empty partition sums to 1: with ell = 0 the
+    range k <= -1 is empty and nothing is proved.
     """
     value = partition_sum(f, p)
     n = f.nvars
     ell = n // (p + 1)
-    if value.is_zero:
-        bound, border = 0, False
-    else:
-        bound = -(-ell // (p - 1)) - 1
-        border = True
+    proved = ell > 0 and not value.is_zero
     return CertificateReport(
         p=p, ell=ell, n=n, F_value=value,
-        nonmember_of_k_up_to=bound, border_valid=border,
-        partitions_evaluated=partition_count(n, p + 1))
+        nonmember_of_k_up_to=-(-ell // (p - 1)) - 1 if proved else 0,
+        border_valid=proved, partitions_evaluated=partition_count(n, p + 1))
 
 
 def random_member(k: int, p: int, ell: int, seed: int) -> Polynomial:

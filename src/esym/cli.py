@@ -1,8 +1,6 @@
 """Command-line interface: every construction as a subcommand with
 deterministic seeds and versioned JSON/text/CSV reports.
 
-Subcommands: identities, esp, sym (build/verify/decompose), certify,
-v2 (scan/witness/dim), formula (peel/ben-or/bound), border (demo).
 Exit codes: 0 success (including a positive certificate), 2 for an
 inconclusive certificate, 1 for any error.
 
@@ -38,6 +36,14 @@ def _read_arg(value: str) -> str:
         with open(value, "r", encoding="utf-8") as fh:
             return fh.read()
     return value
+
+
+def _read_rep(value: str) -> symmodel.SymRepresentation:
+    try:  # the JSON decoder recurses once per nesting level
+        data = json.loads(_read_arg(value))
+    except RecursionError:
+        raise ValueError("--rep JSON is nested too deeply to decode") from None
+    return symmodel.SymRepresentation.from_json(data)
 
 
 def _integer(text: str) -> int:
@@ -89,18 +95,17 @@ def _emit_text(key, value, stream, indent):
 # subcommand implementations; each returns (report dict, exit code)
 
 def _cmd_identities(args):
+    cap = args.max_n  # the grid's largest n+m
+    if cap > symfunc._IDENTITY_CAP:
+        raise ValueError("identity parameters exceed the desk-scale cap "
+                         f"n+m <= {symfunc._IDENTITY_CAP}")
     field = make_field(args.field)
     kinds = symfunc.IDENTITY_KINDS if args.all or not args.kind else (args.kind,)
-    cap = args.max_n
-    results = []
-    for kind in kinds:
-        for params in _identity_grid(kind, cap):
-            rep = symfunc.verify_identity(kind, params, field)
-            results.append(rep.to_json())
+    results = [symfunc.verify_identity(kind, params, field).to_json()
+               for kind in kinds for params in _identity_grid(kind, cap)]
     if not results:
         raise ValueError(f"--max-n {cap} leaves no identity instance to check")
     return {
-        "command": "identities",
         "field": field.spec_string(),
         "max_n": cap,
         "checked": len(results),
@@ -128,7 +133,6 @@ def _cmd_esp(args):
     field = make_field(args.field)
     poly = symfunc.gen_esp(args.n, args.d, field)
     return {
-        "command": "esp",
         "field": field.spec_string(),
         "n": args.n,
         "d": args.d,
@@ -142,7 +146,6 @@ def _cmd_sym_build(args):
     target = parse_polynomial(_read_arg(args.quadratic), field)
     rep = symmodel.quadratic_to_sym(target)
     return {
-        "command": "sym build",
         "target": str(target),
         "representation": rep.to_json(),
         "form_count": len(rep.forms),
@@ -151,15 +154,13 @@ def _cmd_sym_build(args):
 
 
 def _cmd_sym_verify(args):
-    data = json.loads(_read_arg(args.rep))
-    rep = symmodel.SymRepresentation.from_json(data)
+    rep = _read_rep(args.rep)
     if args.target:
         target = parse_polynomial(_read_arg(args.target), rep.field)
     else:
         target = rep.target
     ok = symmodel.verify_representation(rep, target)
     return {
-        "command": "sym verify",
         "degree": rep.degree,
         "form_count": len(rep.forms),
         "target": str(target),
@@ -168,12 +169,10 @@ def _cmd_sym_verify(args):
 
 
 def _cmd_sym_decompose(args):
-    data = json.loads(_read_arg(args.rep))
-    rep = symmodel.SymRepresentation.from_json(data)
+    rep = _read_rep(args.rep)
     dec = symmodel.newton_decompose(rep)
     exact = dec.assembled() == rep.target
     return {
-        "command": "sym decompose",
         "decomposition": dec.to_json(),
         "reassembly_exact": exact,
     }, 0 if exact else 1
@@ -188,7 +187,6 @@ def _cmd_certify(args):
         poly = cert_mod.hard_poly(cert_mod.BlockPolynomialSpec(args.p, args.ell))
     report = cert_mod.certify_nonmembership(poly, args.p)
     return {
-        "command": "certify",
         "polynomial": str(poly),
         **report.to_json(),
     }, 0 if report.verdict == "nonmember" else 2
@@ -197,11 +195,8 @@ def _cmd_certify(args):
 def _cmd_v2_scan(args):
     field = make_field(args.field)
     points = v2space.enumerate_v2(args.n, args.d, field)
-    report = points.to_json()
-    report["command"] = "v2 scan"
-    report["all_in_s_d_minus_1"] = all(
-        v2space.in_s_k(pt, args.d - 1) for pt in points.points)
-    return report, 0
+    in_s = all(v2space.in_s_k(pt, args.d - 1) for pt in points.points)
+    return {**points.to_json(), "all_in_s_d_minus_1": in_s}, 0
 
 
 def _cmd_v2_witness(args):
@@ -221,7 +216,6 @@ def _cmd_v2_witness(args):
         if not v2space.is_order2_zero(e, fam.point(betas, field)):
             failures += 1
     return {
-        "command": "v2 witness",
         "p": args.p,
         "d": args.d,
         "n": fam.n,
@@ -243,7 +237,6 @@ def _cmd_v2_dim(args):
     counts = list(enumerate(v2space.count_v2_tower(args.n, args.d, tower), 1))
     slope = v2space.dimension_estimate(counts, args.p)
     return {
-        "command": "v2 dim",
         "p": args.p,
         "n": args.n,
         "d": args.d,
@@ -259,9 +252,7 @@ def _cmd_formula_peel(args):
     field = make_field(args.field)
     phi = formula_mod.parse_formula(_read_arg(args.formula), field)
     dec = formula_mod.peel_decompose(phi, args.dprime)
-    report = dec.to_json()
-    report["command"] = "formula peel"
-    report["source_size"] = phi.size
+    report = {**dec.to_json(), "source_size": phi.size}
     return report, 0 if report["identity_holds"] else 1
 
 
@@ -270,7 +261,6 @@ def _cmd_formula_ben_or(args):
     phi = formula_mod.ben_or(args.n, args.d, field)
     exact = formula_mod.computes_esp(phi, args.n, args.d)
     return {
-        "command": "formula ben-or",
         "field": field.spec_string(),
         "n": args.n,
         "d": args.d,
@@ -285,7 +275,6 @@ def _cmd_formula_bound(args):
     dim = args.dim if args.dim is not None else args.d - 1
     bound = formula_mod.lower_bound_report(args.n, args.d, dim)
     report = {
-        "command": "formula bound",
         "n": args.n,
         "d": args.d,
         "dim_v2": dim,
@@ -305,7 +294,6 @@ def _cmd_border_demo(args):
     witness = border_mod.approx_extract(combined)
     ok = witness.principal == rep.target
     return {
-        "command": "border demo",
         "field": rep.field.spec_string(),
         "target": str(rep.target),
         "T": combined.truncation,
@@ -339,81 +327,65 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(parser, suppress=False)
     common = argparse.ArgumentParser(add_help=False)
     _add_common(common, suppress=True)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("identities", parents=[common], help="verify symmetric-function identities")
+    def command(group, name, help, func=None, *integers):
+        """A subcommand with the common options: a group returns its own
+        subparsers; a leaf takes its required integer flags, its handler and
+        the words that name it in reports ("esym v2 scan" gives "v2 scan")."""
+        p = group.add_parser(name, parents=[common], help=help)
+        if func is None:
+            return p.add_subparsers(dest=f"{name}_command", required=True)
+        for flag in integers:
+            p.add_argument(flag, type=_integer, required=True)
+        p.set_defaults(func=func, command_name=p.prog.split(" ", 1)[1])
+        return p
+
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = command(sub, "identities", "verify symmetric-function identities", _cmd_identities)
     p.add_argument("--all", action="store_true", help="run every identity kind")
     p.add_argument("--kind", choices=symfunc.IDENTITY_KINDS)
     p.add_argument("--max-n", type=_integer, default=8, dest="max_n")
-    p.set_defaults(func=_cmd_identities)
+    command(sub, "esp", "print e_d in n variables", _cmd_esp, "--n", "--d")
 
-    p = sub.add_parser("esp", parents=[common], help="print e_d in n variables")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--d", type=_integer, required=True)
-    p.set_defaults(func=_cmd_esp)
-
-    psym = sub.add_parser("sym", parents=[common], help="symmetric-model constructions")
-    symsub = psym.add_subparsers(dest="sym_command", required=True)
-    p = symsub.add_parser("build", parents=[common], help="forms with e_2 = quadratic, e_1 = 0")
+    symsub = command(sub, "sym", "symmetric-model constructions")
+    p = command(symsub, "build", "forms with e_2 = quadratic, e_1 = 0", _cmd_sym_build)
     p.add_argument("--quadratic", required=True,
                    help="homogeneous quadratic (text or file)")
-    p.set_defaults(func=_cmd_sym_build)
-    p = symsub.add_parser("verify", parents=[common], help="check e_d(forms) against a target")
+    p = command(symsub, "verify", "check e_d(forms) against a target", _cmd_sym_verify)
     p.add_argument("--rep", required=True, help="representation JSON (text or file)")
     p.add_argument("--target", help="target polynomial (text or file)")
-    p.set_defaults(func=_cmd_sym_verify)
-    p = symsub.add_parser("decompose", parents=[common], help="degree p+1 split into reducibles")
+    p = command(symsub, "decompose", "degree p+1 split into reducibles", _cmd_sym_decompose)
     p.add_argument("--rep", required=True, help="representation JSON (text or file)")
-    p.set_defaults(func=_cmd_sym_decompose)
 
-    p = sub.add_parser("certify", parents=[common], help="partition-sum non-membership certificate")
-    p.add_argument("--p", type=_integer, required=True)
+    p = command(sub, "certify", "partition-sum non-membership certificate", _cmd_certify,
+                "--p")
     p.add_argument("--ell", type=_integer)
     p.add_argument("--poly", help="polynomial to certify (text or file); "
                                   "defaults to the block polynomial")
-    p.set_defaults(func=_cmd_certify)
 
-    pv2 = sub.add_parser("v2", parents=[common], help="order-2 zero space experiments")
-    v2sub = pv2.add_subparsers(dest="v2_command", required=True)
-    p = v2sub.add_parser("scan", parents=[common], help="enumerate the order-2 zeros of e_d^n")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--d", type=_integer, required=True)
-    p.set_defaults(func=_cmd_v2_scan)
-    p = v2sub.add_parser("witness", parents=[common], help="random checks of the witness family")
-    p.add_argument("--p", type=_integer, required=True)
-    p.add_argument("--d", type=_integer, required=True)
+    v2sub = command(sub, "v2", "order-2 zero space experiments")
+    command(v2sub, "scan", "enumerate the order-2 zeros of e_d^n", _cmd_v2_scan, "--n", "--d")
+    p = command(v2sub, "witness", "random checks of the witness family", _cmd_v2_witness,
+                "--p", "--d")
     p.add_argument("--trials", type=_integer, default=100)
-    p.set_defaults(func=_cmd_v2_witness)
-    p = v2sub.add_parser("dim", parents=[common], help="count-slope dimension estimate")
-    p.add_argument("--p", type=_integer, required=True)
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--d", type=_integer, required=True)
+    p = command(v2sub, "dim", "count-slope dimension estimate", _cmd_v2_dim,
+                "--p", "--n", "--d")
     p.add_argument("--kmax", type=_integer, default=3)
-    p.set_defaults(func=_cmd_v2_dim)
 
-    pf = sub.add_parser("formula", parents=[common], help="formula IR passes")
-    fsub = pf.add_subparsers(dest="formula_command", required=True)
-    p = fsub.add_parser("peel", parents=[common], help="peel into residual + sum of products")
+    fsub = command(sub, "formula", "formula IR passes")
+    p = command(fsub, "peel", "peel into residual + sum of products", _cmd_formula_peel)
     p.add_argument("--formula", required=True, help="formula text or file")
     p.add_argument("--dprime", type=_integer, required=True)
-    p.set_defaults(func=_cmd_formula_peel)
-    p = fsub.add_parser("ben-or", parents=[common], help="interpolation formula for e_d^n")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--d", type=_integer, required=True)
-    p.set_defaults(func=_cmd_formula_ben_or)
-    p = fsub.add_parser("bound", parents=[common], help="formula-size lower bound")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--d", type=_integer, required=True)
+    command(fsub, "ben-or", "interpolation formula for e_d^n", _cmd_formula_ben_or,
+            "--n", "--d")
+    p = command(fsub, "bound", "formula-size lower bound", _cmd_formula_bound, "--n", "--d")
     p.add_argument("--dim", type=_integer)
-    p.set_defaults(func=_cmd_formula_bound)
 
-    pb = sub.add_parser("border", parents=[common], help="truncated eps-series demos")
-    bsub = pb.add_subparsers(dest="border_command", required=True)
-    p = bsub.add_parser("demo", parents=[common], help="border fan-in-2 product for a quadratic")
+    bsub = command(sub, "border", "truncated eps-series demos")
+    p = command(bsub, "demo", "border fan-in-2 product for a quadratic", _cmd_border_demo)
     p.add_argument("--target", required=True,
                    help="homogeneous quadratic (text or file)")
     p.add_argument("--T", type=_integer, default=None, help="series truncation")
-    p.set_defaults(func=_cmd_border_demo)
 
     return parser
 
@@ -432,7 +404,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args.format, sys.stdout)
+    _emit({"command": args.command_name, **report}, args.format, sys.stdout)
     return code
 
 

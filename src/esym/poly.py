@@ -361,8 +361,7 @@ class Polynomial:
         n = self.nvars                     # every key reads as n exponents
         unpack, size = _words(n).unpack, 4 * n + 4
         acc = target.zero_raw
-        for k, raw in self._terms.items():
-            term = raw if target == self.field else _lift_raw(self.field, raw, target)
+        for k, term in self.map_field(target)._terms.items():
             for x, e in zip(raws, unpack(k.to_bytes(size, "little"))):
                 if e:
                     term = mul(term, x if e == 1 else power(x, e))
@@ -420,12 +419,6 @@ def _point_raws(field: FieldDescriptor, pts: list) -> tuple[FieldDescriptor, lis
         if c.field != target:
             raise FieldError("point coordinates live in mixed fields")
     return target, [c.raw for c in pts]
-
-
-def _lift_raw(src: FieldDescriptor, raw, target: FieldDescriptor):
-    if src == target:
-        return raw
-    return embed(FieldElement(src, raw), target).raw
 
 
 class LinearForm(Polynomial):

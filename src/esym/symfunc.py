@@ -26,6 +26,7 @@ from .poly import Polynomial, _check_degree
 IDENTITY_KINDS = ("generating_function", "split", "partial_derivative", "euler", "newton")
 
 _TERM_GUARD = 2_000_000
+_IDENTITY_CAP = 16  # the largest n+m that verify_identity expands
 
 
 def esp_on(indices, d: int, field: FieldDescriptor, nvars: int | None = None) -> Polynomial:
@@ -139,8 +140,8 @@ def verify_identity(kind: str, params: dict, field: FieldDescriptor) -> Identity
     if kind not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}; choose from {IDENTITY_KINDS}")
     total = int(params.get("n", 0)) + int(params.get("m", 0))
-    if total > 16:
-        raise ValueError("identity parameters exceed the desk-scale cap n+m <= 16")
+    if total > _IDENTITY_CAP:
+        raise ValueError(f"identity parameters exceed the desk-scale cap n+m <= {_IDENTITY_CAP}")
 
     if kind == "generating_function":
         (n,) = _require(params, "n")

@@ -38,8 +38,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .field import FieldDescriptor, FieldElement, _is_prime, esp_sweep, lucas_binomial
-from .poly import _MASK, WIDTH, Polynomial, _lift_raw, _point_raws
+from .field import FieldDescriptor, FieldElement, _is_prime, embed, esp_sweep, lucas_binomial
+from .poly import _MASK, WIDTH, Polynomial, _point_raws
 from .rng import SplitMix64
 
 SWEEP_CAP = 2**24  # fixed bound on strata * n * d, the sweep steps of a strata walk
@@ -68,7 +68,7 @@ def is_order2_zero(f: Polynomial, point) -> bool:
         return all(f.partial_derivative(i).evaluate(pt).is_zero
                    for i in range(1, f.nvars + 1))
     F, raws = _point_raws(f.field, pt)
-    _lift_raw(f.field, f.field.one_raw, F)  # as evaluate does: F must host f's coefficients
+    embed(f.field.one, F)  # as evaluate does: F must host f's coefficients
     return _order2_test(F, d)(raws, set(raws))
 
 

@@ -268,6 +268,15 @@ def test_constant_shift_needs_valid_precondition():
         constant_shift(F, G, LinearForm(GF5, [1]), parse_polynomial("x2", GF5))
 
 
+def test_constant_shift_refuses_a_truncation_too_small():
+    # mod eps^1 the only shift, M = 0, turns x1 into x1 + 1
+    with pytest.raises(BorderError) as exc:
+        constant_shift(EpsSeries.constant(GF5, 1, 1), EpsSeries.zero(GF5, 1),
+                       LinearForm(GF5, [1]), parse_polynomial("x1", GF5))
+    assert str(exc.value) == ("truncation too small: no shift exponent below 1 "
+                              "preserves the extraction")
+
+
 # -- depth-3 to symmetric conversion -------------------------------------------------------
 
 def test_depth3_round_trip_of_kumar_output():
@@ -324,6 +333,36 @@ def test_depth3_rejects_nonaffine_factor():
     sq = EpsSeries.from_polynomial(parse_polynomial("x1*x1", GF5), T)
     with pytest.raises(BorderError):
         depth3_to_sym([(1, [sq])], parse_polynomial("x1^2", GF5), T)
+
+
+def _series(text, T):
+    return EpsSeries.from_polynomial(parse_polynomial(text, GF5), T)
+
+
+@pytest.mark.parametrize("terms,target,message", [
+    # a zero factor in a term whose sum with the others extracts the target
+    ([(1, [EpsSeries.zero(GF5, 6)]), (1, [_series("x1", 6), _series("x2", 6)])], "x1*x2",
+     "a zero factor cannot be normalized"),
+    # no constant part, and the linear part sits at two powers of eps
+    ([(1, [_series("x1", 5).shift(1) + _series("x2", 5).shift(2)])], "x1",
+     "factor x1*e + x2*e^2 has no constant part and is not eps^w * linear; "
+     "cannot normalize within a truncated series"),
+    # the repair of eps*x1 (truncated at eps^2) needs eps^2
+    ([(0, [_series("x1", 2).shift(1)]), (1, [_series("x1", 6)])], "x1",
+     "shift eps^2 falls outside truncation 2"),
+    ([(1, [_series("x1", 5).shift(1) + EpsSeries.eps(GF5, 5, 2)])], "x1",
+     "factor x1*e + e^2: the linear part appears at eps^1, below the constant part "
+     "at eps^2; normalizing needs rational eps coefficients, not a truncated series"),
+    # dividing out eps^2 leaves forms truncated at eps^1, below the order
+    ([(1, [(EpsSeries.constant(GF5, 1, 3) + _series("x1", 3)).shift(2)])], "x1",
+     "symmetric terms extract 0 at order 1; expected the target at order 2 "
+     "(truncation too small?)"),
+], ids=["zero-factor", "two-eps-powers", "shift-past-truncation", "linear-below-constant",
+        "terms-lose-the-order"])
+def test_depth3_refusals(terms, target, message):
+    with pytest.raises(BorderError) as exc:
+        depth3_to_sym(terms, parse_polynomial(target, GF5), 6)
+    assert str(exc.value) == message
 
 
 # -- the dense-list oracle ---------------------------------------------------------------

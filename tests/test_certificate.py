@@ -1,6 +1,7 @@
 """Partition-sum certificates: block partitions, hard polynomials, soundness."""
 
 import itertools
+import json
 import math
 import random
 
@@ -282,6 +283,23 @@ def test_inconclusive_when_sum_vanishes():
     assert report.verdict == "inconclusive"
     assert report.nonmember_of_k_up_to == 0
     assert not report.border_valid
+
+
+@pytest.mark.parametrize("p,text", [(2, "0"), (2, "1"), (3, "1"), (5, "3")])
+def test_polynomial_in_no_variables_proves_nothing(p, text):
+    # the empty partition sums to 1, but with ell = 0 the range k <= -1 is empty
+    report = certify_nonmembership(parse_polynomial(text, make_field(p)), p)
+    assert (report.ell, report.F_value) == (0, make_field(p).one)
+    assert report.verdict == "inconclusive"
+    assert report.nonmember_of_k_up_to == 0
+    assert not report.border_valid
+
+
+def test_certify_cli_calls_a_constant_inconclusive(capsys):
+    assert main(["certify", "--p", "2", "--poly", "0"]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert (body["verdict"], body["nonmember_of_k_up_to"], body["border_valid"]) == (
+        "inconclusive", 0, False)
 
 
 # -- soundness -------------------------------------------------------------------

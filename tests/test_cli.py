@@ -4,18 +4,24 @@ Golden files live in tests/golden by default; set ESYM_GOLDEN_DIR to point
 elsewhere.  Reports are deterministic once the timestamp field is dropped.
 """
 
+import argparse
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import esym
+from esym import symfunc, v2space
 from esym.cli import SCHEMA_VERSION, build_parser, main
+from esym.field import make_field
 
+SRC = str(Path(esym.__file__).resolve().parents[1])
 GOLDEN_DIR = Path(os.environ.get("ESYM_GOLDEN_DIR",
                                  Path(__file__).parent / "golden"))
 
@@ -369,21 +375,19 @@ def test_json_keys_are_sorted(capsys):
     assert keys == sorted(keys)
 
 
-def test_module_entry_point():
-    import subprocess
-    import sys
-    proc = subprocess.run([sys.executable, "-m", "esym", "esp",
-                           "--n", "3", "--d", "1"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["polynomial"] == "x1 + x2 + x3"
-
-
 def _fresh(*argv):
-    """Exit code and stdout of a new interpreter running esym."""
+    """Exit code and stdout of a new interpreter running the esym imported
+    here, whether or not PYTHONPATH names its directory."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "esym", *argv], capture_output=True,
-                          text=True, env={**os.environ, "COLUMNS": "80"})
+                          text=True, env={**os.environ, "COLUMNS": "80", "PYTHONPATH": path})
     return proc.returncode, proc.stdout
+
+
+def test_module_entry_point():
+    code, out = _fresh("esp", "--n", "3", "--d", "1")
+    assert code == 0
+    assert json.loads(out)["polynomial"] == "x1 + x2 + x3"
 
 
 def _in_process(capsys, *argv):
@@ -422,3 +426,91 @@ def test_one_process_runs_commands_back_to_back(capsys, monkeypatch):
         assert (code, out) == _fresh(*argv)
         assert code == 0 and out.startswith("usage: esym")
     assert _in_process(capsys, "--help")[1] == build_parser().format_help()
+
+
+# -- command registry ----------------------------------------------------------------
+
+_CUBIC = '{"field": "gf(2)", "degree": 3, "forms": [[1, 0], [0, 1], [1, 1], [1]]}'
+LEAF_ARGS = {
+    "identities": ["--max-n", "2"],
+    "esp": ["--n", "3", "--d", "2"],
+    "sym build": ["--quadratic", "x1*x2", "--field", "gf(4)"],
+    "sym verify": ["--rep", _CUBIC],
+    "sym decompose": ["--rep", _CUBIC],
+    "certify": ["--p", "2", "--ell", "1"],
+    "v2 scan": ["--n", "3", "--d", "2", "--field", "gf(2)"],
+    "v2 witness": ["--p", "2", "--d", "2", "--trials", "2"],
+    "v2 dim": ["--p", "2", "--n", "3", "--d", "2", "--kmax", "2"],
+    "formula peel": ["--formula", "x1*x2", "--dprime", "3", "--field", "gf(5)"],
+    "formula ben-or": ["--n", "3", "--d", "2", "--field", "gf(5)"],
+    "formula bound": ["--n", "5", "--d", "3"],
+    "border demo": ["--target", "x1*x2", "--field", "gf(4)"],
+}
+
+
+def _leaves(parser, words=()):
+    """The argv words of every subcommand that takes no further subcommand."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(words)
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _leaves(sub, words + (name,))
+
+
+def test_every_report_names_its_command(capsys):
+    assert sorted(_leaves(build_parser())) == sorted(LEAF_ARGS)
+    for words, args in LEAF_ARGS.items():
+        code, body = run_json(capsys, *words.split(), *args)
+        assert code == 0 and body["command"] == words
+
+
+# -- refusals ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sub", ["verify", "decompose"])
+@pytest.mark.parametrize("from_file", [False, True], ids=["literal", "file"])
+def test_deeply_nested_rep_is_one_error_line(capsys, tmp_path, sub, from_file):
+    rep = "[" * 2000 + "]" * 2000
+    if from_file:
+        (tmp_path / "rep.json").write_text(rep)
+        rep = str(tmp_path / "rep.json")
+    assert run(capsys, "sym", sub, "--rep", rep) == (
+        1, "", "error: --rep JSON is nested too deeply to decode\n")
+
+
+def test_identities_refuses_max_n_past_the_cap_before_any_check(capsys, monkeypatch):
+    with pytest.raises(ValueError) as refusal:
+        symfunc.verify_identity("newton", {"n": 17, "d": 1}, make_field("gf(2)"))
+
+    def forbidden(*args):
+        raise AssertionError("an identity was checked")
+
+    monkeypatch.setattr(symfunc, "verify_identity", forbidden)
+    assert run(capsys, "identities", "--max-n", "17", "--kind", "newton") == (
+        1, "", f"error: {refusal.value}\n")
+
+
+def test_identity_grid_reaches_max_n_exactly(capsys, monkeypatch):
+    # the up-front refusal of --max-n above the cap relies on this
+    totals = []
+
+    def recording(kind, params, field):
+        totals.append(params["n"] + params.get("m", 0))
+        return types.SimpleNamespace(to_json=lambda: {"holds": True})
+
+    monkeypatch.setattr(symfunc, "verify_identity", recording)
+    code, body = run_json(capsys, "identities", "--all", "--max-n", "16")
+    assert code == 0 and body["checked"] == len(totals) and max(totals) == 16
+
+
+def test_v2_witness_refuses_a_field_of_another_characteristic(capsys):
+    assert run(capsys, "v2", "witness", "--p", "2", "--d", "3", "--field", "gf(9)") == (
+        1, "", "error: --field gf(9) has characteristic 3, expected 2\n")
+
+
+def test_v2_witness_reports_failing_trials(capsys, monkeypatch):
+    monkeypatch.setattr(v2space, "is_order2_zero", lambda f, point: False)
+    code, body = run_json(capsys, "v2", "witness", "--p", "2", "--d", "3", "--field", "gf(8)",
+                          "--trials", "5")
+    assert code == 1
+    assert (body["failures"], body["all_pass"]) == (5, False)

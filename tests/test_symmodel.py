@@ -185,6 +185,14 @@ def test_reducible_polynomial_checks_degrees():
         ReduciblePolynomial(lin, parse_polynomial("x1 + 1", GF2))
 
 
+def test_reducible_polynomial_checks_a_recorded_product():
+    lin = parse_polynomial("x1 + x2", GF2)
+    quad = parse_polynomial("x1*x2", GF2)
+    assert ReduciblePolynomial(lin, quad, lin * quad).product == lin * quad
+    with pytest.raises(SymModelError, match="^recorded product does not match the factors$"):
+        ReduciblePolynomial(lin, quad, lin * lin * lin)
+
+
 @pytest.mark.parametrize("p,spec", [(2, "gf(2)"), (3, "gf(3)"), (5, "gf(5)")])
 def test_newton_decompose_reassembles(p, spec):
     field = make_field(spec)

@@ -479,6 +479,21 @@ def test_product_zero_containment_samples_past_the_scan_bound(monkeypatch):
     assert runs[2][0] != runs[1][0]
 
 
+def test_product_zero_containment_fails_on_a_rejected_common_zero(monkeypatch):
+    f = parse_polynomial("x1*x2", GF2)
+    g = parse_polynomial("x2*x3", GF2)
+    checked = []
+
+    def rejecting(total, pt):
+        checked.append(pt)
+        return False
+
+    monkeypatch.setattr(v2space, "is_order2_zero", rejecting)
+    assert product_zero_containment([(f, g)], trials=10, seed=1) is False
+    # the scan stops at the first common zero, the origin
+    assert [[c.raw for c in pt] for pt in checked] == [[0, 0, 0]]
+
+
 def test_product_zero_containment_rejects_constants():
     f = parse_polynomial("x1 + 1", GF2)
     with pytest.raises(V2Error):
