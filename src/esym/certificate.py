@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .field import FieldElement, _is_prime, make_field
-from .poly import LinearForm, Polynomial
+from .poly import _MASK, WIDTH, LinearForm, Polynomial
 from .rng import SplitMix64
 from .symmodel import ReduciblePolynomial
 
@@ -95,8 +95,7 @@ def partition_sum(f: Polynomial, p: int) -> FieldElement:
     partition_count(n, size)  # raises unless size divides n
     fld = f.field
     zero, add, mul = fld.zero_raw, fld.add_raw, fld.mul_raw
-    coeffs = {sum(1 << (i - 1) for i in key): c.raw
-              for key, c in f.multilinear_coefficients().items() if len(key) == size}
+    coeffs = _block_table(f, size)
     anchored = [[] for _ in range(n)]     # blocks by their lowest index
     for block in coeffs:
         anchored[(block & -block).bit_length() - 1].append(block)
@@ -124,6 +123,24 @@ def partition_sum(f: Polynomial, p: int) -> FieldElement:
                 grown[key] = add(grown.get(key, zero), mul(value, coeffs[block]))
         states = {m: v for m, v in grown.items() if v != zero}
     return FieldElement(fld, states.get((1 << n) - 1, zero))
+
+
+def _block_table(f: Polynomial, size: int) -> dict:
+    """{block mask: raw coefficient} of f's squarefree terms of degree size,
+    read off the packed keys: bit i-1 of the mask is x_i, whose exponent
+    field starts at bit WIDTH*i of a key."""
+    table = {}
+    for key, raw in f._terms.items():
+        rest = key >> WIDTH
+        # degree size in size one-bits: every exponent is 0 or 1
+        if key & _MASK == size and rest.bit_count() == size:
+            block = 0
+            while rest:
+                low = rest & -rest
+                block |= 1 << ((low.bit_length() - 1) // WIDTH)
+                rest ^= low
+            table[block] = raw
+    return table
 
 
 def _lowest_free(mask: int) -> int:

@@ -40,6 +40,11 @@ addmul_terms adds into an accumulator in place (GF(p) and Q sum integers,
 Q over a common denominator; GF(2^k) xors antilog reads; odd GF(p^k) runs
 add_raw and mul_raw) and finish_terms reduces each term once.  mul_terms,
 _dot_terms (sums of products) and _esp_terms (e_j, on esp_sweep) use it.
+
+The e_j of a list of raw values run on one scalar kernel per kind, esp_raw:
+GF(p) takes one % p per step, GF(2^k) xors antilog reads, odd GF(p^k) adds
+logs by the Zech table inline, and Q runs the generic esp_sweep, which also
+serves term dicts and is the kernels' test oracle.  Zero values are skipped.
 """
 
 from __future__ import annotations
@@ -293,6 +298,14 @@ class FieldDescriptor:
             (a, b), den = _lift_common(self, [a, b])
         return self.finish_terms(self.addmul_terms({}, a, b), den * den)
 
+    # -- the scalar sweep: e_j of raw values ---------------------------------
+
+    def esp_raw(self, values, dmax: int) -> list:
+        """[e_0, ..., e_dmax] of raw values; Q runs the generic esp_sweep.
+        The finite kinds inline their arithmetic and skip zero values, whose
+        factor 1 + 0*z is 1; row j is touched once j nonzero values are in."""
+        return esp_sweep(values, dmax, self.zero_raw, self.one_raw, self.add_raw, self.mul_raw)
+
 
 class RationalField(FieldDescriptor):
     """Q: raw values are Fractions."""
@@ -330,6 +343,8 @@ class RationalField(FieldDescriptor):
         return super().coerce_raw(value)
 
     def finish_terms(self, acc, den=1):
+        if den == 1:   # Fraction(v) takes the int fast path, Fraction(v, den) a gcd
+            return {k: Fraction(v) for k, v in acc.items() if v}
         return {k: Fraction(v, den) for k, v in acc.items() if v}
 
     def _raw_from_str(self, s: str) -> Fraction:
@@ -381,6 +396,19 @@ class PrimeField(FieldDescriptor):
     def finish_terms(self, acc, den=1):
         p = self.p
         return {k: r for k, v in acc.items() if (r := v % p)}
+
+    def esp_raw(self, values, dmax):
+        """One % p per step."""
+        p = self.p
+        table = [1] + [0] * dmax
+        top = 0
+        for v in values:
+            if v:
+                if top < dmax:
+                    top += 1
+                for j in range(top, 0, -1):
+                    table[j] = (table[j] + v * table[j - 1]) % p
+        return table
 
     def _raw_from_str(self, s: str) -> int:
         if not _INTEGER_RE.fullmatch(s):
@@ -523,6 +551,49 @@ class ExtensionField(FieldDescriptor):
                     k = ka + kb
                     acc[k] = get(k, 0) ^ exp2[la + lb]
         return acc
+
+    def esp_raw(self, values, dmax):
+        """GF(2^k): each value's log once, then one antilog read xored in per
+        step.  Odd p: the rows are held as logs (None for zero) and add by
+        the Zech table inline, read back through the antilog at the end."""
+        table = [1] + [0] * dmax
+        top = 0
+        log = self._log
+        if self.p == 2:
+            exp2 = self._exp2
+            for v in values:
+                if v:
+                    lv = log[v]
+                    if top < dmax:
+                        top += 1
+                    for j in range(top, 0, -1):
+                        b = table[j - 1]
+                        if b:
+                            table[j] ^= exp2[lv + log[b]]
+            return table
+        exp, zech, group = self._exp, self._zech, self._group
+        logs = [0] + [None] * dmax
+        for v in values:
+            if v:
+                lv = log[v]
+                if top < dmax:
+                    top += 1
+                for j in range(top, 0, -1):
+                    b = logs[j - 1]
+                    if b is None:
+                        continue
+                    t = lv + b                       # log of v * e_(j-1)
+                    if t >= group:
+                        t -= group
+                    a = logs[j]
+                    if a is None:
+                        logs[j] = t
+                    elif (z := zech[t - a]) < 0:     # g^a + g^t = g^a (1 + g^(t-a))
+                        logs[j] = None
+                    else:
+                        a += z
+                        logs[j] = a - group if a >= group else a
+        return [0 if a is None else exp[a] for a in logs]
 
     # -- elements, printing and parsing ----------------------------------------
 
@@ -847,8 +918,7 @@ def roots_of_z_pow_d_plus_one(field: FieldDescriptor, d: int):
     found = [x for x in range(host.order) if host.pow_raw(x, d0) == minus_one]
     # prod (z - w_i) over d0 values = sum_j e_j(-w) z^(d0-j): it is z^d0 + 1
     # exactly when e_0..e_d0 of the negated roots read 1, 0, ..., 0, 1
-    neg = [host.neg_raw(w) for w in found]
-    esp = esp_sweep(neg, d0, host.zero_raw, host.one_raw, host.add_raw, host.mul_raw)
+    esp = host.esp_raw([host.neg_raw(w) for w in found], d0)
     if len(found) != d0 or esp != [host.one_raw] + [host.zero_raw] * (d0 - 1) + [host.one_raw]:
         raise FieldError("internal: root product check failed")
     return [FieldElement(host, r) for r in found for _ in range(d // d0)], host

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 
-from .field import FieldDescriptor, FieldError, esp_sweep
+from .field import FieldDescriptor, FieldError
 from .poly import WIDTH, Polynomial, _parse_nested, _split_top, parse_polynomial
 from .rng import SplitMix64
 from .symfunc import gen_esp
@@ -499,7 +499,7 @@ def _interpolation_weights(nodes, m: int, F: FieldDescriptor):
     add, sub, mul = F.add_raw, F.sub_raw, F.mul_raw
     one = F.one_raw
     # P = sum_j e_j(-a) x^(len - j): its coefficients are the e_j backwards
-    P = esp_sweep([F.neg_raw(a) for a in nodes], len(nodes), F.zero_raw, one, add, mul)[::-1]
+    P = F.esp_raw([F.neg_raw(a) for a in nodes], len(nodes))[::-1]
     top = len(nodes) - 1                     # degree of P / (x - a_j)
     weights = []
     for j, a in enumerate(nodes):

@@ -171,12 +171,15 @@ class Polynomial:
         """Sum, each with coefficient 1, of the monomials x_i1 * ... * x_ik
         over the given sets (i1, ..., ik) of distinct 1-based indices."""
         one = field.one_raw
-        terms = {}
+        terms, bits = {}, {}                  # bits: each index checked once
         for indices in index_sets:
             key = 0
             for i in indices:
-                _check_index(i)
-                key |= 1 << (WIDTH * i)
+                bit = bits.get(i)
+                if bit is None:
+                    _check_index(i)
+                    bit = bits[i] = 1 << (WIDTH * i)
+                key |= bit
             if key.bit_count() != len(indices):
                 raise ValueError(f"repeated variable index in {tuple(indices)}")
             terms[key | len(indices)] = one

@@ -15,15 +15,16 @@ Membership depends only on the multiset of coordinates, so enumerate_v2 and
 count_v2 walk strata, not points.  A stratum is a set of r <= d-1 distinct
 values with a composition of n into r positive multiplicities m_i; it stands
 for the n!/prod m_i! points that arrange it.  Each stratum runs once the
-exact test of a point: one generating-function sweep (esp_sweep) gives
-e_0..e_d of its n coordinates, and when e_d vanishes, one Horner pass in -v
-checks P(v) = 0 for each distinct value v.  That is O(n*d) ring operations
-for each of the sum_r C(q, r) C(n-1, r-1) strata, in place of each of the
-q^n points.  count_v2 adds up the weights of the accepted strata;
-enumerate_v2 expands them into points.  is_order2_zero runs the same test
-on a point when its polynomial is e_d (told from the packed keys by integer
-tests alone), and evaluates formal partial derivatives of any other; tests
-cross-check the two routes, and the strata against a scan of every point.
+exact test of a point: one generating-function sweep on the field's scalar
+kernel (esp_raw) gives e_0..e_d of its n coordinates, and when e_d
+vanishes, one Horner pass in -v checks P(v) = 0 for each distinct value v.
+That is O(n*d) ring operations for each of the sum_r C(q, r) C(n-1, r-1)
+strata, in place of each of the q^n points.  count_v2 adds up the weights
+of the accepted strata; enumerate_v2 expands them into points.
+is_order2_zero runs the same test on a point when its polynomial is e_d
+(told from the packed keys by integer tests alone), and evaluates formal
+partial derivatives of any other; tests cross-check the two routes, and the
+strata against a scan of every point.
 
 Conversely, highly repetitive points get in via binomial coefficients
 vanishing mod p; witness_family picks the smallest variable count where a
@@ -38,7 +39,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .field import FieldDescriptor, FieldElement, _is_prime, embed, esp_sweep, lucas_binomial
+from .field import FieldDescriptor, FieldElement, _is_prime, embed, lucas_binomial
 from .poly import _MASK, WIDTH, Polynomial, _point_raws
 from .rng import SplitMix64
 
@@ -91,9 +92,10 @@ def _order2_test(F: FieldDescriptor, d: int):
     raw coordinates in F whose distinct values are values, by one sweep and
     one Horner pass per value."""
     add, mul, neg, zero, one = F.add_raw, F.mul_raw, F.neg_raw, F.zero_raw, F.one_raw
+    sweep = F.esp_raw
 
     def test(coords, values) -> bool:
-        e = esp_sweep(coords, d, zero, one, add, mul)
+        e = sweep(coords, d)
         if e[d] != zero:
             return False
         for x in values:
@@ -240,8 +242,7 @@ def enumerate_v2(n: int, d: int, F: FieldDescriptor) -> V2PointSet:
         points += _arrangements(_multiset(values, mults))
     points.sort()
     elems = list(F.elements())
-    for i, raws in enumerate(points):
-        points[i] = tuple(elems[c] for c in raws)
+    points = [tuple(map(elems.__getitem__, raws)) for raws in points]
     return V2PointSet(field=F, n=n, d=d, points=points)
 
 

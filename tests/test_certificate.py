@@ -244,6 +244,58 @@ def test_dp_matches_enumeration_on_dense_inputs(p, n):
     assert partition_sum(f, p) == enumerated_partition_sum(f, p)
 
 
+def _multilinear_table(f, size):
+    """The block table read through multilinear_coefficients' index tuples."""
+    return {sum(1 << (i - 1) for i in key): c.raw
+            for key, c in f.multilinear_coefficients().items() if len(key) == size}
+
+
+def _mixed_polynomial(rng, field, n, size):
+    """Blocks of the given size, degree-size terms with a repeated variable
+    (x1^2*x2 for size 3), squarefree terms of other degrees and a term in
+    x_n, with random coefficients (zero included), over a partition into
+    consecutive blocks with nonzero coefficients."""
+    terms = {}
+
+    def put(exps, low=0):
+        mono = [0] * n
+        for i, e in exps.items():
+            mono[i - 1] += e
+        terms[tuple(mono)] = rng.randrange(low, field.order)
+
+    put({1: 2, **{i: 1 for i in range(2, size)}})
+    put({n: 1})
+    for start in range(1, n + 1, size):
+        put({i: 1 for i in range(start, start + size)}, low=1)
+    for _ in range(12):
+        put({i: 1 for i in rng.sample(range(1, n + 1), size)})
+        repeated = rng.sample(range(1, n + 1), size - 1)
+        put({**{i: 1 for i in repeated}, repeated[0]: 2})
+        other = rng.choice([k for k in (0, 1, size - 1, size + 1) if k <= n])
+        put({i: 1 for i in rng.sample(range(1, n + 1), other)})
+    return Polynomial(field, terms, n)
+
+
+@pytest.mark.parametrize("spec,p", [("gf(2)", 2), ("gf(3)", 3), ("gf(5)", 5), ("gf(4)", 2),
+                                    ("gf(9)", 3)])
+def test_block_table_reads_the_packed_keys(monkeypatch, spec, p):
+    # the table read off packed keys is the one multilinear_coefficients
+    # gives, and the partition sum does not change with the route
+    field = make_field(spec)
+    rng = random.Random(f"blocks {spec}")
+    size = p + 1
+    for n in sorted({size, 2 * size, 12 - 12 % size, 24 - 24 % size}):
+        for _ in range(3):
+            f = _mixed_polynomial(rng, field, n, size)
+            assert certificate._block_table(f, size) == _multilinear_table(f, size)
+            value = partition_sum(f, p)
+            if n <= 12:
+                assert value == enumerated_partition_sum(f, p)
+            with monkeypatch.context() as m:
+                m.setattr(certificate, "_block_table", _multilinear_table)
+                assert partition_sum(f, p) == value
+
+
 def test_empty_partition_sum_is_one():
     for p in (2, 3, 5):
         f = Polynomial.zero(make_field(p))

@@ -20,6 +20,7 @@ from esym.field import (
     _is_prime,
     _uirreducible,
     embed,
+    esp_sweep,
     lucas_binomial,
     make_field,
     roots_of_z_pow_d_plus_one,
@@ -550,3 +551,30 @@ def test_an_accumulator_keeps_cancelled_terms_until_the_finish(spec):
     F.addmul_terms(out, acc, {0: F.one_raw, 3: F.one_raw})
     F.addmul_terms(out, a, one)
     assert F.finish_terms(out) == {1: F.one_raw}
+
+
+# -- the scalar sweep kernel ----------------------------------------------------
+
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(5)", "gf(1009)", "gf(4)", "gf(8)",
+                                  "gf(2^8;1,0,1,1,1,0,0,0,1)", "gf(9)", "gf(25)", "gf(27)", "q"])
+def test_esp_raw_matches_the_generic_sweep(spec):
+    # seeded values with zeros among them, against esp_sweep on the raw ops;
+    # dmax runs from 0 past the number of values, and the list may be empty
+    F = make_field(spec)
+    rng = SplitMix64(90)
+
+    def oracle(values, dmax):
+        return esp_sweep(values, dmax, F.zero_raw, F.one_raw, F.add_raw, F.mul_raw)
+
+    for size in (0, 1, 2, 3, 6, 13):
+        for _ in range(6):
+            values = [F.zero_raw if rng.below(4) == 0 else random_raw(F, rng)
+                      for _ in range(size)]
+            for dmax in range(size + 3):
+                assert F.esp_raw(values, dmax) == oracle(values, dmax), (values, dmax)
+    assert F.esp_raw([], 0) == [F.one_raw]
+    assert F.esp_raw([F.zero_raw] * 4, 2) == [F.one_raw, F.zero_raw, F.zero_raw]
+    # every value of a small field at once: prod (1 + z*v) over nonzero v
+    if F.order is not None and F.order <= 27:
+        values = list(range(F.order))
+        assert F.esp_raw(values, F.order) == oracle(values, F.order)

@@ -246,7 +246,8 @@ def test_sweep_bound_refuses_long_sweeps_before_the_work(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the guarded work ran")
 
-    monkeypatch.setattr(v2space, "esp_sweep", forbidden)
+    # the strata walk sweeps on the field's kernel
+    monkeypatch.setattr(type(GF2), "esp_raw", forbidden)
     for n, d, seen in ((10**9, 2, 2), (4096, 4096, 2), (2048, 4, 2049)):
         # the strata are summed only until they pass the bound
         msg = (f"^{seen} or more strata of {n} coordinates to degree {d} "
