@@ -46,7 +46,7 @@ from functools import partial
 from fractions import Fraction
 
 from .field import FieldDescriptor, FieldError
-from .poly import WIDTH, Polynomial, _parse_nested, _split_top, parse_polynomial
+from .poly import Polynomial, _parse_nested, _split_top, _variable_keys, parse_polynomial
 from .rng import SplitMix64
 from .symfunc import gen_esp
 
@@ -469,7 +469,7 @@ def ben_or(n: int, d: int, F: FieldDescriptor) -> Formula:
     alphas = [F.element_at(j).raw for j in range(n + 1)]
     coeffs = _interpolation_weights(alphas, n - d, F)
 
-    keys = _variable_keys(n)
+    keys = _variable_keys(range(1, n + 1))
     acc = None
     for c, a in zip(coeffs, alphas):
         if c == F.zero_raw:
@@ -558,17 +558,11 @@ def _interpolation_terms(phi: Formula, n: int):
         if c.is_zero:
             return None
         a = first.constant_term() / c
-        keys = keys or _variable_keys(n)    # once a summand has shown n factors
+        keys = keys or _variable_keys(range(1, n + 1))    # once a summand has shown n factors
         if [leaf.label for leaf in factors] != _factor_labels(keys, c.raw, a.raw, F):
             return None
         terms.append((c.raw, a.raw))
     return terms
-
-
-def _variable_keys(n: int) -> list:
-    """The packed keys of x_1, ..., x_n, shared by every leaf label built
-    from them."""
-    return [1 << (WIDTH * i) | 1 for i in range(1, n + 1)]
 
 
 def _factor_labels(keys, c, a, F: FieldDescriptor):

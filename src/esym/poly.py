@@ -6,7 +6,11 @@ degree sits in the lowest field (field 0) and the exponent of x_i in field
 i.  So the product of two monomials is one int add, the degree of a term is
 one mask, and a key does not depend on the variable count.  Products of
 term dicts run on the field's kernel (FieldDescriptor.addmul_terms into an
-accumulator, then finish_terms), which reduces once per output term.
+accumulator, then finish_terms), which reduces once per output term.  The
+key of x_i, 1 << 32*i | 1, holds 1 in the degree field, so the sum of the
+keys of distinct variables is the key of their squarefree product:
+squarefree_sum and symfunc's e_d builder sum the keys that _variable_keys
+builds after checking every index for range and repeats.
 
 The guard: no field may carry into its neighbour.  The constructor checks
 each term, and * and ** check in O(1) from their operands' degrees, that
@@ -79,6 +83,25 @@ def _pack(mono) -> int:
             deg += e
     _check_degree(deg)
     return key | deg
+
+
+def _variable_key(i: int) -> int:
+    """Packed key of x_i, unchecked.  Its degree field holds 1, so the sum
+    of the keys of distinct variables is the key of their product."""
+    return 1 << (WIDTH * i) | 1
+
+
+def _variable_keys(indices) -> list[int]:
+    """The packed keys of x_i for the given distinct 1-based indices, in
+    order.  Every index is checked once, for its range and for repeats,
+    before any key is built."""
+    idx = tuple(indices)
+    if idx and not (1 <= min(idx) and max(idx) <= MAX_VARIABLE_INDEX):
+        for i in idx:
+            _check_index(i)
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"repeated variable index in {idx}")
+    return list(map(_variable_key, idx))
 
 
 def _top(key: int) -> int:
@@ -163,26 +186,20 @@ class Polynomial:
     def variable(field: FieldDescriptor, index: int, nvars: int | None = None) -> "Polynomial":
         """The variable x<index>, 1-based."""
         _check_index(index)
-        return Polynomial._of(field, {1 << (WIDTH * index) | 1: field.one_raw},
+        return Polynomial._of(field, {_variable_key(index): field.one_raw},
                               max(nvars or 0, index))
 
     @staticmethod
     def squarefree_sum(field: FieldDescriptor, index_sets, nvars: int = 0) -> "Polynomial":
         """Sum, each with coefficient 1, of the monomials x_i1 * ... * x_ik
-        over the given sets (i1, ..., ik) of distinct 1-based indices."""
-        one = field.one_raw
-        terms, bits = {}, {}                  # bits: each index checked once
-        for indices in index_sets:
-            key = 0
-            for i in indices:
-                bit = bits.get(i)
-                if bit is None:
-                    _check_index(i)
-                    bit = bits[i] = 1 << (WIDTH * i)
-                key |= bit
-            if key.bit_count() != len(indices):
-                raise ValueError(f"repeated variable index in {tuple(indices)}")
-            terms[key | len(indices)] = one
+        over the given sets (i1, ..., ik) of distinct 1-based indices; no
+        two sets may name the same monomial."""
+        one, terms = field.one_raw, {}
+        for indices in map(tuple, index_sets):
+            key = sum(_variable_keys(indices))
+            if key in terms:
+                raise ValueError(f"repeated index set {indices}")
+            terms[key] = one
         return Polynomial._of(field, terms, max(nvars, _top(max(terms, default=0))))
 
     @classmethod
@@ -342,7 +359,7 @@ class Polynomial:
         """Formal derivative with respect to x<index> (1-based)."""
         _check_index(index)
         shift = WIDTH * index
-        step = (1 << shift) | 1                    # x_index in the key
+        step = _variable_key(index)
         mul, coerce = self.field.mul_raw, self.field.coerce_raw
         zero = self.field.zero_raw
         terms = {}
@@ -440,7 +457,7 @@ class LinearForm(Polynomial):
                              f"the variable index bound {MAX_VARIABLE_INDEX}")
         zero = field.zero_raw
         self.field, self.nvars = field, len(row)
-        self._terms = {1 << (WIDTH * i) | 1: raw
+        self._terms = {_variable_key(i): raw
                        for i, raw in enumerate(map(field.coerce_raw, row), 1) if raw != zero}
 
     @classmethod

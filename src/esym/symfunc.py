@@ -12,6 +12,13 @@ chosen field and reports the exact discrepancy polynomial:
 
 Everything here is exact; a report with holds=False carries the nonzero
 difference so callers can inspect where an identity fails.
+
+esp_on (and gen_esp) builds e_d's terms in C: each key is the sum of d of
+the variables' packed keys, taken by map(sum, ...) over
+itertools.combinations, so the subsets are never listed.  An identity is
+decided by lhs == rhs, a comparison of zero-free term dicts over one field
+and so the same test as lhs - rhs vanishing; the subtraction runs only
+when the sides differ.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .field import FieldDescriptor, FieldError, _dot_terms, _esp_terms
-from .poly import Polynomial, _check_degree
+from .poly import Polynomial, _check_degree, _top, _variable_keys
 
 IDENTITY_KINDS = ("generating_function", "split", "partial_derivative", "euler", "newton")
 
@@ -30,14 +37,19 @@ _IDENTITY_CAP = 16  # the largest n+m that verify_identity expands
 
 
 def esp_on(indices, d: int, field: FieldDescriptor, nvars: int | None = None) -> Polynomial:
-    """e_d over an explicit tuple of 1-based variable indices."""
-    idx = tuple(indices)
-    if d < 0 or d > len(idx):
-        return Polynomial.zero(field, nvars or (max(idx) if idx else 0))
-    if math.comb(len(idx), d) > _TERM_GUARD:
-        raise ValueError(f"e_{d} over {len(idx)} variables exceeds the term guard")
-    return Polynomial.squarefree_sum(field, combinations(idx, d),
-                                     nvars or (max(idx) if idx else 0))
+    """e_d over an explicit tuple of distinct 1-based variable indices.
+
+    Each term's key is the sum of d of the indices' packed keys, summed in
+    C over itertools.combinations without listing the subsets."""
+    keys = _variable_keys(indices)
+    top = _top(max(keys, default=0))
+    width = nvars or top
+    if d < 0 or d > len(keys):
+        return Polynomial.zero(field, width)
+    if math.comb(len(keys), d) > _TERM_GUARD:
+        raise ValueError(f"e_{d} over {len(keys)} variables exceeds the term guard")
+    terms = dict.fromkeys(map(sum, combinations(keys, d)), field.one_raw)
+    return Polynomial._of(field, terms, max(width, top) if d else width)  # e_0 names no x_i
 
 
 def gen_esp(n: int, d: int, field: FieldDescriptor) -> Polynomial:
@@ -197,8 +209,10 @@ def verify_identity(kind: str, params: dict, field: FieldDescriptor) -> Identity
                                            gen_esp(n, d - k, field))
                                           for k in range(1, d + 1)])
 
-    diff = lhs - rhs
-    return IdentityReport(kind, dict(params), diff.is_zero, diff)
+    if lhs == rhs:
+        return IdentityReport(kind, dict(params), True,
+                              Polynomial.zero(field, max(lhs.nvars, rhs.nvars)))
+    return IdentityReport(kind, dict(params), False, lhs - rhs)
 
 
 def _sum_of_products(field: FieldDescriptor, nvars: int, pairs) -> Polynomial:

@@ -150,6 +150,11 @@ def test_squarefree_sum():
         Polynomial.squarefree_sum(GF5, [(2, 2)])
     with pytest.raises(ValueError, match="1-based"):
         Polynomial.squarefree_sum(GF5, [(0, 1)])
+    # a set named twice would be a coefficient of 2, which the sum cannot hold
+    for sets, named in [([(1, 2), (1, 2)], "(1, 2)"), ([(1, 3), (2,), (3, 1)], "(3, 1)"),
+                        ([(), ()], "()"), ((range(1, 3) for _ in range(2)), "(1, 2)")]:
+        with pytest.raises(ValueError, match=f"^repeated index set {re.escape(named)}$"):
+            Polynomial.squarefree_sum(GF5, sets)
 
 
 def test_variable_index_is_bounded():

@@ -82,6 +82,55 @@ def test_esp_on_index_subset():
     assert f == parse_polynomial("x2*x4", QQ)
 
 
+def _esp_by_tuples(idx, d, field, nvars):
+    """e_d over idx through the tuple constructor, one exponent tuple per
+    subset (none for d < 0): the oracle for the packed-key builder."""
+    terms = {}
+    for subset in itertools.combinations(idx, d) if d >= 0 else ():
+        mono = [0] * max(idx, default=0)
+        for i in subset:
+            mono[i - 1] = 1
+        terms[tuple(mono)] = field.one_raw
+    return Polynomial(field, terms, nvars or max(idx, default=0))
+
+
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(5)", "gf(4)", "q"])
+def test_esp_builder_matches_the_tuple_constructor(spec):
+    field = make_field(spec)
+    rng = SplitMix64(2020)
+    for n in range(11):
+        for d in range(n + 1):
+            got, want = gen_esp(n, d, field), _esp_by_tuples(range(1, n + 1), d, field, n)
+            assert got._terms == want._terms and got.nvars == want.nvars == n
+        # index subsets with gaps, in any order, with and without a wider nvars
+        idx = [i for i in range(1, 15) if rng.below(2)][:n]
+        shuffled = sorted(idx, key=lambda i: rng.below(100))
+        for indices in (idx, shuffled):
+            for d in range(-1, len(indices) + 2):
+                for nvars in (None, max(indices, default=0) + 3, 1):
+                    got = esp_on(indices, d, field, nvars)
+                    want = _esp_by_tuples(indices, d, field, nvars)
+                    assert got._terms == want._terms, (indices, d, nvars)
+                    assert got.nvars == want.nvars, (indices, d, nvars)
+
+
+def test_esp_on_checks_every_index_before_the_shortcuts():
+    gf5 = make_field("gf(5)")
+    for d in (-1, 0, 1, 2, 3):
+        with pytest.raises(ValueError, match=r"^repeated variable index in \(1, 1\)$"):
+            esp_on((1, 1), d, gf5)
+        with pytest.raises(ValueError, match="^variable index 5000 is outside the 1-based range"):
+            esp_on((5000,), d, gf5)
+        with pytest.raises(ValueError, match="^variable index -1 is outside the 1-based range"):
+            esp_on((-1,), d, gf5)
+    with pytest.raises(ValueError, match="^variable index 2049 is outside the 1-based range"):
+        gen_esp(2049, 0, gf5)
+    assert esp_on((), 0, gf5) == 1 and esp_on((), 0, gf5).nvars == 0
+    assert esp_on((2, 4), 0, gf5, nvars=1).nvars == 1
+    assert esp_on((2, 4), 1, gf5, nvars=1).nvars == 4
+    assert esp_on((2, 4), 3, gf5, nvars=1).nvars == 1
+
+
 # -- esp of linear forms: DP against direct substitution ----------------------
 
 def test_esp_table_matches_substitution():
@@ -207,7 +256,39 @@ def test_a_perturbed_identity_reports_the_old_discrepancy(monkeypatch, spec, kin
     report = verify_identity(kind, params, field)
     assert not report.holds
     assert report.discrepancy == lhs - rhs
+    assert report.discrepancy.nvars == (lhs - rhs).nvars
     assert str(report.discrepancy) == str(lhs - rhs)
+
+
+def test_equality_decides_as_the_subtraction_did(monkeypatch):
+    # the acceptance grid (n+m <= 10, 5 fields): the last comparison
+    # verify_identity makes is lhs == rhs, and its report must be what
+    # lhs - rhs gives
+    sides = []
+    eq = Polynomial.__eq__
+
+    def spy(a, b):
+        sides.append((a, b))
+        return eq(a, b)
+
+    monkeypatch.setattr(Polynomial, "__eq__", spy)
+    grids = {
+        "generating_function": [{"n": n} for n in range(1, 11)],
+        "split": [{"n": n, "m": m, "d": d} for n in range(1, 10) for m in range(1, 11 - n)
+                  for d in range(n + m + 1)],
+    }
+    square = [{"n": n, "d": d} for n in range(1, 11) for d in range(1, n + 1)]
+    for spec in ("q", "gf(2)", "gf(3)", "gf(4)", "gf(5)"):
+        field = make_field(spec)
+        for kind in IDENTITY_KINDS:
+            for params in grids.get(kind, square):
+                report = verify_identity(kind, params, field)
+                lhs, rhs = sides[-1]
+                diff = lhs - rhs
+                assert report.holds == diff.is_zero
+                assert report.discrepancy._terms == diff._terms
+                assert report.discrepancy.nvars == diff.nvars
+                sides.clear()
 
 
 def test_power_sum_of_forms():
