@@ -28,14 +28,17 @@ is normalized to gamma * (1 + lhat) with gamma a scalar series, and the
 degree-d part in x of each product is exactly e_d of the normalized linear
 parts, so the sum of scalar * e_d(forms) extracts to the same principal.
 
-depth3_to_sym reads only the degree-d part in x of the circuit and of the
-realized symmetric terms, so it multiplies with a degree cut (_mul_upto):
-terms of x-degree above d are dropped from the operands and the product.
-The cut is exact.  x-degrees are nonnegative and add under multiplication,
-so a product term of degree at most d comes from two operand terms of
-degree at most d each; the product's part of degree <= d, and with it the
-degree-d part, depends only on the operands' parts of degree <= d.  Sums
-keep degrees, so a sum of cut products is the cut of the sum.
+depth3_to_sym reads only the degree-d part H_d in x of the circuit and of
+the realized symmetric terms.  The circuit's H_d is one affine sweep per
+product term (_affine_degree_part): rows[j] holds the part of x-degree j
+of the running product, and a factor gamma + lambda (gamma free of x,
+lambda of x-degree 1) maps rows[j] to rows[j]*gamma + rows[j-1]*lambda.
+This is exact: x-degrees are nonnegative and add, so a product term's
+x-degree counts its lambda picks, and the rows above d are never needed.
+The realized terms multiply with a degree cut (_mul_upto), exact for the
+same reason: a product term of degree at most d comes from two operand
+terms of degree at most d each.  Sums keep degrees, so a sum of cut
+products is the cut of the sum.
 """
 
 from __future__ import annotations
@@ -424,14 +427,17 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
 
     Each term is (scalar, factors): the scalar and every factor coerce to
     an EpsSeries (from a series, polynomial, linear form or field scalar),
-    and every factor has affine coefficients.  Factors with a
-    zero constant part must have the single-power shape eps^w * ell and are
-    repaired through constant_shift; remaining factors are normalized to
-    gamma * (1 + lhat), the gammas folded into the scalar, and lhat's
-    linear coefficients become the forms.  The sum of realized terms is
-    checked against the original by H_d extraction.  Both checks read only
-    the degree-d part in x, so their products are cut at x-degree d, which
-    is exact (see the module docstring).
+    and every factor has affine coefficients.  The circuit's degree-d part
+    in x is read by one affine sweep per term (see the module docstring).
+    Factors with a zero constant part must have the single-power shape
+    eps^w * ell and are repaired through constant_shift; every factor is
+    then split into gamma, its x-free part, and its linear part, and
+    normalized to gamma * (1 + lhat).  When gamma is exactly 1, lhat is the
+    linear part itself and the scalar is only cut to the factor's
+    truncation; any other gamma is inverted into lhat and folded into the
+    scalar.  lhat's linear coefficients become the forms.  The sum of
+    realized terms is checked against the original by H_d extraction, with
+    products cut at x-degree d.
     """
     if not target.is_homogeneous() or target.is_zero:
         raise BorderError("target must be homogeneous and nonzero")
@@ -449,17 +455,7 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
                 raise BorderError(f"factor {s} is not affine")
         norm_terms.append((c, fs))
 
-    def total_of(tl):
-        """The sum of the terms' products, cut at x-degree d."""
-        acc = EpsSeries.zero(field, T)
-        for c, fs in tl:
-            prod = c
-            for f in fs:
-                prod = _mul_upto(prod, f, d)
-            acc = acc + prod
-        return acc
-
-    w0 = approx_extract(total_of(norm_terms).homogeneous_part(d))
+    w0 = approx_extract(_affine_degree_part(field, norm_terms, d, T))
     if w0.principal != target:
         raise BorderError(
             f"the terms extract {w0.principal} at order {w0.order}, not the target")
@@ -467,8 +463,7 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
     # repair factors with no constant part via the shift lemma
     for ti, (c, fs) in enumerate(norm_terms):
         for fi, f in enumerate(fs):
-            gamma = _scalar_part(f)
-            if not gamma.is_zero:
+            if any(k <= _MASK for k in f._terms):
                 continue
             w = f.valuation()
             if w is None:
@@ -482,32 +477,39 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
             for j, other in enumerate(fs):
                 if j != fi:
                     others = others * other
-            rest = total_of([t for k, t in enumerate(norm_terms) if k != ti])
+            rest = _affine_degree_part(
+                field, [t for k, t in enumerate(norm_terms) if k != ti], d, T)
             M = constant_shift(others.shift(w), rest, ell, target, degree=d)
             if w + M >= f.truncation:
                 raise BorderError(
                     f"shift eps^{w + M} falls outside truncation {f.truncation}")
             fs[fi] = f + EpsSeries.eps(field, f.truncation, w + M)
 
+    unit = {0: field.one_raw}
     reps = []
     for c, fs in norm_terms:
         scalar = c
         forms = []
         for f in fs:
-            gamma = _scalar_part(f)
-            v = gamma.valuation()
-            linpart = f - gamma
-            unit = gamma.divide_eps(v)
-            lv = linpart.valuation()
+            gamma, lam = _split_affine(f._terms, f.truncation)
+            v = min([k & _MASK for k in gamma])
+            lv = min([k & _MASK for k in lam], default=None)
             if lv is not None and lv < v:
                 raise BorderError(
                     f"factor {f}: the linear part appears at eps^{lv}, below the "
                     f"constant part at eps^{v}; normalizing needs rational eps "
                     "coefficients, not a truncated series")
-            lhat = (linpart.divide_eps(v) if lv is not None
-                    else EpsSeries.zero(field, f.truncation - v))
-            forms.append(lhat * unit.invert())
-            scalar = scalar * gamma
+            Tf = f.truncation - v
+            lhat = EpsSeries._of(field, Tf, {k - v: r for k, r in lam.items()})
+            if gamma == unit:   # f = 1 + lhat: the form is lhat, the scalar is cut
+                forms.append(lhat)
+                Tc = min(scalar.truncation, Tf)
+                scalar = EpsSeries._of(field, Tc, {k: r for k, r in scalar._terms.items()
+                                                   if k & _MASK < Tc})
+                continue
+            u = EpsSeries._of(field, Tf, {k - v: r for k, r in gamma.items()})
+            forms.append(lhat * u.invert())
+            scalar = scalar * EpsSeries._of(field, f.truncation, gamma)
         reps.append(EpsSymRepresentation(scalar=scalar, forms=forms,
                                          degree=d, field=field))
 
@@ -537,7 +539,43 @@ def _as_series(value, field: FieldDescriptor, T: int):
     return value
 
 
-def _scalar_part(s: EpsSeries) -> EpsSeries:
-    """The series of constant terms of each coefficient: the keys with no x."""
-    return EpsSeries._of(s.field, s.truncation,
-                         {k: raw for k, raw in s._terms.items() if k <= _MASK})
+def _split_affine(terms: dict, T: int) -> tuple[dict, dict]:
+    """The terms of an affine series below eps^T, split into gamma, the keys
+    with no x, and lambda, the keys of x-degree 1."""
+    gamma, lam = {}, {}
+    for k, r in terms.items():
+        if k & _MASK < T:
+            (gamma if k <= _MASK else lam)[k] = r
+    return gamma, lam
+
+
+def _affine_degree_part(field: FieldDescriptor, terms, d: int, T: int) -> EpsSeries:
+    """H_d of the sum of c * prod(fs) over the (c, fs) in terms, every factor
+    affine, mod eps^T or a smaller operand truncation: one affine sweep per
+    term (see the module docstring), each new row one accumulation cut
+    below eps^T.  A gamma of exactly 1 leaves rows[j] as it is and adds
+    rows[j-1]*lambda in place."""
+    T = min([T] + [s.truncation for c, fs in terms for s in (c, *fs)])
+
+    def below_T(row: dict) -> dict:
+        return {k: r for k, r in row.items() if k & _MASK < T}
+
+    unit = {0: field.one_raw}
+    total = {}
+    for c, fs in terms:
+        rows = [{} for _ in range(d + 1)]
+        for k, r in c._terms.items():
+            j = (k >> WIDTH) & _MASK
+            if j <= d and k & _MASK < T:
+                rows[j][k] = r
+        for f in fs:
+            gamma, lam = _split_affine(f._terms, T)
+            for j in range(d, -1, -1):
+                lower = [(rows[j - 1], lam)] if j and rows[j - 1] else []
+                if gamma == unit:
+                    if lower:
+                        _merge(rows[j], below_T(_dot_terms(field, lower)), field)
+                else:
+                    rows[j] = below_T(_dot_terms(field, [(rows[j], gamma)] + lower))
+        _merge(total, rows[d], field)
+    return EpsSeries._of(field, T, total)

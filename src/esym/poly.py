@@ -49,7 +49,6 @@ from __future__ import annotations
 import re
 import struct
 from functools import partial
-from itertools import compress, count
 
 from .field import FieldDescriptor, FieldElement, FieldError, embed
 
@@ -252,15 +251,6 @@ class Polynomial:
     def is_constant_free(self) -> bool:
         """True when the constant term vanishes."""
         return 0 not in self._terms
-
-    def multilinear_coefficients(self) -> dict[tuple[int, ...], FieldElement]:
-        """Coefficients of squarefree monomials, keyed by 1-based index tuples."""
-        out = {}
-        for k, raw in self._terms.items():
-            exps = _exponents(k)
-            if len(exps) - exps.count(0) == k & _MASK:   # every exponent is 0 or 1
-                out[tuple(compress(count(1), exps))] = FieldElement(self.field, raw)
-        return out
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .field import FieldDescriptor, FieldError, _dot_terms, _esp_terms
-from .poly import Polynomial, _check_degree, _top, _variable_keys
+from .poly import Polynomial, _check_degree, _check_index, _top, _variable_keys
 
 IDENTITY_KINDS = ("generating_function", "split", "partial_derivative", "euler", "newton")
 
@@ -41,7 +41,12 @@ def esp_on(indices, d: int, field: FieldDescriptor, nvars: int | None = None) ->
 
     Each term's key is the sum of d of the indices' packed keys, summed in
     C over itertools.combinations without listing the subsets."""
-    keys = _variable_keys(indices)
+    return _esp_of_keys(_variable_keys(indices), d, field, nvars)
+
+
+def _esp_of_keys(keys: list, d: int, field: FieldDescriptor, nvars: int | None = None) -> Polynomial:
+    """esp_on over the checked keys of _variable_keys, so that one key list
+    can feed every d."""
     top = _top(max(keys, default=0))
     width = nvars or top
     if d < 0 or d > len(keys):
@@ -58,6 +63,8 @@ def gen_esp(n: int, d: int, field: FieldDescriptor) -> Polynomial:
         raise ValueError("variable count must be nonnegative")
     if d < 0 or d > n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
+    if n:
+        _check_index(n)   # before the range of n indices is built
     return esp_on(range(1, n + 1), d, field, n)
 
 
@@ -163,28 +170,31 @@ def verify_identity(kind: str, params: dict, field: FieldDescriptor) -> Identity
         lhs = Polynomial.constant(field, 1, n + 1)
         for i in range(1, n + 1):
             lhs = lhs * (Polynomial.variable(field, i, n + 1) + y)
-        rhs = _sum_of_products(field, n + 1, [(y ** (n - k), esp_on(range(1, n + 1), k, field))
+        keys = _variable_keys(range(1, n + 1))
+        rhs = _sum_of_products(field, n + 1, [(y ** (n - k), _esp_of_keys(keys, k, field))
                                               for k in range(n + 1)])
 
     elif kind == "split":
         n, m, d = _require(params, "n", "m", "d")
         if n < 1 or m < 1 or d < 0 or d > n + m:
             raise ValueError("split needs n, m >= 1 and 0 <= d <= n+m")
-        first = range(1, n + 1)
-        second = range(n + 1, n + m + 1)
-        lhs = gen_esp(n + m, d, field)
-        rhs = _sum_of_products(field, n + m, [(esp_on(first, k, field),
-                                               esp_on(second, d - k, field)) for k in range(d + 1)])
+        keys = _variable_keys(range(1, n + m + 1))
+        first, second = keys[:n], keys[n:]
+        lhs = _esp_of_keys(keys, d, field, n + m)
+        rhs = _sum_of_products(field, n + m, [(_esp_of_keys(first, k, field),
+                                               _esp_of_keys(second, d - k, field))
+                                              for k in range(d + 1)])
 
     elif kind == "partial_derivative":
         n, d = _require(params, "n", "d")
         if not 1 <= d <= n:
             raise ValueError("partial_derivative needs 1 <= d <= n")
-        e = gen_esp(n, d, field)
+        keys = _variable_keys(range(1, n + 1))
+        e = _esp_of_keys(keys, d, field, n)
         lhs = rhs = None
         for i in range(1, n + 1):
             left = e.partial_derivative(i)
-            right = esp_on([j for j in range(1, n + 1) if j != i], d - 1, field, n)
+            right = _esp_of_keys(keys[:i - 1] + keys[i:], d - 1, field, n)
             if left != right:
                 lhs, rhs = left, right
                 break
@@ -204,9 +214,10 @@ def verify_identity(kind: str, params: dict, field: FieldDescriptor) -> Identity
         n, d = _require(params, "n", "d")
         if not 1 <= d <= n:
             raise ValueError("newton needs 1 <= d <= n")
-        lhs = gen_esp(n, d, field).scale(d)
+        keys = _variable_keys(range(1, n + 1))
+        lhs = _esp_of_keys(keys, d, field, n).scale(d)
         rhs = _sum_of_products(field, n, [(gen_power_sum(n, k, field).scale((-1) ** (k + 1)),
-                                           gen_esp(n, d - k, field))
+                                           _esp_of_keys(keys, d - k, field, n))
                                           for k in range(1, d + 1)])
 
     if lhs == rhs:

@@ -1,6 +1,6 @@
 """Reference polynomial algebra that only the tests use, built on the public
-Polynomial arithmetic: substituting polynomials for the variables, and
-taking a homogeneous component.  Import it from a test module as
+Polynomial arithmetic: substituting polynomials for the variables, taking
+a homogeneous component, and reading the squarefree coefficients.  Import it from a test module as
 `from poly_oracles import ...` (pytest puts the tests directory on the path).
 """
 
@@ -32,3 +32,9 @@ def homogeneous_component(poly: Polynomial, d: int) -> Polynomial:
     """The terms of poly of total degree d, as a plain Polynomial."""
     return Polynomial(poly.field, {m: c.raw for m, c in poly.terms() if sum(m) == d},
                       poly.nvars)
+
+
+def multilinear_coefficients(poly: Polynomial) -> dict:
+    """Coefficients of squarefree monomials, keyed by 1-based index tuples."""
+    return {tuple(i for i, e in enumerate(mono, 1) if e): c
+            for mono, c in poly.terms() if all(e <= 1 for e in mono)}

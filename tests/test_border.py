@@ -314,6 +314,33 @@ def test_depth3_repairs_pure_eps_linear_factor():
     assert w.principal == target
 
 
+@pytest.mark.parametrize("spec", ["gf(4)", "gf(5)", "q"])
+def test_depth3_divides_out_each_gamma(spec):
+    # factor i is gamma_i * (1 + eps*L_i), with gamma_i the constant 1, a
+    # constant other than 0 and 1, c + eps*c', or eps*(c + eps*c'); the
+    # gammas fold into the scalar and every form comes back as eps*L_i
+    field = make_field(spec)
+    rng = SplitMix64(2113)
+    T = 8
+    two = field.element_at(2) if field.order else Fraction(2)
+    n = 3
+    forms = [LinearForm(field, [_element(field, rng) or 1 for _ in range(n)]) for _ in range(3)]
+    forms.append(-(forms[0] + forms[1] + forms[2]))
+    one = EpsSeries.constant(field, 1, T)
+    gammas = [one, EpsSeries.constant(field, two, T), one.scale(two) + EpsSeries.eps(field, T),
+              (one + EpsSeries.eps(field, T).scale(two)).shift(1)]
+    factors = [g * (one + EpsSeries.from_polynomial(L.to_polynomial(), T, 1))
+               for g, L in zip(gammas, forms)]
+    G = gammas[0] * gammas[1] * gammas[2] * gammas[3]
+    target = esp_of_forms(forms, 2).scale(G.coeff(1).constant_term())
+    assert not target.is_zero
+    reps = depth3_to_sym([(1, factors), (-G, [])], target, T)
+    assert reps[0].scalar == G
+    assert reps[0].forms == [EpsSeries.from_polynomial(L.to_polynomial(), T - v, 1)
+                             for L, v in zip(forms, (0, 0, 0, 1))]
+    assert reps[1].scalar == -G and reps[1].forms == []
+
+
 def test_depth3_rejects_wrong_target():
     T = 5
     terms = [(1, [EpsSeries.constant(GF5, 1, T)])]
@@ -599,6 +626,64 @@ def _uncut(monkeypatch):
     monkeypatch.setattr(border, "_mul_upto", lambda a, b, d=None: full(a, b))
 
 
+def _product_chain(field, terms, d, T, cut=True):
+    """The slow path of depth3_to_sym's input check: each term's product
+    folded by _mul_upto (cut at x-degree d unless cut is False), the
+    products summed, and the degree-d part kept."""
+    acc = EpsSeries.zero(field, T)
+    for c, fs in terms:
+        prod = c
+        for f in fs:
+            prod = border._mul_upto(prod, f, d) if cut else prod * f
+        acc = acc + prod
+    return acc.homogeneous_part(d)
+
+
+def _affine_factor(field, rng):
+    """A seeded affine series of truncation 1..7: linear forms in x1..x3 at
+    a few eps-powers, plus a gamma of one of four kinds: the constant 1, a
+    constant other than 0 and 1, a series of constants, or none (then the
+    linear part sits at one eps-power, the shape the repair takes)."""
+    T = 1 + rng.below(7)
+    kind = rng.below(4)
+    powers = [rng.below(T)] if kind == 3 else [rng.below(T) for _ in range(1 + rng.below(3))]
+    f = EpsSeries.zero(field, T)
+    for i in powers:
+        ell = LinearForm(field, [_element(field, rng) for _ in range(3)])
+        f = f + EpsSeries.from_polynomial(ell.to_polynomial(), T, i)
+    if kind == 0:
+        return f + EpsSeries.constant(field, 1, T)
+    if kind == 1:
+        c = Fraction(2 + rng.below(3)) if field.order is None else \
+            field.element_at(2 + rng.below(field.order - 2))
+        return f + EpsSeries.constant(field, c, T)
+    if kind == 2:
+        return f + EpsSeries(field, T, [Polynomial.constant(field, _element(field, rng))
+                                        for _ in range(T)])
+    return f
+
+
+@pytest.mark.parametrize("spec", ["gf(4)", "gf(5)", "gf(9)", "q"])
+def test_affine_sweep_matches_the_product_chain(spec):
+    # scalars hold x-terms of degree 0..3; terms have 0..4 factors; every
+    # operand draws its own truncation
+    field = make_field(spec)
+    rng = SplitMix64(2111)
+    kinds = set()
+    for _ in range(60):
+        T = 1 + rng.below(7)
+        terms = [(_dense(field, 1 + rng.below(7), rng).series(),
+                  [_affine_factor(field, rng) for _ in range(rng.below(5))])
+                 for _ in range(rng.below(4))]
+        kinds.update(len(fs) for c, fs in terms)
+        for d in range(4):
+            got = border._affine_degree_part(field, terms, d, T)
+            want = _product_chain(field, terms, d, T)
+            assert got == want
+            assert got.truncation == want.truncation
+    assert {0, 4} <= kinds
+
+
 def _depth3_circuits(field, rng):
     """Seeded (terms, target, T): fan-in 2 kumar circuits of forms with e_1 = 0,
     the same with a third term that only reaches past the extracted order,
@@ -700,8 +785,11 @@ def test_fused_series_sweep_cuts_each_row_below_T(monkeypatch):
 def test_depth3_degree_cut_bounds_the_work(monkeypatch):
     terms, target, T = _forty_five_forms()
     assert len(terms[0][1]) == 45
-    cut = _term_products(monkeypatch, lambda: depth3_to_sym(terms, target, T))
-    # 1,350 with the cut at d = 2; the uncut products make 7,576
-    assert cut <= 1350
+    swept = _term_products(monkeypatch, lambda: depth3_to_sym(terms, target, T))
+    # 325 with the affine sweep and the unit-gamma normalization; the uncut
+    # product chain, with every other product uncut too, makes 7,461
+    assert swept <= 400
     _uncut(monkeypatch)
-    assert _term_products(monkeypatch, lambda: depth3_to_sym(terms, target, T)) > 5 * cut
+    monkeypatch.setattr(border, "_affine_degree_part",
+                        lambda field, tl, d, T: _product_chain(field, tl, d, T, cut=False))
+    assert _term_products(monkeypatch, lambda: depth3_to_sym(terms, target, T)) >= 5 * swept

@@ -21,6 +21,7 @@ from esym.certificate import (
 from esym.cli import main
 from esym.field import make_field
 from esym.poly import Polynomial, parse_polynomial
+from poly_oracles import multilinear_coefficients
 
 GF2 = make_field("gf(2)")
 
@@ -53,7 +54,7 @@ def iter_block_partitions(indices, block_size: int):
 def enumerated_partition_sum(f, p):
     """The partition sum by walking every partition."""
     fld = f.field
-    coeffs = f.multilinear_coefficients()
+    coeffs = multilinear_coefficients(f)
     total = fld.zero
     for partition in iter_block_partitions(range(1, f.nvars + 1), p + 1):
         prod = fld.one
@@ -173,7 +174,7 @@ def test_partition_sum_by_direct_enumeration():
     # coefficients, written out with itertools only
     f = hard_poly(BlockPolynomialSpec(2, 2)) + parse_polynomial(
         "x1*x4*x5 + x2*x3*x6", GF2)
-    coeffs = f.multilinear_coefficients()
+    coeffs = multilinear_coefficients(f)
     partitions = {tuple(sorted((tuple(sorted(perm[:3])), tuple(sorted(perm[3:])))))
                   for perm in itertools.permutations(range(1, 7))}
     assert len(partitions) == 10
@@ -247,7 +248,7 @@ def test_dp_matches_enumeration_on_dense_inputs(p, n):
 def _multilinear_table(f, size):
     """The block table read through multilinear_coefficients' index tuples."""
     return {sum(1 << (i - 1) for i in key): c.raw
-            for key, c in f.multilinear_coefficients().items() if len(key) == size}
+            for key, c in multilinear_coefficients(f).items() if len(key) == size}
 
 
 def _mixed_polynomial(rng, field, n, size):

@@ -138,13 +138,15 @@ def test_errors_exit_one(capsys):
     ["sym", "verify", "--rep", '{"field": "gf(4)", "degree": 1, "forms": [[[0, 1], 1]]}'],
     ["esp", "--n", "2049", "--d", "1"],
     ["esp", "--n", "2049", "--d", "0"],
+    ["esp", "--n", "18446744073709551616", "--d", "7"],
 ], ids=["certify-no-ell", "zero-denominator", "rep-no-field", "rep-list", "rep-forms-int",
         "witness-zero-trials", "witness-negative-trials", "witness-d-one", "identities-max-n-zero",
         "rep-bool-degree", "rep-bool-coefficient", "exponent-past-packed-bound",
         "variable-index-past-bound", "truncation-past-bound", "rep-row-past-index-bound",
         "formula-empty", "formula-empty-parens", "formula-power", "formula-double-star",
         "poly-empty-call", "quadratic-leading-star", "rep-nested-bool-digits",
-        "rep-nested-digits", "esp-past-variable-bound", "esp-0-past-variable-bound"])
+        "rep-nested-digits", "esp-past-variable-bound", "esp-0-past-variable-bound",
+        "esp-n-past-ssize"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1

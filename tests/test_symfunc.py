@@ -125,6 +125,9 @@ def test_esp_on_checks_every_index_before_the_shortcuts():
             esp_on((-1,), d, gf5)
     with pytest.raises(ValueError, match="^variable index 2049 is outside the 1-based range"):
         gen_esp(2049, 0, gf5)
+    # refused before the range of n indices is built, which overflows at 2^64
+    with pytest.raises(ValueError, match="^variable index 18446744073709551616 is outside"):
+        gen_esp(2**64, 7, gf5)
     assert esp_on((), 0, gf5) == 1 and esp_on((), 0, gf5).nvars == 0
     assert esp_on((2, 4), 0, gf5, nvars=1).nvars == 1
     assert esp_on((2, 4), 1, gf5, nvars=1).nvars == 4
@@ -245,12 +248,14 @@ def test_a_perturbed_identity_reports_the_old_discrepancy(monkeypatch, spec, kin
     # homogeneous of degree k, so no identity holds
     field = make_field(spec)
     c = Fraction(2, 3) if field.order is None else field.element_at(field.order - 1)
-    esp, power_sum = symfunc.esp_on, symfunc.gen_power_sum
+    esp, power_sum = symfunc._esp_of_keys, symfunc.gen_power_sum
 
     def bump(poly, k):
         return poly + (Polynomial.variable(field, 1) ** (k + 1)).scale(c)
 
-    monkeypatch.setattr(symfunc, "esp_on", lambda idx, k, F, nvars=None: bump(esp(idx, k, F, nvars), k))
+    # every e_k, esp_on's and gen_esp's included, is built by _esp_of_keys
+    monkeypatch.setattr(symfunc, "_esp_of_keys",
+                        lambda keys, k, F, nvars=None: bump(esp(keys, k, F, nvars), k))
     monkeypatch.setattr(symfunc, "gen_power_sum", lambda n, k, F: bump(power_sum(n, k, F), k))
     lhs, rhs = _old_sides(kind, params, field)
     report = verify_identity(kind, params, field)
