@@ -12,12 +12,12 @@ lowest 32-bit field and the packed monomial x_key of poly.py (its total
 degree in field 0) is shifted up one field, so the x-degree of a key k is
 (k >> WIDTH) & _MASK.  Keys still add under multiplication, so a series
 product is one FieldDescriptor.mul_terms call followed by dropping the
-terms with eps-power T or more, and esp_of_series one fused sweep
-(_esp_terms) that cuts each row the same way.  No field carries:
-eps-powers stay below T <= 2^16, so a sum of two is below 2^17, and a
-product checks, as Polynomial.__mul__ does, that its x-degree stays below
-2^32.  The dense tuple of coefficient polynomials,
-.coeffs, is derived on read.
+terms with eps-power T or more, and esp_of_series one term-dict sweep
+(field._sweep_terms, every gamma 1) that cuts each row the same way.  No
+field carries: eps-powers stay below T <= 2^16, so a sum of two is below
+2^17, and a product checks, as Polynomial.__mul__ does, that its x-degree
+stays below 2^32.  The dense tuple of coefficient polynomials, .coeffs, is
+derived on read.
 
 kumar_fanin2 realizes e_d of forms with two product terms:
 prod(1 + eps*L_i) - 1, valid when e_1..e_(d-1) of the forms vanish.
@@ -29,24 +29,23 @@ degree-d part in x of each product is exactly e_d of the normalized linear
 parts, so the sum of scalar * e_d(forms) extracts to the same principal.
 
 depth3_to_sym reads only the degree-d part H_d in x of the circuit and of
-the realized symmetric terms.  The circuit's H_d is one affine sweep per
-product term (_affine_degree_part): rows[j] holds the part of x-degree j
-of the running product, and a factor gamma + lambda (gamma free of x,
-lambda of x-degree 1) maps rows[j] to rows[j]*gamma + rows[j-1]*lambda.
-This is exact: x-degrees are nonnegative and add, so a product term's
-x-degree counts its lambda picks, and the rows above d are never needed.
-The realized terms multiply with a degree cut (_mul_upto), exact for the
-same reason: a product term of degree at most d comes from two operand
-terms of degree at most d each.  Sums keep degrees, so a sum of cut
-products is the cut of the sum.
+the realized symmetric terms.  The circuit's H_d is the same sweep, one
+call per product term (_affine_degree_part): row j starts as the scalar's
+part of x-degree j, and a factor gamma + lambda (gamma free of x, lambda
+of x-degree 1) maps row j to row j*gamma + row j-1*lambda.  This is exact:
+x-degrees are nonnegative and add, so the rows above d are never needed.
+The realized symmetric terms are checked by their full products, each
+cut to its H_d; sums keep degrees, so the sum of these parts is the H_d
+of the sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .field import FieldDescriptor, FieldError, _dot_terms, _esp_terms
+from .field import FieldDescriptor, FieldError, _dot_terms, _sweep_terms
 from .poly import WIDTH, LinearForm, Polynomial, _check_degree, _MASK, _merge, _top
 from .symfunc import esp_table_of_forms
 
@@ -213,7 +212,11 @@ class EpsSeries:
         s = _as_series(other, self.field, self.truncation)
         if s is None:
             return NotImplemented
-        return _mul_upto(self, s)
+        T = min(self.truncation, s.truncation)
+        a, b = ({k: r for k, r in t.items() if k & _MASK < T} for t in (self._terms, s._terms))
+        _check_degree(_x_degree(a) + _x_degree(b))
+        return EpsSeries._of(self.field, T, {k: r for k, r in self.field.mul_terms(a, b).items()
+                                             if k & _MASK < T})
 
     __rmul__ = __mul__
 
@@ -279,20 +282,6 @@ def _polynomial(field: FieldDescriptor, terms: dict) -> Polynomial:
     return Polynomial._of(field, terms, _top(max(terms)) if terms else 0)
 
 
-def _mul_upto(a: EpsSeries, b: EpsSeries, d: int = _MASK) -> EpsSeries:
-    """a * b without the terms of x-degree above d: one mul_terms call on the
-    operands' terms of degree <= d and eps-power below T, the smaller
-    truncation.  Exact for the kept degrees (see the module docstring); the
-    default d keeps every degree."""
-    T = min(a.truncation, b.truncation)
-    ta = {k: r for k, r in a._terms.items() if k & _MASK < T and (k >> WIDTH) & _MASK <= d}
-    tb = {k: r for k, r in b._terms.items() if k & _MASK < T and (k >> WIDTH) & _MASK <= d}
-    _check_degree(_x_degree(ta) + _x_degree(tb))
-    prod = a.field.mul_terms(ta, tb)
-    return EpsSeries._of(a.field, T, {k: r for k, r in prod.items()
-                                      if k & _MASK < T and (k >> WIDTH) & _MASK <= d})
-
-
 # ---------------------------------------------------------------------------
 # the approximates-relation
 
@@ -319,8 +308,9 @@ def approx_extract(s: EpsSeries) -> BorderWitness:
 
 def esp_of_series(forms, d: int, field: FieldDescriptor,
                   truncation: int) -> EpsSeries:
-    """e_d of eps-series (or values _as_series coerces), by one fused sweep
-    over their terms below T, the least truncation, keeping its own below T."""
+    """e_d of eps-series (or values _as_series coerces), by one term-dict
+    sweep of prod(1 + z*s_i) over their terms below T, the least truncation,
+    keeping its rows below T."""
     _check_truncation(truncation)
     series = [_as_series(f, field, truncation) for f in forms]
     if None in series:
@@ -333,7 +323,9 @@ def esp_of_series(forms, d: int, field: FieldDescriptor,
     # rows are cut below T after each step, unless d eps-powers stay below T
     top = sum(sorted([max((k & _MASK for k in t), default=0) for t in terms])[-d:])
     cut = None if top < T else (lambda row: {k: r for k, r in row.items() if k & _MASK < T})
-    return EpsSeries._of(field, T, _esp_terms(field, terms, d, cut)[d])
+    unit = {0: field.one_raw}
+    return EpsSeries._of(field, T, _sweep_terms(field, [unit] + [{}] * d,
+                                                [(unit, t) for t in terms], cut)[d])
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +404,8 @@ class EpsSymRepresentation:
     field: FieldDescriptor
 
     def realized(self) -> EpsSeries:
-        return self._realized_upto(_MASK)
-
-    def _realized_upto(self, d: int) -> EpsSeries:
-        """realized() without its terms of x-degree above d."""
         T = min([self.scalar.truncation] + [f.truncation for f in self.forms])
-        e = esp_of_series(self.forms, self.degree, self.field, T)
-        return _mul_upto(self.scalar, e, d)
+        return self.scalar * esp_of_series(self.forms, self.degree, self.field, T)
 
 
 def depth3_to_sym(terms, target: Polynomial, T: int):
@@ -436,8 +423,7 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
     linear part itself and the scalar is only cut to the factor's
     truncation; any other gamma is inverted into lhat and folded into the
     scalar.  lhat's linear coefficients become the forms.  The sum of
-    realized terms is checked against the original by H_d extraction, with
-    products cut at x-degree d.
+    realized terms is checked against the original by H_d extraction.
     """
     if not target.is_homogeneous() or target.is_zero:
         raise BorderError("target must be homogeneous and nonzero")
@@ -473,10 +459,7 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
                     f"factor {f} has no constant part and is not eps^w * linear; "
                     "cannot normalize within a truncated series")
             ell = LinearForm.from_polynomial(f.coeff(w))
-            others = c
-            for j, other in enumerate(fs):
-                if j != fi:
-                    others = others * other
+            others = math.prod(fs[:fi] + fs[fi + 1:], start=c)
             rest = _affine_degree_part(
                 field, [t for k, t in enumerate(norm_terms) if k != ti], d, T)
             M = constant_shift(others.shift(w), rest, ell, target, degree=d)
@@ -491,7 +474,7 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
         scalar = c
         forms = []
         for f in fs:
-            gamma, lam = _split_affine(f._terms, f.truncation)
+            gamma, lam = _split_affine(f._terms)
             v = min([k & _MASK for k in gamma])
             lv = min([k & _MASK for k in lam], default=None)
             if lv is not None and lv < v:
@@ -503,9 +486,7 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
             lhat = EpsSeries._of(field, Tf, {k - v: r for k, r in lam.items()})
             if gamma == unit:   # f = 1 + lhat: the form is lhat, the scalar is cut
                 forms.append(lhat)
-                Tc = min(scalar.truncation, Tf)
-                scalar = EpsSeries._of(field, Tc, {k: r for k, r in scalar._terms.items()
-                                                   if k & _MASK < Tc})
+                scalar = scalar + EpsSeries.zero(field, Tf)
                 continue
             u = EpsSeries._of(field, Tf, {k - v: r for k, r in gamma.items()})
             forms.append(lhat * u.invert())
@@ -513,11 +494,8 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
         reps.append(EpsSymRepresentation(scalar=scalar, forms=forms,
                                          degree=d, field=field))
 
-    combined = None
-    for rep in reps:
-        r = rep._realized_upto(d)
-        combined = r if combined is None else combined + r
-    wr = approx_extract(combined.homogeneous_part(d))
+    parts = [rep.realized().homogeneous_part(d) for rep in reps]
+    wr = approx_extract(sum(parts[1:], parts[0]))
     if wr.order != w0.order or wr.principal != target:
         raise BorderError(
             f"symmetric terms extract {wr.principal} at order {wr.order}; "
@@ -539,43 +517,28 @@ def _as_series(value, field: FieldDescriptor, T: int):
     return value
 
 
-def _split_affine(terms: dict, T: int) -> tuple[dict, dict]:
-    """The terms of an affine series below eps^T, split into gamma, the keys
-    with no x, and lambda, the keys of x-degree 1."""
+def _split_affine(terms: dict) -> tuple[dict, dict]:
+    """The terms of an affine series split into gamma, the keys with no x,
+    and lambda, the keys of x-degree 1."""
     gamma, lam = {}, {}
     for k, r in terms.items():
-        if k & _MASK < T:
-            (gamma if k <= _MASK else lam)[k] = r
+        (gamma if k <= _MASK else lam)[k] = r
     return gamma, lam
 
 
 def _affine_degree_part(field: FieldDescriptor, terms, d: int, T: int) -> EpsSeries:
     """H_d of the sum of c * prod(fs) over the (c, fs) in terms, every factor
-    affine, mod eps^T or a smaller operand truncation: one affine sweep per
-    term (see the module docstring), each new row one accumulation cut
-    below eps^T.  A gamma of exactly 1 leaves rows[j] as it is and adds
-    rows[j-1]*lambda in place."""
+    affine, mod eps^T or a smaller operand truncation: per term, start rows
+    of c by x-degree, each factor split into (gamma, lambda), one
+    _sweep_terms call cutting its rows below eps^T, and row d merged."""
     T = min([T] + [s.truncation for c, fs in terms for s in (c, *fs)])
 
     def below_T(row: dict) -> dict:
         return {k: r for k, r in row.items() if k & _MASK < T}
 
-    unit = {0: field.one_raw}
     total = {}
     for c, fs in terms:
-        rows = [{} for _ in range(d + 1)]
-        for k, r in c._terms.items():
-            j = (k >> WIDTH) & _MASK
-            if j <= d and k & _MASK < T:
-                rows[j][k] = r
-        for f in fs:
-            gamma, lam = _split_affine(f._terms, T)
-            for j in range(d, -1, -1):
-                lower = [(rows[j - 1], lam)] if j and rows[j - 1] else []
-                if gamma == unit:
-                    if lower:
-                        _merge(rows[j], below_T(_dot_terms(field, lower)), field)
-                else:
-                    rows[j] = below_T(_dot_terms(field, [(rows[j], gamma)] + lower))
+        start = [below_T(c.homogeneous_part(j)._terms) for j in range(d + 1)]
+        rows = _sweep_terms(field, start, [_split_affine(below_T(f._terms)) for f in fs], below_T)
         _merge(total, rows[d], field)
     return EpsSeries._of(field, T, total)

@@ -39,12 +39,15 @@ Products of term dicts {key: raw}, keys adding, run on one kernel per kind:
 addmul_terms adds into an accumulator in place (GF(p) and Q sum integers,
 Q over a common denominator; GF(2^k) xors antilog reads; odd GF(p^k) runs
 add_raw and mul_raw) and finish_terms reduces each term once.  mul_terms,
-_dot_terms (sums of products) and _esp_terms (e_j, on esp_sweep) use it.
+_dot_terms (sums of products) and _sweep_terms use it.  _sweep_terms is the
+one term-dict sweep: rows by z-degree of a start polynomial in z times
+prod(gamma + z*lambda), so e_j of forms or series (every gamma 1) and the
+degree-d part of an affine product (border.py) run the same DP.
 
 The e_j of a list of raw values run on one scalar kernel per kind, esp_raw:
 GF(p) takes one % p per step, GF(2^k) xors antilog reads, odd GF(p^k) adds
-logs by the Zech table inline, and Q runs the generic esp_sweep, which also
-serves term dicts and is the kernels' test oracle.  Zero values are skipped.
+logs by the Zech table inline, and Q runs the generic esp_sweep, which is
+also the kernels' test oracle.  Zero values are skipped.
 """
 
 from __future__ import annotations
@@ -777,7 +780,7 @@ def make_field(spec) -> FieldDescriptor:
 def esp_sweep(values, dmax: int, zero, one, add, mul) -> list:
     """[e_0, e_1, ..., e_dmax] of the values, by one pass of the truncated
     generating function prod_i (1 + z*v_i) in the ring given by zero, one,
-    add and mul: raw values, or term dicts for _esp_terms."""
+    add and mul."""
     table = [one] + [zero] * dmax
     for i, v in enumerate(values, 1):
         for j in range(min(i, dmax), 0, -1):
@@ -803,24 +806,39 @@ def _dot_terms(field: FieldDescriptor, pairs) -> dict:
     return field.finish_terms(acc, den * den)
 
 
-def _esp_terms(field: FieldDescriptor, values, dmax: int, thin=None) -> list[dict]:
-    """[e_0, ..., e_dmax] of zero-free term dicts (dmax <= len(values)) by
-    esp_sweep, each step one addmul_terms into its row, each row finished
-    once at the end; over Q row j sums e_j * D^j in integers.  thin(row),
-    if given, cuts a row after each step.  Over GF(p) with dmax >= 2p each
-    step also reduces its row, dropping the terms that cancel mod p: timed,
-    that pays there and costs up to 1.6x nearer p = dmax or at large p."""
-    values, den = _lift_common(field, values)
+def _sweep_terms(field: FieldDescriptor, start: list, factors, cut=None) -> list[dict]:
+    """Rows 0..len(start)-1 of (sum_j start[j]*z^j) * prod(gamma + z*lambda)
+    over the (gamma, lambda) pairs of factors, all zero-free term dicts.
+    Each step maps row j to row j*gamma + row j-1*lambda by addmul_terms, a
+    gamma of exactly 1 adding into (a copy of) row j in place; cut(row), if
+    given, cuts each new row, and every row is finished once at the end.
+    Over Q all factors are lifted over one D, a non-unit gamma's lambda
+    once more, and row j is held over E*D^(j+g), E the start's own
+    denominator and g the non-unit gammas so far: a unit gamma never
+    rescales a row.  Over GF(p) with a top row >= 2p each step also reduces
+    its rows, dropping the terms that cancel mod p: timed, that pays there
+    and costs up to 1.6x nearer p = top or at large p."""
+    start, E = _lift_common(field, start)
+    ops, D = _lift_common(field, [t for pair in factors for t in pair])
+    rows = [{k: r * D**j for k, r in row.items()} for j, row in enumerate(start)]
+    top = len(rows) - 1
     addmul, finish = field.addmul_terms, field.finish_terms
-    if field.k == 1 and field.p and 2 * field.p <= dmax:
-        thin = finish if thin is None else (lambda row, cut=thin: cut(finish(row)))
-
-    def step(row, pair):   # rows start as None
-        row = addmul({} if row is None else row, *pair)
-        return row if thin is None else thin(row)
-
-    table = esp_sweep(values, dmax, None, {0: 1}, step, lambda v, prev: (v, prev))
-    return [finish(row, den**j) for j, row in enumerate(table)]
+    if field.k == 1 and field.p and 2 * field.p <= top:
+        cut = finish if cut is None else (lambda row, thin=cut: thin(finish(row)))
+    g = 0
+    for gamma, lam in zip(ops[::2], ops[1::2]):
+        is_unit = gamma == {0: D}   # a lifted 1; finite fields have one_raw 1
+        if not is_unit:
+            g += 1
+            lam = {k: r * D for k, r in lam.items()}
+        for j in range(top, -1, -1):
+            lower = rows[j - 1] if j else {}
+            if is_unit and not lower:
+                continue
+            row = rows[j] if is_unit else addmul({}, rows[j], gamma)
+            addmul(row, lower, lam)
+            rows[j] = row if cut is None else cut(row)
+    return [finish(row, E * D**(j + g)) for j, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------

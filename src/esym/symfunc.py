@@ -27,12 +27,13 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .field import FieldDescriptor, FieldError, _dot_terms, _esp_terms
+from .field import FieldDescriptor, FieldError, _dot_terms, _sweep_terms
 from .poly import Polynomial, _check_degree, _check_index, _top, _variable_keys
 
 IDENTITY_KINDS = ("generating_function", "split", "partial_derivative", "euler", "newton")
 
 _TERM_GUARD = 2_000_000
+_KEY_BYTE_GUARD = 1 << 27  # bytes of e_d's packed keys; x_i's key is about 4(i+1)
 _IDENTITY_CAP = 16  # the largest n+m that verify_identity expands
 
 
@@ -47,12 +48,19 @@ def esp_on(indices, d: int, field: FieldDescriptor, nvars: int | None = None) ->
 def _esp_of_keys(keys: list, d: int, field: FieldDescriptor, nvars: int | None = None) -> Polynomial:
     """esp_on over the checked keys of _variable_keys, so that one key list
     can feed every d."""
-    top = _top(max(keys, default=0))
+    widest = max(keys, default=0)
+    top = _top(widest)
     width = nvars or top
     if d < 0 or d > len(keys):
         return Polynomial.zero(field, width)
-    if math.comb(len(keys), d) > _TERM_GUARD:
+    count = math.comb(len(keys), d)
+    if count > _TERM_GUARD:
         raise ValueError(f"e_{d} over {len(keys)} variables exceeds the term guard")
+    # the m-th key by width is the widest in C(m-1, d-1) subsets' key sums
+    if count * ((widest.bit_length() + 7) // 8) > _KEY_BYTE_GUARD:
+        widths = sorted((k.bit_length() + 7) // 8 for k in keys)
+        if sum(math.comb(m - 1, d - 1) * w for m, w in enumerate(widths, 1)) > _KEY_BYTE_GUARD:
+            raise ValueError(f"e_{d} over {len(keys)} variables exceeds the key-byte guard")
     terms = dict.fromkeys(map(sum, combinations(keys, d)), field.one_raw)
     return Polynomial._of(field, terms, max(width, top) if d else width)  # e_0 names no x_i
 
@@ -90,8 +98,8 @@ def esp_of_forms(forms, d: int, field: FieldDescriptor | None = None) -> Polynom
 
 
 def esp_table_of_forms(forms, dmax: int, field: FieldDescriptor | None = None) -> list[Polynomial]:
-    """[e_0, e_1, ..., e_dmax] at the given forms, in one fused DP sweep
-    (_esp_terms) that stops at e_m for m forms; higher e_k vanish.
+    """[e_0, e_1, ..., e_dmax] at the given forms: rows 0..m of the term-dict
+    sweep of prod(1 + z*L_i) (field._sweep_terms) for m forms; higher e_k vanish.
 
     The field argument is only needed when forms is empty, where e_0 = 1
     and every higher e_k vanishes.
@@ -104,7 +112,8 @@ def esp_table_of_forms(forms, dmax: int, field: FieldDescriptor | None = None) -
         raise FieldError("forms live in mixed fields")
     top = min(dmax, len(forms))
     _check_degree(sum(sorted([max(p.degree(), 0) for p in forms], reverse=True)[:top]))
-    rows = _esp_terms(field, [p._terms for p in forms], top)
+    unit = {0: field.one_raw}
+    rows = _sweep_terms(field, [unit] + [{}] * top, [(unit, p._terms) for p in forms])
     zero = Polynomial.zero(field, nvars)
     return [Polynomial._of(field, t, nvars) for t in rows] + [zero] * (dmax - top)
 

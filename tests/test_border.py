@@ -618,23 +618,21 @@ def test_degree_bound_of_a_series_product():
     assert str(prod) == f"2*x1^{(1 << 32) - 1}*e^3"
 
 
-# -- the degree cut of depth3_to_sym ------------------------------------------------------
+# -- the degree-d reads of depth3_to_sym ----------------------------------------------------
 
 def _uncut(monkeypatch):
-    """Make every series product, the cut ones included, a full product."""
-    full = border._mul_upto
-    monkeypatch.setattr(border, "_mul_upto", lambda a, b, d=None: full(a, b))
+    """Make depth3_to_sym read the circuit's H_d off the full product chain."""
+    monkeypatch.setattr(border, "_affine_degree_part", _product_chain)
 
 
-def _product_chain(field, terms, d, T, cut=True):
-    """The slow path of depth3_to_sym's input check: each term's product
-    folded by _mul_upto (cut at x-degree d unless cut is False), the
-    products summed, and the degree-d part kept."""
+def _product_chain(field, terms, d, T):
+    """The slow path of depth3_to_sym's input check: each term's full
+    product, the products summed, and the degree-d part kept."""
     acc = EpsSeries.zero(field, T)
     for c, fs in terms:
         prod = c
         for f in fs:
-            prod = border._mul_upto(prod, f, d) if cut else prod * f
+            prod = prod * f
         acc = acc + prod
     return acc.homogeneous_part(d)
 
@@ -643,7 +641,8 @@ def _affine_factor(field, rng):
     """A seeded affine series of truncation 1..7: linear forms in x1..x3 at
     a few eps-powers, plus a gamma of one of four kinds: the constant 1, a
     constant other than 0 and 1, a series of constants, or none (then the
-    linear part sits at one eps-power, the shape the repair takes)."""
+    linear part sits at one eps-power, the shape the repair takes); GF(2)
+    has no constant other than 0 and 1, and takes 1 there."""
     T = 1 + rng.below(7)
     kind = rng.below(4)
     powers = [rng.below(T)] if kind == 3 else [rng.below(T) for _ in range(1 + rng.below(3))]
@@ -651,7 +650,7 @@ def _affine_factor(field, rng):
     for i in powers:
         ell = LinearForm(field, [_element(field, rng) for _ in range(3)])
         f = f + EpsSeries.from_polynomial(ell.to_polynomial(), T, i)
-    if kind == 0:
+    if kind == 0 or kind == 1 and field.order == 2:
         return f + EpsSeries.constant(field, 1, T)
     if kind == 1:
         c = Fraction(2 + rng.below(3)) if field.order is None else \
@@ -663,25 +662,36 @@ def _affine_factor(field, rng):
     return f
 
 
-@pytest.mark.parametrize("spec", ["gf(4)", "gf(5)", "gf(9)", "q"])
+@pytest.mark.parametrize("spec", ["gf(4)", "gf(5)", "gf(9)", "q", "gf(2)", "gf(3)"])
 def test_affine_sweep_matches_the_product_chain(spec):
     # scalars hold x-terms of degree 0..3; terms have 0..4 factors; every
-    # operand draws its own truncation
+    # operand draws its own truncation.  Over gf(2) and gf(3), d reaches 2p,
+    # where each step of the sweep also reduces its rows mod p; there terms
+    # have up to 2p + 1 factors and every operand is read mod eps^7, so
+    # that some H_d with d >= 2p is nonzero
     field = make_field(spec)
+    top = 2 * field.p if spec in ("gf(2)", "gf(3)") else 3
     rng = SplitMix64(2111)
     kinds = set()
+    reduced = []
     for _ in range(60):
         T = 1 + rng.below(7)
         terms = [(_dense(field, 1 + rng.below(7), rng).series(),
-                  [_affine_factor(field, rng) for _ in range(rng.below(5))])
+                  [_affine_factor(field, rng) for _ in range(rng.below(top + 2))])
                  for _ in range(rng.below(4))]
         kinds.update(len(fs) for c, fs in terms)
-        for d in range(4):
+        if top > 3:
+            T, terms = 7, [(EpsSeries(field, 7, c.coeffs), [EpsSeries(field, 7, f.coeffs)
+                                                            for f in fs]) for c, fs in terms]
+        for d in range(top + 1):
             got = border._affine_degree_part(field, terms, d, T)
             want = _product_chain(field, terms, d, T)
             assert got == want
             assert got.truncation == want.truncation
+            if d >= 2 * field.p > 0:
+                reduced.append(got)
     assert {0, 4} <= kinds
+    assert top == 3 or any(not got.is_zero for got in reduced)
 
 
 def _depth3_circuits(field, rng):
@@ -711,11 +721,27 @@ def _depth3_circuits(field, rng):
                  for L in forms[:2]]
         yield [(1, factors), (-1, []), (EpsSeries.eps(field, T, 3), extra)], target, T
         yield [(1, factors), (-1, [])], target + target, T
+        # an x-term in the scalar meets e_1 = 0 at degree 2, so the circuit
+        # still extracts the target; the realized term keeps it in its scalar
+        x_term = EpsSeries.from_polynomial(parse_polynomial("x1", field), T, 2)
+        yield [(one + x_term, factors), (-1, [])], target, T
     a, b = coeff(), coeff()
     x1 = EpsSeries.from_polynomial(parse_polynomial("x1", field), 6).scale(a)
     x2 = EpsSeries.from_polynomial(parse_polynomial("x2", field), 6).scale(b)
     yield ([(1, [x1.shift(1), EpsSeries.constant(field, 1, 6) + x2.shift(2)])],
            parse_polynomial("x1*x2", field).scale(field.element(a) * field.element(b)), 6)
+    # x1*(1 + eps*x2) - x1 extracts x1*x2, but e_2 of one form is zero:
+    # refused
+    x1, x2 = (parse_polynomial(v, field) for v in ("x1", "x2"))
+    yield ([(x1, [EpsSeries.constant(field, 1, 6) + EpsSeries.from_polynomial(x2, 6, 1)]),
+            (-x1, [])], x1 * x2, 6)
+    # a term with no forms to e_2 and a gamma at eps^1 is zero only mod eps^2,
+    # which hides the eps^2 of the first term: refused
+    one = EpsSeries.constant(field, 1, 3)
+    x1, x2, x3 = (EpsSeries.from_polynomial(parse_polynomial(v, field), 3, 1)
+                  for v in ("x1", "x2", "x3"))
+    yield ([(1, [one + x1, one + x2]), (1, [EpsSeries.eps(field, 3, 1) + x3])],
+           parse_polynomial("x1*x2", field), 3)
 
 
 def _outcome(terms, target, T):
@@ -735,6 +761,31 @@ def test_depth3_cut_matches_the_uncut_product(spec, monkeypatch):
     assert [_outcome(*c) for c in circuits] == cut
     assert sum(o[0] == "raises" for o in cut) >= 1
     assert sum(o[0] != "raises" for o in cut) >= 5
+
+
+@pytest.mark.parametrize("spec", ["q", "gf(2)", "gf(5)", "gf(4)", "gf(9)"])
+def test_sweeps_leave_their_operands_alone(spec):
+    # the sweep adds into its rows in place, and over a finite field the
+    # lift hands it the callers' own dicts
+    field = make_field(spec)
+    rng = SplitMix64(77)
+
+    def untouched(call, operands):
+        before = [dict(x._terms) for x in operands]
+        call()
+        assert [x._terms for x in operands] == before
+
+    forms = [_dense(field, 1, rng).c[0] for _ in range(6)]
+    untouched(lambda: esp_table_of_forms(forms, 8, field), forms)
+    series = [_dense(field, 1 + rng.below(6), rng).series() for _ in range(6)]
+    untouched(lambda: esp_of_series(series, 4, field, 5), series)
+    terms = [(_dense(field, 1 + rng.below(7), rng).series(),
+              [_affine_factor(field, rng) for _ in range(1 + rng.below(5))]) for _ in range(3)]
+    untouched(lambda: border._affine_degree_part(field, terms, 2, 7),
+              [s for c, fs in terms for s in (c, *fs)])
+    for terms, target, T in _depth3_circuits(field, rng):
+        operands = [s for c, fs in terms for s in (c, *fs) if hasattr(s, "_terms")]
+        untouched(lambda: _outcome(terms, target, T), operands + [target])
 
 
 def _forty_five_forms():
@@ -786,10 +837,8 @@ def test_depth3_degree_cut_bounds_the_work(monkeypatch):
     terms, target, T = _forty_five_forms()
     assert len(terms[0][1]) == 45
     swept = _term_products(monkeypatch, lambda: depth3_to_sym(terms, target, T))
-    # 325 with the affine sweep and the unit-gamma normalization; the uncut
-    # product chain, with every other product uncut too, makes 7,461
+    # 325 with the affine sweep and the unit-gamma normalization; full
+    # products everywhere make 7,461
     assert swept <= 400
     _uncut(monkeypatch)
-    monkeypatch.setattr(border, "_affine_degree_part",
-                        lambda field, tl, d, T: _product_chain(field, tl, d, T, cut=False))
     assert _term_products(monkeypatch, lambda: depth3_to_sym(terms, target, T)) >= 5 * swept

@@ -139,6 +139,7 @@ def test_errors_exit_one(capsys):
     ["esp", "--n", "2049", "--d", "1"],
     ["esp", "--n", "2049", "--d", "0"],
     ["esp", "--n", "18446744073709551616", "--d", "7"],
+    ["esp", "--n", "1999", "--d", "2"],
 ], ids=["certify-no-ell", "zero-denominator", "rep-no-field", "rep-list", "rep-forms-int",
         "witness-zero-trials", "witness-negative-trials", "witness-d-one", "identities-max-n-zero",
         "rep-bool-degree", "rep-bool-coefficient", "exponent-past-packed-bound",
@@ -146,7 +147,7 @@ def test_errors_exit_one(capsys):
         "formula-empty", "formula-empty-parens", "formula-power", "formula-double-star",
         "poly-empty-call", "quadratic-leading-star", "rep-nested-bool-digits",
         "rep-nested-digits", "esp-past-variable-bound", "esp-0-past-variable-bound",
-        "esp-n-past-ssize"])
+        "esp-n-past-ssize", "esp-past-key-byte-guard"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1

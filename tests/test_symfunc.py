@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,24 @@ def test_esp_on_checks_every_index_before_the_shortcuts():
     assert esp_on((2, 4), 0, gf5, nvars=1).nvars == 1
     assert esp_on((2, 4), 1, gf5, nvars=1).nvars == 4
     assert esp_on((2, 4), 3, gf5, nvars=1).nvars == 1
+
+
+def test_guards_refuse_before_any_key_is_built(monkeypatch):
+    # e_2 in 1999 variables is 1,997,001 terms, inside the term guard, but
+    # its keys would hold about 10.6 GB
+    start = time.process_time()
+    with pytest.raises(ValueError, match="^e_2 over 1999 variables exceeds the key-byte guard"):
+        gen_esp(1999, 2, QQ)
+    with pytest.raises(ValueError, match="^e_15 over 30 variables exceeds the term guard$"):
+        gen_esp(30, 15, QQ)
+    assert time.process_time() - start < 1.0
+    # the guard's sum is exact: e_2 in 4 variables holds 9 + 2*13 + 3*17 bytes of keys
+    assert sum((k.bit_length() + 7) // 8 for k in gen_esp(4, 2, QQ)._terms) == 86
+    monkeypatch.setattr(symfunc, "_KEY_BYTE_GUARD", 86)
+    assert gen_esp(4, 2, QQ).term_count() == 6
+    monkeypatch.setattr(symfunc, "_KEY_BYTE_GUARD", 85)
+    with pytest.raises(ValueError, match="^e_2 over 4 variables exceeds the key-byte guard$"):
+        gen_esp(4, 2, QQ)
 
 
 # -- esp of linear forms: DP against direct substitution ----------------------
