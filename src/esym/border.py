@@ -46,7 +46,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .field import FieldDescriptor, FieldError, _dot_terms, _sweep_terms
-from .poly import WIDTH, LinearForm, Polynomial, _check_degree, _MASK, _merge, _top
+from .poly import (WIDTH, LinearForm, Polynomial, _as_polynomial, _check_degree, _MASK, _merge,
+                   _top)
 from .symfunc import esp_table_of_forms
 
 
@@ -506,12 +507,11 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
 def _as_series(value, field: FieldDescriptor, T: int):
     """A series, polynomial (forms included) or scalar of field as a series
     mod eps^T (a series keeps its own truncation); None for any other type."""
-    if isinstance(value, Polynomial):
-        value = EpsSeries.from_polynomial(value, T)
-    elif not isinstance(value, EpsSeries):
-        if field.scalar_raw(value) is None:
+    if not isinstance(value, EpsSeries):
+        value = _as_polynomial(field, value)
+        if value is None:
             return None
-        return EpsSeries.constant(field, value, T)
+        value = EpsSeries.from_polynomial(value, T)
     if value.field != field:
         raise FieldError("mixed fields in series arithmetic")
     return value

@@ -191,8 +191,6 @@ class FieldDescriptor:
     __slots__ = ("p", "k", "modulus")
     zero_raw = 0
     one_raw = 1
-    # operand types that arithmetic with elements and polynomials accepts
-    _scalar_types: tuple = (int,)
 
     def __init__(self, p: int = 0, k: int = 1, modulus: tuple[int, ...] | None = None):
         self.p = p
@@ -223,11 +221,13 @@ class FieldDescriptor:
 
     def coerce_raw(self, value):
         """Raw value from an element of this field, an int, or a literal
-        string; Q also accepts Fractions.  A literal may sit in one pair of
+        string; Q also accepts Fractions.  An int is always a prime-subfield
+        constant (value % p over GF(p^k)), never a raw index, so a raw must
+        not come back through here.  A literal may sit in one pair of
         parentheses."""
         if isinstance(value, FieldElement):
             if value.field != self:
-                raise FieldError(f"element of {value.field} used in {self}")
+                raise FieldError(f"mixed fields: {self} and {value.field}")
             return value.raw
         if isinstance(value, int):
             return value % self.p  # prime-subfield constant
@@ -242,12 +242,11 @@ class FieldDescriptor:
         raise FieldError(f"cannot interpret {value!r} as an element of {self}")
 
     def scalar_raw(self, other):
-        """Raw value of a scalar operand of element or polynomial arithmetic,
-        or None (the operator then returns NotImplemented)."""
-        if isinstance(other, FieldElement):
-            if other.field != self:
-                raise FieldError(f"mixed fields: {self} and {other.field}")
-            return other.raw
+        """Raw value of a scalar operand of element, polynomial or series
+        arithmetic, coerced once by coerce_raw (an int is a prime-subfield
+        constant), or None for any other type (the operator then returns
+        NotImplemented).  Callers build a constant from this raw directly,
+        never by coercing it again."""
         if isinstance(other, self._scalar_types):
             return self.coerce_raw(other)
         return None
@@ -316,7 +315,6 @@ class RationalField(FieldDescriptor):
     __slots__ = ()
     zero_raw = Fraction(0)
     one_raw = Fraction(1)
-    _scalar_types = (int, Fraction)
 
     def spec_string(self) -> str:
         return "q"
@@ -630,6 +628,18 @@ class ExtensionField(FieldDescriptor):
         return self._undigits(cs)
 
 
+def _scalar_operator(op):
+    """A FieldElement operator: its operand coerced once by scalar_raw, then
+    FieldElement(field, op(field, self.raw, raw)), or NotImplemented."""
+    def operator(self, other):
+        field = self.field
+        raw = field.scalar_raw(other)
+        if raw is None:
+            return NotImplemented
+        return FieldElement(field, op(field, self.raw, raw))
+    return operator
+
+
 class FieldElement:
     """A value tied to its FieldDescriptor; all operators are exact."""
 
@@ -639,45 +649,12 @@ class FieldElement:
         self.field = field
         self.raw = raw
 
-    def __add__(self, other):
-        raw = self.field.scalar_raw(other)
-        if raw is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add_raw(self.raw, raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        raw = self.field.scalar_raw(other)
-        if raw is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub_raw(self.raw, raw))
-
-    def __rsub__(self, other):
-        raw = self.field.scalar_raw(other)
-        if raw is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub_raw(raw, self.raw))
-
-    def __mul__(self, other):
-        raw = self.field.scalar_raw(other)
-        if raw is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul_raw(self.raw, raw))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        raw = self.field.scalar_raw(other)
-        if raw is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul_raw(self.raw, self.field.inv_raw(raw)))
-
-    def __rtruediv__(self, other):
-        raw = self.field.scalar_raw(other)
-        if raw is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul_raw(raw, self.field.inv_raw(self.raw)))
+    __add__ = __radd__ = _scalar_operator(lambda f, a, b: f.add_raw(a, b))
+    __sub__ = _scalar_operator(lambda f, a, b: f.sub_raw(a, b))
+    __rsub__ = _scalar_operator(lambda f, a, b: f.sub_raw(b, a))
+    __mul__ = __rmul__ = _scalar_operator(lambda f, a, b: f.mul_raw(a, b))
+    __truediv__ = _scalar_operator(lambda f, a, b: f.mul_raw(a, f.inv_raw(b)))
+    __rtruediv__ = _scalar_operator(lambda f, a, b: f.mul_raw(b, f.inv_raw(a)))
 
     def __pow__(self, n: int):
         return FieldElement(self.field, self.field.pow_raw(self.raw, n))
@@ -711,6 +688,11 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{self} in {self.field}>"
+
+
+# the operand types that scalar_raw takes, once FieldElement is defined
+FieldDescriptor._scalar_types = (int, FieldElement)
+RationalField._scalar_types = (int, Fraction, FieldElement)
 
 
 # ---------------------------------------------------------------------------

@@ -260,10 +260,9 @@ class Polynomial:
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
-            raw = self.field.scalar_raw(other)
-            if raw is None:
+            other = _as_polynomial(self.field, other)
+            if other is None:
                 return NotImplemented
-            other = Polynomial.constant(self.field, raw)
         self._check(other)
         terms = dict(self._terms)
         _merge(terms, other._terms, self.field)
@@ -278,12 +277,8 @@ class Polynomial:
         return type(self)._of(self.field, terms, self.nvars)
 
     def __sub__(self, other):
-        if isinstance(other, Polynomial):
-            return self + (-other)
-        raw = self.field.scalar_raw(other)
-        if raw is None:
-            return NotImplemented
-        return self + Polynomial.constant(self.field, self.field.neg_raw(raw))
+        other = _as_polynomial(self.field, other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -331,14 +326,11 @@ class Polynomial:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.field == other.field and self._terms == other._terms
-        raw = self.field.scalar_raw(other)
-        if raw is None:
-            return NotImplemented
-        if raw == self.field.zero_raw:
-            return not self._terms
-        return self._terms == {0: raw}
+        if not isinstance(other, Polynomial):
+            other = _as_polynomial(self.field, other)
+            if other is None:
+                return NotImplemented
+        return self.field == other.field and self._terms == other._terms
 
     def __hash__(self):
         return hash((self.field, frozenset(self._terms.items())))
@@ -408,6 +400,17 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {self} over {self.field}>"
+
+
+def _as_polynomial(field: FieldDescriptor, value):
+    """A Polynomial unchanged; a scalar as the constant of its raw, which
+    field.scalar_raw coerces once; None for any other type."""
+    if isinstance(value, Polynomial):
+        return value
+    raw = field.scalar_raw(value)
+    if raw is None:
+        return None
+    return Polynomial._of(field, {0: raw} if raw != field.zero_raw else {}, 0)
 
 
 def _merge(terms: dict, other: dict, field: FieldDescriptor) -> None:

@@ -40,12 +40,13 @@ from itertools import combinations, product
 from math import comb
 
 from .field import FieldDescriptor, FieldElement, _is_prime, embed, lucas_binomial
-from .poly import _MASK, WIDTH, Polynomial, _point_raws
+from .poly import _MASK, MAX_VARIABLE_INDEX, WIDTH, Polynomial, _point_raws
 from .rng import SplitMix64
 
 SWEEP_CAP = 2**24  # fixed bound on strata * n * d, the sweep steps of a strata walk
 LIST_CAP = 2**20   # fixed bound on points * n, the coordinates a listing holds
 SCAN_CAP = 2**16   # product_zero_containment scans at most this many points
+TRIAL_READ_CAP = 2**24  # fixed bound on trials * C(n, d), the e_d terms witness trials read
 
 
 class V2Error(ValueError):
@@ -325,7 +326,8 @@ def witness_family(p: int, d: int) -> WitnessFamily:
     Requires n - d + 1 to be a power of p, at least d - 1, and the binomial
     coefficients C(n-d+2, i) for 2 <= i <= d and C(n-d+1, i) for
     1 <= i <= d-1 to vanish mod p (checked with lucas_binomial).  d must be
-    at least 2: V2(e_1) is empty.
+    at least 2: V2(e_1) is empty.  A d whose n would pass
+    MAX_VARIABLE_INDEX is refused before any binomial is listed.
     """
     if not _is_prime(p):
         raise V2Error(f"p = {p} is not prime")
@@ -333,6 +335,9 @@ def witness_family(p: int, d: int) -> WitnessFamily:
         raise V2Error(f"a witness family needs d >= 2 (V2(e_1) is empty), got d = {d}")
     r = 1                                    # n - d + 1, over the powers of p
     while True:
+        if r + d - 1 > MAX_VARIABLE_INDEX:
+            raise V2Error(f"the witness family for p = {p}, d = {d} needs more than "
+                          f"{MAX_VARIABLE_INDEX} variables")
         if r >= d - 1:
             fam = WitnessFamily(p=p, d=d, n=r + d - 1)
             if all(lucas_binomial(a, i, p) == 0 for a, i in fam.required_binomials()):

@@ -18,9 +18,11 @@ from esym.certificate import (
     partition_sum,
     random_member,
 )
+from esym.border import EpsSeries, approx_extract, esp_of_series
 from esym.cli import main
 from esym.field import make_field
-from esym.poly import Polynomial, parse_polynomial
+from esym.poly import LinearForm, Polynomial, parse_polynomial
+from esym.rng import SplitMix64
 from poly_oracles import multilinear_coefficients
 
 GF2 = make_field("gf(2)")
@@ -378,6 +380,46 @@ def test_setting_3_2_1_fails_its_own_qualifier():
         if partition_sum(f, p) != make_field(p).zero:
             nonzero += 1
     assert nonzero > 0
+
+
+def border_member(p, ell, k, seed, T=3):
+    """A seeded member of the border of the k-term class over GF(p): the
+    principal part of k/2 pairs e_(p+1)(L + eps*M) - e_(p+1)(L), with L and M
+    lists of n random linear forms in n = (p+1)*ell variables, padded to n
+    variables.  Each pair cancels at eps^0, so two terms give one
+    eps-derivative."""
+    fld, n = make_field(p), (p + 1) * ell
+    rng = SplitMix64(seed)
+    eps = EpsSeries.eps(fld, T)
+
+    def forms():
+        return [LinearForm(fld, [rng.below(p) for _ in range(n)]) for _ in range(n)]
+
+    total = EpsSeries.zero(fld, T)
+    for _ in range(k // 2):
+        L, M = forms(), forms()
+        total = total + (esp_of_series([a + eps * b for a, b in zip(L, M)], p + 1, fld, T)
+                         - esp_of_series(L, p + 1, fld, T))
+    w = approx_extract(total)
+    assert w.order >= 1
+    return w.principal + Polynomial.zero(fld, n)
+
+
+@pytest.mark.parametrize("p,ell,k", [(2, 3, 2), (2, 4, 2), (2, 5, 4)])
+def test_border_members_have_vanishing_partition_sum(p, ell, k):
+    # the certificate survives border degenerations: ell > k(p-1) here
+    assert ell > k * (p - 1)
+    for seed in range(5):
+        f = border_member(p, ell, k, seed)
+        assert f and f.nvars == (p + 1) * ell
+        assert partition_sum(f, p).is_zero
+
+
+def test_border_members_past_the_bound_can_have_a_nonzero_sum():
+    # (3, 3, 2) has k(p-1) = 4 > ell = 3, where the certificate promises nothing
+    p, ell, k = 3, 3, 2
+    assert not ell > k * (p - 1)
+    assert any(not partition_sum(border_member(p, ell, k, seed), p).is_zero for seed in range(5))
 
 
 def test_random_member_is_deterministic():

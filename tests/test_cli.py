@@ -140,6 +140,8 @@ def test_errors_exit_one(capsys):
     ["esp", "--n", "2049", "--d", "0"],
     ["esp", "--n", "18446744073709551616", "--d", "7"],
     ["esp", "--n", "1999", "--d", "2"],
+    ["v2", "witness", "--p", "2", "--d", "18446744073709551616", "--trials", "3"],
+    ["v2", "witness", "--p", "2", "--d", "3", "--trials", "18446744073709551616"],
 ], ids=["certify-no-ell", "zero-denominator", "rep-no-field", "rep-list", "rep-forms-int",
         "witness-zero-trials", "witness-negative-trials", "witness-d-one", "identities-max-n-zero",
         "rep-bool-degree", "rep-bool-coefficient", "exponent-past-packed-bound",
@@ -147,7 +149,8 @@ def test_errors_exit_one(capsys):
         "formula-empty", "formula-empty-parens", "formula-power", "formula-double-star",
         "poly-empty-call", "quadratic-leading-star", "rep-nested-bool-digits",
         "rep-nested-digits", "esp-past-variable-bound", "esp-0-past-variable-bound",
-        "esp-n-past-ssize", "esp-past-key-byte-guard"])
+        "esp-n-past-ssize", "esp-past-key-byte-guard", "witness-d-past-variable-bound",
+        "witness-trials-past-read-cap"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -160,6 +163,13 @@ def test_deeply_nested_formula_is_parsed(capsys):
                           "--formula", "(" * 2000 + "x1" + ")" * 2000)
     assert code == 0
     assert body["residual"] == "x1" and body["identity_holds"] is True
+
+
+def test_formula_peel_strips_extension_field_constants(capsys):
+    code, body = run_json(capsys, "formula", "peel", "--field", "gf(4)", "--dprime", "3",
+                          "--formula", "(x3 + t) * (x1 + 1) * (x1 + t)")
+    assert code == 0 and body["identity_holds"] is True
+    assert body["pairs"] == [["x1^2 + (t+1)*x1", "x3"]]
 
 
 def _nested(text, depth=3000):
@@ -510,6 +520,18 @@ def test_identity_grid_reaches_max_n_exactly(capsys, monkeypatch):
 def test_v2_witness_refuses_a_field_of_another_characteristic(capsys):
     assert run(capsys, "v2", "witness", "--p", "2", "--d", "3", "--field", "gf(9)") == (
         1, "", "error: --field gf(9) has characteristic 3, expected 2\n")
+
+
+def test_v2_witness_refuses_past_the_read_cap_before_any_work(capsys, monkeypatch):
+    def work(*args):
+        raise AssertionError("work done past the cap")
+
+    monkeypatch.setattr(symfunc, "gen_esp", work)
+    monkeypatch.setattr(v2space, "is_order2_zero", work)
+    cap = v2space.TRIAL_READ_CAP
+    trials = cap // 20 + 1   # e_3 in the family's 6 variables has 20 terms
+    assert run(capsys, "v2", "witness", "--p", "2", "--d", "3", "--trials", str(trials)) == (
+        1, "", f"error: --trials {trials} times the 20 terms of e_3 exceeds the cap of {cap}\n")
 
 
 def test_v2_witness_reports_failing_trials(capsys, monkeypatch):

@@ -5,8 +5,8 @@ in-process through cli.main, each under a short alarm.  Every run must end
 with exit 0, 1 or 2 (argparse's usage exit is 2), and an exit 1 must print
 exactly one `error:` line.  Sizes stay small; the only large integers are
 boundary values that are refused before any work: negative, 2049 (one past
-the variable-index bound) and 2^64.  `v2 witness` draws no 2^64 for --d or
---trials: both are valid there and ask for that much work.
+the variable-index bound) and 2^64.  Half of the `formula peel` draws run
+over an extension field, whose constants are not prime-subfield ints.
 """
 
 import json
@@ -24,6 +24,7 @@ FIELDS = ["q", "gf(2)", "gf(3)", "gf(5)", "gf(4)", "gf(8)", "gf(9)", "gf(25)",
           "gf(2^8;1,0,1,1,1,0,0,0,1)"]
 BAD_FIELDS = ["gf(6)", "gf(2^9)", "gf(", "x", ""]
 CHAR2 = ["gf(2)", "gf(4)", "gf(8)"]
+EXTENSIONS = ["gf(4)", "gf(8)", "gf(9)", "gf(25)"]
 BOUNDARY = ["-1", "2049", str(2**64)]
 JUNK_INTEGERS = ["", "x", "1_0", "+4", "1.5", "٣", "--"]
 POLY_ATOMS = ["x1", "x2", "x3", "x12", "t", "2", "1/2", "0", "-", "+", "*", "^2", "^",
@@ -38,12 +39,12 @@ def _pick(rng, items):
     return items[rng.below(len(items))]
 
 
-def _integer(rng, lo, hi, boundary=BOUNDARY):
+def _integer(rng, lo, hi):
     """Mostly a small integer in lo..hi; sometimes a boundary value or text
     that is not an integer option."""
     r = rng.below(12)
     if r == 0:
-        return _pick(rng, boundary)
+        return _pick(rng, BOUNDARY)
     if r == 1:
         return _pick(rng, JUNK_INTEGERS)
     return str(lo + rng.below(hi - lo + 1))
@@ -116,14 +117,13 @@ def _leaf(rng):
         return ["v2", "scan", "--n", small(0, 6), "--d", small(0, 4),
                 "--field", _field(rng, FIELDS[1:])]
     if kind == 7:
-        safe = ["-1", "2049"]
-        return ["v2", "witness", "--p", prime(), "--d", _integer(rng, 0, 4, safe),
-                "--trials", _integer(rng, 0, 5, safe)]
+        return ["v2", "witness", "--p", prime(), "--d", small(0, 4), "--trials", small(0, 5)]
     if kind == 8:
         argv = ["v2", "dim", "--p", _integer(rng, 2, 3), "--n", small(0, 5), "--d", small(0, 4)]
         return argv + (["--kmax", small(0, 3)] if rng.below(2) else [])
     if kind == 9:
-        return ["formula", "peel", "--formula", _formula_text(rng), "--dprime", small(0, 4)]
+        argv = ["formula", "peel", "--formula", _formula_text(rng), "--dprime", small(0, 4)]
+        return argv + (["--field", _pick(rng, EXTENSIONS)] if rng.below(2) else [])
     if kind == 10:
         return ["formula", "ben-or", "--n", small(0, 8), "--d", small(0, 8)]
     if kind == 11:

@@ -254,6 +254,35 @@ def test_mixed_field_arithmetic_rejected():
         a + b
 
 
+def test_foreign_elements_are_refused_with_one_message():
+    # every scalar path checks the operand's field in coerce_raw
+    gf4, gf2 = make_field("gf(4)"), make_field("gf(2)")
+    a, b = gf4.element("t"), gf2.one
+    message = r"^mixed fields: gf\(2\^2\) and gf\(2\)$"
+    x1 = Polynomial.variable(gf4, 1)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b,
+               lambda: a.__rsub__(b), lambda: a.__rtruediv__(b), lambda: gf4.element(b),
+               lambda: gf4.scalar_raw(b), lambda: x1 + b, lambda: x1 - b, lambda: x1 == b):
+        with pytest.raises(FieldError, match=message):
+            op()
+
+
+@pytest.mark.parametrize("spec", ["q", "gf(5)", "gf(9)", "gf(2^3)"])
+def test_scalar_operands_act_as_their_element(spec):
+    f = make_field(spec)
+    values = list(f.elements())[:9] if f.order else [f.element(v) for v in (1, -2, "3/4")]
+    for a in values:
+        for c in (2, 7, f.element(2), values[-1]):
+            e = f.element(c)
+            assert a + c == c + a == a + e
+            assert a - c == -(c - a) == a + (-e)
+            assert a * c == c * a == a * e
+            if e:
+                assert a / c == a * e.inverse()
+            if a:
+                assert c / a == e * a.inverse()
+
+
 def test_coercion_from_int():
     f = make_field("gf(3)")
     assert f.element(5) == f.element(2)

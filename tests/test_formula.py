@@ -281,6 +281,18 @@ def test_peel_on_a_known_formula():
     assert dec.residual.formal_degree() < 3
 
 
+@pytest.mark.parametrize("spec", ["gf(4)", "gf(9)"])
+def test_peel_strips_extension_field_constants(spec):
+    # alpha and beta are elements off the prime subfield, so h - alpha and
+    # g - beta must keep the whole constant, not its prime-subfield residue
+    field = make_field(spec)
+    peel_bullets_hold(random_formula(SplitMix64(12), field, 6, 3), 3)
+    for seed in range(100):
+        peel_bullets_hold(random_formula(SplitMix64(seed), field, 8, 3), 3)
+    dec = peel_bullets_hold(parse_formula("(x3 + t) * (x1 + 1) * (x1 + t)", field), 3)
+    assert dec.k == 1
+
+
 def test_peel_requires_d_prime_at_least_one():
     with pytest.raises(FormulaError):
         peel_decompose(f("x1"), 0)

@@ -187,6 +187,30 @@ def test_scalar_coercion():
     assert h * Fraction(1, 2) == parse_polynomial("1/2*x1", QQ)
 
 
+@pytest.mark.parametrize("spec", ["q", "gf(5)", "gf(4)", "gf(8)", "gf(9)", "gf(25)"])
+def test_scalar_operands_become_the_constant_of_their_raw(spec):
+    # over GF(p^k) the raw of t is an index, not a prime-subfield int, so a
+    # scalar operand must be coerced once and its raw never read as an int
+    F = make_field(spec)
+    x1 = Polynomial.variable(F, 1)
+    minus_x1 = Polynomial(F, {(1,): F.neg_raw(F.one_raw)})
+    values = list(F.elements()) if F.order else [F.element(v) for v in (0, 3, "1/2", "-2/7")]
+    for c in values + [2, 7]:
+        const = Polynomial.constant(F, c)
+        assert x1 + c == c + x1 == parse_polynomial(f"x1 + ({c})", F)
+        assert (x1 + c).constant_term() == c and (x1 + c) - x1 == const
+        assert x1 - c == x1 + (-const) and (x1 - c).constant_term() == -F.element(c)
+        assert c - x1 == minus_x1 + const and (c - x1).coefficient((1,)) == -1
+        assert x1 * 0 + c == c and x1 * 0 + c == const
+    # an int is a prime-subfield constant, never a raw index
+    assert (x1 + 7).constant_term() == F.element(7) == (7 % F.p if F.p else 7)
+    if F.k > 1:
+        t = F.element("t")
+        assert str(x1 + t) == "x1 + t" and str(x1 + (t + 1)) == "x1 + (t+1)"
+        assert x1 - (t + 1) == parse_polynomial("x1 - (t+1)", F)
+        assert (t + 1) - x1 == parse_polynomial("(t+1) - x1", F)
+
+
 def test_mixed_field_operations_rejected():
     with pytest.raises(FieldError):
         parse_polynomial("x1", GF5) + parse_polynomial("x1", GF4)

@@ -7,7 +7,7 @@ import pytest
 
 from esym import v2space
 from esym.field import FieldElement, FieldError, esp_sweep, lucas_binomial, make_field
-from esym.poly import Polynomial, parse_polynomial
+from esym.poly import MAX_VARIABLE_INDEX, Polynomial, parse_polynomial
 from esym.rng import SplitMix64
 from esym.symfunc import gen_esp
 from esym.v2space import (
@@ -378,6 +378,27 @@ def test_witness_family_matches_the_scan_over_every_n(p):
                     break
             n += 1
         assert witness_family(p, d) == fam
+
+
+def test_witness_family_refuses_past_the_variable_bound_before_listing(monkeypatch):
+    # d = 1023 fits at r = 1024; d = 1024 fails its binomials at r = 1024
+    # and would need r = 2048; from d = 1026 on, r = 2048 is the first try
+    assert witness_family(2, 1023).n == 2046
+
+    def refused(d):
+        return pytest.raises(V2Error, match=f"^the witness family for p = 2, d = {d} needs "
+                                            f"more than {MAX_VARIABLE_INDEX} variables$")
+
+    with refused(1024):
+        witness_family(2, 1024)
+
+    def listed(self):
+        raise AssertionError("binomials listed")
+
+    monkeypatch.setattr(v2space.WitnessFamily, "required_binomials", listed)
+    for d in (1026, 2**64):
+        with refused(d):
+            witness_family(2, d)
 
 
 def test_witness_points_are_order2_zeros():
