@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -204,10 +203,10 @@ def _cmd_v2_witness(args):
     if args.trials < 1:
         raise v2space.V2Error(f"--trials must be at least 1, got {args.trials}")
     fam = v2space.witness_family(args.p, args.d)
-    terms = math.comb(fam.n, args.d)   # each trial's e_d check reads every term
-    if args.trials * terms > v2space.TRIAL_READ_CAP:
-        raise v2space.V2Error(f"--trials {args.trials} times the {terms} terms of e_{args.d} "
-                              f"exceeds the cap of {v2space.TRIAL_READ_CAP}")
+    steps = fam.n * args.d   # each trial sweeps e_0..e_d of n coordinates
+    if args.trials * steps > v2space.TRIAL_STEP_CAP:
+        raise v2space.V2Error(f"--trials {args.trials} times the {steps} sweep steps of a "
+                              f"trial exceeds the cap of {v2space.TRIAL_STEP_CAP}")
     field = make_field(args.field) if args.field != "q" else make_field(args.p)
     if field.characteristic != args.p:
         raise FieldError(f"--field {args.field} has characteristic "

@@ -155,7 +155,9 @@ def _vars(key: int) -> list[tuple[int, int]]:
 class Polynomial:
     """Immutable-by-convention sparse polynomial; operators never mutate."""
 
-    __slots__ = ("field", "nvars", "_terms")
+    # _esp is unset until v2space._esp_degree stores there whether the
+    # polynomial is e_d; sound because a polynomial's terms are never written
+    __slots__ = ("field", "nvars", "_terms", "_esp")
 
     def __init__(self, field: FieldDescriptor, terms: dict | None = None, nvars: int = 0):
         self.field = field

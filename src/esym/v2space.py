@@ -14,17 +14,28 @@ root of P, and P has at most d-1 roots (none for d = 1: V2(e_1) is empty).
 Membership depends only on the multiset of coordinates, so enumerate_v2 and
 count_v2 walk strata, not points.  A stratum is a set of r <= d-1 distinct
 values with a composition of n into r positive multiplicities m_i; it stands
-for the n!/prod m_i! points that arrange it.  Each stratum runs once the
-exact test of a point: one generating-function sweep on the field's scalar
-kernel (esp_raw) gives e_0..e_d of its n coordinates, and when e_d
-vanishes, one Horner pass in -v checks P(v) = 0 for each distinct value v.
-That is O(n*d) ring operations for each of the sum_r C(q, r) C(n-1, r-1)
-strata, in place of each of the q^n points.  count_v2 adds up the weights
-of the accepted strata; enumerate_v2 expands them into points.
-is_order2_zero runs the same test on a point when its polynomial is e_d
-(told from the packed keys by integer tests alone), and evaluates formal
-partial derivatives of any other; tests cross-check the two routes, and the
-strata against a scan of every point.
+for the n!/prod m_i! points that arrange it.  The exact test of a stratum
+is one generating-function sweep on the field's scalar kernel (esp_raw),
+giving e_0..e_d of its n coordinates, and, when e_d vanishes, one Horner
+pass in -v checking P(v) = 0 for each distinct value v: O(n*d) ring
+operations in place of one test for each of its points.
+
+Scaling orbits cut the strata tested by a factor of about q.  e_d is
+homogeneous: e_j(lam*x) = lam^j e_j(x), and each partial d e_d / d x_i
+scales by lam^(d-1), so x -> lam*x (lam != 0) maps V2(e_d) onto itself and
+a stratum S, its values scaled and its multiplicities carried along, onto a
+stratum lam*S that is accepted exactly when S is.  The walk therefore tests
+only the zero stratum, which every scaling fixes, and the
+sum_r C(q-1, r-1) C(n-1, r-1) strata whose values hold 1.  Every other
+accepted stratum is lam*S for an accepted S holding 1: a stratum with r'
+nonzero values arises from the r' pairs (v^-1 * S, v), v among those
+values, so it is kept from the one pair whose lam is its least nonzero
+value.  count_v2 adds up the weights of the accepted strata; enumerate_v2
+expands them into points.  is_order2_zero runs the same test on a point
+when its polynomial is e_d (told from the packed keys by integer tests
+alone, once per polynomial), and evaluates formal partial derivatives of
+any other; tests cross-check the two routes, the walk by orbits against
+the walk over every stratum, and the strata against a scan of every point.
 
 Conversely, highly repetitive points get in via binomial coefficients
 vanishing mod p; witness_family picks the smallest variable count where a
@@ -39,14 +50,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .field import FieldDescriptor, FieldElement, _is_prime, embed, lucas_binomial
-from .poly import _MASK, MAX_VARIABLE_INDEX, WIDTH, Polynomial, _point_raws
+from .field import FieldDescriptor, FieldElement, FieldError, _is_prime, embed, lucas_binomial
+from .poly import _MASK, MAX_VARIABLE_INDEX, WIDTH, Polynomial
 from .rng import SplitMix64
 
-SWEEP_CAP = 2**24  # fixed bound on strata * n * d, the sweep steps of a strata walk
+SWEEP_CAP = 2**24  # fixed bound on the steps of a walk by orbits: n*d + (q-1)*r per tested stratum
 LIST_CAP = 2**20   # fixed bound on points * n, the coordinates a listing holds
 SCAN_CAP = 2**16   # product_zero_containment scans at most this many points
-TRIAL_READ_CAP = 2**24  # fixed bound on trials * C(n, d), the e_d terms witness trials read
+TRIAL_STEP_CAP = 2**24  # fixed bound on trials * n * d, the sweep steps witness trials take
 
 
 class V2Error(ValueError):
@@ -56,28 +67,53 @@ class V2Error(ValueError):
 def is_order2_zero(f: Polynomial, point) -> bool:
     """True iff f and all nvars first partials vanish at the point, exactly.
 
-    When f is e_d in its nvars variables, the point gets the strata walk's
-    O(n*d) test: one e_j sweep, then one Horner pass of P at each distinct
-    coordinate.  Any other f is evaluated with its formal partials."""
-    pt = tuple(f.field.element(c) if not isinstance(c, FieldElement) else c
-               for c in point)
-    if len(pt) != f.nvars:
-        raise V2Error(f"point has {len(pt)} coordinates, f has {f.nvars} variables")
-    d = _esp_degree(f)
+    When f is e_d in its nvars variables (decided once per polynomial), the
+    point gets the strata walk's O(n*d) test: one e_j sweep, then one Horner
+    pass of P at each distinct coordinate.  Any other f is evaluated with
+    its formal partials."""
+    field, d = f.field, _esp_degree(f)
     if d is None:
+        pt = tuple(field.element(c) if not isinstance(c, FieldElement) else c for c in point)
+        _check_arity(f, len(pt))
         if not f.evaluate(pt).is_zero:
             return False
         return all(f.partial_derivative(i).evaluate(pt).is_zero
                    for i in range(1, f.nvars + 1))
-    F, raws = _point_raws(f.field, pt)
-    embed(f.field.one, F)  # as evaluate does: F must host f's coefficients
-    return _order2_test(F, d)(raws, set(raws))
+    # one pass to raws, raising what the formal route raises, in its order
+    F, mixed, raws = None, False, []
+    for c in point:
+        if not isinstance(c, FieldElement):
+            c = field.element(c)
+        if c.field is not F:
+            mixed, F = mixed or F is not None, c.field
+        raws.append(c.raw)
+    _check_arity(f, len(raws))
+    if mixed:
+        raise FieldError("point coordinates live in mixed fields")
+    F = F or field
+    embed(field.one, F)  # as evaluate does: F must host f's coefficients
+    return _order2_vanishes(F, d, raws, set(raws))
+
+
+def _check_arity(f: Polynomial, count: int) -> None:
+    if count != f.nvars:
+        raise V2Error(f"point has {count} coordinates, f has {f.nvars} variables")
 
 
 def _esp_degree(f: Polynomial):
-    """d when f is exactly e_d in its nvars variables, else None: C(nvars, d)
-    terms, each with coefficient 1, degree d and d exponent bits (so every
-    exponent is 0 or 1), are every d-subset of the variables, once."""
+    """d when f is exactly e_d in its nvars variables, else None.  The first
+    call scans f's terms and keeps the answer in f's _esp slot."""
+    try:
+        return f._esp
+    except AttributeError:
+        f._esp = d = _scan_esp(f)
+        return d
+
+
+def _scan_esp(f: Polynomial):
+    """_esp_degree's scan: C(nvars, d) terms, each with coefficient 1,
+    degree d and d exponent bits (so every exponent is 0 or 1), are every
+    d-subset of the variables, once."""
     terms, one = f._terms, f.field.one_raw
     d = next(iter(terms), 0) & _MASK
     if not terms or len(terms) != comb(f.nvars, d):
@@ -88,25 +124,21 @@ def _esp_degree(f: Polynomial):
     return d
 
 
-def _order2_test(F: FieldDescriptor, d: int):
-    """test(coords, values): whether e_d and d e_d / d x_i = P(x_i) vanish at
-    raw coordinates in F whose distinct values are values, by one sweep and
-    one Horner pass per value."""
-    add, mul, neg, zero, one = F.add_raw, F.mul_raw, F.neg_raw, F.zero_raw, F.one_raw
-    sweep = F.esp_raw
-
-    def test(coords, values) -> bool:
-        e = sweep(coords, d)
-        if e[d] != zero:
+def _order2_vanishes(F: FieldDescriptor, d: int, coords, values) -> bool:
+    """Whether e_d and d e_d / d x_i = P(x_i) vanish at raw coordinates in F
+    whose distinct values are values, by one sweep and one Horner pass per
+    value."""
+    e, zero = F.esp_raw(coords, d), F.zero_raw
+    if e[d] != zero:
+        return False
+    add, mul, neg, one = F.add_raw, F.mul_raw, F.neg_raw, F.one_raw
+    for x in values:
+        m, acc = neg(x), one  # Horner for sum_j (-x)^j e_(d-1-j)
+        for j in range(1, d):
+            acc = add(mul(acc, m), e[j])
+        if acc != zero:
             return False
-        for x in values:
-            m, acc = neg(x), one  # Horner for sum_j (-x)^j e_(d-1-j)
-            for j in range(1, d):
-                acc = add(mul(acc, m), e[j])
-            if acc != zero:
-                return False
-        return True
-    return test
+    return True
 
 
 def in_s_k(point, k: int) -> bool:
@@ -137,16 +169,20 @@ class V2PointSet:
         }
 
 
-def _strata_count(n: int, d: int, q: int, limit: int) -> int:
-    """sum_r C(q, r) C(n-1, r-1) over 1 <= r <= min(d-1, q, n): the strata
-    with at most d-1 distinct values among q.  The sum stops as soon as it
-    passes limit, so the count costs at most limit + 1 terms."""
-    total = 0
+def _walk_cost(n: int, d: int, q: int, limit: int) -> tuple[int, int]:
+    """(strata, steps) of a walk by orbits: for 1 <= r <= min(d-1, q, n),
+    the C(q-1, r-1) C(n-1, r-1) strata of r values holding 1, and at r = 1
+    the zero stratum, each tested at n*d sweep steps plus (q-1)*r steps for
+    its scalings.  The sum stops as soon as the steps pass limit, so it
+    costs at most limit + 1 terms."""
+    strata = steps = 0
     for r in range(1, min(d - 1, q, n) + 1):
-        total += comb(q, r) * comb(n - 1, r - 1)
-        if total > limit:
+        count = (comb(q - 1, r - 1) + (r == 1)) * comb(n - 1, r - 1)
+        strata += count
+        steps += count * (n * d + (q - 1) * r)
+        if steps > limit:
             break
-    return total
+    return strata, steps
 
 
 def _multiset(values, mults) -> list:
@@ -168,28 +204,41 @@ def _multinomial(mults) -> int:
 
 def _check_walk(n: int, d: int, F: FieldDescriptor) -> None:
     """Raise V2Error unless a strata walk of F^n to degree d is defined and
-    takes at most SWEEP_CAP sweep steps; run before any stratum is tested."""
+    takes at most SWEEP_CAP steps; run before any stratum is tested."""
     if F.order is None:
         raise V2Error("enumeration needs a finite field")
     if not 1 <= d <= n:
         raise V2Error(f"need 1 <= d <= n, got d={d}, n={n}")
-    strata = _strata_count(n, d, F.order, SWEEP_CAP // (n * d))
-    if strata * n * d > SWEEP_CAP:
+    strata, steps = _walk_cost(n, d, F.order, SWEEP_CAP)
+    if steps > SWEEP_CAP:
         raise V2Error(f"{strata} or more strata of {n} coordinates to degree {d} "
-                      f"exceed the fixed bound of {SWEEP_CAP} sweep steps")
+                      f"exceed the fixed bound of {SWEEP_CAP} sweep and scaling steps")
 
 
 def _accepted_strata(n: int, d: int, F: FieldDescriptor) -> list:
-    """(ascending values, multiplicities) of the strata of F^n in V2(e_d); after _check_walk."""
-    q, vanishes = F.order, _order2_test(F, d)
+    """(ascending values, multiplicities) of the strata of F^n in V2(e_d), by
+    scaling orbits; after _check_walk.  The raw values of a finite field are
+    its element indices 0..q-1, with 0 its zero and 1 its one.  Only the zero
+    stratum and the strata holding 1 are tested; each accepted one is scaled
+    by every unit lam, and lam*S is kept when lam is its least nonzero value,
+    so every stratum is listed once."""
+    q, mul = F.order, F.mul_raw
     accepted = []
+    if d >= 2 and _order2_vanishes(F, d, [0] * n, (0,)):
+        accepted.append(((0,), (n,)))
+    others = [v for v in range(q) if v != 1]
     for r in range(1, min(d - 1, q, n) + 1):
         for cuts in combinations(range(1, n), r - 1):
             mults = tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
-            # the raw values of a finite field are its element indices 0..q-1
-            for values in combinations(range(q), r):
-                if vanishes(_multiset(values, mults), values):
-                    accepted.append((values, mults))
+            for rest in combinations(others, r - 1):
+                values = tuple(sorted(rest + (1,)))
+                if not _order2_vanishes(F, d, _multiset(values, mults), values):
+                    continue
+                for lam in range(1, q):
+                    scaled = [mul(v, lam) for v in values]
+                    if all(x >= lam or not x for x in scaled):
+                        pairs = sorted(zip(scaled, mults))
+                        accepted.append((tuple(v for v, _ in pairs), tuple(m for _, m in pairs)))
     return accepted
 
 

@@ -150,7 +150,7 @@ def test_errors_exit_one(capsys):
         "poly-empty-call", "quadratic-leading-star", "rep-nested-bool-digits",
         "rep-nested-digits", "esp-past-variable-bound", "esp-0-past-variable-bound",
         "esp-n-past-ssize", "esp-past-key-byte-guard", "witness-d-past-variable-bound",
-        "witness-trials-past-read-cap"])
+        "witness-trials-past-step-cap"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -250,7 +250,8 @@ def test_v2_cap_names_what_it_bounds(capsys):
     assert code == 0 and body["counts"][0] == [1, 262125]
     code, out, err = run(capsys, "v2", "dim", "--p", "2", "--n", "2048", "--d", "4")
     assert (code, out, err) == (1, "", "error: 2049 or more strata of 2048 coordinates "
-                                "to degree 4 exceed the fixed bound of 16777216 sweep steps\n")
+                                "to degree 4 exceed the fixed bound of 16777216 sweep and "
+                                "scaling steps\n")
     code, out, err = run(capsys, "v2", "scan", "--field", "gf(2)", "--n", "1000000000",
                          "--d", "2")
     assert code == 1 and out == ""
@@ -270,9 +271,9 @@ def test_ben_or_leaf_bound_is_one_error_line(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     # gf(2^1..2^6) are within the bound, gf(2^7) is not
-    (["--p", "2", "--n", "30", "--d", "3", "--kmax", "7"],
-     "error: 235840 or more strata of 30 coordinates to degree 3 exceed the fixed "
-     "bound of 16777216 sweep steps\n"),
+    (["--p", "2", "--n", "200", "--d", "3", "--kmax", "7"],
+     "error: 25275 or more strata of 200 coordinates to degree 3 exceed the fixed "
+     "bound of 16777216 sweep and scaling steps\n"),
     (["--p", "2", "--n", "3", "--d", "2", "--kmax", "8"],
      "error: no built-in modulus for gf(2^8); supply one as gf(2^8;c0,c1,...)\n"),
 ])
@@ -522,16 +523,24 @@ def test_v2_witness_refuses_a_field_of_another_characteristic(capsys):
         1, "", "error: --field gf(9) has characteristic 3, expected 2\n")
 
 
-def test_v2_witness_refuses_past_the_read_cap_before_any_work(capsys, monkeypatch):
+def test_v2_witness_refuses_past_the_step_cap_before_any_work(capsys, monkeypatch):
     def work(*args):
         raise AssertionError("work done past the cap")
 
-    monkeypatch.setattr(symfunc, "gen_esp", work)
-    monkeypatch.setattr(v2space, "is_order2_zero", work)
-    cap = v2space.TRIAL_READ_CAP
-    trials = cap // 20 + 1   # e_3 in the family's 6 variables has 20 terms
-    assert run(capsys, "v2", "witness", "--p", "2", "--d", "3", "--trials", str(trials)) == (
-        1, "", f"error: --trials {trials} times the 20 terms of e_3 exceeds the cap of {cap}\n")
+    cap = v2space.TRIAL_STEP_CAP
+    with monkeypatch.context() as m:
+        m.setattr(symfunc, "gen_esp", work)
+        m.setattr(v2space, "is_order2_zero", work)
+        # a trial on e_3 in the family's 6 variables sweeps 6 * 3 = 18 steps
+        trials = cap // 18 + 1
+        assert run(capsys, "v2", "witness", "--p", "2", "--d", "3", "--trials", str(trials)) == (
+            1, "", f"error: --trials {trials} times the 18 sweep steps of a trial exceeds "
+                   f"the cap of {cap}\n")
+    # the cap is inclusive: e_5 over gf(5) takes 29 * 5 = 145 steps a trial
+    monkeypatch.setattr(v2space, "TRIAL_STEP_CAP", 145 * 3)
+    code, body = run_json(capsys, "v2", "witness", "--p", "5", "--d", "5", "--trials", "3")
+    assert code == 0 and (body["n"], body["trials"], body["all_pass"]) == (29, 3, True)
+    assert run(capsys, "v2", "witness", "--p", "5", "--d", "5", "--trials", "4")[0] == 1
 
 
 def test_v2_witness_reports_failing_trials(capsys, monkeypatch):

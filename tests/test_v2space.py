@@ -1,7 +1,7 @@
 """Order-2 zero spaces of e_d: enumeration, witnesses, dimension proxies."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -172,6 +172,63 @@ def test_esp_route_needs_no_formal_derivative(monkeypatch):
             is_order2_zero(g, points[0])
 
 
+def test_esp_is_recognized_once_per_polynomial(monkeypatch):
+    e = gen_esp(6, 3, GF4)
+    points = list(_low_rank_points(GF4, 6, SplitMix64(1500), 50))
+    expect = [formal_order2(e, pt) for pt in points]
+    assert True in expect and False in expect
+    scans = []
+
+    def counting(f):
+        scans.append(f)
+        return scan(f)
+
+    scan = v2space._scan_esp
+    monkeypatch.setattr(v2space, "_scan_esp", counting)
+    assert [is_order2_zero(e, pt) for pt in points] == expect
+    assert scans == [e]
+    # another polynomial with the same terms is scanned on its own
+    twin = parse_polynomial(str(e), GF4)
+    assert [is_order2_zero(twin, pt) for pt in points] == expect
+    assert scans == [e, twin]
+
+
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(4)", "gf(5)", "gf(9)"])
+def test_a_near_esp_built_after_the_memo_takes_the_formal_route(spec):
+    # e is recognized first; polynomials built from it afterwards, with one
+    # coefficient changed or one term dropped, are fresh and are not e_d
+    F = make_field(spec)
+    rng = SplitMix64(1600 + F.order)
+    for n, d in ((4, 2), (5, 3), (6, 4)):
+        e = gen_esp(n, d, F)
+        assert v2space._esp_degree(e) == d
+        mono = next(iter(e.terms()))[0]
+        term = Polynomial(F, {mono: F.one_raw}, n)
+        nears = [e - term]
+        if F.order > 2:   # that coefficient becomes the element of index 2
+            nears.append(e - term + term * F.element_at(2))
+        points = list(_low_rank_points(F, n, rng, 40))
+        for g in nears:
+            assert v2space._esp_degree(g) is None, (n, d, g)
+            assert [is_order2_zero(g, pt) for pt in points] == [
+                formal_order2(g, pt) for pt in points], (n, d, g)
+        assert v2space._esp_degree(e) == d
+        assert [is_order2_zero(e, pt) for pt in points] == [
+            formal_order2(e, pt) for pt in points]
+
+
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(4)", "gf(5)", "q"])
+def test_a_parsed_esp_is_recognized(spec):
+    F = make_field(spec)
+    rng = SplitMix64(1700 + (F.order or 0))
+    for n, d in ((3, 2), (5, 2), (5, 3), (6, 4)):
+        e = parse_polynomial(" + ".join("*".join(f"x{i}" for i in subset)
+                                        for subset in combinations(range(1, n + 1), d)), F)
+        assert e == gen_esp(n, d, F) and v2space._esp_degree(e) == d
+        for pt in _low_rank_points(F, n, rng, 20):
+            assert is_order2_zero(e, pt) == formal_order2(e, pt), (n, d, pt)
+
+
 def test_in_s_k():
     a, b = GF4.element_at(1), GF4.element_at(2)
     assert in_s_k((a, a, a), 1)
@@ -241,8 +298,10 @@ def test_enumeration_within_the_cap_beyond_q_pow_n():
 
 
 def test_sweep_bound_refuses_long_sweeps_before_the_work(monkeypatch):
-    # 2 strata of 10^9 coordinates to degree 2, 4097 of 4096 to degree 4096
-    # and 2049 of 2048 to degree 4: each past the fixed bound
+    # the bound counts the walk by orbits: the zero stratum and the strata
+    # holding 1, each n*d sweep steps plus (q-1)*r scalings.  2 strata of
+    # 10^9 coordinates to degree 2, 2 of 4096 to degree 4096 and 2049 of
+    # 2048 to degree 4 are each past it
     def forbidden(*args):
         raise AssertionError("the guarded work ran")
 
@@ -251,7 +310,7 @@ def test_sweep_bound_refuses_long_sweeps_before_the_work(monkeypatch):
     for n, d, seen in ((10**9, 2, 2), (4096, 4096, 2), (2048, 4, 2049)):
         # the strata are summed only until they pass the bound
         msg = (f"^{seen} or more strata of {n} coordinates to degree {d} "
-               f"exceed the fixed bound of {v2space.SWEEP_CAP} sweep steps$")
+               f"exceed the fixed bound of {v2space.SWEEP_CAP} sweep and scaling steps$")
         with pytest.raises(V2Error, match=msg):
             enumerate_v2(n, d, GF2)
         with pytest.raises(V2Error, match=msg):
@@ -318,6 +377,65 @@ def test_strata_match_the_odometer(F, n):
 def test_oracle_cases_cover_every_small_builtin_field():
     assert {F.order for F, _ in ORACLE_CASES} == {
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27}
+
+
+# -- the walk by orbits against the full strata walk ----------------------------------
+
+def ref_accepted_strata(n, d, F):
+    """The full strata walk: every stratum of at most d-1 distinct values
+    among all q, each tested once by one sweep and its Horner passes."""
+    accepted = []
+    for r in range(1, min(d - 1, F.order, n) + 1):
+        for cuts in combinations(range(1, n), r - 1):
+            mults = tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            for values in combinations(range(F.order), r):
+                if v2space._order2_vanishes(F, d, v2space._multiset(values, mults), values):
+                    accepted.append((values, mults))
+    return accepted
+
+
+ORBIT_SPECS = ("gf(2)", "gf(3)", "gf(4)", "gf(5)", "gf(7)", "gf(8)", "gf(9)", "gf(16)",
+               "gf(25)", "gf(27)")
+# the enumerate workload's V2 grid of the benchmark
+V2_GRID = (("gf(2)", 14, 2), ("gf(2)", 10, 4), ("gf(2)", 5, 2), ("gf(4)", 6, 3),
+           ("gf(4)", 6, 1), ("gf(4)", 5, 2), ("gf(5)", 6, 3), ("gf(5)", 5, 5), ("gf(8)", 4, 3),
+           ("gf(9)", 4, 3), ("gf(9)", 4, 4))
+
+
+def _check_orbits(n, d, F):
+    accepted = v2space._accepted_strata(n, d, F)
+    expect = ref_accepted_strata(n, d, F)
+    assert len(accepted) == len(set(accepted)), (n, d)   # each stratum once
+    assert sorted(accepted) == sorted(expect), (n, d)
+    return len(expect)
+
+
+@pytest.mark.parametrize("spec", ORBIT_SPECS)
+def test_orbits_give_the_strata_of_the_full_walk(spec):
+    F = make_field(spec)
+    found = 0
+    for n in range(1, 8):
+        for d in range(1, n + 1):
+            if v2space._walk_cost(n, d, F.order, 2**19)[1] <= 2**19:   # the oracle's size
+                found += _check_orbits(n, d, F)
+    assert found
+
+
+@pytest.mark.parametrize("spec,n,d", V2_GRID)
+def test_orbits_give_the_strata_of_the_full_walk_on_the_bench_grid(spec, n, d):
+    _check_orbits(n, d, make_field(spec))
+
+
+def test_orbits_count_past_the_full_walk():
+    # 2 + 441 + 41,013 strata, the zero stratum and those holding 1, take 9.1
+    # million steps; the full walk tested 889,120 strata at 32 sweep steps
+    # each, 28.5 million, past the bound
+    F = make_field("gf(64)")
+    assert v2space._walk_cost(8, 4, 64, v2space.SWEEP_CAP) == (41456, 9133741)
+    assert count_v2(8, 4, F) == 111637
+    # and the bound still refuses: GF(128) at n = 200, d = 3
+    with pytest.raises(V2Error, match="^25275 or more strata of 200 coordinates"):
+        count_v2(200, 3, make_field("gf(2^7)"))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
