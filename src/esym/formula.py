@@ -18,16 +18,12 @@ bounded by memory, not by the interpreter's recursion limit.
 
 peel_decompose repeatedly splits off a product pair around a vertex v whose
 formal degree lies in a window [t, 2t-1], t = ceil(d'/3): for
-Phi = h*Phi_v + f it emits the constant-free parts of (h, poly(Phi_v)).
-A round builds only h; the next formula is the old one with v replaced by
-the constant beta of Phi_v, so f is never formed.  Each round deletes the
-vertex's subtree, so the number of rounds k obeys k*d'/3 <= size.  The
-residual keeps formal degree < d' and Phi = residual + sum f_i*g_i is
-exact.  Nodes are immutable and a round rebuilds only the path to v, so a
-peel keeps two dicts keyed by the gate itself: its expansion, and its
-deepest-then-leftmost candidate for the fixed window.  A round after the
-first computes both only for the gates of the rebuilt path, then drops the
-old path's gates from both; the multiplier stops once h is 0.
+Phi = h*Phi_v + f it emits the constant-free parts of (h, poly(Phi_v)) and
+goes on with v replaced by the constant beta of Phi_v, so f is never
+formed.  Each round deletes v's subtree, so k rounds obey k*d'/3 <= size,
+and Phi = residual + sum f_i*g_i exactly, the residual below d'.  Picks
+are set once per distinct gate; a round copies the gates on its path into
+mutable cells and rewrites them in place, and the residual is built last.
 
 parse_formula reads the polynomial text grammar with no '^' after a ')' and
 every other factor one leaf literal of degree <= 1, on poly's splitter and
@@ -217,12 +213,10 @@ def _poly(root, memo=None) -> Polynomial:
         if isinstance(node, Leaf):
             values.append(node.label)
         elif ready:
-            b = values.pop()
-            a = values.pop()
-            value = a + b if node.op == "+" else a * b
+            b, a = values.pop(), values.pop()
+            values.append(a + b if node.op == "+" else a * b)
             if memo is not None:
-                memo[node] = value
-            values.append(value)
+                memo[node] = values[-1]
         elif memo is not None and node in memo:
             values.append(memo[node])
         else:
@@ -251,7 +245,7 @@ def _render(root) -> str:
 # ---------------------------------------------------------------------------
 # vertex pick and linear split
 
-def find_degree_vertex(phi: Formula, t: int, memo=None):
+def find_degree_vertex(phi: Formula, t: int):
     """Path of a vertex with formal degree in [t, 2t-1].
 
     Requires 1 <= t <= formal_degree/2.  Among qualifying vertices the
@@ -260,43 +254,59 @@ def find_degree_vertex(phi: Formula, t: int, memo=None):
     Formal degree never rises from a parent to a child, so only subtrees
     whose root reaches t hold a candidate, and each such subtree holds one:
     a node below 2t has itself, and a node at 2t or above has a child at t
-    or above.  The pick is filled in bottom-up, each gate taking the deeper
-    of its children's picks, the left on a tie, or itself when neither child
-    reaches t.  A pick is (depth below the gate, path as (step, rest) links)
-    and only the root's is spelled out.  memo, when given, is a dict that
-    keeps each gate's pick under its t across calls, so a tree that shares
-    all but one rebuilt path with an earlier one walks only that path.
+    or above.  The path follows the picks (_picks) down from the root.
     """
     d = phi.formal_degree()
     if t < 1 or 2 * t > d:
         raise FormulaError(f"t = {t} outside [1, {d}/2]")
-    picks = {} if memo is None else memo.setdefault(t, {})
-    stack = [(phi.root, False)]
+    picks = _picks(phi.root, t)
+    return tuple(step for _, step in _follow_pick(_Cell(phi.root, picks), picks)[0])
+
+
+class _Cell:
+    """A gate's mutable copy made on a round's path; _poly walks it as one."""
+
+    __slots__ = ("op", "left", "right", "fdeg", "depth", "step")
+
+    def __init__(self, gate, picks: dict):
+        self.op, self.left, self.right, self.fdeg = gate.op, gate.left, gate.right, gate.fdeg
+        self.depth, self.step = picks[gate]
+
+
+def _pick(a, b, t: int, picks: dict):
+    """(depth, step) of a gate over a and b: the deeper child pick, the left
+    on a tie, else the gate itself (0, None); step is the first one down."""
+    da = (a.depth if type(a) is _Cell else picks.get(a, (0,))[0]) + 1 if a.fdeg >= t else 0
+    db = (b.depth if type(b) is _Cell else picks.get(b, (0,))[0]) + 1 if b.fdeg >= t else 0
+    return (db, 1) if db > da else (da, 0) if da else (0, None)
+
+
+def _picks(root, t: int) -> dict:
+    """The picks of root and of each distinct gate below it reaching t."""
+    picks, stack = {}, [(root, False)]
     while stack:
         node, ready = stack.pop()
-        left, right = node.left, node.right
-        if not ready:
+        if ready:
+            picks[node] = _pick(node.left, node.right, t, picks)
+        elif node not in picks:
             stack.append((node, True))
-            if right.fdeg >= t and isinstance(right, Gate) and right not in picks:
-                stack.append((right, False))
-            if left.fdeg >= t and isinstance(left, Gate) and left not in picks:
-                stack.append((left, False))
-            continue
-        depth, link = 0, None
-        if left.fdeg >= t:
-            below, rest = picks[left] if isinstance(left, Gate) else (0, None)
-            depth, link = below + 1, (0, rest)
-        if right.fdeg >= t:
-            below, rest = picks[right] if isinstance(right, Gate) else (0, None)
-            if below >= depth:
-                depth, link = below + 1, (1, rest)
-        picks[node] = (depth, link)
-    path = []
-    link = picks[phi.root][1]
-    while link is not None:
-        step, link = link
-        path.append(step)
-    return tuple(path)
+            stack += [(child, False) for child in (node.right, node.left)
+                      if isinstance(child, Gate) and child.fdeg >= t]
+    return picks
+
+
+def _follow_pick(top: _Cell, picks: dict):
+    """([(cell, step), ...] from top down its picks, the vertex); a gate
+    passed through becomes a cell in its parent's place.  Once a round."""
+    steps, node = [], top
+    while type(node) is _Cell and node.step is not None:
+        steps.append((node, node.step))
+        child = node.right if node.step else node.left
+        if type(child) is Gate and picks[child][1] is not None:
+            child = _Cell(child, picks)
+            setattr(node, "right" if node.step else "left", child)
+        node = child
+    return steps, node
 
 
 def split_linear(phi: Formula, path):
@@ -314,15 +324,17 @@ def _multiplier(steps, field: FieldDescriptor, memo=None) -> Polynomial:
     """h of split_linear from _descend's steps: the product of the siblings
     at the * gates on the path, multiplied in from the vertex upward, so the
     constants that earlier peel rounds leave near the vertex meet h while it
-    is small.  Siblings at + gates are never expanded, and once h is 0 no
-    further sibling is.  memo is passed on to _poly."""
-    h = Polynomial.constant(field, 1)
+    is small; the first sibling is h, not 1 times it.  Siblings at + gates
+    are never expanded, and once h is 0 no further sibling is.  memo is
+    passed on to _poly."""
+    h = None
     for gate, step in reversed(steps):
         if gate.op == "*":
-            h = h * _poly(gate.right if step == 0 else gate.left, memo)
+            sibling = _poly(gate.right if step == 0 else gate.left, memo)
+            h = h * sibling if h else sibling
             if not h:
                 break
-    return h
+    return Polynomial.constant(field, 1) if h is None else h
 
 
 def replace_with_constant(phi: Formula, path, value) -> Formula:
@@ -389,44 +401,52 @@ def peel_decompose(phi: Formula, d_prime: int) -> PeelDecomposition:
     continue on phi with beta substituted at v, which computes h*beta + f.
     The leftover alpha*g' has degree < d' and is folded into the residual
     at the end.  Each round deletes size(Phi_v) >= t leaves, so k*d'/3 <= s.
-
-    The rounds share two peel-local memos, each gate's expansion (read by
-    _multiplier and for g) and its vertex pick (find_degree_vertex), so a
-    round expands and walks only what replace_with_constant rebuilt.  Both
-    are called through the module; one descent of the picked path serves h
-    and g.  A gate of the old path is dropped from both memos after its
-    round; if a shared subtree still holds it, the next round computes it
-    again.
+    A round follows the picks down (_follow_pick), copying the gates it
+    passes into mutable cells, and rewrites that path in place.
     """
     if d_prime < 3:
         raise FormulaError("d_prime must be at least 3")
-    t = -(-d_prime // 3)
-    cur = phi
-    pairs = []
-    extras = Polynomial.zero(phi.field)
-    expansions, picks = {}, {}
-    while cur.formal_degree() >= d_prime:
-        v = find_degree_vertex(cur, t, picks)
-        steps, node = _descend(cur.root, v)
-        h = _multiplier(steps, cur.field, expansions)
-        g = _poly(node, expansions)
-        alpha = h.constant_term()
-        beta = g.constant_term()
-        h0 = h - alpha
-        g0 = g - beta
-        if h0 and g0:
-            pairs.append((h0, g0))
-        if not alpha.is_zero and g0:
-            extras = extras + g0.scale(alpha)
-        cur = replace_with_constant(cur, v, beta)
-        # the old path is out of the new tree, unless a shared subtree
-        # still holds it; then dropping it costs a recompute, not a wrong pick
-        for gate, _ in steps + [(node, 0)]:
-            expansions.pop(gate, None)
-            picks[t].pop(gate, None)
-    residual = cur if extras.is_zero else Formula.combine(
-        "+", cur, _poly_to_formula(extras))
+    t, F = -(-d_prime // 3), phi.field
+    residual, pairs, extras = phi, [], Polynomial.zero(F)
+    if phi.formal_degree() >= d_prime:
+        picks, expansions = _picks(phi.root, t), {}
+        top = _Cell(phi.root, picks)
+        while top.fdeg >= d_prime:
+            steps, v = _follow_pick(top, picks)
+            h = _multiplier(steps, F, expansions)
+            g = _poly(v, expansions)
+            alpha, beta = h._terms.get(0), g._terms.get(0)
+            h0 = Polynomial._of(F, {k: c for k, c in h._terms.items() if k}, h.nvars)
+            g0 = Polynomial._of(F, {k: c for k, c in g._terms.items() if k}, g.nvars)
+            if h0 and g0:
+                pairs.append((h0, g0))
+            if alpha is not None and g0:
+                extras = extras + g0.scale_raw(alpha)
+            cell, step = steps[-1]
+            leaf = Leaf(Polynomial._of(F, {} if beta is None else {0: beta}, 0))
+            setattr(cell, "right" if step else "left", leaf)
+            expansions.pop(v, None)
+            for cell, _ in reversed(steps):
+                a, b = cell.left, cell.right
+                fa, fb = a.fdeg, b.fdeg
+                cell.fdeg = (fa if fa > fb else fb) if cell.op == "+" else fa + fb
+                cell.depth, cell.step = _pick(a, b, t, picks)
+                expansions.pop(cell, None)
+        residual = Formula(_freeze(top), F)
+    if extras:
+        residual = Formula.combine("+", residual, _poly_to_formula(extras))
     return PeelDecomposition(source=phi, residual=residual, pairs=pairs, d_prime=d_prime)
+
+
+def _freeze(top: _Cell):
+    """A checked Gate for each cell under top; every other node is kept."""
+    order, built = [top], {}
+    for cell in order:          # walked as it grows, parents first
+        order += [c for c in (cell.left, cell.right) if type(c) is _Cell]
+    for cell in reversed(order):
+        a, b = cell.left, cell.right
+        built[cell] = Gate(cell.op, built.get(a, a), built.get(b, b))
+    return built[top]
 
 
 def _poly_to_formula(poly: Polynomial) -> Formula:

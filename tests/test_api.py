@@ -62,7 +62,7 @@ def test_bench_tracer_installs_on_a_fresh_import(monkeypatch, capsys):
     for name in saved:
         del sys.modules[name]
     try:
-        importlib.import_module("esym")
+        fresh = importlib.import_module("esym")
         cli = importlib.import_module("esym.cli")
         tracing = importlib.import_module("tracing")
         tracer = tracing.Tracer()
@@ -72,6 +72,10 @@ def test_bench_tracer_installs_on_a_fresh_import(monkeypatch, capsys):
             assert cli.main(["formula", "peel", "--field", "gf(5)", "--dprime", "3",
                              "--formula", "(x1 + x2*x3) * (x2 + x1*x3) * x3 + x1*x2"]) == 0
             assert cli.main(["border", "demo", "--field", "gf(4)", "--target", "x1*x2"]) == 0
+            # peel_decompose calls neither find_degree_vertex nor
+            # replace_with_constant, so both are called here
+            phi = fresh.parse_formula("(x1 + x2*x3) * x3", fresh.make_field("gf(5)"))
+            fresh.replace_with_constant(phi, fresh.find_degree_vertex(phi, 1), 0)
             tracer.stop_job()
         finally:
             tracer.uninstall()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -229,7 +230,7 @@ def test_multiplier_stops_once_h_is_zero(monkeypatch):
     h = formula_mod._multiplier(formula_mod._descend(phi.root, path)[0], phi.field, {})
     assert not h
     assert expanded == [phi.node_at((0, 0, 0, 1))]     # the 0; nothing above it
-    assert len(products) == 1
+    assert products == []                              # the first sibling is h
     monkeypatch.undo()
     assert peel_bullets_hold(phi, 3).k == 0
 
@@ -600,7 +601,7 @@ def test_deep_trees_need_no_recursion(recursion_limit):
         assert computes_esp(big, 150, 3)
 
 
-# -- memoized peel rounds: the preorder walk as the oracle ---------------------
+# -- peel rounds on cells: the rebuilding peel as the oracle ------------------
 
 def preorder_degree_vertex(phi, t):
     """The pick as one preorder walk, left before right, so the first vertex
@@ -621,29 +622,65 @@ def preorder_degree_vertex(phi, t):
     return best
 
 
-def checked_picks(monkeypatch):
-    """Route peel_decompose's vertex picks through the oracle; returns the
-    list of picks made, one per round."""
-    real = formula_mod.find_degree_vertex
+def ref_peel_decompose(phi, d_prime):
+    """The peel as a loop over immutable formulas, nothing memoized: each
+    round picks with find_degree_vertex, checked against the preorder walk,
+    and builds the next formula with replace_with_constant.  Returns the
+    decomposition and the picks, one per round."""
+    t = -(-d_prime // 3)
+    cur, pairs, picks = phi, [], []
+    extras = Polynomial.zero(phi.field)
+    while cur.formal_degree() >= d_prime:
+        v = find_degree_vertex(cur, t)
+        assert v == preorder_degree_vertex(cur, t)
+        picks.append(v)
+        steps, node = formula_mod._descend(cur.root, v)
+        h = formula_mod._multiplier(steps, cur.field)
+        g = Formula(node, cur.field).poly()
+        alpha, beta = h.constant_term(), g.constant_term()
+        h0, g0 = h - alpha, g - beta
+        if h0 and g0:
+            pairs.append((h0, g0))
+        if not alpha.is_zero and g0:
+            extras = extras + g0.scale(alpha)
+        cur = replace_with_constant(cur, v, beta)
+    residual = cur if extras.is_zero else cur + formula_mod._poly_to_formula(extras)
+    return formula_mod.PeelDecomposition(phi, residual, pairs, d_prime), picks
+
+
+def recorded_picks(monkeypatch):
+    """Wrap the library peel's per-round pick; returns the list that each
+    pick is appended to, as a path."""
+    real = formula_mod._follow_pick
     made = []
 
-    def checked(phi, t, memo=None):
-        path = real(phi, t, memo)
-        assert path == preorder_degree_vertex(phi, t)
-        made.append(path)
-        return path
+    def recorded(top, picks):
+        steps, vertex = real(top, picks)
+        made.append(tuple(step for _, step in steps))
+        return steps, vertex
 
-    monkeypatch.setattr(formula_mod, "find_degree_vertex", checked)
+    monkeypatch.setattr(formula_mod, "_follow_pick", recorded)
     return made
 
 
+def peel_as_reference(phi, d_prime, made):
+    """Peel phi both ways under recorded_picks; the picks agree round by
+    round and the outputs agree.  Returns the decomposition and the picks."""
+    ref, picks = ref_peel_decompose(phi, d_prime)
+    made.clear()                # find_degree_vertex reads its pick the same way
+    dec = peel_decompose(phi, d_prime)
+    assert made == picks
+    assert dec.to_json() == ref.to_json()
+    return dec, picks
+
+
 def oracle_trees(spec, count):
-    """Seeded trees over gf(5), gf(7), or over q with gf(7)'s shapes and
+    """Seeded trees over spec's field, or over q with gf(7)'s shapes and
     coefficients."""
     rng = SplitMix64(5150)
+    field = GF7 if spec == "q" else make_field(spec)
     for i in range(count):
-        phi = random_formula(rng, GF5 if spec == "gf(5)" else GF7,
-                             max_size=6 + i % 34, nvars=1 + i % 5)
+        phi = random_formula(rng, field, max_size=6 + i % 34, nvars=1 + i % 5)
         yield _copy(phi.root, QQ) if spec == "q" else phi
 
 
@@ -663,49 +700,106 @@ def _copy(root, field=None):
     return Formula(built[0], field or root.field)
 
 
-@pytest.mark.parametrize("spec", ["gf(5)", "gf(7)", "q"])
+@pytest.mark.parametrize("spec", ["gf(5)", "gf(7)", "q", "gf(4)", "gf(9)"])
 def test_every_memoized_pick_matches_the_preorder_walk(monkeypatch, spec):
-    made = checked_picks(monkeypatch)
+    made = recorded_picks(monkeypatch)
+    picks = []
     for phi in oracle_trees(spec, 80):
         for d_prime in range(3, 7):
-            assert peel_decompose(phi, d_prime).identity_holds()
-    assert len(made) > 300
-    assert len(set(made)) > 20
+            dec, round_picks = peel_as_reference(phi, d_prime, made)
+            assert dec.identity_holds()
+            picks += round_picks
+    assert len(picks) > 300
+    assert len(set(picks)) > 20
 
 
 @pytest.mark.parametrize("op", ["+", "*"])
 def test_shared_subtrees_peel_as_their_unshared_copies(monkeypatch, op):
-    made = checked_picks(monkeypatch)
-    rounds = 0
+    made = recorded_picks(monkeypatch)
+    picks = []
     for phi in oracle_trees("gf(5)", 24):
         shared = Formula(Gate(op, phi.root, phi.root), GF5)
         for d_prime in range(3, 7):
-            before = len(made)
-            dec = peel_decompose(shared, d_prime)
-            rounds += len(made) - before
+            dec, round_picks = peel_as_reference(shared, d_prime, made)
+            picks += round_picks
             assert dec.to_json() == peel_decompose(_copy(shared.root), d_prime).to_json()
-    assert rounds > 200
-    # right-hand picks run into gates that left-hand rounds evicted
-    assert sum(path[0] == 1 for path in made) > 50
+    assert len(picks) > 200
+    # half the rounds run in the right-hand copy of the shared subtree
+    assert sum(path[0] == 1 for path in picks) > 50
 
 
 def test_a_pick_memo_reused_with_another_t_gives_no_stale_path():
     phi = f("(x1 * x2 * x3) * (x1 + x2)")
-    memo = {}
     # the root's pick for t = 1 is x1, of formal degree 1, outside [2, 3]
-    assert find_degree_vertex(phi, 1, memo) == (0, 0, 0)
-    assert find_degree_vertex(phi, 2, memo) == (0, 0)
-    assert find_degree_vertex(phi, 1, memo) == (0, 0, 0)
+    assert find_degree_vertex(phi, 1) == (0, 0, 0)
+    assert find_degree_vertex(phi, 2) == (0, 0)
+    assert find_degree_vertex(phi, 1) == (0, 0, 0)
     rng = SplitMix64(808)
     checked = 0
     for i in range(80):
         phi = random_formula(rng, GF5, max_size=8 + i % 30, nvars=3)
-        memo = {}
         ts = list(range(1, phi.formal_degree() // 2 + 1))
         for t in ts + ts[::-1]:
-            assert find_degree_vertex(phi, t, memo) == preorder_degree_vertex(phi, t)
+            assert find_degree_vertex(phi, t) == preorder_degree_vertex(phi, t)
             checked += 1
     assert checked > 200
+
+
+def doubling_dag(levels):
+    """Gate("+", S, S) stacked levels deep over the leaf x4 + 1: formal
+    degree 1, 2^levels paths, levels + 1 distinct nodes."""
+    node = Leaf(parse_polynomial("x4 + 1", GF5))
+    for _ in range(levels):
+        node = Gate("+", node, node)
+    return node
+
+
+def test_a_shared_dag_below_t_is_neither_copied_nor_walked_per_path():
+    def ring(signum, frame):
+        raise TimeoutError("the peel walked the shared DAG path by path")
+
+    dag = doubling_dag(40)
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        low = peel_decompose(Formula(Gate("*", f("x1").root, dag), GF5), 3)
+        high = peel_decompose(Formula(Gate("*", f("x1*x2*x3").root, dag), GF5), 4)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    # identity_holds() and to_json() expand through Formula.poly(), which
+    # walks every path, so only k and the pairs are read here
+    assert (low.k, low.pairs) == (0, [])
+    assert high.k == 1
+    assert high.pairs == [(parse_polynomial("x3*x4 + x3", GF5), parse_polynomial("x1*x2", GF5))]
+
+
+
+def test_a_shared_dag_above_t_costs_its_distinct_gates():
+    def ring(signum, frame):
+        raise TimeoutError("the pick copied the shared DAG path by path")
+
+    # S: 40 levels of Gate("+", S, S) over x5*x6, formal degree 2 >= t = 2,
+    # beside a deeper left side whose pick the one round takes
+    s = f("x5*x6").root
+    for _ in range(40):
+        s = Gate("+", s, s)
+    deep = f("x3*x4").root
+    for _ in range(100):
+        deep = Gate("+", f("2").root, deep)
+    phi = Formula(Gate("+", Gate("*", f("x1").root, Gate("*", f("x2").root, deep)), s), GF5)
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        path = find_degree_vertex(phi, 2)
+        dec = peel_decompose(phi, 4)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert path == (0, 1, 1) + (1,) * 100
+    assert dec.k == 1
+    assert dec.pairs == [(parse_polynomial("x1*x2", GF5), parse_polynomial("x3*x4", GF5))]
+    assert dec.residual.root.right is s
 
 
 # -- output identity: digests of the outputs before the peel memos -------------
@@ -774,26 +868,54 @@ def test_ben_or_outputs_match_the_pinned_digest():
     assert digest.hexdigest() == BEN_OR_DIGEST
 
 
-# -- work bound: a round multiplies along the rebuilt path only ----------------
+# -- work bound: a round works along its path only ---------------------------
 
 def test_peel_multiplies_a_bounded_number_of_times_per_round(monkeypatch):
     chain = parse_formula("*".join(["(x1+x2)"] * 300), GF5)
     counts = Counter()
-    real_mul, real_find = Polynomial.__mul__, formula_mod.find_degree_vertex
+    real_mul = Polynomial.__mul__
 
     def counted_mul(a, b):
         counts["multiplies"] += 1
         return real_mul(a, b)
 
-    def counted_find(*args):
-        counts["rounds"] += 1
-        return real_find(*args)
-
+    made = recorded_picks(monkeypatch)
     monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
-    monkeypatch.setattr(formula_mod, "find_degree_vertex", counted_find)
     dec = peel_decompose(chain, 3)
     monkeypatch.undo()
     # the re-expanding peel made 178,204 multiplies here, about depth per round
-    assert counts["rounds"] == 596
-    assert counts["multiplies"] <= 3 * counts["rounds"]
+    assert len(made) == 596
+    assert counts["multiplies"] <= 3 * len(made)
     assert dec.identity_holds()
+
+
+def test_peel_builds_each_residual_node_once(monkeypatch):
+    chain = parse_formula("*".join(["(x1+x2)"] * 300), GF5)
+    counts = Counter()
+    real_gate, real_leaf = Gate.__init__, Leaf.__init__
+    real_fold = formula_mod._poly_to_formula
+
+    def counted_gate(self, *args):
+        counts["gates"] += 1
+        real_gate(self, *args)
+
+    def counted_leaf(self, *args):
+        counts["leaves"] += 1
+        real_leaf(self, *args)
+
+    def counted_fold(poly):
+        folded = real_fold(poly)
+        counts["folded leaves"] += sum(isinstance(node, Leaf) for _, node in folded.paths())
+        return folded
+
+    made = recorded_picks(monkeypatch)
+    monkeypatch.setattr(Gate, "__init__", counted_gate)
+    monkeypatch.setattr(Leaf, "__init__", counted_leaf)
+    monkeypatch.setattr(formula_mod, "_poly_to_formula", counted_fold)
+    dec = peel_decompose(chain, 3)
+    monkeypatch.undo()
+    # the peel that rebuilt its path each round made 90,888 gates here
+    gates = sum(isinstance(node, Gate) for _, node in dec.residual.paths())
+    assert counts["gates"] <= gates
+    assert counts["leaves"] <= len(made) + counts["folded leaves"]
+    assert dec.to_json() == ref_peel_decompose(chain, 3)[0].to_json()
