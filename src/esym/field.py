@@ -47,7 +47,9 @@ degree-d part of an affine product (border.py) run the same DP.
 The e_j of a list of raw values run on one scalar kernel per kind, esp_raw:
 GF(p) takes one % p per step, GF(2^k) xors antilog reads, odd GF(p^k) adds
 logs by the Zech table inline, and Q runs the generic esp_sweep, which is
-also the kernels' test oracle.  Zero values are skipped.
+also the kernels' test oracle.  Zero values are skipped.  horner_raw, the
+value of a raw coefficient list at a raw point, is the one Horner kernel,
+inlined the same way per kind; Q runs the generic add_raw/mul_raw loop.
 """
 
 from __future__ import annotations
@@ -308,6 +310,16 @@ class FieldDescriptor:
         factor 1 + 0*z is 1; row j is touched once j nonzero values are in."""
         return esp_sweep(values, dmax, self.zero_raw, self.one_raw, self.add_raw, self.mul_raw)
 
+    def horner_raw(self, coeffs, x):
+        """sum_i coeffs[i] * x^i for raw coefficients listed constant first
+        and a raw x, by Horner's rule; zero for an empty list.  Q runs this
+        loop on add_raw and mul_raw; the finite kinds inline their arithmetic."""
+        add, mul = self.add_raw, self.mul_raw
+        acc = self.zero_raw
+        for c in reversed(coeffs):
+            acc = add(mul(acc, x), c)
+        return acc
+
 
 class RationalField(FieldDescriptor):
     """Q: raw values are Fractions."""
@@ -410,6 +422,13 @@ class PrimeField(FieldDescriptor):
                 for j in range(top, 0, -1):
                     table[j] = (table[j] + v * table[j - 1]) % p
         return table
+
+    def horner_raw(self, coeffs, x):
+        """One % p per step."""
+        p, acc = self.p, 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        return acc
 
     def _raw_from_str(self, s: str) -> int:
         if not _INTEGER_RE.fullmatch(s):
@@ -595,6 +614,38 @@ class ExtensionField(FieldDescriptor):
                         a += z
                         logs[j] = a - group if a >= group else a
         return [0 if a is None else exp[a] for a in logs]
+
+    def horner_raw(self, coeffs, x):
+        """x's log once.  GF(2^k): one antilog read xored in per step.  Odd
+        p: the accumulator is held as a log (None for zero), moves by x's log
+        and adds each nonzero coefficient by the Zech table inline."""
+        if not x:
+            return coeffs[0] if coeffs else 0
+        log = self._log
+        lx = log[x]
+        if self.p == 2:
+            exp2, acc = self._exp2, 0
+            for c in reversed(coeffs):
+                acc = exp2[log[acc] + lx] ^ c if acc else c
+            return acc
+        exp, zech, group = self._exp, self._zech, self._group
+        a = None
+        for c in reversed(coeffs):
+            if a is not None:
+                a += lx
+                if a >= group:
+                    a -= group
+            if c:
+                lc = log[c]
+                if a is None:
+                    a = lc
+                elif (z := zech[a - lc]) < 0:        # g^lc + g^a = g^lc (1 + g^(a-lc))
+                    a = None
+                else:
+                    a = lc + z
+                    if a >= group:
+                        a -= group
+        return 0 if a is None else exp[a]
 
     # -- elements, printing and parsing ----------------------------------------
 
@@ -851,20 +902,11 @@ def _embedding_root(src: ExtensionField, host: ExtensionField) -> int:
     """Raw image in host of src's generator t: the first root of src.modulus."""
     key = (src, host)
     if key not in _EMBED_ROOTS:
-        root = next((x for x in range(host.order) if _horner(host, src.modulus, x) == 0), None)
+        root = next((x for x in range(host.order) if host.horner_raw(src.modulus, x) == 0), None)
         if root is None:
             raise FieldError(f"{src} does not embed in {host}")
         _EMBED_ROOTS[key] = root
     return _EMBED_ROOTS[key]
-
-
-def _horner(host: FieldDescriptor, coeffs, x):
-    """sum_i coeffs[i] * x^i in host, for prime-subfield coefficients listed
-    constant first and a raw host value x."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = host.add_raw(host.mul_raw(acc, x), c % host.p)
-    return acc
 
 
 def embed(element: FieldElement, host: FieldDescriptor) -> FieldElement:
@@ -879,7 +921,8 @@ def embed(element: FieldElement, host: FieldDescriptor) -> FieldElement:
     if host.k % src.k != 0:
         raise FieldError(f"{src} is not a subfield of {host}")
     digits = _base_p_digits(element.raw, src.p, src.k)
-    return FieldElement(host, _horner(host, digits, _embedding_root(src, host)))
+    # a digit c < p is the raw of the prime-subfield constant c in host
+    return FieldElement(host, host.horner_raw(digits, _embedding_root(src, host)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,16 @@ every other factor one leaf literal of degree <= 1, on poly's splitter and
 explicit-stack driver.
 
 ben_or solves its transposed Vandermonde system in O(n^2) field
-operations through the Lagrange basis and builds each leaf label as one
-packed term dict over keys shared by every leaf; computes_esp checks a
-tree of its shape without the 2^n expansion.
+operations through the Lagrange basis: with P = prod_j (x - a_j) built once,
+c_j is the Horner value at a_j of P's coefficients above x^(n-d) over
+P'(a_j), two calls of the field's horner_raw kernel per j.  It builds each
+leaf label as one packed term dict over keys shared by every leaf;
+computes_esp checks a tree of its shape without the 2^n expansion.
+
+Formula.poly() and str count each distinct gate's parents in one walk
+(_sharing): poly() keeps the expansions of shared gates only, so a DAG
+costs its distinct gates and a tree keeps no memo, and str refuses more
+than MAX_RENDER_LEAVES leaves, counted with multiplicity, before any text.
 """
 
 from __future__ import annotations
@@ -50,6 +57,10 @@ from .symfunc import gen_esp
 # ben_or's leaf count n(n+1) may not pass this; at about 500 bytes a leaf
 # it keeps a Ben-Or tree near 2 GB at most, and ben_or(2000) within reach
 MAX_BEN_OR_LEAVES = 1 << 22
+# str(Formula) renders at most this many leaves, counted with multiplicity,
+# so that every tree ben_or admits prints and no shared-gate DAG's
+# exponentially long text is ever built
+MAX_RENDER_LEAVES = MAX_BEN_OR_LEAVES
 
 
 class FormulaError(ValueError):
@@ -72,7 +83,7 @@ class Leaf:
         if deg > 1:
             raise FormulaError(f"leaf label {label} has degree > 1")
         self.label = label
-        self.fdeg = max(deg, 0)
+        self.fdeg = deg if deg > 0 else 0
         self.size = 1 if deg == 1 else 0
         self.nvars = label.nvars
         self.field = label.field
@@ -89,22 +100,27 @@ class Gate:
     __slots__ = ("op", "left", "right", "fdeg", "size", "nvars", "field")
 
     def __init__(self, op: str, left, right):
-        if op not in ("+", "*"):
+        if op != "*" and op != "+":
             raise FormulaError(f"unknown gate op {op!r}")
-        if not isinstance(left, (Leaf, Gate)):
+        if not isinstance(left, _NODES):
             raise FormulaError(f"not a formula node: {left!r}")
-        if not isinstance(right, (Leaf, Gate)):
+        if not isinstance(right, _NODES):
             raise FormulaError(f"not a formula node: {right!r}")
-        if left.field is not right.field:
-            raise FieldError(f"mixed fields in a formula gate: {left.field} and {right.field}")
+        field = left.field
+        if field is not right.field:
+            raise FieldError(f"mixed fields in a formula gate: {field} and {right.field}")
         self.op = op
         self.left = left
         self.right = right
         a, b = left.fdeg, right.fdeg
-        self.fdeg = max(a, b) if op == "+" else a + b
+        self.fdeg = (a if a > b else b) if op == "+" else a + b
         self.size = left.size + right.size
-        self.nvars = max(left.nvars, right.nvars)
-        self.field = left.field
+        a, b = left.nvars, right.nvars
+        self.nvars = a if a > b else b
+        self.field = field
+
+
+_NODES = (Leaf, Gate)
 
 
 class Formula:
@@ -156,8 +172,9 @@ class Formula:
         return self.root.fdeg
 
     def poly(self) -> Polynomial:
-        """The computed polynomial, expanded exactly."""
-        return _poly(self.root)
+        """The computed polynomial, expanded exactly: each distinct gate
+        once, as only the gates with more than one parent keep theirs."""
+        return _poly(self.root, {}, _sharing(self.root)[0])
 
     # -- node addressing -----------------------------------------------------
 
@@ -172,6 +189,10 @@ class Formula:
         return Formula(self.node_at(path), self.field)
 
     def __str__(self):
+        leaves = _sharing(self.root)[1]
+        if leaves > MAX_RENDER_LEAVES:
+            raise FormulaError(f"the formula renders {leaves} leaves, past the fixed bound "
+                               f"of {MAX_RENDER_LEAVES}")
         return _render(self.root)
 
     def __repr__(self):
@@ -200,11 +221,34 @@ def _descend(root, path):
     return steps, node
 
 
-def _poly(root, memo=None) -> Polynomial:
+def _sharing(root):
+    """(shared, leaves): the set of distinct gates under root with more than
+    one parent, and the number of leaves under root counted with
+    multiplicity, the leaves str renders.  One walk over the distinct gates:
+    a gate is expanded once, counting one parent per child gate, and a child
+    still waiting on the stack is pushed again, so in a DAG every child is
+    finished before its parent."""
+    parents, leaves, stack = {}, {}, [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            leaves[node] = leaves.get(node.left, 1) + leaves.get(node.right, 1)
+        elif isinstance(node, Gate) and node not in leaves:
+            stack.append((node, True))
+            for child in (node.right, node.left):
+                if isinstance(child, Gate):
+                    parents[child] = parents.get(child, 0) + 1
+                    if child not in leaves:
+                        stack.append((child, False))
+    return {gate for gate, k in parents.items() if k > 1}, leaves.get(root, 1)
+
+
+def _poly(root, memo=None, shared=None) -> Polynomial:
     """The polynomial the tree computes, each gate combining left with right.
 
     memo, when given, maps gates to their expansions: a gate found there is
-    read, not walked, and every gate expanded here is added to it.
+    read, not walked, and every gate expanded here is added to it, or only
+    those in shared when that is given.
     """
     values = []
     stack = [(root, False)]
@@ -215,7 +259,7 @@ def _poly(root, memo=None) -> Polynomial:
         elif ready:
             b, a = values.pop(), values.pop()
             values.append(a + b if node.op == "+" else a * b)
-            if memo is not None:
+            if memo is not None and (shared is None or node in shared):
                 memo[node] = values[-1]
         elif memo is not None and node in memo:
             values.append(memo[node])
@@ -512,26 +556,18 @@ def _interpolation_weights(nodes, m: int, F: FieldDescriptor):
     This transposed Vandermonde system is solved by c_j = [x^m] L_j(x) for
     the Lagrange basis L_j = prod_{i != j} (x - a_i)/(a_j - a_i): summing
     L_j(x) a_j^k over j interpolates x^k.  P = prod (x - a_j) is built
-    once; per j, synthetic division of P by x - a_j down to x^m gives the
-    numerator and a product of differences the denominator, so the solve
-    costs O(len(nodes)^2) field operations.
+    once.  Per j, two calls of the field's Horner kernel: [x^m] of
+    P / (x - a_j) is the value of P's coefficients above x^m at a_j, and
+    the denominator prod_{i != j} (a_j - a_i) is P'(a_j), nonzero in every
+    characteristic because P is squarefree.  The solve costs
+    O(len(nodes)^2) field operations.
     """
-    add, sub, mul = F.add_raw, F.sub_raw, F.mul_raw
-    one = F.one_raw
+    mul, horner = F.mul_raw, F.horner_raw
     # P = sum_j e_j(-a) x^(len - j): its coefficients are the e_j backwards
     P = F.esp_raw([F.neg_raw(a) for a in nodes], len(nodes))[::-1]
-    top = len(nodes) - 1                     # degree of P / (x - a_j)
-    weights = []
-    for j, a in enumerate(nodes):
-        q = one
-        for k in range(top, m, -1):
-            q = add(P[k], mul(a, q))
-        den = one
-        for i, b in enumerate(nodes):
-            if i != j:
-                den = mul(den, sub(a, b))
-        weights.append(mul(q, F.inv_raw(den)))
-    return weights
+    high = P[m + 1:]
+    dP = [mul(F.coerce_raw(k), P[k]) for k in range(1, len(P))]   # P' = sum k P_k x^(k-1)
+    return [mul(horner(high, a), F.inv_raw(horner(dP, a))) for a in nodes]
 
 
 def computes_esp(phi: Formula, n: int, d: int) -> bool:

@@ -16,9 +16,10 @@ count_v2 walk strata, not points.  A stratum is a set of r <= d-1 distinct
 values with a composition of n into r positive multiplicities m_i; it stands
 for the n!/prod m_i! points that arrange it.  The exact test of a stratum
 is one generating-function sweep on the field's scalar kernel (esp_raw),
-giving e_0..e_d of its n coordinates, and, when e_d vanishes, one Horner
-pass in -v checking P(v) = 0 for each distinct value v: O(n*d) ring
-operations in place of one test for each of its points.
+giving e_0..e_d of its n coordinates, and, when e_d vanishes, one pass of
+the field's Horner kernel (horner_raw) for each distinct value v: the
+coefficients e_(d-1), ..., e_0 at -v, checking P(v) = 0.  That is O(n*d)
+ring operations in place of one test for each of its points.
 
 Scaling orbits cut the strata tested by a factor of about q.  e_d is
 homogeneous: e_j(lam*x) = lam^j e_j(x), and each partial d e_d / d x_i
@@ -126,17 +127,14 @@ def _scan_esp(f: Polynomial):
 
 def _order2_vanishes(F: FieldDescriptor, d: int, coords, values) -> bool:
     """Whether e_d and d e_d / d x_i = P(x_i) vanish at raw coordinates in F
-    whose distinct values are values, by one sweep and one Horner pass per
-    value."""
+    whose distinct values are values, by one sweep and one horner_raw call
+    per value."""
     e, zero = F.esp_raw(coords, d), F.zero_raw
     if e[d] != zero:
         return False
-    add, mul, neg, one = F.add_raw, F.mul_raw, F.neg_raw, F.one_raw
+    P, horner, neg = e[d - 1::-1], F.horner_raw, F.neg_raw   # P(y) = sum_j e_(d-1-j) (-y)^j
     for x in values:
-        m, acc = neg(x), one  # Horner for sum_j (-x)^j e_(d-1-j)
-        for j in range(1, d):
-            acc = add(mul(acc, m), e[j])
-        if acc != zero:
+        if horner(P, neg(x)) != zero:
             return False
     return True
 

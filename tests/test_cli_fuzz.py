@@ -6,7 +6,9 @@ with exit 0, 1 or 2 (argparse's usage exit is 2), and an exit 1 must print
 exactly one `error:` line.  Sizes stay small; the only large integers are
 boundary values that are refused before any work: negative, 2049 (one past
 the variable-index bound) and 2^64.  Half of the `formula peel` draws run
-over an extension field, whose constants are not prime-subfield ints.
+over an extension field, whose constants are not prime-subfield ints, and
+half of the `formula ben-or` draws name a field of their own, so that its
+interpolation solve runs on each kind's Horner kernel.
 """
 
 import json
@@ -125,7 +127,8 @@ def _leaf(rng):
         argv = ["formula", "peel", "--formula", _formula_text(rng), "--dprime", small(0, 4)]
         return argv + (["--field", _pick(rng, EXTENSIONS)] if rng.below(2) else [])
     if kind == 10:
-        return ["formula", "ben-or", "--n", small(0, 8), "--d", small(0, 8)]
+        argv = ["formula", "ben-or", "--n", small(0, 8), "--d", small(0, 8)]
+        return argv + (["--field", _field(rng)] if rng.below(2) else [])
     if kind == 11:
         argv = ["formula", "bound", "--n", small(0, 12), "--d", small(0, 6)]
         return argv + (["--dim", small(0, 5)] if rng.below(2) else [])

@@ -607,3 +607,34 @@ def test_esp_raw_matches_the_generic_sweep(spec):
     if F.order is not None and F.order <= 27:
         values = list(range(F.order))
         assert F.esp_raw(values, F.order) == oracle(values, F.order)
+
+
+# -- the Horner kernel ------------------------------------------------------------
+
+HORNER_SPECS = (["q", "gf(2)", "gf(5)", "gf(1009)"]
+                + [f"gf({p}^{k})" for p, k in _MODULUS_TABLE]
+                + ["gf(2^8;1,0,1,1,1,0,0,0,1)"])
+
+
+@pytest.mark.parametrize("spec", HORNER_SPECS)
+def test_horner_raw_matches_the_generic_loop(spec):
+    # seeded coefficient lists with zeros among them (leading and trailing
+    # too), at 0, 1 and seeded points, against Horner's rule on add_raw and
+    # mul_raw; the list may be empty
+    F = make_field(spec)
+    rng = SplitMix64(91)
+
+    def oracle(coeffs, x):
+        acc = F.zero_raw
+        for c in reversed(coeffs):
+            acc = F.add_raw(F.mul_raw(acc, x), c)
+        return acc
+
+    for size in (0, 1, 2, 3, 7, 20):
+        for _ in range(8):
+            coeffs = [F.zero_raw if rng.below(3) == 0 else random_raw(F, rng)
+                      for _ in range(size)]
+            for x in (F.zero_raw, F.one_raw, random_raw(F, rng), random_raw(F, rng)):
+                assert F.horner_raw(coeffs, x) == oracle(coeffs, x), (coeffs, x)
+    assert F.horner_raw([], F.zero_raw) == F.horner_raw([], F.one_raw) == F.zero_raw
+    assert F.horner_raw([F.zero_raw] * 5, random_raw(F, rng)) == F.zero_raw

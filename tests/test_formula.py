@@ -37,6 +37,7 @@ GF5 = make_field("gf(5)")
 GF7 = make_field("gf(7)")
 GF11 = make_field("gf(11)")
 GF16 = make_field("gf(16)")
+GF27 = make_field("gf(27)")
 GF1009 = make_field("gf(1009)")
 
 
@@ -482,8 +483,10 @@ def _solve_linear(rows, rhs, F):
     return [m[r][n] for r in range(n)]
 
 
-@pytest.mark.parametrize("field", [GF11, GF1009, QQ, GF16], ids=str)
+@pytest.mark.parametrize("field", [GF11, GF1009, QQ, GF16, GF27], ids=str)
 def test_interpolation_weights_match_gaussian_elimination(field):
+    # GF(27): odd characteristic in an extension, where some k*P_k of the
+    # derivative vanish mod 3
     for n in range(0, 13):
         if field.order is not None and field.order < n + 1:
             break
@@ -764,11 +767,15 @@ def test_a_shared_dag_below_t_is_neither_copied_nor_walked_per_path():
     try:
         low = peel_decompose(Formula(Gate("*", f("x1").root, dag), GF5), 3)
         high = peel_decompose(Formula(Gate("*", f("x1*x2*x3").root, dag), GF5), 4)
+        # Formula.poly() expands each distinct gate once, so the identity
+        # is checked in time; the residual's text would be 2^40 leaves long
+        assert low.identity_holds() and high.identity_holds()
+        with pytest.raises(FormulaError, match=r"^the formula renders \d+ leaves, past the "
+                                               r"fixed bound of 4194304$"):
+            high.to_json()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
-    # identity_holds() and to_json() expand through Formula.poly(), which
-    # walks every path, so only k and the pairs are read here
     assert (low.k, low.pairs) == (0, [])
     assert high.k == 1
     assert high.pairs == [(parse_polynomial("x3*x4 + x3", GF5), parse_polynomial("x1*x2", GF5))]
@@ -793,6 +800,7 @@ def test_a_shared_dag_above_t_costs_its_distinct_gates():
     try:
         path = find_degree_vertex(phi, 2)
         dec = peel_decompose(phi, 4)
+        assert dec.identity_holds()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
@@ -800,6 +808,58 @@ def test_a_shared_dag_above_t_costs_its_distinct_gates():
     assert dec.k == 1
     assert dec.pairs == [(parse_polynomial("x1*x2", GF5), parse_polynomial("x3*x4", GF5))]
     assert dec.residual.root.right is s
+
+
+def random_dag(rng, gates):
+    """A DAG over GF(5) whose every gate takes two random earlier nodes, so
+    that gates are shared; the last gate is the root."""
+    nodes = [f(text).root for text in ("x1 + 1", "2*x2", "3", "x3")]
+    for _ in range(gates):
+        a, b = nodes[rng.below(len(nodes))], nodes[rng.below(len(nodes))]
+        nodes.append(Gate("+" if rng.below(2) else "*", a, b))
+    return nodes[-1]
+
+
+def test_sharing_matches_a_walk_of_every_path():
+    # the parents and leaves _sharing counts over distinct gates, against a
+    # walk of every root-to-leaf path; poly() against the memo-free _poly
+    rng = SplitMix64(17)
+    for gates in (1, 2, 5, 9, 14):
+        for _ in range(10):
+            root = random_dag(rng, gates)
+            phi = Formula(root, GF5)
+            distinct = {node for _, node in phi.paths() if isinstance(node, Gate)}
+            parents = Counter(child for gate in distinct for child in (gate.left, gate.right)
+                              if isinstance(child, Gate))
+            shared, leaves = formula_mod._sharing(root)
+            assert shared == {gate for gate, k in parents.items() if k > 1}
+            assert leaves == sum(isinstance(node, Leaf) for _, node in phi.paths())
+            assert phi.poly() == formula_mod._poly(root)
+    # a child met first from the root but expanded under a later sibling:
+    # r = b + x with b = x * w must finish x before b
+    x = f("x1*x2 + 3").root
+    b = Gate("*", x, f("x3").root)
+    assert formula_mod._sharing(Gate("+", b, x)) == ({x}, 7)
+    assert formula_mod._sharing(f("x1").root) == (set(), 1)
+    tree = ben_or(6, 3, GF11)
+    assert formula_mod._sharing(tree.root) == (set(), tree.size)
+
+
+def test_str_refuses_past_the_render_bound_before_any_text(monkeypatch):
+    assert formula_mod.MAX_RENDER_LEAVES >= formula_mod.MAX_BEN_OR_LEAVES
+
+    def forbidden(*args):
+        raise AssertionError("str built text past the render bound")
+
+    monkeypatch.setattr(formula_mod, "MAX_RENDER_LEAVES", 8)
+    text = "(x4 + 1)"
+    for _ in range(3):
+        text = f"({text} + {text})"
+    assert str(Formula(doubling_dag(3), GF5)) == text          # 8 leaves: at the bound
+    monkeypatch.setattr(formula_mod, "_render", forbidden)
+    with pytest.raises(FormulaError, match=r"^the formula renders 16 leaves, past the "
+                                           r"fixed bound of 8$"):
+        str(Formula(doubling_dag(4), GF5))
 
 
 # -- output identity: digests of the outputs before the peel memos -------------
