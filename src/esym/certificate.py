@@ -18,6 +18,14 @@ TRIAL_CAP bounds the block trials and is checked before each layer's work.
 partitions_evaluated reports the partitions covered, partition_count(n,
 p+1), not a count of partitions visited.
 
+A state adds its blocks into the next layer through the field's row kernel,
+addmul_row, one call per state and no field method call per block trial.
+Over GF(p) the trials sum plain integers, and finish_terms reduces the layer
+mod p once, at its end, dropping the states that sum to zero.  Over GF(2^k)
+a trial xors in one antilog read at the state value's log plus the block's,
+and over odd GF(p^k) it adds by the Zech logarithm table, as esp_raw does;
+finish_terms drops their zero states at the layer's end too.
+
 The block polynomial x1..x(p+1) + x(p+2)..x(2p+2) + ... sits outside the
 class this way; random members built from reducible products and (p+1)-th
 powers give the null model that the sum vanishes on.
@@ -94,58 +102,55 @@ def partition_sum(f: Polynomial, p: int) -> FieldElement:
     size = p + 1
     partition_count(n, size)  # raises unless size divides n
     fld = f.field
-    zero, add, mul = fld.zero_raw, fld.add_raw, fld.mul_raw
-    coeffs = _block_table(f, size)
-    anchored = [[] for _ in range(n)]     # blocks by their lowest index
-    for block in coeffs:
-        anchored[(block & -block).bit_length() - 1].append(block)
+    # the blocks by their lowest index, each as {the block without it: raw}
+    rests = [{} for _ in range(n)]
+    for block, c in _block_table(f, size).items():
+        anchor = block & -block
+        rests[anchor.bit_length() - 1][block ^ anchor] = c
     states = {0: fld.one_raw}             # used variables -> partial sum
+    addmul_row, finish = fld.addmul_row, fld.finish_terms
+    bits = [1 << i for i in range(n)]
     trials = 0
     for layer in range(n // size):
         # the blocks that can extend a state: those anchored at its lowest
         # free index, or that index with any size - 1 of the others
         picks = math.comb(n - layer * size - 1, size - 1)
-        trials += sum(min(picks, len(anchored[_lowest_free(m)])) for m in states)
+        lows = [((m + 1) & ~m).bit_length() - 1 for m in states]   # lowest free
+        cost = [min(picks, len(rest)) for rest in rests]
+        trials += sum(map(cost.__getitem__, lows))
         if trials > TRIAL_CAP:
             raise CertificateError(f"{trials} block trials exceed the cap of {TRIAL_CAP}")
         grown = {}
-        for mask, value in states.items():
-            low = _lowest_free(mask)
-            if len(anchored[low]) <= picks:
-                blocks = [b for b in anchored[low] if not b & mask]
+        for (mask, value), low in zip(states.items(), lows):
+            rest = rests[low]
+            if len(rest) <= picks:
+                keys = [r for r in rest if not r & mask]
             else:
-                free = [1 << i for i in range(low + 1, n) if not mask >> i & 1]
-                subsets = ((1 << low) + sum(rest)
-                           for rest in itertools.combinations(free, size - 1))
-                blocks = [b for b in subsets if b in coeffs]
-            for block in blocks:
-                key = mask | block
-                grown[key] = add(grown.get(key, zero), mul(value, coeffs[block]))
-        states = {m: v for m, v in grown.items() if v != zero}
-    return FieldElement(fld, states.get((1 << n) - 1, zero))
+                free = [b for b in bits[low + 1:] if not b & mask]
+                keys = filter(rest.__contains__, map(sum, itertools.combinations(free, size - 1)))
+            addmul_row(grown, mask | 1 << low, value, keys, rest)
+        states = finish(grown)
+    return FieldElement(fld, states.get((1 << n) - 1, fld.zero_raw))
+
+
+_BITS = bytes.maketrans(b"\0\1", b"01")
+_STEP = WIDTH // 8                       # bytes per exponent field
 
 
 def _block_table(f: Polynomial, size: int) -> dict:
     """{block mask: raw coefficient} of f's squarefree terms of degree size,
     read off the packed keys: bit i-1 of the mask is x_i, whose exponent
-    field starts at bit WIDTH*i of a key."""
+    field starts at bit WIDTH*i of a key.  In a key's big-endian bytes the
+    low byte of x_n's field comes first and x_1's last, _STEP bytes apart,
+    so that slice, read as binary digits, is the mask."""
     table = {}
+    width = _STEP * (f.nvars + 1)
     for key, raw in f._terms.items():
-        rest = key >> WIDTH
         # degree size in size one-bits: every exponent is 0 or 1
-        if key & _MASK == size and rest.bit_count() == size:
-            block = 0
-            while rest:
-                low = rest & -rest
-                block |= 1 << ((low.bit_length() - 1) // WIDTH)
-                rest ^= low
-            table[block] = raw
+        if key & _MASK == size and (key >> WIDTH).bit_count() == size:
+            lows = key.to_bytes(width, "big")[_STEP - 1:-_STEP:_STEP]
+            table[int(lows.translate(_BITS), 2)] = raw
     return table
-
-
-def _lowest_free(mask: int) -> int:
-    """Index of the lowest zero bit of mask."""
-    return ((mask + 1) & ~mask).bit_length() - 1
 
 
 @dataclass

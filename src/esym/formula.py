@@ -358,23 +358,24 @@ def split_linear(phi: Formula, path):
 
     phi is affine in the value of any one subtree v, so f = phi[v := 0],
     the tree with v replaced by 0, and h is the product of the siblings at
-    the * gates on the path.
+    the * gates on the path.  Like poly(), both expand each distinct gate
+    once, keeping the expansions of the shared gates only.
     """
-    h = _multiplier(_descend(phi.root, path)[0], phi.field)
+    h = _multiplier(_descend(phi.root, path)[0], phi.field, {}, _sharing(phi.root)[0])
     return h, replace_with_constant(phi, path, 0).poly()
 
 
-def _multiplier(steps, field: FieldDescriptor, memo=None) -> Polynomial:
+def _multiplier(steps, field: FieldDescriptor, memo=None, shared=None) -> Polynomial:
     """h of split_linear from _descend's steps: the product of the siblings
     at the * gates on the path, multiplied in from the vertex upward, so the
     constants that earlier peel rounds leave near the vertex meet h while it
     is small; the first sibling is h, not 1 times it.  Siblings at + gates
-    are never expanded, and once h is 0 no further sibling is.  memo is
-    passed on to _poly."""
+    are never expanded, and once h is 0 no further sibling is.  memo and
+    shared are passed on to _poly."""
     h = None
     for gate, step in reversed(steps):
         if gate.op == "*":
-            sibling = _poly(gate.right if step == 0 else gate.left, memo)
+            sibling = _poly(gate.right if step == 0 else gate.left, memo, shared)
             h = h * sibling if h else sibling
             if not h:
                 break

@@ -20,7 +20,7 @@ from esym.certificate import (
 )
 from esym.border import EpsSeries, approx_extract, esp_of_series
 from esym.cli import main
-from esym.field import make_field
+from esym.field import FieldElement, make_field
 from esym.poly import LinearForm, Polynomial, parse_polynomial
 from esym.rng import SplitMix64
 from poly_oracles import multilinear_coefficients
@@ -150,13 +150,14 @@ def test_partition_sum_trial_cap_refuses_before_the_work(monkeypatch, capsys, tm
     assert first * 100 < certificate.TRIAL_CAP < math.comb(n - 2, 2) * math.comb(n - 4, 2)
     f = _two_anchor_blocks(n)
     products = []
-    mul = type(GF2).mul_raw
+    addmul_row = type(GF2).addmul_row
 
-    def counted_mul(self, a, b):
-        products.append((a, b))
-        return mul(self, a, b)
+    def counted_row(self, acc, base, value, keys, table):
+        keys = list(keys)
+        products.extend(keys)
+        return addmul_row(self, acc, base, value, keys, table)
 
-    monkeypatch.setattr(type(GF2), "mul_raw", counted_mul)
+    monkeypatch.setattr(type(GF2), "addmul_row", counted_row)
     with pytest.raises(CertificateError, match=f"exceed the cap of {certificate.TRIAL_CAP}$"):
         partition_sum(f, 2)
     assert len(products) == first
@@ -225,7 +226,8 @@ def _random_polynomial(rng, field, n, block_size, density):
     return Polynomial(field, terms, n)
 
 
-@pytest.mark.parametrize("spec,p", [("gf(2)", 2), ("gf(3)", 3), ("gf(5)", 5), ("gf(4)", 2)])
+@pytest.mark.parametrize("spec,p", [("gf(2)", 2), ("gf(3)", 3), ("gf(5)", 5), ("gf(4)", 2),
+                                    ("gf(8)", 2), ("gf(9)", 3)])
 def test_dp_matches_enumeration_on_random_polynomials(spec, p):
     field = make_field(spec)
     rng = random.Random(f"{spec} {p}")
@@ -297,6 +299,100 @@ def test_block_table_reads_the_packed_keys(monkeypatch, spec, p):
             with monkeypatch.context() as m:
                 m.setattr(certificate, "_block_table", _multilinear_table)
                 assert partition_sum(f, p) == value
+
+
+# -- the generic DP oracle, past the enumeration's reach ----------------------------
+
+def ref_partition_sum(f, p):
+    """The partition sum by the subset DP on add_raw and mul_raw, one call
+    of each per block trial and no cap: the DP before the per-kind row
+    kernels, reading its blocks through multilinear_coefficients."""
+    fld, n, size = f.field, f.nvars, p + 1
+    zero, add, mul = fld.zero_raw, fld.add_raw, fld.mul_raw
+    coeffs = _multilinear_table(f, size)
+    anchored = [[] for _ in range(n)]
+    for block in coeffs:
+        anchored[(block & -block).bit_length() - 1].append(block)
+    states = {0: fld.one_raw}
+    for layer in range(n // size):
+        picks = math.comb(n - layer * size - 1, size - 1)
+        grown = {}
+        for mask, value in states.items():
+            low = ((mask + 1) & ~mask).bit_length() - 1
+            if len(anchored[low]) <= picks:
+                blocks = [b for b in anchored[low] if not b & mask]
+            else:
+                free = [1 << i for i in range(low + 1, n) if not mask >> i & 1]
+                subsets = ((1 << low) + sum(rest)
+                           for rest in itertools.combinations(free, size - 1))
+                blocks = [b for b in subsets if b in coeffs]
+            for block in blocks:
+                key = mask | block
+                grown[key] = add(grown.get(key, zero), mul(value, coeffs[block]))
+        states = {m: v for m, v in grown.items() if v != zero}
+    return FieldElement(fld, states.get((1 << n) - 1, zero))
+
+
+@pytest.mark.parametrize("k,p,ell", [(3, 2, 6), (1, 3, 4)])
+def test_dp_matches_the_generic_dp_on_members(k, p, ell):
+    # 1.9*10^8 and 2.6*10^6 partitions; a member's sum vanishes (ell >
+    # k(p-1)), and with the block polynomial added it need not
+    assert partition_count((p + 1) * ell, p + 1) > 2 * 10**6
+    block = hard_poly(BlockPolynomialSpec(p, ell))
+    values = []
+    for seed in range(2):
+        f = random_member(k, p, ell, seed)
+        assert partition_sum(f, p) == ref_partition_sum(f, p) == make_field(p).zero
+        values.append(partition_sum(f + block, p))
+        assert values[-1] == ref_partition_sum(f + block, p)
+    assert any(values)
+
+
+@pytest.mark.parametrize("spec,p,n", [("gf(4)", 2, 15), ("gf(8)", 2, 15), ("gf(9)", 3, 16)])
+def test_dp_matches_the_generic_dp_on_random_polynomials(spec, p, n):
+    # sparse inputs take the anchored blocks, dense ones the free subsets
+    field = make_field(spec)
+    rng = random.Random(f"generic {spec}")
+    values = []
+    for density in (0.2, 0.2, 1.0):
+        f = _random_polynomial(rng, field, n, p + 1, density)
+        values.append(partition_sum(f, p))
+        assert values[-1] == ref_partition_sum(f, p)
+    assert any(values)
+
+
+@pytest.mark.parametrize("spec,p", [("gf(3)", 3), ("gf(8)", 2), ("gf(9)", 3)])
+def test_no_block_trial_calls_add_raw_or_mul_raw(monkeypatch, spec, p):
+    field = make_field(spec)
+    rng = random.Random(f"no calls {spec}")
+    inputs = [_random_polynomial(rng, field, n, p + 1, density)
+              for n in (2 * (p + 1), 3 * (p + 1)) for density in (0.3, 1.0)]
+    want = [enumerated_partition_sum(f, p) for f in inputs]
+
+    def forbidden(*args):
+        raise AssertionError("a block trial called a field method")
+
+    with monkeypatch.context() as m:
+        m.setattr(type(field), "add_raw", forbidden)
+        m.setattr(type(field), "mul_raw", forbidden)
+        got = [partition_sum(f, p) for f in inputs]
+    assert got == want
+    assert any(want)
+
+
+def test_trial_cap_counts_the_same_trials():
+    # random_member(3, 2, 7, 1) takes 96, 7332, 132926, 636257, 974777,
+    # 1010827 and 1010934 block trials by the end of its seven layers
+    f = random_member(3, 2, 7, 1)
+    for cap, trials in ((100_000, 132_926), (1_010_933, 1_010_934)):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(certificate, "TRIAL_CAP", cap)
+            with pytest.raises(CertificateError,
+                               match=f"^{trials} block trials exceed the cap of {cap}$"):
+                partition_sum(f, 2)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(certificate, "TRIAL_CAP", 1_010_934)
+        assert partition_sum(f, 2).is_zero
 
 
 def test_empty_partition_sum_is_one():

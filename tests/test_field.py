@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esym.field import (
+    FieldDescriptor,
     FieldElement,
     FieldError,
     QQ,
@@ -512,7 +513,8 @@ def test_literal_errors_keep_their_cause():
 
 # -- the product kernel -------------------------------------------------------
 
-KERNEL_SPECS = ["q", "gf(5)", "gf(1009)", "gf(4)", "gf(8)", "gf(2^8;1,0,1,1,1,0,0,0,1)", "gf(9)"]
+KERNEL_SPECS = ["q", "gf(5)", "gf(1009)", "gf(4)", "gf(8)", "gf(2^8;1,0,1,1,1,0,0,0,1)", "gf(9)",
+                "gf(27)"]
 
 
 def oracle_mul_terms(F, a: dict, b: dict) -> dict:
@@ -582,6 +584,28 @@ def test_an_accumulator_keeps_cancelled_terms_until_the_finish(spec):
     assert F.finish_terms(out) == {1: F.one_raw}
 
 
+@pytest.mark.parametrize("spec", ["gf(5)", "gf(4)", "gf(8)", "gf(9)", "gf(25)", "gf(27)"])
+def test_addmul_terms_adds_into_a_held_accumulator_as_the_generic_loop(spec):
+    # seeded operands over few keys added into an accumulator that already
+    # holds terms, zero raws among them, against one add_raw and one mul_raw
+    # per product; the negated product then cancels every term it touched
+    F = make_field(spec)
+    rng = SplitMix64(93)
+    for _ in range(40):
+        held = {k: F.zero_raw if rng.below(3) == 0 else random_raw(F, rng)
+                for k in range(rng.below(8))}
+        a = random_terms(F, rng, 1 + rng.below(6), 5)
+        b = random_terms(F, rng, 1 + rng.below(6), 5)
+        want = dict(held)
+        for ka, ra in a.items():
+            for kb, rb in b.items():
+                want[ka + kb] = F.add_raw(want.get(ka + kb, F.zero_raw), F.mul_raw(ra, rb))
+        acc = F.addmul_terms(dict(held), a, b)
+        assert F.finish_terms(acc) == F.finish_terms(want)
+        F.addmul_terms(acc, {k: F.neg_raw(r) for k, r in a.items()}, b)
+        assert F.finish_terms(acc) == F.finish_terms(held)
+
+
 # -- the scalar sweep kernel ----------------------------------------------------
 
 @pytest.mark.parametrize("spec", ["gf(2)", "gf(5)", "gf(1009)", "gf(4)", "gf(8)",
@@ -638,3 +662,31 @@ def test_horner_raw_matches_the_generic_loop(spec):
                 assert F.horner_raw(coeffs, x) == oracle(coeffs, x), (coeffs, x)
     assert F.horner_raw([], F.zero_raw) == F.horner_raw([], F.one_raw) == F.zero_raw
     assert F.horner_raw([F.zero_raw] * 5, random_raw(F, rng)) == F.zero_raw
+
+
+# -- the row kernel -------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", HORNER_SPECS)
+def test_addmul_row_matches_the_generic_loop(spec):
+    # seeded rows, zero values and zero table entries among them, added at
+    # seeded bases into one accumulator so that keys collide, against the
+    # base class's add_raw/mul_raw loop; a row added again with the value
+    # negated cancels, and keys may be a one-pass iterator
+    F = make_field(spec)
+    rng = SplitMix64(92)
+    for _ in range(30):
+        table = {key: F.zero_raw if rng.below(4) == 0 else random_raw(F, rng)
+                 for key in range(12)}
+        acc, want = {}, {}
+        for _ in range(1 + rng.below(12)):
+            base = rng.below(6)
+            value = F.zero_raw if rng.below(5) == 0 else random_raw(F, rng)
+            keys = [key for key in table if rng.below(2)]
+            assert F.addmul_row(acc, base, value, iter(keys), table) is acc
+            FieldDescriptor.addmul_row(F, want, base, value, keys, table)
+        assert F.finish_terms(acc) == F.finish_terms(want)
+        value = random_raw(F, rng)
+        F.addmul_row(acc, 3, value, table, table)
+        F.addmul_row(acc, 3, F.neg_raw(value), table, table)
+        assert F.finish_terms(acc) == F.finish_terms(want)
+    assert F.addmul_row({}, 0, F.one_raw, [], {}) == {}

@@ -206,7 +206,7 @@ def test_multiplier_expands_only_product_siblings(monkeypatch):
     real = formula_mod._poly
     expanded = []
     monkeypatch.setattr(formula_mod, "_poly",
-                        lambda node, memo=None: expanded.append(node) or real(node, memo))
+                        lambda node, *memo: expanded.append(node) or real(node, *memo))
     for path, _ in phi.paths():
         expanded.clear()
         formula_mod._multiplier(formula_mod._descend(phi.root, path)[0], phi.field)
@@ -225,7 +225,7 @@ def test_multiplier_stops_once_h_is_zero(monkeypatch):
     real_poly, real_mul = formula_mod._poly, Polynomial.__mul__
     expanded, products = [], []
     monkeypatch.setattr(formula_mod, "_poly",
-                        lambda node, memo=None: expanded.append(node) or real_poly(node, memo))
+                        lambda node, *memo: expanded.append(node) or real_poly(node, *memo))
     monkeypatch.setattr(Polynomial, "__mul__",
                         lambda a, b: products.append(b) or real_mul(a, b))
     h = formula_mod._multiplier(formula_mod._descend(phi.root, path)[0], phi.field, {})
@@ -780,6 +780,25 @@ def test_a_shared_dag_below_t_is_neither_copied_nor_walked_per_path():
     assert high.k == 1
     assert high.pairs == [(parse_polynomial("x3*x4 + x3", GF5), parse_polynomial("x1*x2", GF5))]
 
+
+
+def test_split_linear_expands_a_shared_sibling_once_per_gate():
+    def ring(signum, frame):
+        raise TimeoutError("the multiplier expanded the shared DAG path by path")
+
+    # the sibling of x1*x2*x3 has 2^40 paths over 41 distinct nodes
+    phi = Formula(Gate("*", f("x1*x2*x3").root, doubling_dag(40)), GF5)
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        h, rest = split_linear(phi, (0,))
+        assert phi.poly() == h * parse_polynomial("x1*x2*x3", GF5) + rest
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    # 2^40 = 1 mod 5
+    assert h == parse_polynomial("x4 + 1", GF5)
+    assert not rest
 
 
 def test_a_shared_dag_above_t_costs_its_distinct_gates():
