@@ -43,10 +43,8 @@ mul_terms, _dot_terms (sums of products) and _sweep_terms use it.
 _sweep_terms is the one term-dict sweep: rows by z-degree of a start
 polynomial in z times prod(gamma + z*lambda), so e_j of forms or series
 (every gamma 1) and the degree-d part of an affine product (border.py) run
-the same DP.  addmul_row, one value times a row of a table added into such
-an accumulator, is inlined the same way per kind; Q runs the generic
-add_raw/mul_raw loop, the kernels' test oracle.  The partition sum
-(certificate.py) runs on it, one call per state.
+the same DP.  The partition sum (certificate.py) runs on it over GF(p^k),
+one call per state with that state as the one-term operand.
 
 The e_j of a list of raw values run on one scalar kernel per kind, esp_raw:
 GF(p) takes one % p per step, GF(2^k) xors antilog reads, odd GF(p^k) adds
@@ -295,16 +293,6 @@ class FieldDescriptor:
                 acc[k] = get(k, 0) + ra * rb
         return acc
 
-    def addmul_row(self, acc: dict, base, value, keys, table: dict) -> dict:
-        """acc[base + key] += value * table[key] for each key of keys, in
-        place, returning acc; finish_terms reads acc back.  Q runs this loop
-        on add_raw and mul_raw; the finite kinds inline their arithmetic."""
-        add, mul, zero, get = self.add_raw, self.mul_raw, self.zero_raw, acc.get
-        for key in keys:
-            k = base + key
-            acc[k] = add(get(k, zero), mul(value, table[key]))
-        return acc
-
     def finish_terms(self, acc: dict, den: int = 1) -> dict:
         """The zero-free raw term dict of acc / den."""
         return {k: r for k, r in acc.items() if r}
@@ -419,14 +407,6 @@ class PrimeField(FieldDescriptor):
         if n < 0:
             a, n = self.inv_raw(a), -n
         return pow(a, n, self.p)
-
-    def addmul_row(self, acc, base, value, keys, table):
-        """Integer sums, reduced by finish_terms."""
-        get = acc.get
-        for key in keys:
-            k = base + key
-            acc[k] = get(k, 0) + value * table[key]
-        return acc
 
     def finish_terms(self, acc, den=1):
         p = self.p
@@ -571,64 +551,45 @@ class ExtensionField(FieldDescriptor):
         return self._exp[(self._log[a] * n) % self._group]
 
     def addmul_terms(self, acc, a, b):
-        """The logs of one operand once, then a row of _addmul_logs per term
-        of the other; GF(2^k) inlines the row, as a call per term measured
-        2-4% slower on gf(4) e_j tables.  Zero raws (cancelled accumulator
-        terms) have no log and are skipped."""
+        """The logs of one operand once, then per term of the other:
+        GF(2^k) xors in one antilog read per product; odd p adds each
+        product by the Zech table inline, a cancellation leaving a zero raw
+        for finish_terms to drop.  Zero raws (cancelled accumulator terms)
+        have no log and are skipped."""
         if len(a) > len(b):
             a, b = b, a
-        log = self._log
+        log, get = self._log, acc.get
         logs = [(kb, log[rb]) for kb, rb in b.items() if rb]
-        if self.p != 2:
-            for ka, ra in a.items():
-                if ra:
-                    self._addmul_logs(acc, ka, log[ra], logs)
-            return acc
-        get, exp2 = acc.get, self._exp2
-        for ka, ra in a.items():
-            if ra:
-                la = log[ra]
-                for kb, lb in logs:
-                    k = ka + kb
-                    acc[k] = get(k, 0) ^ exp2[la + lb]
-        return acc
-
-    def addmul_row(self, acc, base, value, keys, table):
-        """value's log once, then one _addmul_logs row; zero raws are skipped."""
-        if value:
-            log = self._log
-            self._addmul_logs(acc, base, log[value],
-                              [(key, log[c]) for key in keys if (c := table[key])])
-        return acc
-
-    def _addmul_logs(self, acc, base, lv, logs):
-        """acc[base + key] += g^(lv + lc) for each (key, lc) of logs, acc
-        holding raws.  GF(2^k): one antilog read xored in.  Odd p: a nonzero
-        term adds by the Zech table inline, a cancellation leaving a zero raw
-        for finish_terms to drop."""
-        get = acc.get
         if self.p == 2:
             exp2 = self._exp2
-            for key, lc in logs:
-                k = base + key
-                acc[k] = get(k, 0) ^ exp2[lv + lc]
-            return
-        log, exp, zech, group = self._log, self._exp, self._zech, self._group
-        for key, lc in logs:
-            k = base + key
-            t = lv + lc                              # log of the product
-            if t >= group:
-                t -= group
-            r = get(k)
-            if not r:
-                acc[k] = exp[t]
+            for ka, ra in a.items():
+                if ra:
+                    la = log[ra]
+                    for kb, lb in logs:
+                        k = ka + kb
+                        acc[k] = get(k, 0) ^ exp2[la + lb]
+            return acc
+        exp, zech, group = self._exp, self._zech, self._group
+        for ka, ra in a.items():
+            if not ra:
                 continue
-            a = log[r]
-            if (z := zech[t - a]) < 0:               # g^a + g^t = g^a (1 + g^(t-a))
-                acc[k] = 0
-            else:
-                a += z
-                acc[k] = exp[a - group if a >= group else a]
+            la = log[ra]
+            for kb, lb in logs:
+                k = ka + kb
+                t = la + lb                          # log of the product
+                if t >= group:
+                    t -= group
+                r = get(k)
+                if not r:
+                    acc[k] = exp[t]
+                    continue
+                e = log[r]
+                if (z := zech[t - e]) < 0:           # g^e + g^t = g^e (1 + g^(t-e))
+                    acc[k] = 0
+                else:
+                    e += z
+                    acc[k] = exp[e - group if e >= group else e]
+        return acc
 
     def esp_raw(self, values, dmax):
         """GF(2^k): each value's log once, then one antilog read xored in per

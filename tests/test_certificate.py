@@ -140,7 +140,7 @@ def _two_anchor_blocks(n):
     return Polynomial(GF2, terms, n)
 
 
-def test_partition_sum_trial_cap_refuses_before_the_work(monkeypatch, capsys, tmp_path):
+def test_partition_sum_trial_cap_refuses_before_the_work(capsys, tmp_path):
     # the first layer takes the C(n-1, 2) blocks through x1; the second would
     # try C(n-4, 2) subsets for each of the C(n-2, 2) states that leave x2
     # free, past the cap, so the sum is refused after the first layer's
@@ -150,18 +150,21 @@ def test_partition_sum_trial_cap_refuses_before_the_work(monkeypatch, capsys, tm
     assert first * 100 < certificate.TRIAL_CAP < math.comb(n - 2, 2) * math.comb(n - 4, 2)
     f = _two_anchor_blocks(n)
     products = []
-    addmul_row = type(GF2).addmul_row
 
-    def counted_row(self, acc, base, value, keys, table):
-        keys = list(keys)
-        products.extend(keys)
-        return addmul_row(self, acc, base, value, keys, table)
+    class Counted(int):
+        """A block coefficient that counts the products taken with it."""
 
-    monkeypatch.setattr(type(GF2), "addmul_row", counted_row)
+        def __mul__(self, other):
+            products.append(other)
+            return int(self) * other
+
+        __rmul__ = __mul__
+
+    counted = _two_anchor_blocks(n)
+    counted._terms = {key: Counted(raw) for key, raw in counted._terms.items()}
     with pytest.raises(CertificateError, match=f"exceed the cap of {certificate.TRIAL_CAP}$"):
-        partition_sum(f, 2)
+        partition_sum(counted, 2)
     assert len(products) == first
-    monkeypatch.undo()
 
     poly_file = tmp_path / "dense.txt"
     poly_file.write_text(str(f))
@@ -305,8 +308,8 @@ def test_block_table_reads_the_packed_keys(monkeypatch, spec, p):
 
 def ref_partition_sum(f, p):
     """The partition sum by the subset DP on add_raw and mul_raw, one call
-    of each per block trial and no cap: the DP before the per-kind row
-    kernels, reading its blocks through multilinear_coefficients."""
+    of each per block trial and no cap: the DP before the per-kind inline
+    arithmetic, reading its blocks through multilinear_coefficients."""
     fld, n, size = f.field, f.nvars, p + 1
     zero, add, mul = fld.zero_raw, fld.add_raw, fld.mul_raw
     coeffs = _multilinear_table(f, size)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esym.field import (
-    FieldDescriptor,
     FieldElement,
     FieldError,
     QQ,
@@ -662,31 +661,3 @@ def test_horner_raw_matches_the_generic_loop(spec):
                 assert F.horner_raw(coeffs, x) == oracle(coeffs, x), (coeffs, x)
     assert F.horner_raw([], F.zero_raw) == F.horner_raw([], F.one_raw) == F.zero_raw
     assert F.horner_raw([F.zero_raw] * 5, random_raw(F, rng)) == F.zero_raw
-
-
-# -- the row kernel -------------------------------------------------------------
-
-@pytest.mark.parametrize("spec", HORNER_SPECS)
-def test_addmul_row_matches_the_generic_loop(spec):
-    # seeded rows, zero values and zero table entries among them, added at
-    # seeded bases into one accumulator so that keys collide, against the
-    # base class's add_raw/mul_raw loop; a row added again with the value
-    # negated cancels, and keys may be a one-pass iterator
-    F = make_field(spec)
-    rng = SplitMix64(92)
-    for _ in range(30):
-        table = {key: F.zero_raw if rng.below(4) == 0 else random_raw(F, rng)
-                 for key in range(12)}
-        acc, want = {}, {}
-        for _ in range(1 + rng.below(12)):
-            base = rng.below(6)
-            value = F.zero_raw if rng.below(5) == 0 else random_raw(F, rng)
-            keys = [key for key in table if rng.below(2)]
-            assert F.addmul_row(acc, base, value, iter(keys), table) is acc
-            FieldDescriptor.addmul_row(F, want, base, value, keys, table)
-        assert F.finish_terms(acc) == F.finish_terms(want)
-        value = random_raw(F, rng)
-        F.addmul_row(acc, 3, value, table, table)
-        F.addmul_row(acc, 3, F.neg_raw(value), table, table)
-        assert F.finish_terms(acc) == F.finish_terms(want)
-    assert F.addmul_row({}, 0, F.one_raw, [], {}) == {}
