@@ -33,8 +33,16 @@ ben_or solves its transposed Vandermonde system in O(n^2) field
 operations through the Lagrange basis: with P = prod_j (x - a_j) built once,
 c_j is the Horner value at a_j of P's coefficients above x^(n-d) over
 P'(a_j), two calls of the field's horner_raw kernel per j.  It builds each
-leaf label as one packed term dict over keys shared by every leaf;
+leaf from one packed term dict over keys shared by every leaf;
 computes_esp checks a tree of its shape without the 2^n expansion.
+
+Values inside the module are packed term dicts (poly's keys and raws): a
+leaf keeps its label's dict, and _leaf builds one from a dict with Leaf's
+checks (ben_or, random_formula, the peel's constants).  _expand expands a
+tree on dicts, + as a copy and _merge, * as the field's mul_terms, and a
+Polynomial is made only where a value leaves: poly(), h, the peel's pairs,
+Leaf.label.  Polynomial.__mul__'s degree guard is kept, read only at a *
+gate whose formal degree reaches DEGREE_LIMIT: below it, it cannot fire.
 
 Formula.poly() and str count each distinct gate's parents in one walk
 (_sharing): poly() keeps the expansions of shared gates only, so a DAG
@@ -49,7 +57,8 @@ from functools import partial
 from fractions import Fraction
 
 from .field import FieldDescriptor, FieldError
-from .poly import Polynomial, _parse_nested, _split_top, _variable_keys, parse_polynomial
+from .poly import (DEGREE_LIMIT, _MASK, Polynomial, _check_degree, _check_index, _merge,
+                   _parse_nested, _split_top, _variable_key, _variable_keys, parse_polynomial)
 from .rng import SplitMix64
 from .symfunc import gen_esp
 
@@ -70,23 +79,51 @@ class FormulaError(ValueError):
 class Leaf:
     """A leaf with an affine label; immutable by convention.
 
-    Caches fdeg (formal degree), size (1 for a non-constant label), nvars
-    and field.  FormulaError unless the label is a Polynomial of degree <= 1.
+    Keeps the label's packed term dict, shared, as terms (over a finite
+    field a dict of ints, which the collector does not track); label builds
+    a plain Polynomial over it on each read, so a LinearForm comes back as
+    one.  Caches fdeg (formal degree), size (1 for a non-constant label),
+    nvars and field.  FormulaError unless the label is a Polynomial of
+    degree <= 1.
     """
 
-    __slots__ = ("label", "fdeg", "size", "nvars", "field")
+    __slots__ = ("terms", "fdeg", "size", "nvars", "field")
 
     def __init__(self, label: Polynomial):
         if not isinstance(label, Polynomial):
             raise FormulaError(f"leaf label {label!r} is not a Polynomial")
-        deg = label.degree()
-        if deg > 1:
-            raise FormulaError(f"leaf label {label} has degree > 1")
-        self.label = label
-        self.fdeg = deg if deg > 0 else 0
-        self.size = 1 if deg == 1 else 0
-        self.nvars = label.nvars
-        self.field = label.field
+        _leaf(label.field, label._terms, label.nvars, self)
+
+    @property
+    def label(self) -> Polynomial:
+        return Polynomial._of(self.field, self.terms, self.nvars)
+
+
+def _leaf(field: FieldDescriptor, terms: dict, nvars: int, leaf=None) -> Leaf:
+    """leaf, or a new Leaf, over a zero-free packed term dict, kept as is;
+    FormulaError unless every term has degree <= 1, the Polynomial built
+    only to word it."""
+    deg = _degree(terms)
+    if deg > 1:
+        raise FormulaError(f"leaf label {Polynomial._of(field, terms, nvars)} has degree > 1")
+    if leaf is None:
+        leaf = object.__new__(Leaf)
+    leaf.terms = terms
+    leaf.fdeg = deg if deg > 0 else 0
+    leaf.size = 1 if deg == 1 else 0
+    leaf.nvars = nvars
+    leaf.field = field
+    return leaf
+
+
+def _degree(terms: dict) -> int:
+    """Total degree of a packed term dict; -1 for the empty one."""
+    deg = -1
+    for k in terms:
+        k &= _MASK
+        if k > deg:
+            deg = k
+    return deg
 
 
 class Gate:
@@ -174,7 +211,8 @@ class Formula:
     def poly(self) -> Polynomial:
         """The computed polynomial, expanded exactly: each distinct gate
         once, as only the gates with more than one parent keep theirs."""
-        return _poly(self.root, {}, _sharing(self.root)[0])
+        return Polynomial._of(self.field, _expand(self.root, {}, _sharing(self.root)[0]),
+                              self.nvars)
 
     # -- node addressing -----------------------------------------------------
 
@@ -243,22 +281,31 @@ def _sharing(root):
     return {gate for gate, k in parents.items() if k > 1}, leaves.get(root, 1)
 
 
-def _poly(root, memo=None, shared=None) -> Polynomial:
-    """The polynomial the tree computes, each gate combining left with right.
+def _expand(root, memo=None, shared=None) -> dict:
+    """The packed term dict of the polynomial the tree computes, each gate
+    combining left with right: + is a copy of the left and _merge, * is
+    _product.  No dict is written once made, so the leaves' terms and the
+    memo's expansions are shared, never copied.
 
     memo, when given, maps gates to their expansions: a gate found there is
     read, not walked, and every gate expanded here is added to it, or only
     those in shared when that is given.
     """
+    field = root.field
     values = []
     stack = [(root, False)]
     while stack:
         node, ready = stack.pop()
-        if isinstance(node, Leaf):
-            values.append(node.label)
+        if type(node) is Leaf:
+            values.append(node.terms)
         elif ready:
             b, a = values.pop(), values.pop()
-            values.append(a + b if node.op == "+" else a * b)
+            if node.op == "*":
+                values.append(_product(field, a, b, node.fdeg))
+            else:
+                a = dict(a)
+                _merge(a, b, field)
+                values.append(a)
             if memo is not None and (shared is None or node in shared):
                 memo[node] = values[-1]
         elif memo is not None and node in memo:
@@ -266,6 +313,17 @@ def _poly(root, memo=None, shared=None) -> Polynomial:
         else:
             stack += [(node, True), (node.right, False), (node.left, False)]
     return values[0]
+
+
+def _product(field: FieldDescriptor, a: dict, b: dict, fdeg: int) -> dict:
+    """a * b for term dicts whose formal degrees add up to fdeg, guarded as
+    Polynomial.__mul__ is; formal degree bounds degree, so the degrees are
+    read only once fdeg reaches DEGREE_LIMIT."""
+    if not a or not b:
+        return {}
+    if fdeg >= DEGREE_LIMIT:
+        _check_degree(_degree(a) + _degree(b))
+    return field.mul_terms(a, b)
 
 
 def _render(root) -> str:
@@ -308,12 +366,13 @@ def find_degree_vertex(phi: Formula, t: int):
 
 
 class _Cell:
-    """A gate's mutable copy made on a round's path; _poly walks it as one."""
+    """A gate's mutable copy made on a round's path; _expand walks it as one."""
 
-    __slots__ = ("op", "left", "right", "fdeg", "depth", "step")
+    __slots__ = ("op", "left", "right", "fdeg", "nvars", "field", "depth", "step")
 
     def __init__(self, gate, picks: dict):
         self.op, self.left, self.right, self.fdeg = gate.op, gate.left, gate.right, gate.fdeg
+        self.nvars, self.field = gate.nvars, gate.field
         self.depth, self.step = picks[gate]
 
 
@@ -371,15 +430,18 @@ def _multiplier(steps, field: FieldDescriptor, memo=None, shared=None) -> Polyno
     constants that earlier peel rounds leave near the vertex meet h while it
     is small; the first sibling is h, not 1 times it.  Siblings at + gates
     are never expanded, and once h is 0 no further sibling is.  memo and
-    shared are passed on to _poly."""
-    h = None
+    shared are passed on to _expand."""
+    h, fdeg, nvars = None, 0, 0
     for gate, step in reversed(steps):
         if gate.op == "*":
-            sibling = _poly(gate.right if step == 0 else gate.left, memo, shared)
-            h = h * sibling if h else sibling
+            node = gate.right if step == 0 else gate.left
+            sibling = _expand(node, memo, shared)
+            fdeg += node.fdeg
+            nvars = max(nvars, node.nvars)
+            h = sibling if h is None else _product(field, h, sibling, fdeg)
             if not h:
                 break
-    return Polynomial.constant(field, 1) if h is None else h
+    return Polynomial.constant(field, 1) if h is None else Polynomial._of(field, h, nvars)
 
 
 def replace_with_constant(phi: Formula, path, value) -> Formula:
@@ -452,34 +514,37 @@ def peel_decompose(phi: Formula, d_prime: int) -> PeelDecomposition:
     if d_prime < 3:
         raise FormulaError("d_prime must be at least 3")
     t, F = -(-d_prime // 3), phi.field
-    residual, pairs, extras = phi, [], Polynomial.zero(F)
+    residual, pairs, extras = phi, [], {}
     if phi.formal_degree() >= d_prime:
         picks, expansions = _picks(phi.root, t), {}
         top = _Cell(phi.root, picks)
+        mul = F.mul_raw
         while top.fdeg >= d_prime:
             steps, v = _follow_pick(top, picks)
             h = _multiplier(steps, F, expansions)
-            g = _poly(v, expansions)
-            alpha, beta = h._terms.get(0), g._terms.get(0)
-            h0 = Polynomial._of(F, {k: c for k, c in h._terms.items() if k}, h.nvars)
-            g0 = Polynomial._of(F, {k: c for k, c in g._terms.items() if k}, g.nvars)
+            g = _expand(v, expansions)
+            alpha, beta = h._terms.get(0), g.get(0)
+            h0 = h._terms if alpha is None else {k: c for k, c in h._terms.items() if k}
+            g0 = g if beta is None else {k: c for k, c in g.items() if k}
             if h0 and g0:
-                pairs.append((h0, g0))
+                pairs.append((Polynomial._of(F, h0, h.nvars), Polynomial._of(F, g0, v.nvars)))
             if alpha is not None and g0:
-                extras = extras + g0.scale_raw(alpha)
+                _merge(extras, {k: mul(c, alpha) for k, c in g0.items()}, F)
             cell, step = steps[-1]
-            leaf = Leaf(Polynomial._of(F, {} if beta is None else {0: beta}, 0))
+            leaf = _leaf(F, {} if beta is None else {0: beta}, 0)
             setattr(cell, "right" if step else "left", leaf)
             expansions.pop(v, None)
             for cell, _ in reversed(steps):
                 a, b = cell.left, cell.right
                 fa, fb = a.fdeg, b.fdeg
                 cell.fdeg = (fa if fa > fb else fb) if cell.op == "+" else fa + fb
+                fa, fb = a.nvars, b.nvars
+                cell.nvars = fa if fa > fb else fb
                 cell.depth, cell.step = _pick(a, b, t, picks)
                 expansions.pop(cell, None)
         residual = Formula(_freeze(top), F)
     if extras:
-        residual = Formula.combine("+", residual, _poly_to_formula(extras))
+        residual = Formula.combine("+", residual, _poly_to_formula(Polynomial._of(F, extras, 0)))
     return PeelDecomposition(source=phi, residual=residual, pairs=pairs, d_prime=d_prime)
 
 
@@ -540,12 +605,12 @@ def ben_or(n: int, d: int, F: FieldDescriptor) -> Formula:
         if c == F.zero_raw:
             continue
         if n == 0:
-            term = Leaf(Polynomial._of(F, {0: c}, 0))
+            term = _leaf(F, {0: c}, 0)
         else:
-            labels = _factor_labels(keys, c, a, F)
-            term = Leaf(labels[0])
-            for label in labels[1:]:
-                term = Gate("*", term, Leaf(label))
+            labels = _factor_terms(keys, c, a, F)
+            term = _leaf(F, labels[0], 1)
+            for i in range(1, n):
+                term = Gate("*", term, _leaf(F, labels[i], i + 1))
         acc = term if acc is None else Gate("+", acc, term)
     return Formula(acc, F)       # some c_j is nonzero: they solve a nonsingular system
 
@@ -599,7 +664,7 @@ def computes_esp(phi: Formula, n: int, d: int) -> bool:
 
 def _interpolation_terms(phi: Formula, n: int):
     """Raw pairs (c_j, a_j) when phi is a left-nested sum of left-nested
-    products of leaves labelled _factor_labels(c_j, a_j), the shape ben_or
+    products of leaves over _factor_terms(c_j, a_j), the shape ben_or
     builds for n >= 1; else None."""
     if n < 1:
         return None
@@ -610,30 +675,25 @@ def _interpolation_terms(phi: Formula, n: int):
         factors = _operands(summand, "*")
         if len(factors) != n or not all(isinstance(leaf, Leaf) for leaf in factors):
             return None
-        first = factors[0].label
-        c = first.coefficient((1,))
-        if c.is_zero:
+        first = factors[0].terms
+        c = first.get(_variable_key(1))
+        if c is None:
             return None
-        a = first.constant_term() / c
+        a = F.mul_raw(first.get(0, F.zero_raw), F.inv_raw(c))
         keys = keys or _variable_keys(range(1, n + 1))    # once a summand has shown n factors
-        if [leaf.label for leaf in factors] != _factor_labels(keys, c.raw, a.raw, F):
+        if [leaf.terms for leaf in factors] != _factor_terms(keys, c, a, F):
             return None
-        terms.append((c.raw, a.raw))
+        terms.append((c, a))
     return terms
 
 
-def _factor_labels(keys, c, a, F: FieldDescriptor):
-    """Leaf labels of one ben_or summand, c*(x_1 + a), x_2 + a, ..., x_n + a,
-    for raw c != 0 and a, each one packed term dict over the shared keys."""
+def _factor_terms(keys, c, a, F: FieldDescriptor):
+    """The packed term dicts of one ben_or summand's leaves, c*(x_1 + a),
+    x_2 + a, ..., x_n + a, for raw c != 0 and a, over the shared keys."""
     one = F.one_raw
     if a == F.zero_raw:
-        first = {keys[0]: c}
-        rest = [{key: one} for key in keys[1:]]
-    else:
-        first = {keys[0]: c, 0: F.mul_raw(c, a)}
-        rest = [{key: one, 0: a} for key in keys[1:]]
-    return [Polynomial._of(F, first, 1)] + [
-        Polynomial._of(F, terms, i) for i, terms in enumerate(rest, 2)]
+        return [{keys[0]: c}] + [{key: one} for key in keys[1:]]
+    return [{keys[0]: c, 0: F.mul_raw(c, a)}] + [{key: one, 0: a} for key in keys[1:]]
 
 
 def _operands(node, op: str) -> list:
@@ -670,16 +730,21 @@ def random_formula(rng: SplitMix64, field: FieldDescriptor, max_size: int,
     if max_size < 1 or nvars < 1:
         raise FormulaError("need max_size >= 1 and nvars >= 1")
     q = field.order
+    if q is None:
+        raise FormulaError(f"random_formula needs a finite field, not {field}")
 
     def random_leaf():
+        # each draw is a raw (element_at(i).raw is i); v is checked once c is drawn
         if rng.below(6) == 0:
-            return Leaf(Polynomial.constant(field, field.element_at(rng.below(q))))
+            b = rng.below(q)
+            return _leaf(field, {0: b} if b else {}, 0)
         v = 1 + rng.below(nvars)
-        coeff = field.element_at(1 + rng.below(q - 1))
-        label = Polynomial.variable(field, v).scale(coeff)
-        if rng.below(2):
-            label = label + Polynomial.constant(field, field.element_at(rng.below(q)))
-        return Leaf(label)
+        c = 1 + rng.below(q - 1)
+        _check_index(v)
+        terms = {_variable_key(v): c}
+        if rng.below(2) and (b := rng.below(q)):
+            terms[0] = b
+        return _leaf(field, terms, v)
 
     # Draws in preorder, so a seed always gives the same tree: a gate of k
     # leaves draws its split and op, then its left subtree, then its right.

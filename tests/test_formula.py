@@ -1,5 +1,6 @@
 """Formula trees: parsing, degree vertices, peeling, Ben-Or interpolation."""
 
+import gc
 import hashlib
 import json
 import re
@@ -29,7 +30,7 @@ from esym.formula import (
     replace_with_constant,
     split_linear,
 )
-from esym.poly import Polynomial, parse_polynomial
+from esym.poly import LinearForm, Polynomial, parse_polynomial
 from esym.rng import SplitMix64
 from esym.symfunc import gen_esp
 
@@ -89,6 +90,22 @@ def test_str_parse_round_trip():
 def test_leaves_must_be_affine():
     with pytest.raises(FormulaError):
         Formula.leaf(parse_polynomial("x1^2", GF5))
+
+
+def test_a_leaf_gives_back_its_label_as_a_plain_polynomial():
+    labels = [parse_polynomial("x1 + 3", GF5), parse_polynomial("2*x3", GF5),
+              Polynomial.constant(GF5, 2, nvars=4), Polynomial.zero(GF5, 3),
+              Polynomial.variable(GF5, 7), parse_polynomial("1/2*x2 - 3", QQ),
+              LinearForm(GF5, [1, 0, 2, 0])]
+    for label in labels:
+        leaf = Leaf(label)
+        got = leaf.label
+        assert got == label and got.nvars == label.nvars == leaf.nvars
+        assert type(got) is Polynomial        # a LinearForm label comes back plain
+        assert str(got) == str(label)
+        assert (leaf.fdeg, leaf.size) == (max(label.degree(), 0), int(label.degree() == 1))
+        if label.field is GF5:
+            assert not gc.is_tracked(leaf.terms)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -203,9 +220,9 @@ def test_split_linear_rejects_a_path_through_a_leaf():
 
 def test_multiplier_expands_only_product_siblings(monkeypatch):
     phi = f("((x1*x2 + x3) * x2 + x1) * (x3 + 1) + x1*x3*x2")
-    real = formula_mod._poly
+    real = formula_mod._expand
     expanded = []
-    monkeypatch.setattr(formula_mod, "_poly",
+    monkeypatch.setattr(formula_mod, "_expand",
                         lambda node, *memo: expanded.append(node) or real(node, *memo))
     for path, _ in phi.paths():
         expanded.clear()
@@ -222,12 +239,12 @@ def test_multiplier_stops_once_h_is_zero(monkeypatch):
     phi = f("(x1 * 0) * (x2 + 1) * (x3 + 1) * (x1 + x2)")
     path = find_degree_vertex(phi, 1)
     assert path == (0, 0, 0, 0)
-    real_poly, real_mul = formula_mod._poly, Polynomial.__mul__
+    real_expand, real_product = formula_mod._expand, formula_mod._product
     expanded, products = [], []
-    monkeypatch.setattr(formula_mod, "_poly",
-                        lambda node, *memo: expanded.append(node) or real_poly(node, *memo))
-    monkeypatch.setattr(Polynomial, "__mul__",
-                        lambda a, b: products.append(b) or real_mul(a, b))
+    monkeypatch.setattr(formula_mod, "_expand",
+                        lambda node, *memo: expanded.append(node) or real_expand(node, *memo))
+    monkeypatch.setattr(formula_mod, "_product",
+                        lambda F, a, b, fdeg: products.append(b) or real_product(F, a, b, fdeg))
     h = formula_mod._multiplier(formula_mod._descend(phi.root, path)[0], phi.field, {})
     assert not h
     assert expanded == [phi.node_at((0, 0, 0, 1))]     # the 0; nothing above it
@@ -369,6 +386,75 @@ def test_random_formula_is_deterministic():
     # the seeded stream fixes the tree: seeds reproduce across versions
     assert str(a) == ("(x2 + ((((4*x2 + 4) + ((4*x1 + 4) + ((4*x3) + (2*x2)))) * "
                       "(((2*x2 + 3) * (x1 + 4)) * 2)) + (2*x1 + 1)))")
+
+
+def ref_random_formula(rng, field, max_size, nvars):
+    """random_formula's generator on Polynomial labels: the oracle for its
+    draws and trees, call for call."""
+    q = field.order
+
+    def random_leaf():
+        if rng.below(6) == 0:
+            return Leaf(Polynomial.constant(field, field.element_at(rng.below(q))))
+        v = 1 + rng.below(nvars)
+        coeff = field.element_at(1 + rng.below(q - 1))
+        label = Polynomial.variable(field, v).scale(coeff)
+        if rng.below(2):
+            label = label + Polynomial.constant(field, field.element_at(rng.below(q)))
+        return Leaf(label)
+
+    tasks, built = [1 + rng.below(max_size)], []
+    while tasks:
+        task = tasks.pop()
+        if isinstance(task, str):
+            right = built.pop()
+            built.append(Gate(task, built.pop(), right))
+        elif task == 1:
+            built.append(random_leaf())
+        else:
+            k1 = 1 + rng.below(task - 1)
+            tasks += ["+" if rng.below(2) else "*", task - k1, k1]
+    return Formula(built[0], field)
+
+
+def _drawn(generate, seed, *args):
+    """(text of the tree or of the error, rng state after) of one call."""
+    rng = SplitMix64(seed)
+    try:
+        text = str(generate(rng, *args))
+    except ValueError as error:
+        text = f"{type(error).__name__}: {error}"
+    return text, rng.state
+
+
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(5)", "gf(4)", "gf(9)", "gf(1009)"])
+def test_random_formula_keeps_the_draws_of_polynomial_labels(spec):
+    field = make_field(spec)
+    for seed in range(60):
+        args = (field, 1 + seed % 25, 1 + seed % 6)
+        assert _drawn(random_formula, seed, *args) == _drawn(ref_random_formula, seed, *args)
+        leaves = [[(node.terms, node.nvars, node.fdeg, node.size) for _, node in phi.paths()
+                   if isinstance(node, Leaf)]
+                  for phi in (random_formula(SplitMix64(seed), *args),
+                              ref_random_formula(SplitMix64(seed), *args))]
+        assert leaves[0] == leaves[1]
+
+
+def test_random_formula_checks_a_variable_index_after_the_same_draws():
+    # x_v past MAX_VARIABLE_INDEX raises where Polynomial.variable raised
+    raised = 0
+    for seed in range(30):
+        got = _drawn(random_formula, seed, GF5, 1 + seed % 4, 1 << 40)
+        assert got == _drawn(ref_random_formula, seed, GF5, 1 + seed % 4, 1 << 40)
+        raised += got[0].startswith("ValueError: variable index")
+    assert raised > 20
+
+
+def test_random_formula_needs_a_finite_field_before_any_draw():
+    rng = SplitMix64(9)
+    with pytest.raises(FormulaError, match=r"^random_formula needs a finite field, not q$"):
+        random_formula(rng, make_field("q"), 5, 2)
+    assert rng.state == SplitMix64(9).state
 
 
 # -- oracles for the cached metadata and the bottom-up vertex pick ------------
@@ -674,6 +760,7 @@ def peel_as_reference(phi, d_prime, made):
     dec = peel_decompose(phi, d_prime)
     assert made == picks
     assert dec.to_json() == ref.to_json()
+    assert [(g.nvars, h.nvars) for g, h in dec.pairs] == [(g.nvars, h.nvars) for g, h in ref.pairs]
     return dec, picks
 
 
@@ -841,7 +928,7 @@ def random_dag(rng, gates):
 
 def test_sharing_matches_a_walk_of_every_path():
     # the parents and leaves _sharing counts over distinct gates, against a
-    # walk of every root-to-leaf path; poly() against the memo-free _poly
+    # walk of every root-to-leaf path; poly() against the memo-free _expand
     rng = SplitMix64(17)
     for gates in (1, 2, 5, 9, 14):
         for _ in range(10):
@@ -853,7 +940,7 @@ def test_sharing_matches_a_walk_of_every_path():
             shared, leaves = formula_mod._sharing(root)
             assert shared == {gate for gate, k in parents.items() if k > 1}
             assert leaves == sum(isinstance(node, Leaf) for _, node in phi.paths())
-            assert phi.poly() == formula_mod._poly(root)
+            assert phi.poly()._terms == formula_mod._expand(root)
     # a child met first from the root but expanded under a later sibling:
     # r = b + x with b = x * w must finish x before b
     x = f("x1*x2 + 3").root
@@ -952,14 +1039,14 @@ def test_ben_or_outputs_match_the_pinned_digest():
 def test_peel_multiplies_a_bounded_number_of_times_per_round(monkeypatch):
     chain = parse_formula("*".join(["(x1+x2)"] * 300), GF5)
     counts = Counter()
-    real_mul = Polynomial.__mul__
+    real_product = formula_mod._product
 
-    def counted_mul(a, b):
+    def counted_product(*args):
         counts["multiplies"] += 1
-        return real_mul(a, b)
+        return real_product(*args)
 
     made = recorded_picks(monkeypatch)
-    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(formula_mod, "_product", counted_product)
     dec = peel_decompose(chain, 3)
     monkeypatch.undo()
     # the re-expanding peel made 178,204 multiplies here, about depth per round
@@ -971,16 +1058,16 @@ def test_peel_multiplies_a_bounded_number_of_times_per_round(monkeypatch):
 def test_peel_builds_each_residual_node_once(monkeypatch):
     chain = parse_formula("*".join(["(x1+x2)"] * 300), GF5)
     counts = Counter()
-    real_gate, real_leaf = Gate.__init__, Leaf.__init__
+    real_gate, real_leaf = Gate.__init__, formula_mod._leaf
     real_fold = formula_mod._poly_to_formula
 
     def counted_gate(self, *args):
         counts["gates"] += 1
         real_gate(self, *args)
 
-    def counted_leaf(self, *args):
+    def counted_leaf(*args):    # Leaf(label) builds through _leaf too
         counts["leaves"] += 1
-        real_leaf(self, *args)
+        return real_leaf(*args)
 
     def counted_fold(poly):
         folded = real_fold(poly)
@@ -989,7 +1076,7 @@ def test_peel_builds_each_residual_node_once(monkeypatch):
 
     made = recorded_picks(monkeypatch)
     monkeypatch.setattr(Gate, "__init__", counted_gate)
-    monkeypatch.setattr(Leaf, "__init__", counted_leaf)
+    monkeypatch.setattr(formula_mod, "_leaf", counted_leaf)
     monkeypatch.setattr(formula_mod, "_poly_to_formula", counted_fold)
     dec = peel_decompose(chain, 3)
     monkeypatch.undo()
@@ -998,3 +1085,61 @@ def test_peel_builds_each_residual_node_once(monkeypatch):
     assert counts["gates"] <= gates
     assert counts["leaves"] <= len(made) + counts["folded leaves"]
     assert dec.to_json() == ref_peel_decompose(chain, 3)[0].to_json()
+
+
+# -- term dicts inside the module: the degree guard and the objects held -------
+
+def squaring_chain(base, levels=32):
+    """Gate("*", S, S) stacked levels deep over base, each gate shared by
+    its parent's two children: formal degree 2^levels times base's."""
+    node = base
+    for _ in range(levels):
+        node = Gate("*", node, node)
+    return node
+
+
+def test_the_degree_guard_fires_as_polynomial_mul_does():
+    def ring(signum, frame):
+        raise TimeoutError("the squaring chain was expanded path by path")
+
+    message = r"^total degree 4294967296 exceeds the packed-monomial bound 2\^32 - 1$"
+    x1 = f("x1").root
+    vanishing = Gate("+", x1, f("-x1").root)      # formal degree 1, value 0
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        # as Polynomial.__mul__ does on x1^(2^31) * x1^(2^31)
+        with pytest.raises(ValueError, match=message):
+            Formula(squaring_chain(x1), GF5).poly()
+        zero = squaring_chain(vanishing)
+        assert zero.fdeg >= formula_mod.DEGREE_LIMIT
+        assert not Formula(zero, GF5).poly()
+        # the multiplier's product of two siblings x1^(2^31), and of zeros
+        half = squaring_chain(x1, 31)
+        with pytest.raises(ValueError, match=message):
+            split_linear(Formula(Gate("*", Gate("*", f("x2").root, half), half), GF5), (0, 0))
+        half = squaring_chain(vanishing, 31)
+        h, rest = split_linear(Formula(Gate("*", Gate("*", f("x2").root, half), half), GF5),
+                               (0, 0))
+        assert not h and not rest
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_a_ben_or_tree_holds_one_object_per_node_and_no_polynomial():
+    def census():
+        return Counter(Polynomial if isinstance(o, Polynomial) else type(o)
+                       for o in gc.get_objects())
+
+    gc.collect()
+    before = census()
+    phi = ben_or(8, 3, GF11)
+    held = census()
+    nodes = Counter(type(node) for _, node in phi.paths())
+    assert nodes[Leaf] == phi.size and nodes[Gate] == phi.size - 1
+    assert held[Leaf] - before[Leaf] == nodes[Leaf]
+    assert held[Gate] - before[Gate] == nodes[Gate]
+    assert held[Polynomial] == before[Polynomial]
+    assert not any(gc.is_tracked(node.terms) for _, node in phi.paths()
+                   if isinstance(node, Leaf))
