@@ -70,6 +70,11 @@ def _x_degree(terms: dict) -> int:
     return max([(k >> WIDTH) & _MASK for k in terms], default=-1)
 
 
+def _below(terms: dict, T: int) -> dict:
+    """The packed series terms whose eps-power is below T."""
+    return {k: r for k, r in terms.items() if k & _MASK < T}
+
+
 class EpsSeries:
     """Polynomial coefficients by eps-power, exact mod eps^truncation."""
 
@@ -186,8 +191,8 @@ class EpsSeries:
         if s is None:
             return NotImplemented
         T = min(self.truncation, s.truncation)
-        terms = {k: raw for k, raw in self._terms.items() if k & _MASK < T}
-        _merge(terms, {k: raw for k, raw in s._terms.items() if k & _MASK < T}, self.field)
+        terms = _below(self._terms, T)
+        _merge(terms, _below(s._terms, T), self.field)
         return EpsSeries._of(self.field, T, terms)
 
     __radd__ = __add__
@@ -214,10 +219,9 @@ class EpsSeries:
         if s is None:
             return NotImplemented
         T = min(self.truncation, s.truncation)
-        a, b = ({k: r for k, r in t.items() if k & _MASK < T} for t in (self._terms, s._terms))
+        a, b = _below(self._terms, T), _below(s._terms, T)
         _check_degree(_x_degree(a) + _x_degree(b))
-        return EpsSeries._of(self.field, T, {k: r for k, r in self.field.mul_terms(a, b).items()
-                                             if k & _MASK < T})
+        return EpsSeries._of(self.field, T, _below(self.field.mul_terms(a, b), T))
 
     __rmul__ = __mul__
 
@@ -319,11 +323,11 @@ def esp_of_series(forms, d: int, field: FieldDescriptor,
     if not 0 < d <= len(series):   # e_0 = 1, and e_d = 0 past the argument count
         return EpsSeries.constant(field, 1 if d == 0 else 0, truncation)
     T = min([truncation] + [s.truncation for s in series])
-    terms = [{k: r for k, r in s._terms.items() if k & _MASK < T} for s in series]
+    terms = [_below(s._terms, T) for s in series]
     _check_degree(sum(sorted([_x_degree(t) for t in terms])[-d:]))
     # rows are cut below T after each step, unless d eps-powers stay below T
     top = sum(sorted([max((k & _MASK for k in t), default=0) for t in terms])[-d:])
-    cut = None if top < T else (lambda row: {k: r for k, r in row.items() if k & _MASK < T})
+    cut = None if top < T else (lambda row: _below(row, T))
     unit = {0: field.one_raw}
     return EpsSeries._of(field, T, _sweep_terms(field, [unit] + [{}] * d,
                                                 [(unit, t) for t in terms], cut)[d])
@@ -532,13 +536,10 @@ def _affine_degree_part(field: FieldDescriptor, terms, d: int, T: int) -> EpsSer
     of c by x-degree, each factor split into (gamma, lambda), one
     _sweep_terms call cutting its rows below eps^T, and row d merged."""
     T = min([T] + [s.truncation for c, fs in terms for s in (c, *fs)])
-
-    def below_T(row: dict) -> dict:
-        return {k: r for k, r in row.items() if k & _MASK < T}
-
     total = {}
     for c, fs in terms:
-        start = [below_T(c.homogeneous_part(j)._terms) for j in range(d + 1)]
-        rows = _sweep_terms(field, start, [_split_affine(below_T(f._terms)) for f in fs], below_T)
+        start = [_below(c.homogeneous_part(j)._terms, T) for j in range(d + 1)]
+        factors = [_split_affine(_below(f._terms, T)) for f in fs]
+        rows = _sweep_terms(field, start, factors, lambda row: _below(row, T))
         _merge(total, rows[d], field)
     return EpsSeries._of(field, T, total)

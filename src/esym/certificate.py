@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .field import FieldElement, PrimeField, _is_prime, make_field
-from .poly import _MASK, WIDTH, LinearForm, Polynomial
+from .poly import LinearForm, Polynomial, _multilinear_terms
 from .rng import SplitMix64
 from .symmodel import ReduciblePolynomial
 
@@ -49,6 +49,9 @@ from .symmodel import ReduciblePolynomial
 # trials (dense coefficients of degree 6 in 18 variables)
 TRIAL_CAP = 4_000_000
 _VARIABLE_CAP = 24
+# fixed bound on random_member's bound on a member's term products; the
+# members that reach it take up to about a second of CPU
+MEMBER_WORK_CAP = 20_000_000
 
 
 class CertificateError(ValueError):
@@ -107,7 +110,7 @@ def partition_sum(f: Polynomial, p: int) -> FieldElement:
     fld = f.field
     # the blocks by their lowest index, each as {the block without it: raw}
     rests = [{} for _ in range(n)]
-    for block, c in _block_table(f, size).items():
+    for block, c in _multilinear_terms(f, size).items():
         anchor = block & -block
         rests[anchor.bit_length() - 1][block ^ anchor] = c
     states = {0: fld.one_raw}             # used variables -> partial sum
@@ -142,26 +145,6 @@ def partition_sum(f: Polynomial, p: int) -> FieldElement:
                 addmul(grown, {base: value}, {r: rest[r] for r in keys})
         states = finish(grown)
     return FieldElement(fld, states.get((1 << n) - 1, fld.zero_raw))
-
-
-_BITS = bytes.maketrans(b"\0\1", b"01")
-_STEP = WIDTH // 8                       # bytes per exponent field
-
-
-def _block_table(f: Polynomial, size: int) -> dict:
-    """{block mask: raw coefficient} of f's squarefree terms of degree size,
-    read off the packed keys: bit i-1 of the mask is x_i, whose exponent
-    field starts at bit WIDTH*i of a key.  In a key's big-endian bytes the
-    low byte of x_n's field comes first and x_1's last, _STEP bytes apart,
-    so that slice, read as binary digits, is the mask."""
-    table = {}
-    width = _STEP * (f.nvars + 1)
-    for key, raw in f._terms.items():
-        # degree size in size one-bits: every exponent is 0 or 1
-        if key & _MASK == size and (key >> WIDTH).bit_count() == size:
-            lows = key.to_bytes(width, "big")[_STEP - 1:-_STEP:_STEP]
-            table[int(lows.translate(_BITS), 2)] = raw
-    return table
 
 
 @dataclass
@@ -217,10 +200,19 @@ def certify_nonmembership(f: Polynomial, p: int) -> CertificateReport:
 def random_member(k: int, p: int, ell: int, seed: int) -> Polynomial:
     """Seed-deterministic element of the k-term class over GF(p):
     k random reducible products of degree p+1 plus up to three random
-    (p+1)-th powers of linear forms, in n = (p+1)*ell variables."""
+    (p+1)-th powers of linear forms, in n = (p+1)*ell variables.  Each of
+    the k products and the at most 2*bitlength(p+1) of each power multiplies
+    dense forms of degrees adding to at most p+1: CertificateError before
+    any draw if that many of the dearest such pair pass MEMBER_WORK_CAP."""
     if k < 0:
         raise CertificateError("k must be nonnegative")
     n = BlockPolynomialSpec(p, ell).n
+    dense = [math.comb(n + d - 1, d) for d in range(p + 2)]   # terms of degree d
+    work = (k + 6 * (p + 1).bit_length()) * max(dense[d] * dense[p + 1 - d]
+                                                for d in range(1, p + 1))
+    if work > MEMBER_WORK_CAP:
+        raise CertificateError(f"random_member({k}, {p}, {ell}) may take {work} term "
+                               f"products, past the cap of {MEMBER_WORK_CAP}")
     fld = make_field(p)
     rng = SplitMix64(seed)
 

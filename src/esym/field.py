@@ -22,10 +22,12 @@ moduli are pinned so that serialized data is reproducible across runs:
 
 Other extensions require an explicit modulus, written constant-first, e.g.
 gf(2^8;1,0,1,1,1,0,0,0,1).  Extension multiplication runs on discrete
-log/antilog tables built once per descriptor.  Characteristic-2 addition is
-a single xor on the raw index; odd-characteristic addition runs on a Zech
-logarithm table, g^a + g^b = g^(a + Z(b - a)) with g^Z(i) = 1 + g^i, and
-negation is g^a -> g^(a + (q-1)/2).
+log/antilog tables built once per descriptor: the generator g is the first
+raw index from 2 up whose power walk reaches all q - 1 nonzero elements
+before it returns to 1, and that walk is the antilog table.
+Characteristic-2 addition is a single xor on the raw index; odd-characteristic
+addition runs on a Zech logarithm table, g^a + g^b = g^(a + Z(b - a)) with
+g^Z(i) = 1 + g^i, and negation is g^a -> g^(a + (q-1)/2).
 
 Field spec grammar accepted by make_field:
 
@@ -124,21 +126,6 @@ def _prime_power(n: int):
         if p**k == n and _is_prime(p):
             return p, k
     return None
-
-
-def _factor(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -470,31 +457,21 @@ class ExtensionField(FieldDescriptor):
                     conv[i + j] += x * y
         return self._undigits(_umod(conv, self.modulus, p))
 
-    def _pow_generic(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mul_generic(r, a)
-            a = self._mul_generic(a, a)
-            n >>= 1
-        return r
-
     def _build_log_tables(self):
         q = self.order
         if q > MAX_EXTENSION_SIZE:
             raise FieldError(f"extension field of size {q} exceeds cap {MAX_EXTENSION_SIZE}")
         group = q - 1
-        prime_parts = _factor(group)
-        gen = None
+        # the first candidate whose power walk, exp, has all q - 1 elements
         for cand in range(2, q):
-            if all(self._pow_generic(cand, group // ell) != 1 for ell in prime_parts):
-                gen = cand
+            exp, x = [1], cand
+            while x != 1 and len(exp) < group:
+                exp.append(x)
+                x = self._mul_generic(x, cand)
+            if x == 1 and len(exp) == group:
                 break
-        if gen is None:
+        else:
             raise FieldError("modulus is not irreducible: no multiplicative generator")
-        exp = [1] * group
-        for i in range(1, group):
-            exp[i] = self._mul_generic(exp[i - 1], gen)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -968,13 +945,18 @@ def roots_of_z_pow_d_plus_one(field: FieldDescriptor, d: int):
     while d0 % p == 0:
         d0 //= p
     N = d0 if p == 2 else 2 * d0
-    j, r = k, pow(p, k, N)                  # r = p^j mod N, back at 1 within N steps
-    while r != 1 % N:
-        j, r = j + k, r * pow(p, k, N) % N
-    if j != k and (p, j) not in _MODULUS_TABLE:
+    # GF(p^j) holding the roots has more than N elements, so past the size
+    # cap only the field itself can, and no j is stepped to; below it the
+    # steps number fewer than MAX_EXTENSION_SIZE
+    step = pow(p, k, N)
+    j, r = k, step                          # r = p^j mod N, back at 1 within N steps
+    while r != 1 % N and N < MAX_EXTENSION_SIZE:
+        j, r = j + k, r * step % N
+    if r != 1 % N or (j != k and (p, j) not in _MODULUS_TABLE):
+        needed = f"gf({p}^{j})" if r == 1 % N else f"a field of more than {N} elements"
         raise FieldError(
             f"host too large: no available extension of {field} splits z^{d}+1; "
-            f"roots have multiplicative order {N}, requiring gf({p}^{j})")
+            f"roots have multiplicative order {N}, requiring {needed}")
     host = field if j == k else _get_descriptor(ExtensionField, p, j, _MODULUS_TABLE[(p, j)])
     minus_one = host.neg_raw(host.one_raw)
     found = [x for x in range(host.order) if host.pow_raw(x, d0) == minus_one]

@@ -57,7 +57,7 @@ from functools import partial
 from fractions import Fraction
 
 from .field import FieldDescriptor, FieldError
-from .poly import (DEGREE_LIMIT, _MASK, Polynomial, _check_degree, _check_index, _merge,
+from .poly import (DEGREE_LIMIT, Polynomial, _check_degree, _check_index, _degree, _merge,
                    _parse_nested, _split_top, _variable_key, _variable_keys, parse_polynomial)
 from .rng import SplitMix64
 from .symfunc import gen_esp
@@ -116,16 +116,6 @@ def _leaf(field: FieldDescriptor, terms: dict, nvars: int, leaf=None) -> Leaf:
     return leaf
 
 
-def _degree(terms: dict) -> int:
-    """Total degree of a packed term dict; -1 for the empty one."""
-    deg = -1
-    for k in terms:
-        k &= _MASK
-        if k > deg:
-            deg = k
-    return deg
-
-
 class Gate:
     """A +/* gate over two nodes of one field; immutable by convention.
 
@@ -175,18 +165,6 @@ class Formula:
         self.nvars = root.nvars
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def leaf(cls, label: Polynomial) -> "Formula":
-        return cls(Leaf(label), label.field)
-
-    @classmethod
-    def variable(cls, field: FieldDescriptor, index: int) -> "Formula":
-        return cls.leaf(Polynomial.variable(field, index))
-
-    @classmethod
-    def constant(cls, field: FieldDescriptor, value) -> "Formula":
-        return cls.leaf(Polynomial.constant(field, value))
 
     @classmethod
     def combine(cls, op: str, a: "Formula", b: "Formula") -> "Formula":

@@ -10,7 +10,10 @@ accumulator, then finish_terms), which reduces once per output term.  The
 key of x_i, 1 << 32*i | 1, holds 1 in the degree field, so the sum of the
 keys of distinct variables is the key of their squarefree product:
 squarefree_sum and symfunc's e_d builder sum the keys that _variable_keys
-builds after checking every index for range and repeats.
+builds after checking every index for range and repeats.  Other modules
+build and read keys only through this module's helpers (_variable_keys,
+_degree, _top, _multilinear_terms and the like), except border.py, whose
+series keys shift these keys up one field.
 
 The guard: no field may carry into its neighbour.  The constructor checks
 each term, and * and ** check in O(1) from their operands' degrees, that
@@ -56,6 +59,7 @@ WIDTH = 32                  # bits per field; _words reads them as 32-bit words
 DEGREE_LIMIT = 1 << WIDTH
 _MASK = DEGREE_LIMIT - 1
 MAX_VARIABLE_INDEX = 1 << 11
+_BITS = bytes.maketrans(b"\0\1", b"01")   # bytes 0 and 1 read as binary digits
 
 
 def _check_index(i: int) -> None:
@@ -152,6 +156,30 @@ def _vars(key: int) -> list[tuple[int, int]]:
     return out
 
 
+def _degree(terms: dict) -> int:
+    """Total degree of a packed term dict; -1 for the empty one."""
+    deg = -1
+    for k in terms:
+        k &= _MASK
+        if k > deg:
+            deg = k
+    return deg
+
+
+def _multilinear_terms(f: Polynomial, d: int) -> dict:
+    """{mask: raw} of f's terms of degree d in d one-bits (every exponent 0
+    or 1): bit i-1 of the mask is x_i.  In a key's big-endian bytes the low
+    byte of x_nvars's field comes first and x_1's last, WIDTH // 8 bytes
+    apart, so that slice, read as binary digits, is the mask."""
+    table, step = {}, WIDTH // 8
+    width = step * (f.nvars + 1)
+    for key, raw in f._terms.items():
+        if key & _MASK == d and (key >> WIDTH).bit_count() == d:
+            lows = key.to_bytes(width, "big")[step - 1:-step:step]
+            table[int(lows.translate(_BITS) or b"0", 2)] = raw
+    return table
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial; operators never mutate."""
 
@@ -221,11 +249,7 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        d = -1
-        for k in self._terms:
-            if k & _MASK > d:
-                d = k & _MASK
-        return d
+        return _degree(self._terms)
 
     def is_homogeneous(self, d: int | None = None) -> bool:
         if not self._terms:

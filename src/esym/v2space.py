@@ -33,10 +33,10 @@ nonzero values arises from the r' pairs (v^-1 * S, v), v among those
 values, so it is kept from the one pair whose lam is its least nonzero
 value.  count_v2 adds up the weights of the accepted strata; enumerate_v2
 expands them into points.  is_order2_zero runs the same test on a point
-when its polynomial is e_d (told from the packed keys by integer tests
-alone, once per polynomial), and evaluates formal partial derivatives of
-any other; tests cross-check the two routes, the walk by orbits against
-the walk over every stratum, and the strata against a scan of every point.
+when its polynomial is e_d (told from its multilinear terms, read once per
+polynomial), and evaluates formal partial derivatives of any other; tests
+cross-check the two routes, the walk by orbits against the walk over every
+stratum, and the strata against a scan of every point.
 
 Conversely, highly repetitive points get in via binomial coefficients
 vanishing mod p; witness_family picks the smallest variable count where a
@@ -52,7 +52,7 @@ from itertools import combinations, product
 from math import comb
 
 from .field import FieldDescriptor, FieldElement, FieldError, _is_prime, embed, lucas_binomial
-from .poly import _MASK, MAX_VARIABLE_INDEX, WIDTH, Polynomial
+from .poly import MAX_VARIABLE_INDEX, Polynomial, _multilinear_terms
 from .rng import SplitMix64
 
 SWEEP_CAP = 2**24  # fixed bound on the steps of a walk by orbits: n*d + (q-1)*r per tested stratum
@@ -112,17 +112,13 @@ def _esp_degree(f: Polynomial):
 
 
 def _scan_esp(f: Polynomial):
-    """_esp_degree's scan: C(nvars, d) terms, each with coefficient 1,
-    degree d and d exponent bits (so every exponent is 0 or 1), are every
-    d-subset of the variables, once."""
-    terms, one = f._terms, f.field.one_raw
-    d = next(iter(terms), 0) & _MASK
-    if not terms or len(terms) != comb(f.nvars, d):
+    """_esp_degree's scan: C(nvars, d) terms, each multilinear of degree d
+    with coefficient 1, are every d-subset of the variables, once."""
+    d = f.degree()
+    if d < 0 or len(f._terms) != comb(f.nvars, d):
         return None
-    for k, raw in terms.items():
-        if raw != one or k & _MASK != d or (k >> WIDTH).bit_count() != d:
-            return None
-    return d
+    table = _multilinear_terms(f, d)
+    return d if len(table) == len(f._terms) and set(table.values()) == {f.field.one_raw} else None
 
 
 def _order2_vanishes(F: FieldDescriptor, d: int, coords, values) -> bool:

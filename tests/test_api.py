@@ -55,6 +55,29 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def key_layout_names(source: str) -> list[str]:
+    """The packed-key layout names, WIDTH and _MASK, that a module imports
+    or reads as an attribute."""
+    layout, found = {"WIDTH", "_MASK"}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found |= layout & {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and node.attr in layout:
+            found.add(node.attr)
+    return sorted(found)
+
+
+def test_only_poly_and_border_read_the_packed_key_layout():
+    # poly.py owns the layout; border.py shifts keys up one field for its
+    # eps-powers.  Every other module reads keys through poly's helpers
+    assert key_layout_names("from .poly import WIDTH as W, Polynomial\nimport esym.poly\n"
+                            "print(esym.poly._MASK)\n") == ["WIDTH", "_MASK"]
+    found = {path.name: key_layout_names(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {
+        "border.py": ["WIDTH", "_MASK"]}
+
+
 def test_bench_tracer_installs_on_a_fresh_import(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(BENCH))
     saved = {name: mod for name, mod in sys.modules.items()

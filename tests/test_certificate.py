@@ -1,9 +1,11 @@
 """Partition-sum certificates: block partitions, hard polynomials, soundness."""
 
+import hashlib
 import itertools
 import json
 import math
 import random
+import signal
 
 import pytest
 
@@ -21,7 +23,7 @@ from esym.certificate import (
 from esym.border import EpsSeries, approx_extract, esp_of_series
 from esym.cli import main
 from esym.field import FieldElement, make_field
-from esym.poly import LinearForm, Polynomial, parse_polynomial
+from esym.poly import LinearForm, Polynomial, _multilinear_terms, parse_polynomial
 from esym.rng import SplitMix64
 from poly_oracles import multilinear_coefficients
 
@@ -295,12 +297,12 @@ def test_block_table_reads_the_packed_keys(monkeypatch, spec, p):
     for n in sorted({size, 2 * size, 12 - 12 % size, 24 - 24 % size}):
         for _ in range(3):
             f = _mixed_polynomial(rng, field, n, size)
-            assert certificate._block_table(f, size) == _multilinear_table(f, size)
+            assert _multilinear_terms(f, size) == _multilinear_table(f, size)
             value = partition_sum(f, p)
             if n <= 12:
                 assert value == enumerated_partition_sum(f, p)
             with monkeypatch.context() as m:
-                m.setattr(certificate, "_block_table", _multilinear_table)
+                m.setattr(certificate, "_multilinear_terms", _multilinear_table)
                 assert partition_sum(f, p) == value
 
 
@@ -534,3 +536,46 @@ def test_random_member_variable_budget():
     assert f.nvars <= 6
     with pytest.raises(CertificateError):
         random_member(1, 2, 9, seed=0)  # 27 variables exceed the cap
+
+
+# every (k, p, ell) that these tests, the acceptance tests and the
+# benchmark's MEMBERS draw
+MEMBERS_IN_USE = sorted({(k, p, ell) for p, ell, _ in MEMBER_SETTINGS
+                         for k in range(3 if p > 3 else 4)}
+                        | {(3, 2, 6), (1, 3, 4), (3, 2, 7), (1, 2, 4), (2, 2, 4), (3, 2, 4),
+                           (1, 3, 3), (1, 2, 2), (2, 2, 3), (1, 2, 3), (1, 3, 2)})
+
+
+def test_random_member_admits_every_setting_in_use_with_the_same_draws():
+    # SHA-256 of the members at seeds 0 and 1, computed before the work
+    # bound was added
+    h = hashlib.sha256()
+    for k, p, ell in MEMBERS_IN_USE:
+        for seed in (0, 1):
+            f = random_member(k, p, ell, seed)
+            h.update(repr((k, p, ell, seed, sorted(f._terms.items()))).encode())
+    assert len(MEMBERS_IN_USE) == 40
+    assert h.hexdigest() == "e4d4274308f3017818b0241adc006076fff26e05aab3c8f852d63c250f6f481e"
+
+
+def test_random_member_refuses_past_its_work_bound_before_any_draw(monkeypatch):
+    # n = 24 is inside the variable cap, but the dense degree-6 draws in
+    # 24 variables ran past 20 s of CPU before the bound
+    def ring(signum, frame):
+        raise TimeoutError("random_member drew past its work bound")
+
+    def no_draws(seed):
+        raise AssertionError("random_member seeded a generator")
+
+    monkeypatch.setattr(certificate, "SplitMix64", no_draws)
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        for k, p, ell in ((1, 11, 2), (1, 7, 2), (10**7, 2, 1)):
+            with pytest.raises(CertificateError, match=rf"^random_member\({k}, {p}, {ell}\) may "
+                                                       r"take \d+ term products, past the cap "
+                                                       r"of 20000000$"):
+                random_member(k, p, ell, seed=0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

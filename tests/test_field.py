@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import signal
 import time
 from fractions import Fraction
 from itertools import product
@@ -25,9 +26,11 @@ from esym.field import (
     make_field,
     roots_of_z_pow_d_plus_one,
 )
-from esym.poly import Polynomial, parse_polynomial
+from esym.poly import LinearForm, Polynomial, parse_polynomial
 from esym.rng import SplitMix64
+from esym.symmodel import SymRepresentation, append_linear_power
 
+GF2 = make_field("gf(2)")
 SMALL_SPECS = ["gf(2)", "gf(3)", "gf(5)", "gf(4)", "gf(8)", "gf(9)", "gf(16)", "gf(25)", "gf(27)"]
 
 
@@ -440,6 +443,105 @@ def test_extension_tables_match_the_pinned_digest():
                  + ["gf(3^2;2,2,1)", "gf(2^8;1,0,1,1,1,0,0,0,1)"]):
         h.update(repr((spec, make_field(spec)._exp)).encode())
     assert h.hexdigest() == "80e64635ab73a48b9caeeda3ce680b79595f07545bcda0414f2a5c55c3247753"
+
+
+def _prime_factors(n):
+    """Distinct prime factors of n, ascending, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    return out + [n] if n > 1 else out
+
+
+def order_test_tables(field):
+    """(generator, exp, log, zech, exp2) by the earlier search: the first
+    candidate g from 2 up with g^((q-1)/ell) != 1 for every prime ell
+    dividing q - 1, each power by square-and-multiply on _mul_generic, then
+    one walk of its powers."""
+    q, mul = field.order, field._mul_generic
+
+    def power(a, n):
+        r = 1
+        while n:
+            if n & 1:
+                r = mul(r, a)
+            a = mul(a, a)
+            n >>= 1
+        return r
+
+    group = q - 1
+    gen = next(c for c in range(2, q)
+               if all(power(c, group // ell) != 1 for ell in _prime_factors(group)))
+    exp = [1] * group
+    for i in range(1, group):
+        exp[i] = mul(exp[i - 1], gen)
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    p, zech, exp2 = field.p, None, None
+    if p == 2:
+        exp2 = exp + exp
+    else:
+        zech = []
+        for x in exp:
+            y = x + 1 if x % p != p - 1 else x + 1 - p
+            zech.append(log[y] if y else -1)
+    return gen, exp, log, zech, exp2
+
+
+# t is not a generator of gf(3^2) (t^2 + 1: t^4 = 1) nor of the two given
+# moduli that follow it; their generators are the raws 4, 3 and 6
+ORACLE_SPECS = ([f"gf({p}^{k})" for p, k in sorted(_MODULUS_TABLE)]
+                + ["gf(2^8;1,1,0,1,1,0,0,0,1)", "gf(5^4;1,0,2,2,1)",
+                   "gf(2^8;1,0,1,1,1,0,0,0,1)", "gf(3^2;2,2,1)"])
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_the_power_walk_builds_the_order_tests_tables(spec):
+    field = make_field(spec)
+    gen, exp, log, zech, exp2 = order_test_tables(field)
+    assert field._exp[1] == gen
+    assert (field._exp, field._log, field._zech, field._exp2) == (exp, log, zech, exp2)
+
+
+def test_the_oracle_moduli_include_ones_where_t_is_not_a_generator():
+    gens = {spec: order_test_tables(make_field(spec))[0] for spec in ORACLE_SPECS}
+    assert (gens["gf(3^2)"], gens["gf(2^8;1,1,0,1,1,0,0,0,1)"], gens["gf(5^4;1,0,2,2,1)"]) == (
+        4, 3, 6)
+    assert all(make_field(spec).element_at(gens[spec]) != make_field(spec).element("t")
+               for spec in ("gf(3^2)", "gf(2^8;1,1,0,1,1,0,0,0,1)", "gf(5^4;1,0,2,2,1)"))
+
+
+def test_a_host_past_the_size_cap_is_refused_at_once():
+    # N = 10^9 + 7 is prime and 2 has order (N - 1)/2 mod N: stepping j up
+    # to that order took more than 20 s; a host of the roots has more than
+    # N elements, past the size cap, so no degree is stepped to
+    def ring(signum, frame):
+        raise TimeoutError("the host search ran on past the size cap")
+
+    d = 10**9 + 7
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        with pytest.raises(FieldError, match=rf"^host too large: no available extension of "
+                                             rf"gf\(2\) splits z\^{d}\+1; roots have "
+                                             rf"multiplicative order {d}, requiring a field "
+                                             rf"of more than {d} elements$"):
+            roots_of_z_pow_d_plus_one(GF2, d)
+        rep = SymRepresentation(GF2, d, [LinearForm(GF2, [1])])
+        with pytest.raises(FieldError, match=rf"requiring a field of more than {d} elements$"):
+            append_linear_power(rep, LinearForm(GF2, [1]))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    # below the cap the host is named: 2 generates the units mod the prime
+    # 1048573, the most steps any N below the cap takes
+    with pytest.raises(FieldError, match=r"requiring gf\(2\^1048572\)$"):
+        roots_of_z_pow_d_plus_one(GF2, 1048573)
 
 
 # -- Lucas binomials --------------------------------------------------------

@@ -89,7 +89,7 @@ def test_str_parse_round_trip():
 
 def test_leaves_must_be_affine():
     with pytest.raises(FormulaError):
-        Formula.leaf(parse_polynomial("x1^2", GF5))
+        Formula(Leaf(parse_polynomial("x1^2", GF5)), GF5)
 
 
 def test_a_leaf_gives_back_its_label_as_a_plain_polynomial():
@@ -543,7 +543,7 @@ def test_formula_refuses_a_root_over_another_field_or_a_non_node():
     with pytest.raises(FormulaError, match=r"^leaf label 3 is not a Polynomial$"):
         Leaf(3)
     with pytest.raises(FieldError, match=r"^mixed fields in a formula gate: gf\(5\) and gf\(7\)$"):
-        phi + Formula.variable(GF7, 1)
+        phi + Formula(Leaf(Polynomial.variable(GF7, 1)), GF7)
     assert Formula(phi.root, GF5).nvars == 2
 
 
