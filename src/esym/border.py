@@ -22,11 +22,16 @@ derived on read.
 kumar_fanin2 realizes e_d of forms with two product terms:
 prod(1 + eps*L_i) - 1, valid when e_1..e_(d-1) of the forms vanish.
 constant_shift realizes the lemma that a factor may be nudged by eps^M
-without changing what the circuit approximates.  depth3_to_sym converts a
-fan-in-k circuit of affine eps-factors into k symmetric terms: each factor
-is normalized to gamma * (1 + lhat) with gamma a scalar series, and the
+without changing what the circuit approximates.
+
+depth3_to_sym converts a fan-in-k circuit of affine eps-factors into k
+symmetric terms by one rule for every factor f.  Let v be f's valuation;
+if f has no x-free term at eps^v, eps^v is added to it (the shift lemma at
+M = 0).  Then f = eps^v * u * (1 + lhat) with u a unit series, and the
 degree-d part in x of each product is exactly e_d of the normalized linear
-parts, so the sum of scalar * e_d(forms) extracts to the same principal.
+parts times the folded scalar.  A nudge can change what the circuit
+approximates, so nothing is assumed: the sum of the realized terms must
+extract to the target at the circuit's order, or the conversion refuses.
 
 depth3_to_sym reads only the degree-d part H_d in x of the circuit and of
 the realized symmetric terms.  The circuit's H_d is the same sweep, one
@@ -41,7 +46,6 @@ of the sum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -369,26 +373,24 @@ def kumar_fanin2(forms, d: int, T: int | None = None):
 # the shift lemma
 
 def constant_shift(F: EpsSeries, G: EpsSeries, ell: LinearForm,
-                   target: Polynomial, degree: int | None = None) -> int:
-    """Minimal M such that F*(ell + eps^M) + G still extracts to target.
+                   target: Polynomial) -> int:
+    """An exponent M such that F*(ell + eps^M) + G still extracts to target
+    at the same order.
 
     Requires F*ell + G to extract to target already (the precondition of
-    the lemma); when degree is given the extraction is filtered to the
-    degree-d part in x first.  Returns the exponent M; raises when no
-    M < T verifies, which signals that the truncation is too small.
+    the lemma).  A zero F returns 1 without a search (every M works);
+    otherwise the least M < T that verifies is returned, and the lemma
+    raises when none does, which signals that the truncation is too small.
     """
-    def extract(s: EpsSeries) -> BorderWitness:
-        return approx_extract(s.homogeneous_part(degree) if degree is not None else s)
-
     base = F * ell + G
-    w0 = extract(base)
+    w0 = approx_extract(base)
     if w0.principal != target:
         raise BorderError(
             f"F*ell + G extracts {w0.principal} at order {w0.order}, not the target")
     if F.is_zero:
         return 1
     for M in range(base.truncation):
-        w = extract(base + F.shift(M))
+        w = approx_extract(base + F.shift(M))
         if w.order == w0.order and w.principal == target:
             return M
     raise BorderError("truncation too small: no shift exponent below "
@@ -421,14 +423,15 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
     an EpsSeries (from a series, polynomial, linear form or field scalar),
     and every factor has affine coefficients.  The circuit's degree-d part
     in x is read by one affine sweep per term (see the module docstring).
-    Factors with a zero constant part must have the single-power shape
-    eps^w * ell and are repaired through constant_shift; every factor is
-    then split into gamma, its x-free part, and its linear part, and
-    normalized to gamma * (1 + lhat).  When gamma is exactly 1, lhat is the
-    linear part itself and the scalar is only cut to the factor's
-    truncation; any other gamma is inverted into lhat and folded into the
-    scalar.  lhat's linear coefficients become the forms.  The sum of
-    realized terms is checked against the original by H_d extraction.
+    Every factor f is split into gamma, its x-free part, and its linear
+    part, and normalized by one rule: with v its valuation, eps^v is added
+    to gamma when gamma has no term at eps^v, and then f = gamma * (1 +
+    lhat).  When gamma is exactly 1, lhat is the linear part itself and the
+    scalar is only cut to the factor's truncation; any other gamma is
+    eps^v times a unit, whose inverse goes into lhat while gamma is folded
+    into the scalar.  lhat's linear coefficients become the forms.  The sum
+    of realized terms must extract to the target at the circuit's order,
+    which also certifies every eps^v nudge.
     """
     if not target.is_homogeneous() or target.is_zero:
         raise BorderError("target must be homogeneous and nonzero")
@@ -451,42 +454,17 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
         raise BorderError(
             f"the terms extract {w0.principal} at order {w0.order}, not the target")
 
-    # repair factors with no constant part via the shift lemma
-    for ti, (c, fs) in enumerate(norm_terms):
-        for fi, f in enumerate(fs):
-            if any(k <= _MASK for k in f._terms):
-                continue
-            w = f.valuation()
-            if w is None:
-                raise BorderError("a zero factor cannot be normalized")
-            if any(k & _MASK > w for k in f._terms):
-                raise BorderError(
-                    f"factor {f} has no constant part and is not eps^w * linear; "
-                    "cannot normalize within a truncated series")
-            ell = LinearForm.from_polynomial(f.coeff(w))
-            others = math.prod(fs[:fi] + fs[fi + 1:], start=c)
-            rest = _affine_degree_part(
-                field, [t for k, t in enumerate(norm_terms) if k != ti], d, T)
-            M = constant_shift(others.shift(w), rest, ell, target, degree=d)
-            if w + M >= f.truncation:
-                raise BorderError(
-                    f"shift eps^{w + M} falls outside truncation {f.truncation}")
-            fs[fi] = f + EpsSeries.eps(field, f.truncation, w + M)
-
     unit = {0: field.one_raw}
     reps = []
     for c, fs in norm_terms:
         scalar = c
         forms = []
         for f in fs:
+            v = f.valuation()
+            if v is None:
+                raise BorderError("a zero factor cannot be normalized")
             gamma, lam = _split_affine(f._terms)
-            v = min([k & _MASK for k in gamma])
-            lv = min([k & _MASK for k in lam], default=None)
-            if lv is not None and lv < v:
-                raise BorderError(
-                    f"factor {f}: the linear part appears at eps^{lv}, below the "
-                    f"constant part at eps^{v}; normalizing needs rational eps "
-                    "coefficients, not a truncated series")
+            gamma.setdefault(v, field.one_raw)   # the nudge f + eps^v
             Tf = f.truncation - v
             lhat = EpsSeries._of(field, Tf, {k - v: r for k, r in lam.items()})
             if gamma == unit:   # f = 1 + lhat: the form is lhat, the scalar is cut
@@ -504,7 +482,8 @@ def depth3_to_sym(terms, target: Polynomial, T: int):
     if wr.order != w0.order or wr.principal != target:
         raise BorderError(
             f"symmetric terms extract {wr.principal} at order {wr.order}; "
-            f"expected the target at order {w0.order} (truncation too small?)")
+            f"expected the target at order {w0.order} (truncation too small, "
+            "or an eps^v nudge of a factor changed H_d?)")
     return reps
 
 

@@ -65,6 +65,10 @@ from itertools import count
 
 MAX_EXTENSION_SIZE = 1 << 20
 
+# fixed bound on d + d0^2 in roots_of_z_pow_d_plus_one: the d roots it
+# returns and the O(d0^2) steps of its product check over the d0 distinct ones
+MAX_ROOT_WORK = 1 << 22
+
 _MODULUS_TABLE = {
     (2, 2): (1, 1, 1),
     (2, 3): (1, 1, 0, 1),
@@ -932,9 +936,12 @@ def roots_of_z_pow_d_plus_one(field: FieldDescriptor, d: int):
     p^a times.  Their orders divide N = d0 (p = 2) or 2*d0, so GF(p^j) holds
     them all exactly when N divides p^j - 1; the host is the field or the
     tabled GF(p^j) for the least such multiple j of the field's degree.
-    The product of (z - root) over the d0 distinct roots is verified to
-    reproduce z^d0 + 1 exactly before returning; its p^a-th power is then
-    z^d + 1 by Frobenius.
+    The distinct roots are the odd powers of one element of order N (every
+    power when p = 2), so no host element is scanned; d + d0^2 past
+    MAX_ROOT_WORK is refused once the host is known.  The product of
+    (z - root) over the d0 distinct roots is verified to reproduce
+    z^d0 + 1 exactly before returning; its p^a-th power is then z^d + 1 by
+    Frobenius.
     """
     if field.characteristic == 0:
         raise FieldError("roots_of_z_pow_d_plus_one requires positive characteristic")
@@ -957,12 +964,32 @@ def roots_of_z_pow_d_plus_one(field: FieldDescriptor, d: int):
         raise FieldError(
             f"host too large: no available extension of {field} splits z^{d}+1; "
             f"roots have multiplicative order {N}, requiring {needed}")
+    if d + d0 * d0 > MAX_ROOT_WORK:
+        raise FieldError(
+            f"z^{d}+1 has {d} roots over {d0} distinct ones: d + d0^2 = {d + d0 * d0} "
+            f"exceeds the cap {MAX_ROOT_WORK}")
     host = field if j == k else _get_descriptor(ExtensionField, p, j, _MODULUS_TABLE[(p, j)])
-    minus_one = host.neg_raw(host.one_raw)
-    found = [x for x in range(host.order) if host.pow_raw(x, d0) == minus_one]
+    found = _distinct_roots(host, d0, N)
     # prod (z - w_i) over d0 values = sum_j e_j(-w) z^(d0-j): it is z^d0 + 1
     # exactly when e_0..e_d0 of the negated roots read 1, 0, ..., 0, 1
     esp = host.esp_raw([host.neg_raw(w) for w in found], d0)
     if len(found) != d0 or esp != [host.one_raw] + [host.zero_raw] * (d0 - 1) + [host.one_raw]:
         raise FieldError("internal: root product check failed")
     return [FieldElement(host, r) for r in found for _ in range(d // d0)], host
+
+
+def _distinct_roots(host: FieldDescriptor, d0: int, N: int) -> list:
+    """Sorted raws of the d0 roots of z^d0 + 1 in host, where N (d0 for
+    p = 2, else 2*d0) divides q - 1: w = a^((q-1)/N) for the first a whose
+    power walk meets 1 again only at w^N has order N, and the roots are its
+    powers (N = d0, where -1 = 1) or its odd powers (w^d0 = -1)."""
+    one, mul = host.one_raw, host.mul_raw
+    for a in range(1, host.order):
+        w = host.pow_raw(a, (host.order - 1) // N)
+        walk = [one]
+        for _ in range(N - 1):
+            walk.append(mul(walk[-1], w))
+            if walk[-1] == one:
+                break
+        else:
+            return sorted(walk if N == d0 else walk[1::2])

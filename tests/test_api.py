@@ -1,5 +1,5 @@
 """The public surface: every exported name resolves, no module imports a
-name it never uses, and the benchmark's tracer wraps and unwraps a fresh
+name it never uses, no private helper goes unread, and the benchmark's tracer wraps and unwraps a fresh
 import of the package and sees each layer of a CLI run."""
 
 import ast
@@ -53,6 +53,40 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def dead_helpers(sources: dict) -> list[str]:
+    """Private functions, classes and methods (a _name, dunders aside)
+    defined at module level or in a class body of some source, and read
+    (loaded as a name or attribute, or imported by name) in none."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        bodies = tree.body + [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+        defined += [(node.name, f"{module}:{node.lineno}") for node in bodies
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{name} ({where})" for name, where in defined if name not in read)
+
+
+def test_dead_helper_check_has_teeth():
+    sources = {"a.py": "def _used():\n    pass\n\ndef _dead():\n    pass\n\n"
+                       "class C:\n    def _gone(self):\n        pass\n\n"
+                       "    def __init__(self):\n        self._x = _used\n",
+               "b.py": "from .a import _imported\n\ndef _imported():\n    pass\n"}
+    assert dead_helpers(sources) == ["_dead (a.py:4)", "_gone (a.py:8)"]
+
+
+def test_every_private_helper_is_read_somewhere():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert dead_helpers(sources) == []
 
 
 def key_layout_names(source: str) -> list[str]:

@@ -298,8 +298,8 @@ def test_depth3_round_trip_of_kumar_output():
 
 
 def test_depth3_repairs_pure_eps_linear_factor():
-    # eps*x1 * x2 extracts to x1*x2 at eps^1; the factor has no constant
-    # part and is repaired through the shift lemma
+    # eps*x1 * (1 + eps^2*x2) reads x1*x2 at eps^3 in degree 2; the first
+    # factor has no x-free part and is nudged to eps + eps*x1
     target = parse_polynomial("x1*x2", GF5)
     T = 6
     terms = [(1, [EpsSeries.from_polynomial(parse_polynomial("x1", GF5), T).shift(1),
@@ -370,26 +370,37 @@ def _series(text, T):
     # a zero factor in a term whose sum with the others extracts the target
     ([(1, [EpsSeries.zero(GF5, 6)]), (1, [_series("x1", 6), _series("x2", 6)])], "x1*x2",
      "a zero factor cannot be normalized"),
-    # no constant part, and the linear part sits at two powers of eps
-    ([(1, [_series("x1", 5).shift(1) + _series("x2", 5).shift(2)])], "x1",
-     "factor x1*e + x2*e^2 has no constant part and is not eps^w * linear; "
-     "cannot normalize within a truncated series"),
-    # the repair of eps*x1 (truncated at eps^2) needs eps^2
-    ([(0, [_series("x1", 2).shift(1)]), (1, [_series("x1", 6)])], "x1",
-     "shift eps^2 falls outside truncation 2"),
-    ([(1, [_series("x1", 5).shift(1) + EpsSeries.eps(GF5, 5, 2)])], "x1",
-     "factor x1*e + e^2: the linear part appears at eps^1, below the constant part "
-     "at eps^2; normalizing needs rational eps coefficients, not a truncated series"),
     # dividing out eps^2 leaves forms truncated at eps^1, below the order
     ([(1, [(EpsSeries.constant(GF5, 1, 3) + _series("x1", 3)).shift(2)])], "x1",
      "symmetric terms extract 0 at order 1; expected the target at order 2 "
-     "(truncation too small?)"),
-], ids=["zero-factor", "two-eps-powers", "shift-past-truncation", "linear-below-constant",
-        "terms-lose-the-order"])
+     "(truncation too small, or an eps^v nudge of a factor changed H_d?)"),
+    # eps*x1 * x2 + eps^2*x3 reads x3 at eps^2 in degree 1; the nudged
+    # factors (eps + eps*x1) * (1 + x2) put x1 + x2 there at eps^1
+    ([(1, [_series("x1", 6).shift(1), _series("x2", 6)]), (1, [_series("x3", 6).shift(2)])],
+     "x3",
+     "symmetric terms extract x1 + x2 at order 1; expected the target at order 2 "
+     "(truncation too small, or an eps^v nudge of a factor changed H_d?)"),
+], ids=["zero-factor", "terms-lose-the-order", "nudge-changes-the-degree-part"])
 def test_depth3_refusals(terms, target, message):
     with pytest.raises(BorderError) as exc:
         depth3_to_sym(terms, parse_polynomial(target, GF5), 6)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("terms,target", [
+    # no x-free part, and the linear part sits at two powers of eps
+    ([(1, [_series("x1", 5).shift(1) + _series("x2", 5).shift(2)])], "x1"),
+    # eps*x1 truncated at eps^2: the nudge eps^1 fits below the truncation
+    ([(0, [_series("x1", 2).shift(1)]), (1, [_series("x1", 6)])], "x1"),
+    # the linear part at eps^1, below the x-free part at eps^2
+    ([(1, [_series("x1", 5).shift(1) + EpsSeries.eps(GF5, 5, 2)])], "x1"),
+], ids=["two-eps-powers", "shift-past-truncation", "linear-below-constant"])
+def test_depth3_nudges_factors_with_no_x_free_lead(terms, target):
+    # each factor with no x-free term at its valuation v gains eps^v; the
+    # result is checked by the dense oracle
+    terms = [(EpsSeries.constant(GF5, c, 6), fs) for c, fs in terms]
+    target = parse_polynomial(target, GF5)
+    _assert_converts(terms, target, 6, depth3_to_sym(terms, target, 6))
 
 
 # -- the dense-list oracle ---------------------------------------------------------------
@@ -697,8 +708,7 @@ def test_affine_sweep_matches_the_product_chain(spec):
 def _depth3_circuits(field, rng):
     """Seeded (terms, target, T): fan-in 2 kumar circuits of forms with e_1 = 0,
     the same with a third term that only reaches past the extracted order,
-    a factor with no constant part (the constant_shift repair), and a wrong
-    target."""
+    a factor with no x-free part (nudged by eps^1), and a wrong target."""
     def coeff():
         c = _element(field, rng)
         return c if c != 0 else 1
@@ -842,3 +852,107 @@ def test_depth3_degree_cut_bounds_the_work(monkeypatch):
     assert swept <= 400
     _uncut(monkeypatch)
     assert _term_products(monkeypatch, lambda: depth3_to_sym(terms, target, T)) >= 5 * swept
+
+
+# -- random fan-in-k eps-circuits -------------------------------------------------------------
+
+def _dense_of(s):
+    return DenseSeries(s.field, s.truncation, s.coeffs)
+
+
+def _assert_converts(terms, target, T, reps):
+    """Every form has homogeneous linear coefficients, and the reps' sum of
+    scalar * e_d(forms), built by the dense oracle, reads the target at the
+    order of the circuit's own full products (_product_chain)."""
+    d, field = target.degree(), target.field
+    circuit = _product_chain(field, terms, d, T)
+    order = circuit.valuation()
+    assert circuit.coeff(order) == target
+    total = None
+    for rep in reps:
+        forms = [_dense_of(f) for f in rep.forms]
+        assert all(c.is_zero or c.is_homogeneous(1) for f in forms for c in f.c)
+        Tr = min([rep.scalar.truncation] + [f.T for f in forms])
+        one = DenseSeries(field, Tr, [Polynomial.constant(field, 1)])
+        e_d = esp_sweep(forms, d, DenseSeries(field, Tr), one, operator.add, operator.mul)[d]
+        part = (_dense_of(rep.scalar) * e_d).homogeneous_part(d)
+        total = part if total is None else total + part
+    v = total.valuation()
+    assert v == order and total.c[v] == target
+
+
+EPS_SHAPES = ("one-power", "several-powers", "linear-below-constant", "x-scalar")
+
+
+def _eps_circuits(field, rng, count):
+    """Seeded (shape, terms, target, T): count fan-in-k circuits per shape,
+    k = 1..3 terms of 1..3 affine factors in x1..x3 mod eps^T.  A factor is
+    1 + eps*L, c*eps^j + eps^(j+1)*L, or, in each term, one factor of the
+    shape: eps^j*L (one-power), eps^j*L + eps^k*L' with j < k
+    (several-powers), eps^j*L + c*eps^k with j < k (linear-below-constant),
+    or eps^j*L again under a scalar with x-terms (x-scalar).  The target is
+    the principal of the circuit's degree-d part for a d the circuit
+    reaches; circuits whose degree-d part is zero are skipped."""
+    def coeff():
+        c = _element(field, rng)
+        return c if c != 0 else 1
+
+    def lin(T, j):
+        ell = LinearForm(field, [coeff()] + [_element(field, rng) for _ in range(2)])
+        return EpsSeries.from_polynomial(ell.to_polynomial(), T, j)
+
+    def const(T, j):
+        return EpsSeries.eps(field, T, j).scale(coeff())
+
+    def factor(T, shape):
+        j = rng.below(2)
+        if shape == "plain":
+            one = EpsSeries.constant(field, 1, T)
+            return one + lin(T, 1) if rng.below(2) else const(T, j) + lin(T, j + 1)
+        if shape == "several-powers":
+            return lin(T, j) + lin(T, j + 1 + rng.below(2))
+        if shape == "linear-below-constant":
+            return lin(T, j) + const(T, j + 1 + rng.below(2))
+        return lin(T, rng.below(3))
+
+    for shape in EPS_SHAPES:
+        made = 0
+        while made < count:
+            T = 4 + rng.below(3)
+            terms = []
+            for _ in range(1 + rng.below(3)):
+                fs = [factor(T, "plain") for _ in range(rng.below(3))]
+                fs.insert(rng.below(len(fs) + 1), factor(T, shape))
+                c = const(T, rng.below(2))
+                if shape == "x-scalar":
+                    c = c + lin(T, rng.below(2))
+                terms.append((c, fs))
+            d = 1 + rng.below(max(len(fs) for c, fs in terms) + (shape == "x-scalar"))
+            target = approx_extract(_product_chain(field, terms, d, T)).principal
+            if target.is_zero:
+                continue
+            made += 1
+            yield shape, terms, target, T
+
+
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(4)", "gf(5)", "gf(9)", "q"])
+def test_random_eps_circuits_convert_by_the_nudge(spec, monkeypatch):
+    # the conversion never searches for a shift; every shape converts,
+    # several-powers and linear-below-constant included, and every
+    # conversion matches the dense oracle
+    def searched(*args, **kwargs):
+        raise AssertionError("depth3_to_sym called constant_shift")
+
+    monkeypatch.setattr(border, "constant_shift", searched)
+    field = make_field(spec)
+    converted = dict.fromkeys(EPS_SHAPES, 0)
+    for shape, terms, target, T in _eps_circuits(field, SplitMix64(3001), 40):
+        try:
+            reps = depth3_to_sym(terms, target, T)
+        except BorderError as exc:
+            assert "nudge" in str(exc)
+            continue
+        assert len(reps) == len(terms)
+        _assert_converts(terms, target, T, reps)
+        converted[shape] += 1
+    assert min(converted.values()) >= 5 and sum(converted.values()) >= 100, converted

@@ -3,7 +3,10 @@
 import hashlib
 import math
 import re
+import os
 import signal
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -12,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import esym.field
 from esym.field import (
+    MAX_ROOT_WORK,
     FieldElement,
     FieldError,
     QQ,
@@ -379,18 +384,72 @@ def test_roots_repeat_the_distinct_roots(spec, d, distinct):
                      for _ in range(d // distinct)]
 
 
-@pytest.mark.parametrize("misread", [{0: 4}, {2: 1}, {0: 4, 3: 1}],
+@pytest.mark.parametrize("listed", [[0, 2, 3], [3], [0, 2]],
                          ids=["extra-root", "missing-root", "swapped-root"])
-def test_a_wrong_root_list_fails_the_product_check(monkeypatch, misread):
-    # a kernel that misreads x^2 at the raws in misread lists a wrong set of
-    # roots of z^2 + 1 over gf(5), whose roots are 2 and 3 (-1 is 4)
+def test_a_wrong_root_list_fails_the_product_check(monkeypatch, listed):
+    # a listing that misreads which raws are roots of z^2 + 1 over gf(5),
+    # whose roots are 2 and 3 (-1 is 4), fails the check
     gf5 = make_field("gf(5)")
-    real = type(gf5).pow_raw
-    monkeypatch.setattr(type(gf5), "pow_raw", lambda f, a, n: misread.get(a, real(f, a, n)))
+    monkeypatch.setattr(esym.field, "_distinct_roots", lambda host, d0, N: listed)
     with pytest.raises(FieldError, match="root product check failed"):
         roots_of_z_pow_d_plus_one(gf5, 2)
     monkeypatch.undo()
     assert [r.raw for r in roots_of_z_pow_d_plus_one(gf5, 2)[0]] == [2, 3]
+
+
+def _within_one_second(call):
+    def ring(signum, frame):
+        raise TimeoutError("the roots ran on past 1 s")
+
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_roots_list_no_host_elements_and_bound_their_work():
+    # over GF(10^9 + 7) the roots of z + 1 come from one element of order 2,
+    # not from a scan of 10^9 elements
+    big = make_field(10**9 + 7)
+    roots, host = _within_one_second(lambda: roots_of_z_pow_d_plus_one(big, 1))
+    assert host is big and [r.raw for r in roots] == [10**9 + 6]
+    # 2*166667 divides 1000002, so GF(1000003) hosts the roots, but d0^2 is
+    # past the cap and is refused before the product check runs
+    with pytest.raises(FieldError, match=rf"^z\^166667\+1 has 166667 roots over 166667 "
+                                         rf"distinct ones: d \+ d0\^2 = 27778055556 exceeds "
+                                         rf"the cap {MAX_ROOT_WORK}$"):
+        _within_one_second(lambda: roots_of_z_pow_d_plus_one(make_field(1000003), 166667))
+    # the largest d0 below the cap, over the least prime field hosting it,
+    # answers in time; d = MAX_ROOT_WORK over gf(2) (d0 = 1) is past it
+    d0 = max(n for n in range(1, 2048) if n * n + n <= MAX_ROOT_WORK)
+    p = next(p for p in range(2 * d0 + 1, 10**6, 2 * d0) if _is_prime(p))
+    roots, _ = _within_one_second(lambda: roots_of_z_pow_d_plus_one(make_field(p), d0))
+    assert len(set(roots)) == d0 and all(r ** d0 == -r.field.one for r in roots)
+    with pytest.raises(FieldError, match="exceeds the cap"):
+        roots_of_z_pow_d_plus_one(GF2, MAX_ROOT_WORK)
+
+
+def test_roots_refuse_two_to_the_forty_before_listing_them():
+    # 2^40 roots of z^(2^40) + 1 over gf(2) would not fit in memory: a child
+    # process with a 1 GB address space must refuse at once
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from esym.field import FieldError, make_field, roots_of_z_pow_d_plus_one\n"
+        "try:\n"
+        "    roots_of_z_pow_d_plus_one(make_field('gf(2)'), 2**40)\n"
+        "except FieldError as exc:\n"
+        "    print(exc)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (f"z^{2**40}+1 has {2**40} roots over 1 distinct ones: "
+                           f"d + d0^2 = {2**40 + 1} exceeds the cap {MAX_ROOT_WORK}\n")
 
 
 def test_roots_requires_positive_characteristic():
