@@ -21,17 +21,16 @@ derived on read.
 
 kumar_fanin2 realizes e_d of forms with two product terms:
 prod(1 + eps*L_i) - 1, valid when e_1..e_(d-1) of the forms vanish.
-constant_shift realizes the lemma that a factor may be nudged by eps^M
-without changing what the circuit approximates.
 
 depth3_to_sym converts a fan-in-k circuit of affine eps-factors into k
 symmetric terms by one rule for every factor f.  Let v be f's valuation;
-if f has no x-free term at eps^v, eps^v is added to it (the shift lemma at
-M = 0).  Then f = eps^v * u * (1 + lhat) with u a unit series, and the
-degree-d part in x of each product is exactly e_d of the normalized linear
-parts times the folded scalar.  A nudge can change what the circuit
-approximates, so nothing is assumed: the sum of the realized terms must
-extract to the target at the circuit's order, or the conversion refuses.
+if f has no x-free term at eps^v, eps^v is added to it (the lemma that a
+factor may be nudged by eps^M, at M = 0).  Then f = eps^v * u * (1 + lhat)
+with u a unit series, and the degree-d part in x of each product is
+exactly e_d of the normalized linear parts times the folded scalar.  A
+nudge can change what the circuit approximates, so nothing is assumed:
+the sum of the realized terms must extract to the target at the circuit's
+order, or the conversion refuses.
 
 depth3_to_sym reads only the degree-d part H_d in x of the circuit and of
 the realized symmetric terms.  The circuit's H_d is the same sweep, one
@@ -50,8 +49,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .field import FieldDescriptor, FieldError, _dot_terms, _sweep_terms
-from .poly import (WIDTH, LinearForm, Polynomial, _as_polynomial, _check_degree, _MASK, _merge,
-                   _top)
+from .poly import WIDTH, Polynomial, _as_polynomial, _check_degree, _MASK, _merge, _top
 from .symfunc import esp_table_of_forms
 
 
@@ -367,34 +365,6 @@ def kumar_fanin2(forms, d: int, T: int | None = None):
     product = EpsSeries(field, T, table)
     minus_one = EpsSeries.constant(field, -1, T)
     return product, minus_one, product + minus_one
-
-
-# ---------------------------------------------------------------------------
-# the shift lemma
-
-def constant_shift(F: EpsSeries, G: EpsSeries, ell: LinearForm,
-                   target: Polynomial) -> int:
-    """An exponent M such that F*(ell + eps^M) + G still extracts to target
-    at the same order.
-
-    Requires F*ell + G to extract to target already (the precondition of
-    the lemma).  A zero F returns 1 without a search (every M works);
-    otherwise the least M < T that verifies is returned, and the lemma
-    raises when none does, which signals that the truncation is too small.
-    """
-    base = F * ell + G
-    w0 = approx_extract(base)
-    if w0.principal != target:
-        raise BorderError(
-            f"F*ell + G extracts {w0.principal} at order {w0.order}, not the target")
-    if F.is_zero:
-        return 1
-    for M in range(base.truncation):
-        w = approx_extract(base + F.shift(M))
-        if w.order == w0.order and w.principal == target:
-            return M
-    raise BorderError("truncation too small: no shift exponent below "
-                      f"{base.truncation} preserves the extraction")
 
 
 # ---------------------------------------------------------------------------

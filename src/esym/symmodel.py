@@ -9,17 +9,21 @@ an instance is self-certifying.  The moves:
 
   * append_linear_power: extend a representation of f to one of f + q^d by
     appending the d forms -w_i*q for the roots w_i of z^d + 1.
-  * quadratic_gadget / quadratic_to_sym: in characteristic 2, write any
-    quadratic as e_2 of forms with e_1 = 0, three forms per monomial, using
-    a cube root of unity w (lifting into the smallest extension containing
-    one when needed).
+  * quadratic_gadget: in characteristic 2, write u*v as e_2 of three forms
+    with e_1 = 0, using a cube root of unity w (lifting into the smallest
+    extension containing one when needed).
+  * quadratic_to_sym: in characteristic 2, write a quadratic in n variables
+    as e_2 of at most 3*(n//2) + 2 forms with e_1 = 0: one gadget per
+    hyperbolic pair split off its alternating polar form, and the pair
+    (l, l) for the square l^2 that remains.
   * newton_decompose: for degree p + 1 over characteristic p, split e_(p+1)
     of the forms into products of two lower-degree symmetric pieces, a
     Frobenius power of e_1, and (p+1)-th powers of the forms.  Reassembly is
     exact; the power-sum block carries sign (-1)^p, so it flips for odd p.
   * reducible_to_sym: in characteristic 2, turn a product of a quadratic
     and a linear factor into a degree-3 representation, cancelling the
-    leftover cubes with one block of cube-root multiples per gadget form.
+    leftover cubes with one block of cube-root multiples per form of the
+    quadratic.
 
 All construction is pure; every function returns fresh objects.
 """
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 from .field import (FieldDescriptor, FieldElement, FieldError, make_field,
                     roots_of_z_pow_d_plus_one)
-from .poly import LinearForm, Polynomial
+from .poly import LinearForm, Polynomial, _variable_keys
 from .symfunc import esp_of_forms, esp_table_of_forms, power_sum_of_forms
 
 
@@ -162,22 +166,78 @@ def _gadget_forms(u: LinearForm, v: LinearForm, omega: FieldElement) -> tuple:
 
 def quadratic_to_sym(f: Polynomial) -> SymRepresentation:
     """Write a homogeneous quadratic over characteristic 2 as e_2 of forms
-    with e_1 = 0, three forms per monomial."""
+    with e_1 = 0, at most 3*(n//2) + 2 of them in n variables.
+
+    The polar form of Q is alternating in characteristic 2, and the cross
+    terms go one hyperbolic pair at a time.  With q != 0 the coefficient of
+    the lowest remaining x_i*x_j (i < j, in lexicographic order), write
+    Q = q*x_i*x_j + x_i*A + x_j*B + a*x_i^2 + b*x_j^2 + R, with A, B and R
+    free of x_i and x_j.  Then
+
+        Q = q*u*v + (sqrt(a)*u + sqrt(b)*v)^2 + R',
+        u = x_i + B/q,  v = x_j + A/q,  R' = R + A*B/q + (a*B^2 + b*A^2)/q^2,
+
+    and R' is free of x_i and x_j.  Each q*u*v is one gadget of three
+    forms, so the gadgets number rank/2 for the rank of the polar form.
+    Once no cross term is left, what remains is a sum of squares, and the
+    squares add up to one l^2, which is e_2 of the pair (l, l), whose e_1
+    is 2*l = 0.  A square root in GF(2^k) is the power 2^(k-1).
+    """
     if f.field.characteristic != 2:
         raise SymModelError("quadratic_to_sym needs characteristic 2")
     if not f.is_homogeneous(2) and not f.is_zero:
         raise SymModelError("quadratic_to_sym needs a homogeneous quadratic")
     host, omega = _host_with_omega(f.field)
     lifted = f.map_field(host)
-    forms: list[LinearForm] = []
     n = lifted.nvars
+    add, mul, zero = host.add_raw, host.mul_raw, host.zero_raw
+    cross = [[zero] * n for _ in range(n)]     # symmetric, zero diagonal
+    square = [zero] * n
     for mono, coeff in lifted.terms():
-        on = [i + 1 for i, e in enumerate(mono) if e]
-        i, j = on if len(on) == 2 else on * 2
-        u = LinearForm.from_polynomial(Polynomial.variable(host, i, n).scale_raw(coeff.raw))
-        v = LinearForm.from_polynomial(Polynomial.variable(host, j, n))
-        forms.extend(_gadget_forms(u, v, omega))
-    return SymRepresentation(host, 2, forms, lifted)   # the one check of all 3M forms
+        on = [i for i, e in enumerate(mono) if e]
+        if len(on) == 2:
+            cross[on[0]][on[1]] = cross[on[1]][on[0]] = coeff.raw
+        else:
+            square[on[0]] = coeff.raw
+
+    def sqrt(c):
+        return host.pow_raw(c, host.order // 2)
+
+    alive = list(range(n))
+    ell = [zero] * n
+    forms: list[LinearForm] = []
+    keys = _variable_keys(range(1, n + 1))
+
+    def form(row):
+        return LinearForm._of(host, {k: c for k, c in zip(keys, row) if c != zero}, n)
+
+    while pivot := next(((i, j) for i in alive for j in alive
+                         if i < j and cross[i][j] != zero), None):
+        i, j = pivot
+        alive.remove(i)
+        alive.remove(j)
+        q = cross[i][j]
+        r = host.inv_raw(q)
+        a, b = square[i], square[j]
+        ra, rb = mul(mul(r, r), a), mul(mul(r, r), b)
+        qu, v = [zero] * n, [zero] * n          # q*u = q*x_i + B, v = x_j + A/q
+        qu[i], v[j] = q, host.one_raw
+        for t, k in enumerate(alive):
+            A_k, B_k = cross[i][k], cross[j][k]
+            qu[k], v[k] = B_k, mul(r, A_k)
+            for m in alive[t + 1:]:
+                c = add(cross[k][m], mul(r, add(mul(A_k, cross[j][m]), mul(cross[i][m], B_k))))
+                cross[k][m] = cross[m][k] = c
+            square[k] = add(square[k], add(mul(r, mul(A_k, B_k)),
+                                           add(mul(ra, mul(B_k, B_k)), mul(rb, mul(A_k, A_k)))))
+        sa, sb = mul(sqrt(a), r), sqrt(b)       # sqrt(a)*u = (sqrt(a)/q) * (q*u)
+        ell = [add(e, add(mul(sa, x), mul(sb, y))) for e, x, y in zip(ell, qu, v)]
+        forms.extend(_gadget_forms(form(qu), form(v), omega))
+    for k in alive:
+        ell[k] = add(ell[k], sqrt(square[k]))
+    if any(c != zero for c in ell):
+        forms.extend((form(ell),) * 2)
+    return SymRepresentation(host, 2, forms, lifted)   # the one check of all the forms
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +354,14 @@ def newton_decompose(rep: SymRepresentation) -> NewtonDecomposition:
 def reducible_to_sym(g: ReduciblePolynomial) -> SymRepresentation:
     """Degree-3 representation of quadratic*linear over characteristic 2.
 
-    Builds e_2 forms for the quadratic factor, appends the linear factor as
-    one more form, and cancels each leftover cube L_i^3 with the block
-    (-w_1*L_i, -w_2*L_i, -w_3*L_i) for the roots w_j of z^3 + 1 (the e_1^3
-    and g_2^3 cubes cancel each other mod 2).  A block has e_1 = e_2 = 0
-    and e_3 = L_i^3, so e_3 of the whole list is e_3 of the gadget forms
-    and the linear factor plus the sum of the cubes; the one constructor
-    check re-derives it.
+    Takes the m forms L_i of quadratic_to_sym for the quadratic factor,
+    appends the linear factor as one more form, and cancels each leftover
+    cube L_i^3 with the block (-w_1*L_i, -w_2*L_i, -w_3*L_i) for the roots
+    w_j of z^3 + 1: 4m + 1 forms in all.  The L_i have e_1 = 0, so mod 2
+    Newton's identity makes their e_3 the power sum of the L_i^3.  A block
+    has e_1 = e_2 = 0 and e_3 = L_i^3, so e_3 of the whole list is the
+    product plus twice the sum of the cubes; the one constructor check
+    re-derives it.
     """
     if g.field.characteristic != 2:
         raise SymModelError("reducible_to_sym needs characteristic 2")

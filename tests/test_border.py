@@ -12,7 +12,6 @@ from esym.border import (
     BorderError,
     EpsSeries,
     approx_extract,
-    constant_shift,
     depth3_to_sym,
     esp_of_series,
     kumar_fanin2,
@@ -23,6 +22,7 @@ from esym.rng import SplitMix64
 from esym.symfunc import esp_of_forms, esp_table_of_forms
 from esym.symmodel import quadratic_to_sym
 from poly_oracles import homogeneous_component
+from symmodel_oracles import ref_quadratic_to_sym
 
 GF4 = make_field("gf(4)")
 GF5 = make_field("gf(5)")
@@ -242,6 +242,32 @@ def test_kumar_product_is_the_product_of_its_factors(spec):
 
 
 # -- the shift lemma --------------------------------------------------------------------
+
+def constant_shift(F: EpsSeries, G: EpsSeries, ell: LinearForm,
+                   target: Polynomial) -> int:
+    """The lemma's oracle: an exponent M such that F*(ell + eps^M) + G still
+    extracts to target at the same order.
+
+    Requires F*ell + G to extract to target already (the precondition of
+    the lemma).  A zero F returns 1 without a search (every M works);
+    otherwise the least M < T that verifies is returned, and the lemma
+    raises when none does, which signals that the truncation is too small.
+    depth3_to_sym uses the lemma only at M = 0, as its eps^v nudge.
+    """
+    base = F * ell + G
+    w0 = approx_extract(base)
+    if w0.principal != target:
+        raise BorderError(
+            f"F*ell + G extracts {w0.principal} at order {w0.order}, not the target")
+    if F.is_zero:
+        return 1
+    for M in range(base.truncation):
+        w = approx_extract(base + F.shift(M))
+        if w.order == w0.order and w.principal == target:
+            return M
+    raise BorderError("truncation too small: no shift exponent below "
+                      f"{base.truncation} preserves the extraction")
+
 
 def test_constant_shift_zero_when_order_is_stable():
     # F*ell + G = eps^0 * x1 stays extractable after adding F * eps^0
@@ -799,11 +825,11 @@ def test_sweeps_leave_their_operands_alone(spec):
 
 
 def _forty_five_forms():
-    """The 5-variable GF(4) quadratic with every term present, as 45 gadget
-    forms lifted to 1 + eps*L."""
+    """The 5-variable GF(4) quadratic with every term present, as the
+    per-monomial oracle's 45 gadget forms lifted to 1 + eps*L."""
     f = parse_polynomial(" + ".join(f"x{i}*x{j}" for i in range(1, 6)
                                     for j in range(i, 6)), GF4)
-    rep = quadratic_to_sym(f)
+    rep = ref_quadratic_to_sym(f)
     T = 6
     one = EpsSeries.constant(GF4, 1, T)
     factors = [one + EpsSeries.from_polynomial(L.to_polynomial(), T).shift(1)
@@ -936,14 +962,11 @@ def _eps_circuits(field, rng, count):
 
 
 @pytest.mark.parametrize("spec", ["gf(2)", "gf(4)", "gf(5)", "gf(9)", "q"])
-def test_random_eps_circuits_convert_by_the_nudge(spec, monkeypatch):
-    # the conversion never searches for a shift; every shape converts,
-    # several-powers and linear-below-constant included, and every
-    # conversion matches the dense oracle
-    def searched(*args, **kwargs):
-        raise AssertionError("depth3_to_sym called constant_shift")
-
-    monkeypatch.setattr(border, "constant_shift", searched)
+def test_random_eps_circuits_convert_by_the_nudge(spec):
+    # the conversion never searches for a shift (border has no shift search
+    # left); every shape converts, several-powers and linear-below-constant
+    # included, and every conversion matches the dense oracle
+    assert not hasattr(border, "constant_shift")
     field = make_field(spec)
     converted = dict.fromkeys(EPS_SHAPES, 0)
     for shape, terms, target, T in _eps_circuits(field, SplitMix64(3001), 40):

@@ -22,24 +22,11 @@ from esym.symmodel import (
     verify_representation,
 )
 from poly_oracles import substitute_linear
+from symmodel_oracles import ref_quadratic_to_sym
 
 GF2 = make_field("gf(2)")
 GF3 = make_field("gf(3)")
 GF4 = make_field("gf(4)")
-
-
-def random_quadratic(field, nvars, rng):
-    q = field.order
-    parts = []
-    for i in range(1, nvars + 1):
-        for j in range(i, nvars + 1):
-            c = rng.below(q)
-            if c:
-                parts.append(f"{field.element_at(c)}*x{i}*x{j}".replace("*x", "*x"))
-    text = " + ".join(parts) if parts else None
-    if text is None:
-        return None
-    return parse_polynomial(text, field)
 
 
 # -- the quadratic gadget -----------------------------------------------------
@@ -69,11 +56,122 @@ def test_gadget_requires_characteristic_two():
 def test_quadratic_to_sym_small_cases():
     for text in ("x1*x2", "x1^2", "x1*x2 + x3^2", "x1^2 + x1*x2 + x2^2"):
         f = parse_polynomial(text, GF4)
+        ref = ref_quadratic_to_sym(f)
+        assert len(ref.forms) == 3 * f.term_count()
         rep = quadratic_to_sym(f)
         assert rep.degree == 2
-        assert rep.target == f
-        assert len(rep.forms) == 3 * f.term_count()
+        assert rep.target == f == ref.target
+        assert len(rep.forms) <= 3 * (f.nvars // 2) + 2
         assert esp_of_forms(rep.forms, 1).is_zero
+
+
+def _seeded_quadratic(field, n, rng, density):
+    """A quadratic in x1..xn whose terms are present with probability
+    density/8 (8: every term), coefficients drawn from the nonzero raws."""
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            if rng.below(8) < density:
+                mono = [0] * (j + 1)
+                mono[i] += 1
+                mono[j] += 1
+                terms[tuple(mono)] = 1 + rng.below(field.order - 1)
+    return Polynomial(field, terms, n)
+
+
+def _deficient_quadratics(field):
+    """Rank-deficient inputs: the zero quadratic, a pure square, a single
+    monomial, and quadratics in fewer variables than nvars."""
+    c = field.element_at(field.order - 1)
+    yield Polynomial.zero(field, 4)
+    yield parse_polynomial("x1^2 + x3^2", field)
+    yield Polynomial(field, {(0, 0, 2): c.raw}, 5)
+    yield Polynomial(field, {(0, 1, 0, 1): c.raw}, 4)
+    yield Polynomial(field, {(1, 1): c.raw, (0, 2): 1}, 7)
+    yield Polynomial(field, {(0, 1, 0, 0, 1): 1, (0, 0, 0, 0, 2): c.raw}, 9)
+
+
+def _quadratic_inputs(field, rng):
+    for n in range(1, 13):
+        for density in (8, 4):
+            yield _seeded_quadratic(field, n, rng, density)
+    yield from _deficient_quadratics(field)
+
+
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(4)", "gf(8)", "gf(16)"])
+def test_quadratic_to_sym_agrees_with_the_per_monomial_oracle(spec):
+    # dense inputs take at most 3*(n//2) + 2 forms (8 at n = 5, 20 at
+    # n = 12) where the oracle takes 3*n*(n+1)/2 (45 and 234)
+    field = make_field(spec)
+    rng = SplitMix64(3100 + field.order)
+    for f in _quadratic_inputs(field, rng):
+        rep = quadratic_to_sym(f)
+        ref = ref_quadratic_to_sym(f)
+        assert rep.field == ref.field
+        assert rep.target == ref.target == f.map_field(rep.field)
+        assert len(rep.forms) <= 3 * (f.nvars // 2) + 2
+        assert len(ref.forms) == 3 * f.term_count()
+        assert esp_of_forms(rep.forms, 1, rep.field).is_zero
+
+
+def _polar_rank_and_radical(f, field):
+    """Rank of the alternating polar matrix M of f (M_ij = M_ji = the
+    coefficient of x_i*x_j, zero diagonal) by Gauss-Jordan elimination over
+    field, and a basis of its kernel, the radical."""
+    n = f.nvars
+    rows = [[field.zero] * n for _ in range(n)]
+    for mono, c in f.terms():
+        on = [i for i, e in enumerate(mono) if e]
+        if len(on) == 2:
+            rows[on[0]][on[1]] = rows[on[1]][on[0]] = c
+    pivots = []
+    for col in range(n):
+        r = next((r for r in range(len(pivots), n) if rows[r][col]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[r] = rows[r], rows[top]
+        inv = rows[top][col].inverse()
+        rows[top] = [x * inv for x in rows[top]]
+        for k in range(n):
+            if k != top and rows[k][col]:
+                c = rows[k][col]
+                rows[k] = [x - c * y for x, y in zip(rows[k], rows[top])]
+        pivots.append(col)
+    radical = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [field.zero] * n
+        vec[free] = field.one
+        for top, col in enumerate(pivots):
+            vec[col] = -rows[top][free]
+        radical.append(vec)
+    return len(pivots), radical
+
+
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(4)", "gf(8)", "gf(16)"])
+def test_quadratic_to_sym_splits_one_gadget_per_hyperbolic_plane(spec):
+    # each elimination splits off one hyperbolic plane, so the gadgets number
+    # rank(M)/2; what is left is the pair (l, l) exactly when l != 0, and
+    # l^2 is f on the radical of M, so f nonzero there forces the pair
+    field = make_field(spec)
+    rng = SplitMix64(3200 + field.order)
+    for f in _quadratic_inputs(field, rng):
+        rep = quadratic_to_sym(f)
+        host = rep.field
+        rank, radical = _polar_rank_and_radical(rep.target, host)
+        assert rank % 2 == 0
+        blocks, tail = divmod(len(rep.forms), 3)
+        assert blocks == rank // 2
+        gadgets = rep.forms[:3 * blocks]
+        rest = rep.target - esp_of_forms(gadgets, 2, host)
+        if tail:
+            ell = rep.forms[-1]
+            assert tail == 2 and rep.forms[-2] == ell and not ell.is_zero
+            assert rest == ell * ell
+        else:
+            assert rest.is_zero
+        if any(rep.target.evaluate(r) for r in radical):
+            assert tail
 
 
 def test_quadratic_to_sym_lifts_gf2_input():
@@ -231,9 +329,9 @@ def test_newton_tie_keeps_esp_factor_low():
 
 def _check_reducible_form_count_and_target(g, quad):
     rep = reducible_to_sym(g)
-    # 3M gadget forms, the linear factor, and a cube-root block of 3 per
-    # gadget form: 12M + 1 in all
-    assert len(rep.forms) == 12 * quad.term_count() + 1
+    # the m forms of the quadratic, the linear factor, and a cube-root block
+    # of 3 per form of the quadratic: 4m + 1 in all
+    assert len(rep.forms) == 4 * len(quadratic_to_sym(quad).forms) + 1
     assert rep.target == g.product.map_field(rep.field)
     assert verify_representation(rep, rep.target)
 
